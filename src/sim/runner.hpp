@@ -13,14 +13,26 @@
 /// forked per query INDEX (not per iteration order), and metrics accumulate
 /// in exact integer sums, so the averaged results are bit-identical for any
 /// worker count and fully determined by (workload, seed).
+///
+/// There is one one-shot engine, GenerationalRun: a static broadcast is a
+/// one-generation schedule airing for one cycle, so its tune-in horizon is
+/// exactly one cycle and its sessions never see a republication — byte
+/// for byte a single-program session (pinned by the golden suite).
 
+#include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "air/air_index.hpp"
+#include "broadcast/client.hpp"
 #include "broadcast/coding.hpp"
 #include "broadcast/disks.hpp"
+#include "broadcast/generation.hpp"
+#include "sim/worker_pool.hpp"
 #include "sim/workload.hpp"
 
 namespace dsi::sim {
@@ -101,22 +113,7 @@ struct RunOptions {
   /// program by reference — byte-identical to a build without the layer.
   /// Mutually exclusive with coding.
   broadcast::DiskConfig disks;
-  /// Event-driven execution order (sim/scheduler.hpp): each query is a
-  /// one-shot client whose single wake is its tune-in packet, and every
-  /// shard processes its queries through a calendar queue in wake order —
-  /// the channel timeline, not the workload array, drives execution.
-  /// Queries are independent clients with index-forked randomness, so this
-  /// is a pure reordering: metrics and results are bit-identical to the
-  /// default path for any worker count (tests/scheduler_test.cpp).
-  bool scheduled = false;
 };
-
-/// Runs every query of \p workload against \p index and averages the
-/// session metrics. Returns a zeroed AvgMetrics for an empty workload or an
-/// empty broadcast program (nothing on air to tune into).
-AvgMetrics RunWorkload(const air::AirIndexHandle& index,
-                       const Workload& workload,
-                       const RunOptions& options = {});
 
 /// One index family across broadcast generations: handle g serves the
 /// republished content after the g-th update batch. All handles must be
@@ -131,11 +128,11 @@ struct GenerationalIndex {
   std::vector<uint64_t> cycles;
 };
 
-/// The dynamic-broadcast experiment: like RunWorkload, but tune-in instants
-/// are uniform over the whole generational horizon, so queries straddle
-/// republication instants. A query that observes a generation switch
-/// (stale read) discards everything it learned and restarts against the
-/// new generation's handle on the SAME session — latency keeps counting
+/// The one-shot experiment: every query of \p workload is a fresh client
+/// tuning in uniformly over the whole generational horizon, so queries
+/// straddle republication instants. A query that observes a generation
+/// switch (stale read) discards everything it learned and restarts against
+/// the new generation's handle on the SAME session — latency keeps counting
 /// from the original tune-in, exactly what a long-lived client pays.
 /// QueryResult::generation records which object set each answer reflects.
 /// Returns zeroed metrics for an empty workload or if any generation's
@@ -144,12 +141,115 @@ AvgMetrics GenerationalRun(const GenerationalIndex& index,
                            const Workload& workload,
                            const RunOptions& options = {});
 
+/// Runs every query of \p workload against the static broadcast of
+/// \p index: GenerationalRun over one generation airing for one cycle, so
+/// query i tunes in at the first UniformInt(0, cycle - 1) draw of
+/// Rng(MixSeed(seed, i)). Returns a zeroed AvgMetrics for an empty
+/// workload or an empty broadcast program (nothing on air to tune into).
+AvgMetrics RunWorkload(const air::AirIndexHandle& index,
+                       const Workload& workload,
+                       const RunOptions& options = {});
+
 namespace detail {
+
+/// The channel one run airs: every generation's program — the index's own
+/// by reference, or its coded / multi-disk re-layout — appended to one
+/// GenerationSchedule. Each generation is re-laid-out independently:
+/// parity groups and disk schedules die with their generation. Shared by
+/// GenerationalRun and RunTrajectories. Not copyable or movable: the
+/// schedule points into the owned re-layouts.
+class OnAirSchedule {
+ public:
+  /// \p cycles[g] is generation g's airtime (see GenerationalIndex).
+  /// Coding and disks are mutually exclusive.
+  OnAirSchedule(const std::vector<const air::AirIndexHandle*>& generations,
+                const std::vector<uint64_t>& cycles,
+                const broadcast::CodingConfig& coding,
+                const broadcast::DiskConfig& disks);
+  OnAirSchedule(const OnAirSchedule&) = delete;
+  OnAirSchedule& operator=(const OnAirSchedule&) = delete;
+
+  const broadcast::GenerationSchedule& schedule() const { return schedule_; }
+
+ private:
+  std::vector<broadcast::BroadcastProgram> relaid_;
+  broadcast::GenerationSchedule schedule_;
+};
+
+/// Runs \p run_shard(begin, end, &sums) over contiguous shards of [0, n)
+/// and returns the shards' sums merged with Sums::operator+=. \p workers = 0
+/// means one per hardware thread; shards run on the persistent WorkerPool.
+/// Boundaries depend only on (n, workers) and every unit's randomness is
+/// forked by its index, so any worker count reproduces the serial run
+/// exactly — provided Sums merges associatively (exact integers).
+template <typename Sums, typename RunShardFn>
+Sums RunSharded(size_t n, size_t workers, RunShardFn&& run_shard) {
+  if (workers == 0) {
+    workers = std::max<size_t>(1, std::thread::hardware_concurrency());
+  }
+  workers = std::min(workers, n);
+  Sums total;
+  if (workers <= 1) {
+    run_shard(size_t{0}, n, &total);
+    return total;
+  }
+  std::vector<Sums> shard_sums(workers);
+  WorkerPool::Instance().Run(workers, [&](size_t w) {
+    run_shard(n * w / workers, n * (w + 1) / workers, &shard_sums[w]);
+  });
+  for (const Sums& s : shard_sums) total += s;
+  return total;
+}
+
+/// What one fresh client produced for one query.
+struct FreshAnswer {
+  std::vector<datasets::SpatialObject> answer;
+  bool completed = true;
+  /// Republications the query observed mid-flight.
+  size_t restarts = 0;
+};
+
+/// Answers one query with a fresh client on the already-built \p session:
+/// probes first (the probe itself may park past a republication instant,
+/// and the client must be built for the generation actually on air), then
+/// builds the client of the live generation — on the heap or in \p arena —
+/// and runs \p query(client). A stale abort (republished mid-query) keeps
+/// the session, so latency keeps accruing, and restarts with a fresh client
+/// on the new generation; generations strictly advance, so this loops at
+/// most generations.size() times. Shared by GenerationalRun's queries and
+/// RunTrajectories' cold baseline.
+template <typename Query>
+FreshAnswer RunFreshClient(
+    const std::vector<const air::AirIndexHandle*>& generations,
+    broadcast::ClientSession& session, bool heap_clients,
+    air::ClientArena& arena, Query&& query) {
+  session.InitialProbe();
+  FreshAnswer out;
+  while (true) {
+    const uint64_t gen = session.generation();
+    std::unique_ptr<air::AirClient> heap_client;
+    air::AirClient* client;
+    if (heap_clients) {
+      heap_client = generations[gen]->MakeClient(&session);
+      client = heap_client.get();
+    } else {
+      client = generations[gen]->MakeClientIn(arena, &session);
+    }
+    out.answer = query(*client);
+    const air::ClientStats st = client->stats();
+    if (!st.stale) {
+      out.completed = st.completed;
+      return out;
+    }
+    assert(session.generation() > gen);
+    ++out.restarts;
+  }
+}
 
 /// Captures one answered query into \p out: ids sorted, kNN distance
 /// multiset from \p query_point (ignored for windows), flags and byte
-/// metrics. The ONE result-capture routine, shared by RunWorkload,
-/// GenerationalRun and RunTrajectories — the conformance oracles compare
+/// metrics. The ONE result-capture routine, shared by GenerationalRun and
+/// RunTrajectories — the conformance oracles compare
 /// these fields, so the capture rules must be identical everywhere.
 void CaptureResult(QueryKind kind, const common::Point& query_point,
                    const std::vector<datasets::SpatialObject>& answer,

@@ -4,14 +4,11 @@
 #include <cassert>
 #include <memory>
 #include <optional>
-#include <thread>
 
-#include "air/disk_layout.hpp"
 #include "broadcast/generation.hpp"
 #include "common/rng.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/seed_mix.hpp"
-#include "sim/worker_pool.hpp"
 
 namespace dsi::sim {
 
@@ -36,6 +33,22 @@ struct TourSums {
   size_t cold_repaired = 0;
   size_t departed = 0;
   size_t skipped_steps = 0;
+
+  TourSums& operator+=(const TourSums& o) {
+    latency_bytes += o.latency_bytes;
+    tuning_bytes += o.tuning_bytes;
+    cold_latency_bytes += o.cold_latency_bytes;
+    cold_tuning_bytes += o.cold_tuning_bytes;
+    steps += o.steps;
+    incomplete += o.incomplete;
+    restarted += o.restarted;
+    cold_incomplete += o.cold_incomplete;
+    repaired += o.repaired;
+    cold_repaired += o.cold_repaired;
+    departed += o.departed;
+    skipped_steps += o.skipped_steps;
+    return *this;
+  }
 };
 
 /// Runs the step query of client \p c at step \p s on \p client.
@@ -61,40 +74,19 @@ void RunColdStep(const std::vector<const air::AirIndexHandle*>& gens,
       MixSeed(MixSeed(options.seed ^ kColdSalt, c), s));
   broadcast::ClientSession session =
       warm_session.ForkColdSession(tune_in, cold_rng.Fork());
-  session.InitialProbe();
-  std::vector<datasets::SpatialObject> answer;
-  bool completed = true;
-  size_t restarts = 0;
-  while (true) {
-    const uint64_t gen = session.generation();
-    std::unique_ptr<air::AirClient> heap_client;
-    air::AirClient* client;
-    if (options.heap_clients) {
-      heap_client = gens[gen]->MakeClient(&session);
-      client = heap_client.get();
-    } else {
-      client = gens[gen]->MakeClientIn(arena, &session);
-    }
-    answer = RunStepQuery(*client, wl, c, s);
-    const air::ClientStats st = client->stats();
-    if (st.stale) {
-      assert(session.generation() > gen);
-      ++restarts;
-      continue;
-    }
-    completed = st.completed;
-    break;
-  }
+  const detail::FreshAnswer fresh = detail::RunFreshClient(
+      gens, session, options.heap_clients, arena,
+      [&](air::AirClient& client) { return RunStepQuery(client, wl, c, s); });
   const broadcast::Metrics m = session.metrics();
   sums->cold_latency_bytes += m.access_latency_bytes;
   sums->cold_tuning_bytes += m.tuning_bytes;
   sums->cold_repaired += m.repaired;
-  if (!completed) ++sums->cold_incomplete;
+  if (!fresh.completed) ++sums->cold_incomplete;
   if (result_out != nullptr) {
-    detail::CaptureResult(wl.kind, wl.clients[c][s], answer, completed,
-                          session.generation(), restarts,
-                          m.access_latency_bytes, m.tuning_bytes, m.repaired,
-                          result_out);
+    detail::CaptureResult(wl.kind, wl.clients[c][s], fresh.answer,
+                          fresh.completed, session.generation(),
+                          fresh.restarts, m.access_latency_bytes,
+                          m.tuning_bytes, m.repaired, result_out);
   }
 }
 
@@ -379,68 +371,18 @@ TrajectoryMetrics RunTrajectoriesImpl(
   }
   if (num_clients == 0 || wl.num_steps() == 0) return avg;
 
-  // Same per-generation re-layout as sim::GenerationalRun: each
-  // generation's cycle is encoded (or disk-scheduled) independently and
-  // its parity groups / disk schedule die with it. The vector is sized up
-  // front — the schedule keeps raw pointers.
-  assert(!(options.coding.enabled() && options.disks.enabled()));
-  const bool relayout = options.coding.enabled() || options.disks.enabled();
-  std::vector<broadcast::BroadcastProgram> coded;
-  if (relayout) {
-    coded.reserve(gens.size());
-    for (const air::AirIndexHandle* handle : gens) {
-      coded.push_back(options.coding.enabled()
-                          ? MakeCodedProgram(handle->program(), options.coding)
-                          : air::MakeSkewedProgram(*handle, options.disks));
-    }
-  }
-  broadcast::GenerationSchedule schedule;
-  for (size_t g = 0; g < gens.size(); ++g) {
-    schedule.Append(relayout ? &coded[g] : &gens[g]->program(), cycles[g]);
-  }
-
-  size_t workers =
-      options.workers != 0
-          ? options.workers
-          : std::max<size_t>(1, std::thread::hardware_concurrency());
-  workers = std::min(workers, num_clients);
-
-  auto run_shard = [&](size_t begin, size_t end, TourSums* sums) {
-    if (options.engine == TrajectoryEngine::kScheduler) {
-      RunSchedulerShard(gens, schedule, wl, options, begin, end, sums);
-    } else {
-      RunLoopShard(gens, schedule, wl, options, begin, end, sums);
-    }
-  };
-
-  TourSums total;
-  if (workers <= 1) {
-    run_shard(0, num_clients, &total);
-  } else {
-    // Shard boundaries depend only on (num_clients, workers); every tour's
-    // randomness is forked by client index, so any worker count reproduces
-    // the serial run exactly.
-    std::vector<TourSums> shard_sums(workers);
-    WorkerPool::Instance().Run(workers, [&](size_t w) {
-      const size_t begin = num_clients * w / workers;
-      const size_t end = num_clients * (w + 1) / workers;
-      run_shard(begin, end, &shard_sums[w]);
-    });
-    for (const TourSums& s : shard_sums) {
-      total.latency_bytes += s.latency_bytes;
-      total.tuning_bytes += s.tuning_bytes;
-      total.cold_latency_bytes += s.cold_latency_bytes;
-      total.cold_tuning_bytes += s.cold_tuning_bytes;
-      total.steps += s.steps;
-      total.incomplete += s.incomplete;
-      total.restarted += s.restarted;
-      total.cold_incomplete += s.cold_incomplete;
-      total.repaired += s.repaired;
-      total.cold_repaired += s.cold_repaired;
-      total.departed += s.departed;
-      total.skipped_steps += s.skipped_steps;
-    }
-  }
+  const detail::OnAirSchedule on_air(gens, cycles, options.coding,
+                                     options.disks);
+  const broadcast::GenerationSchedule& schedule = on_air.schedule();
+  const TourSums total = detail::RunSharded<TourSums>(
+      num_clients, options.workers,
+      [&](size_t begin, size_t end, TourSums* sums) {
+        if (options.engine == TrajectoryEngine::kScheduler) {
+          RunSchedulerShard(gens, schedule, wl, options, begin, end, sums);
+        } else {
+          RunLoopShard(gens, schedule, wl, options, begin, end, sums);
+        }
+      });
 
   avg.clients = num_clients;
   avg.steps = total.steps;

@@ -31,10 +31,11 @@ void BroadcastDaemon::Start() {
 }
 
 void BroadcastDaemon::Stop() {
-  if (stopping_.exchange(true)) {
-    // Second caller still has to wait for the join below to have happened;
-    // the first Stop() owns it, so just wait on the accept thread flag.
-  }
+  // Serialized: a concurrent later caller blocks here until the first has
+  // joined every thread, then finds the flag set and returns — two callers
+  // never join the same thread.
+  std::lock_guard<std::mutex> stop_lock(stop_mu_);
+  if (stopping_.exchange(true)) return;
   if (accept_thread_.joinable()) accept_thread_.join();
   std::vector<std::thread> conns;
   {

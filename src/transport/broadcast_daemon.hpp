@@ -65,7 +65,9 @@ class BroadcastDaemon {
   void Start();
 
   /// Clean final-cycle shutdown: stop accepting, finish every connection's
-  /// current cycle, send kShutdown, join all threads. Idempotent.
+  /// current cycle, send kShutdown, join all threads. Idempotent and safe
+  /// to call from several threads at once: later callers wait for the
+  /// first to finish, then return.
   void Stop();
 
   const Endpoint& endpoint() const { return endpoint_; }
@@ -88,6 +90,7 @@ class BroadcastDaemon {
   double pps_;
   Endpoint endpoint_;
   SocketFd listener_;
+  std::mutex stop_mu_;  ///< Serializes Stop(); guards the shutdown joins.
   std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> air_pos_{0};
   std::chrono::steady_clock::time_point epoch_;

@@ -386,5 +386,24 @@ TEST(ConformanceRegression, CodedRedundancyBoundsLapsAtThetaHalf) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// The sweep draws Hilbert orders 2-8 only. Order 9 (a 512 x 512 grid) rides
+// on a few sweep cases with everything else unchanged, so the case
+// generator's rng stream — and with it every existing seed — stays as it
+// is.
+// ---------------------------------------------------------------------------
+TEST(ConformanceRegression, HilbertOrderNineOnSweepCases) {
+  for (const uint64_t seed : {3u, 14u, 27u}) {
+    sim::ConformanceCase c = sim::MakeConformanceCase(seed);
+    c.order = 9;
+    const sim::ConformanceReport r = sim::RunConformanceCase(c);
+    EXPECT_TRUE(r.divergences.empty()) << Describe(r, c);
+    if (c.theta <= 0.7) {
+      EXPECT_EQ(r.incomplete, 0u) << Describe(r, c);
+      EXPECT_GT(r.queries_checked, 0u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dsi

@@ -10,15 +10,21 @@
 ///    nearest. Compared on sorted distance multisets, so ties may swap ids
 ///    without violating the property.
 ///  * Totality: a window covering the whole universe returns every object.
+///  * Periodicity: a static broadcast repeats its cycle forever, so tuning
+///    in k cycles later is the same query on the same channel — identical
+///    answer, latency and tuning bytes.
 ///
-/// All four families, clean channel, real engine execution (mid-cycle
-/// tune-ins via sim::RunWorkload).
+/// All four families, real engine execution (mid-cycle tune-ins via
+/// sim::RunWorkload); the periodicity relation drives sessions directly so
+/// it can place tune-ins far past the first cycle.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
+#include "broadcast/client.hpp"
 #include "common/rng.hpp"
 #include "datasets/datasets.hpp"
 #include "sim/runner.hpp"
@@ -126,6 +132,66 @@ TEST(MetamorphicTest, UniverseWindowReturnsEveryObject) {
       EXPECT_EQ(results[i].ids, all_ids)
           << h->family() << " window " << i << " returned "
           << results[i].ids.size() << " of " << all_ids.size() << " objects";
+    }
+  }
+}
+
+TEST(MetamorphicTest, TuneInIsPeriodicInTheCycle) {
+  // The late tune-in lands near 2^26 packets, far past the first cycle.
+  // Loss drawn from the session rng (kPerReadLoss) is part of the relation:
+  // the same rng must flip the same coins at either instant. kPerBucketLoss
+  // is left out on purpose — its coins are keyed by cycle index, so the
+  // late client rightly hears a different channel.
+  const auto objects = TestObjects();
+  const Families fams(objects, 2);
+  const auto windows =
+      sim::MakeWindowWorkload(kQueries, 0.2, datasets::UnitUniverse(), 41);
+  const auto points =
+      sim::MakeKnnWorkload(kQueries, datasets::UnitUniverse(), 43);
+  struct Outcome {
+    std::vector<uint32_t> ids;
+    broadcast::Metrics metrics;
+    bool completed = false;
+  };
+  for (const air::AirIndexHandle* h : fams.handles()) {
+    const uint64_t cycle = h->program().cycle_packets();
+    const uint64_t late_shift = ((uint64_t{1} << 26) / cycle) * cycle;
+    common::Rng draw(47);
+    for (const double theta : {0.0, 0.3}) {
+      const broadcast::ErrorModel errors{theta,
+                                         broadcast::ErrorMode::kPerReadLoss};
+      for (size_t i = 0; i < kQueries; ++i) {
+        const auto t = static_cast<uint64_t>(
+            draw.UniformInt(0, static_cast<int64_t>(cycle) - 1));
+        for (const bool knn : {false, true}) {
+          auto run = [&](uint64_t tune_in) {
+            broadcast::ClientSession session(h->program(), tune_in, errors,
+                                             common::Rng(1000 + i));
+            const auto client = h->MakeClient(&session);
+            const auto answer = knn ? client->KnnQuery(points[i], 5)
+                                    : client->WindowQuery(windows[i]);
+            Outcome out;
+            for (const auto& o : answer) out.ids.push_back(o.id);
+            std::sort(out.ids.begin(), out.ids.end());
+            out.metrics = session.metrics();
+            out.completed = client->stats().completed;
+            return out;
+          };
+          const Outcome early = run(t);
+          const Outcome late = run(t + late_shift);
+          const std::string at = std::string(h->family()) +
+                                 (knn ? " knn" : " window") + " query " +
+                                 std::to_string(i) + " theta " +
+                                 std::to_string(theta);
+          EXPECT_EQ(early.ids, late.ids) << at;
+          EXPECT_EQ(early.completed, late.completed) << at;
+          EXPECT_EQ(early.metrics.access_latency_bytes,
+                    late.metrics.access_latency_bytes)
+              << at;
+          EXPECT_EQ(early.metrics.tuning_bytes, late.metrics.tuning_bytes)
+              << at;
+        }
+      }
     }
   }
 }

@@ -14,10 +14,14 @@
 #include "air/exp_handle.hpp"
 #include "air/hci_handle.hpp"
 #include "air/rtree_handle.hpp"
+#include "broadcast/client.hpp"
+#include "common/rng.hpp"
 #include "datasets/datasets.hpp"
 #include "hilbert/space_mapper.hpp"
 #include "sim/runner.hpp"
+#include "sim/seed_mix.hpp"
 #include "sim/workload.hpp"
+#include "transport/transport.hpp"
 
 namespace dsi {
 namespace {
@@ -240,6 +244,65 @@ TEST_F(ParallelParityFixture, ResultCaptureParityAcrossShardingAndAllocation) {
             EXPECT_EQ(got[i].completed, baseline[i].completed);
           }
         }
+      }
+    }
+  }
+}
+
+TEST_F(ParallelParityFixture, EngineQueryIsTheDocumentedTuneIn) {
+  // The engine's tune-in contract, spelled out by hand: query i tunes in at
+  // the first UniformInt(0, cycle - 1) draw of Rng(MixSeed(seed, i)) and
+  // runs a fresh client on a session over the plain program with the
+  // fork of that rng. Every per-query result the engine captures — on two
+  // workers, under per-bucket loss — must be exactly what that hand-driven
+  // query produces. The goldens and every fixed-seed bench rest on it.
+  constexpr uint64_t kSeed = 223;
+  const auto windows =
+      sim::MakeWindowWorkload(8, 0.12, datasets::UnitUniverse(), 57);
+  const auto points = sim::MakeKnnWorkload(8, datasets::UnitUniverse(), 59);
+  const auto mode = broadcast::ErrorMode::kPerBucketLoss;
+  const sim::Workload workloads[] = {
+      sim::Workload::Window(windows, 0.3, mode),
+      sim::Workload::Knn(points, 5, air::KnnStrategy::kConservative, 0.3,
+                         mode),
+  };
+  for (const air::AirIndexHandle* handle : Handles()) {
+    transport::SimTransport channel(handle->program());
+    const auto cycle = static_cast<int64_t>(handle->program().cycle_packets());
+    for (const sim::Workload& workload : workloads) {
+      std::vector<sim::QueryResult> results;
+      sim::RunOptions opt;
+      opt.seed = kSeed;
+      opt.workers = 2;
+      opt.results = &results;
+      (void)sim::RunWorkload(*handle, workload, opt);
+      ASSERT_EQ(results.size(), workload.size());
+      for (size_t i = 0; i < workload.size(); ++i) {
+        common::Rng rng(sim::MixSeed(kSeed, i));
+        const auto tune_in = static_cast<uint64_t>(rng.UniformInt(0, cycle - 1));
+        broadcast::ClientSession session(
+            channel, tune_in,
+            broadcast::ErrorModel{workload.theta, workload.error_mode},
+            rng.Fork());
+        const auto client = handle->MakeClient(&session);
+        const auto answer =
+            workload.kind == sim::QueryKind::kWindow
+                ? client->WindowQuery(workload.windows[i])
+                : client->KnnQuery(workload.points[i], workload.k,
+                                   workload.strategy);
+        std::vector<uint32_t> ids;
+        for (const auto& o : answer) ids.push_back(o.id);
+        std::sort(ids.begin(), ids.end());
+        const broadcast::Metrics m = session.metrics();
+        EXPECT_EQ(results[i].ids, ids) << handle->family() << " query " << i;
+        EXPECT_EQ(results[i].completed, client->stats().completed)
+            << handle->family() << " query " << i;
+        EXPECT_EQ(results[i].latency_bytes, m.access_latency_bytes)
+            << handle->family() << " query " << i;
+        EXPECT_EQ(results[i].tuning_bytes, m.tuning_bytes)
+            << handle->family() << " query " << i;
+        EXPECT_EQ(results[i].generation, 0u);
+        EXPECT_EQ(results[i].restarts, 0u);
       }
     }
   }

@@ -4,8 +4,7 @@
 /// load-bearing invariant — the scheduler engine reproduces the
 /// loop-driven oracle BIT-IDENTICALLY: every metric and every per-step
 /// result, for every family, lossy + coded + generational + churned, at
-/// any worker count. RunOptions::scheduled gets the same treatment for the
-/// one-shot engines.
+/// any worker count.
 
 #include <gtest/gtest.h>
 
@@ -388,68 +387,6 @@ TEST_F(EngineEquivalence, SchedulerWorkerCountBitIdentity) {
     ExpectSameMetrics(baseline, sharded,
                       "workers=" + std::to_string(workers));
     ExpectSameSteps(base_steps, steps, "workers=" + std::to_string(workers));
-  }
-}
-
-TEST_F(EngineEquivalence, ScheduledRunnerMatchesWorkloadOrder) {
-  // RunOptions::scheduled reorders one-shot queries into tune-in order;
-  // metrics and per-query results must not move a bit — including on a
-  // generational schedule, under loss, at several worker counts.
-  const auto windows = sim::MakeWindowWorkload(11, 0.12, universe_, 91);
-  const auto workload = sim::Workload::Window(
-      windows, 0.4, broadcast::ErrorMode::kPerBucketLoss);
-  for (const air::AirIndexHandle* handle : Handles()) {
-    std::vector<sim::QueryResult> plain_results;
-    sim::RunOptions plain;
-    plain.seed = 337;
-    plain.results = &plain_results;
-    const auto base = sim::RunWorkload(*handle, workload, plain);
-    for (const size_t workers : {1u, 3u}) {
-      std::vector<sim::QueryResult> results;
-      sim::RunOptions opt;
-      opt.seed = 337;
-      opt.workers = workers;
-      opt.scheduled = true;
-      opt.results = &results;
-      const auto got = sim::RunWorkload(*handle, workload, opt);
-      EXPECT_DOUBLE_EQ(base.latency_bytes, got.latency_bytes)
-          << handle->family();
-      EXPECT_DOUBLE_EQ(base.tuning_bytes, got.tuning_bytes)
-          << handle->family();
-      EXPECT_EQ(base.incomplete, got.incomplete) << handle->family();
-      ASSERT_EQ(results.size(), plain_results.size());
-      for (size_t i = 0; i < results.size(); ++i) {
-        ExpectSameResult(plain_results[i], results[i],
-                         std::string(handle->family()) + " query " +
-                             std::to_string(i));
-      }
-    }
-  }
-
-  // Generational variant through the DSI republication path.
-  const auto ops = datasets::MakeUpdateStream(objects_, 10, universe_, 409);
-  const core::DsiIndex gen1(core::DsiIndex::Republish(dsi_, ops));
-  const air::DsiHandle h1(gen1);
-  sim::GenerationalIndex gi;
-  gi.generations = {&dsi_air_, &h1};
-  gi.cycles = {1, 2};
-  std::vector<sim::QueryResult> plain_results;
-  sim::RunOptions plain;
-  plain.seed = 347;
-  plain.results = &plain_results;
-  const auto base = sim::GenerationalRun(gi, workload, plain);
-  std::vector<sim::QueryResult> results;
-  sim::RunOptions opt = plain;
-  opt.scheduled = true;
-  opt.results = &results;
-  const auto got = sim::GenerationalRun(gi, workload, opt);
-  EXPECT_DOUBLE_EQ(base.latency_bytes, got.latency_bytes);
-  EXPECT_DOUBLE_EQ(base.tuning_bytes, got.tuning_bytes);
-  EXPECT_EQ(base.restarted, got.restarted);
-  ASSERT_EQ(results.size(), plain_results.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    ExpectSameResult(plain_results[i], results[i],
-                     "generational query " + std::to_string(i));
   }
 }
 

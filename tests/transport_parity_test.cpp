@@ -316,5 +316,23 @@ TEST(TransportParity, CleanShutdownEndsAtCycleBoundary) {
                transport::TransportError);
 }
 
+TEST(TransportParity, ConcurrentStopJoinsOnce) {
+  // Two racing Stop() calls plus the destructor's own: only the first may
+  // join the accept thread; joining it twice throws std::system_error (or
+  // is UB), which would terminate the process here.
+  const wire::HelloPayload recipe =
+      MakeRecipe(wire::FamilyId::kDsi, 60, 1, 0, 0, 0);
+  for (int round = 0; round < 20; ++round) {
+    transport::BroadcastDaemon daemon(recipe, 0.0);
+    std::string error;
+    ASSERT_TRUE(daemon.Listen("tcp:0", &error)) << error;
+    daemon.Start();
+    std::thread a([&daemon] { daemon.Stop(); });
+    std::thread b([&daemon] { daemon.Stop(); });
+    a.join();
+    b.join();
+  }
+}
+
 }  // namespace
 }  // namespace dsi
