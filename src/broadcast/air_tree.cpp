@@ -1,7 +1,10 @@
 #include "broadcast/air_tree.hpp"
 
+#include "broadcast/airing_order.hpp"
+
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace dsi::broadcast {
 
@@ -177,16 +180,19 @@ size_t AirTreeBroadcast::NextNodeSlot(uint32_t node_id,
                                       const ClientSession& session) const {
   const auto& slots = node_slots_[node_id];
   assert(!slots.empty());
-  size_t best = slots.front();
-  uint64_t best_wait = session.PacketsUntil(slots.front());
-  for (size_t i = 1; i < slots.size(); ++i) {
-    const uint64_t wait = session.PacketsUntil(slots[i]);
-    if (wait < best_wait) {
-      best_wait = wait;
-      best = slots[i];
-    }
+  if (slots.size() == 1) return slots.front();
+  // Every airing of every replica in cycle order; the soonest is the first
+  // at or after the session's position.
+  std::vector<std::pair<uint64_t, size_t>> airings;
+  for (const size_t slot : slots) {
+    session.ForEachAiring(
+        slot, [&](uint64_t offset) { airings.emplace_back(offset, slot); });
   }
-  return best;
+  std::sort(airings.begin(), airings.end());
+  return SoonestAtOrAfter(airings.begin(), airings.end(),
+                          session.cycle_position(),
+                          [](const auto& a) { return a.first; })
+      ->second;
 }
 
 size_t AirTreeBroadcast::DataSlot(uint32_t data_id) const {

@@ -1,5 +1,7 @@
 #include "broadcast/client.hpp"
 
+#include "broadcast/airing_order.hpp"
+
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -113,20 +115,13 @@ size_t ClientSession::PhysSlot(size_t data_slot) const {
 }
 
 size_t ClientSession::NextPhysOf(size_t data_slot) const {
-  if (program_->multi_disk()) {
-    const std::vector<uint32_t>& airings = program_->AiringsOf(data_slot);
-    size_t best = airings.front();
-    uint64_t best_wait = PhysWait(best);
-    for (size_t i = 1; i < airings.size(); ++i) {
-      const uint64_t wait = PhysWait(airings[i]);
-      if (wait < best_wait) {
-        best_wait = wait;
-        best = airings[i];
-      }
-    }
-    return best;
-  }
-  return PhysSlot(data_slot);
+  if (!program_->multi_disk()) return PhysSlot(data_slot);
+  // Repetitions are listed in cycle order: the soonest is the first that
+  // starts at or after the cycle position, wrapping to the front.
+  const std::vector<uint32_t>& airings = program_->AiringsOf(data_slot);
+  return *SoonestAtOrAfter(
+      airings.begin(), airings.end(), cycle_position(),
+      [&](uint32_t phys) { return program_->bucket(phys).start_packet; });
 }
 
 size_t ClientSession::PhysToData(size_t phys_slot) const {
@@ -141,10 +136,10 @@ size_t ClientSession::PhysToData(size_t phys_slot) const {
 }
 
 uint64_t ClientSession::PhysWait(size_t phys_slot) const {
-  const uint64_t cycle = program_->cycle_packets();
-  const uint64_t pos = (now_ - gen_start_) % cycle;
+  const uint64_t pos = cycle_position();
   const uint64_t start = program_->bucket(phys_slot).start_packet;
-  return start >= pos ? start - pos : cycle - pos + start;
+  return start >= pos ? start - pos
+                      : program_->cycle_packets() - pos + start;
 }
 
 void ClientSession::ParkAtNextBoundary() {

@@ -11,6 +11,7 @@
 /// with an air index would.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "broadcast/generation.hpp"
@@ -215,6 +216,44 @@ class ClientSession {
   /// Number of packets that would elapse dozing from now to the start of
   /// the next occurrence of \p slot (0 if it starts right now).
   uint64_t PacketsUntil(size_t slot) const;
+
+  /// Offset of the current instant within the synchronized generation's
+  /// cycle (valid after InitialProbe). PacketsUntil(slot) is the cyclic
+  /// distance from here to the nearest ForEachAiring offset of the slot.
+  uint64_t cycle_position() const {
+    return (now_ - gen_start_) % program_->cycle_packets();
+  }
+
+  /// Invokes \p f(offset) with the cycle offset at which each physical
+  /// airing of data slot \p slot starts in the synchronized program: one
+  /// airing on plain and coded cycles, every repetition on a multi-disk
+  /// cycle. These are the keys of broadcast::AiringSet.
+  template <class F>
+  void ForEachAiring(size_t slot, F&& f) const {
+    if (!program_->multi_disk()) {
+      f(program_->bucket(PhysSlot(slot)).start_packet);
+      return;
+    }
+    for (const uint32_t phys : program_->AiringsOf(slot)) {
+      f(program_->bucket(phys).start_packet);
+    }
+  }
+
+  /// Forward walk over one on-air cycle: visits the data buckets in airing
+  /// order from now (parity symbols skipped) and returns the data slot of
+  /// the first for which \p pred(slot) holds, or nullopt. The hit is the
+  /// argmin of PacketsUntil over every slot satisfying \p pred.
+  template <class Pred>
+  std::optional<size_t> FirstAiringWhere(Pred&& pred) const {
+    const size_t n = program_->num_buckets();
+    size_t phys = program_->SlotStartingAtOrAfter(cycle_position());
+    for (size_t i = 0; i < n; ++i, phys = phys + 1 < n ? phys + 1 : 0) {
+      if (program_->bucket(phys).kind == BucketKind::kParity) continue;
+      const size_t slot = PhysToData(phys);
+      if (pred(slot)) return slot;
+    }
+    return std::nullopt;
+  }
 
   /// Metrics so far; latency counts from the tune-in instant to now.
   Metrics metrics() const;

@@ -501,28 +501,27 @@ uint32_t DsiClient::SelectConservativeHop(
   // the cycle, not just the current table's exponential entries: the entry
   // list aims logarithmically far in logical order, and bouncing to a
   // listed-but-cold frame when an unlisted hot one airs first costs a doze
-  // per hop. Relevance uses only learned bounds (loose for unheard frames)
-  // and TableSlot is structural layout knowledge, the same the flat client
-  // uses to resolve entry pointers. Confirmed-done frames are excluded —
-  // they have nothing left to teach, and a hot one whose loose upper bound
-  // still brushes pending would win the wait race forever. Every pending
-  // target lies inside some not-done frame's conservative bounds, so the
-  // scan always finds a candidate while pending is non-empty; false
-  // positives tighten on read and the set shrinks monotonically.
+  // per hop. The walk goes over the on-air cycle's tables from now and
+  // stops at the first candidate, so it tests only the frames airing
+  // before it. Relevance uses only learned bounds (loose for unheard
+  // frames) and the table airings are structural layout knowledge, the
+  // same the flat client uses to resolve entry pointers. Confirmed-done
+  // frames are excluded — they have nothing left to teach, and a hot one
+  // whose loose upper bound still brushes pending would win the wait race
+  // forever. Every pending target lies inside some not-done frame's
+  // conservative bounds, so the walk always finds a candidate while
+  // pending is non-empty; false positives tighten on read and the set
+  // shrinks monotonically.
   if (session_->program().multi_disk()) {
-    uint64_t best_wait = 0;
-    uint32_t best_pos = 0;
-    bool found = false;
-    for (uint32_t pos = 0; pos < layout_.num_frames; ++pos) {
-      if (frames_done_[pos] || !FrameMayIntersect(pos, pending)) continue;
-      const uint64_t wait = session_->PacketsUntil(index_.TableSlot(pos));
-      if (!found || wait < best_wait) {
-        found = true;
-        best_wait = wait;
-        best_pos = pos;
-      }
-    }
-    if (found) return best_pos;
+    const broadcast::BroadcastProgram& program = index_.program();
+    const std::optional<size_t> slot =
+        session_->FirstAiringWhere([&](size_t s) {
+          const broadcast::Bucket& b = program.bucket(s);
+          return b.kind == broadcast::BucketKind::kDsiFrameTable &&
+                 !frames_done_[b.payload] &&
+                 FrameMayIntersect(b.payload, pending);
+        });
+    if (slot) return program.bucket(*slot).payload;
   }
   // Farthest entry whose skipped gap provably cannot hold pending targets.
   for (auto it = table.entries.rbegin(); it != table.entries.rend(); ++it) {

@@ -1,5 +1,7 @@
 #include "expindex/expindex.hpp"
 
+#include "broadcast/airing_order.hpp"
+
 #include <algorithm>
 #include <cassert>
 #include <utility>
@@ -111,27 +113,22 @@ bool ExpClient::SessionStale() const {
 std::optional<uint32_t> ExpClient::ReadNextTable() {
   const auto& program = index_.program();
   const size_t nb = program.num_buckets();
+  auto is_table = [&](size_t s) {
+    return program.bucket(s).kind == broadcast::BucketKind::kDsiFrameTable;
+  };
   while (!WatchdogExpired()) {
     size_t slot;
     if (session_->program().multi_disk()) {
       // Logical slot order no longer tracks airing order: take the chunk
       // table airing soonest — the literal "next table the radio hears" —
       // instead of the logically next one, which may be tiers away.
-      uint64_t best_wait = UINT64_MAX;
-      slot = 0;
-      for (uint32_t c = 0; c < index_.num_chunks(); ++c) {
-        const size_t s = index_.TableSlot(c);
-        const uint64_t w = session_->PacketsUntil(s);
-        if (w < best_wait) {
-          best_wait = w;
-          slot = s;
-        }
-      }
+      const std::optional<size_t> next = session_->FirstAiringWhere(is_table);
+      if (!next) return std::nullopt;
+      slot = *next;
     } else {
       slot = session_->current_slot();
       size_t guard = 0;
-      while (program.bucket(slot).kind !=
-             broadcast::BucketKind::kDsiFrameTable) {
+      while (!is_table(slot)) {
         slot = (slot + 1) % nb;
         if (++guard > nb) return std::nullopt;
       }
@@ -245,7 +242,7 @@ std::vector<uint32_t> ExpClient::RangeQuery(uint64_t lo, uint64_t hi) {
   uint32_t pos = *start;
   bool have_table = true;  // Forward() received the start chunk's table
   uint32_t visited = 0;
-  std::vector<std::pair<size_t, uint32_t>> missing;  // (slot, rank)
+  broadcast::AiringSet missing;  // lost items, keyed by rank
   while (visited < index_.num_chunks()) {
     ++visited;
     // Retrieve this chunk's items — all of them: only the chunk minimum is
@@ -273,7 +270,7 @@ std::vector<uint32_t> ExpClient::RangeQuery(uint64_t lo, uint64_t hi) {
           return out;  // partial: the layout the scan walked is gone
         }
         ++stats_.buckets_lost;
-        missing.emplace_back(items.first_slot + i, rank);
+        missing.Insert(*session_, items.first_slot + i, rank);
       }
     }
     // Stop check needs this chunk's table (entry 0 = the next chunk's
@@ -315,22 +312,14 @@ std::vector<uint32_t> ExpClient::RangeQuery(uint64_t lo, uint64_t hi) {
       stats_.completed = false;
       return out;
     }
-    uint64_t best_wait = UINT64_MAX;
-    size_t best_i = 0;
-    for (size_t i = 0; i < missing.size(); ++i) {
-      const uint64_t w = session_->PacketsUntil(missing[i].first);
-      if (w < best_wait) {
-        best_wait = w;
-        best_i = i;
-      }
-    }
-    if (session_->ReadBucket(missing[best_i].first)) {
+    const broadcast::AiringSet::Pick next = missing.Soonest(*session_);
+    if (session_->ReadBucket(next.slot)) {
       ++stats_.items_read;
-      const uint32_t rank = missing[best_i].second;
+      const uint32_t rank = next.id;
       if (reuse_) key_known_[rank] = 1;
       const uint64_t key = index_.sorted_keys()[rank];
       if (key >= lo && key <= hi) out.push_back(rank);
-      missing.erase(missing.begin() + static_cast<ptrdiff_t>(best_i));
+      missing.Erase(*session_, next.slot);
     } else {
       if (SessionStale()) {
         stats_.stale = true;

@@ -140,23 +140,11 @@ void HciClient::FlushPassingData(uint32_t before_node) {
   // pending; its next occurrence is a cycle away, so the sweep moves on
   // instead of blocking on the loss.
   while (!pending_data_.empty() && !WatchdogExpired() && !stats_.stale) {
-    const size_t node_slot = index_.air().NextNodeSlot(before_node, *session_);
-    const uint64_t node_wait = session_->PacketsUntil(node_slot);
-    uint64_t best_wait = UINT64_MAX;
-    size_t best_i = SIZE_MAX;
-    for (size_t i = 0; i < pending_data_.size(); ++i) {
-      const uint64_t w =
-          session_->PacketsUntil(index_.air().DataSlot(pending_data_[i]));
-      if (w < best_wait) {
-        best_wait = w;
-        best_i = i;
-      }
-    }
-    if (best_i == SIZE_MAX || best_wait >= node_wait) return;
-    if (TryReadData(pending_data_[best_i])) {
-      pending_data_.erase(pending_data_.begin() +
-                          static_cast<ptrdiff_t>(best_i));
-    }
+    const uint64_t node_wait = session_->PacketsUntil(
+        index_.air().NextNodeSlot(before_node, *session_));
+    const broadcast::AiringSet::Pick next = pending_data_.Soonest(*session_);
+    if (next.wait >= node_wait) return;
+    if (TryReadData(next.id)) pending_data_.Erase(*session_, next.slot);
   }
 }
 
@@ -238,7 +226,8 @@ void HciClient::RetrieveRanges(const std::vector<hilbert::HcRange>& targets) {
       const auto& es = tree.entries(node);
       for (const bptree::BptEntry& e : es) {
         if (e.key >= range.lo && e.key <= range.hi && !retrieved_[e.child]) {
-          pending_data_.push_back(e.child);
+          pending_data_.Insert(*session_, index_.air().DataSlot(e.child),
+                               e.child);
         }
       }
       if (es.back().key > range.hi) break;
@@ -256,20 +245,8 @@ void HciClient::RetrieveRanges(const std::vector<hilbert::HcRange>& targets) {
       stats_.completed = false;
       return;
     }
-    uint64_t best_wait = UINT64_MAX;
-    size_t best_i = 0;
-    for (size_t i = 0; i < pending_data_.size(); ++i) {
-      const uint64_t w =
-          session_->PacketsUntil(index_.air().DataSlot(pending_data_[i]));
-      if (w < best_wait) {
-        best_wait = w;
-        best_i = i;
-      }
-    }
-    if (TryReadData(pending_data_[best_i])) {
-      pending_data_.erase(pending_data_.begin() +
-                          static_cast<ptrdiff_t>(best_i));
-    }
+    const broadcast::AiringSet::Pick next = pending_data_.Soonest(*session_);
+    if (TryReadData(next.id)) pending_data_.Erase(*session_, next.slot);
   }
 }
 

@@ -18,6 +18,7 @@
 
 #include "bptree/bptree.hpp"
 #include "broadcast/air_tree.hpp"
+#include "broadcast/airing_order.hpp"
 #include "broadcast/client.hpp"
 #include "common/geometry.hpp"
 #include "datasets/datasets.hpp"
@@ -116,7 +117,8 @@ class HciClient {
   /// range that lands in an already-downloaded leaf skips the descent
   /// entirely.
   std::vector<std::pair<uint64_t, uint32_t>> cached_leaf_by_front_;
-  std::vector<uint32_t> pending_data_;  // data ids to retrieve
+  /// Data buckets to retrieve, in airing order.
+  broadcast::AiringSet pending_data_;
   /// Retrieved flags by data id; payloads are never copied — the simulated
   /// read is paid via the session and the data lives in the index.
   std::vector<uint8_t> retrieved_;

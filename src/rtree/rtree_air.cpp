@@ -95,21 +95,9 @@ void RtreeClient::FlushPassingData(uint32_t before_node) {
   while (!pending_data_.empty() && !WatchdogExpired() && !stats_.stale) {
     const uint64_t node_wait = session_->PacketsUntil(
         index_.air().NextNodeSlot(before_node, *session_));
-    uint64_t best_wait = UINT64_MAX;
-    size_t best_i = SIZE_MAX;
-    for (size_t i = 0; i < pending_data_.size(); ++i) {
-      const uint64_t w =
-          session_->PacketsUntil(index_.air().DataSlot(pending_data_[i]));
-      if (w < best_wait) {
-        best_wait = w;
-        best_i = i;
-      }
-    }
-    if (best_i == SIZE_MAX || best_wait >= node_wait) return;
-    if (TryReadData(pending_data_[best_i])) {
-      pending_data_.erase(pending_data_.begin() +
-                          static_cast<ptrdiff_t>(best_i));
-    }
+    const broadcast::AiringSet::Pick next = pending_data_.Soonest(*session_);
+    if (next.wait >= node_wait) return;
+    if (TryReadData(next.id)) pending_data_.Erase(*session_, next.slot);
   }
 }
 
@@ -119,60 +107,55 @@ void RtreeClient::DrainPendingData() {
   // (Blocking a full cycle per lost bucket would cost O(pending) extra
   // cycles under heavy loss and spuriously trip the watchdog.)
   while (!pending_data_.empty() && !WatchdogExpired() && !stats_.stale) {
-    uint64_t best_wait = UINT64_MAX;
-    size_t best_i = 0;
-    for (size_t i = 0; i < pending_data_.size(); ++i) {
-      const uint64_t w =
-          session_->PacketsUntil(index_.air().DataSlot(pending_data_[i]));
-      if (w < best_wait) {
-        best_wait = w;
-        best_i = i;
-      }
-    }
-    if (TryReadData(pending_data_[best_i])) {
-      pending_data_.erase(pending_data_.begin() +
-                          static_cast<ptrdiff_t>(best_i));
-    }
+    const broadcast::AiringSet::Pick next = pending_data_.Soonest(*session_);
+    if (TryReadData(next.id)) pending_data_.Erase(*session_, next.slot);
   }
   if (!pending_data_.empty()) stats_.completed = false;
 }
 
-size_t RtreeClient::EarliestFrontierIndex(
-    const std::vector<uint32_t>& frontier) const {
-  uint64_t best_wait = UINT64_MAX;
-  size_t best_i = SIZE_MAX;
-  for (size_t i = 0; i < frontier.size(); ++i) {
-    const uint64_t w = session_->PacketsUntil(
-        index_.air().NextNodeSlot(frontier[i], *session_));
-    if (w < best_wait) {
-      best_wait = w;
-      best_i = i;
-    }
+void RtreeClient::AddPendingData(uint32_t data_id) {
+  // Keys are offsets in the session's program: none are taken once the
+  // session has moved on to a newer generation.
+  if (!retrieved_[data_id] && !stats_.stale) {
+    pending_data_.Insert(*session_, index_.air().DataSlot(data_id), data_id);
   }
-  return best_i;
+}
+
+void RtreeClient::AddToFrontier(broadcast::AiringSet* frontier,
+                                uint32_t node) const {
+  for (const size_t slot : index_.air().NodeSlots(node)) {
+    frontier->Insert(*session_, slot, node);
+  }
+}
+
+void RtreeClient::EraseFromFrontier(broadcast::AiringSet* frontier,
+                                    uint32_t node) const {
+  for (const size_t slot : index_.air().NodeSlots(node)) {
+    frontier->Erase(*session_, slot);
+  }
 }
 
 std::vector<datasets::SpatialObject> RtreeClient::WindowQuery(
     const common::Rect& window) {
   const Rtree& tree = index_.tree();
-  std::vector<uint32_t> frontier{tree.root()};
+  broadcast::AiringSet frontier;
+  AddToFrontier(&frontier, tree.root());
   while (!frontier.empty()) {
     if (WatchdogExpired() || stats_.stale) {
       stats_.completed = false;
       break;  // report what was retrieved; completed=false flags the abort
     }
-    const size_t i = EarliestFrontierIndex(frontier);
-    const uint32_t node = frontier[i];
+    const uint32_t node = frontier.Soonest(*session_).id;
     if (!TryReadNode(node)) continue;  // lost: retried at next occurrence
-    frontier.erase(frontier.begin() + static_cast<ptrdiff_t>(i));
+    EraseFromFrontier(&frontier, node);
     for (const Rtree::Entry& e : tree.entries(node)) {
       if (!e.mbr.Intersects(window)) continue;
       if (tree.is_leaf(node)) {
         // Leaf entries carry the exact point: membership is known here,
         // the payload still has to be fetched from the data segment.
-        if (!retrieved_[e.child]) pending_data_.push_back(e.child);
+        AddPendingData(e.child);
       } else {
-        frontier.push_back(e.child);
+        AddToFrontier(&frontier, e.child);
       }
     }
   }
@@ -212,36 +195,39 @@ std::vector<datasets::SpatialObject> RtreeClient::KnnQuery(
     if (candidates.size() > k) candidates.resize(k);
   };
 
-  std::vector<uint32_t> frontier{tree.root()};
+  broadcast::AiringSet frontier;
+  AddToFrontier(&frontier, tree.root());
   while (!frontier.empty()) {
     if (WatchdogExpired() || stats_.stale) {
       stats_.completed = false;
       break;  // fetch what is already known; completed=false flags it
     }
-    // Prune frontier nodes that cannot beat the current k-th candidate.
-    std::erase_if(frontier, [&](uint32_t id) {
-      return tree.node_mbr(id).MinSquaredDistance(q) > tau2();
-    });
-    if (frontier.empty()) break;
-    const size_t i = EarliestFrontierIndex(frontier);
-    const uint32_t node = frontier[i];
+    // Pruning is lazy: a node that cannot beat the current k-th candidate
+    // is dropped when it comes up as the soonest, not when tau shrinks.
+    // That picks the same node as pruning the whole frontier first because
+    // tau never grows (candidates are only ever added, so the k-th smallest
+    // distance only falls): a node pruned now stays pruned, and a node that
+    // survives the check at its pick would have survived any earlier one.
+    const uint32_t node = frontier.Soonest(*session_).id;
+    if (tree.node_mbr(node).MinSquaredDistance(q) > tau2()) {
+      EraseFromFrontier(&frontier, node);
+      continue;
+    }
     if (!TryReadNode(node)) continue;  // lost: retried at next occurrence
-    frontier.erase(frontier.begin() + static_cast<ptrdiff_t>(i));
+    EraseFromFrontier(&frontier, node);
     for (const Rtree::Entry& e : tree.entries(node)) {
       const double mind2 = e.mbr.MinSquaredDistance(q);
       if (mind2 > tau2()) continue;
       if (tree.is_leaf(node)) {
         add_candidate(mind2, e.child);
       } else {
-        frontier.push_back(e.child);
+        AddToFrontier(&frontier, e.child);
       }
     }
   }
 
   // Fetch the answer objects' payloads.
-  for (const Candidate& c : candidates) {
-    if (!retrieved_[c.data_id]) pending_data_.push_back(c.data_id);
-  }
+  for (const Candidate& c : candidates) AddPendingData(c.data_id);
   DrainPendingData();
 
   std::vector<datasets::SpatialObject> out;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "broadcast/air_tree.hpp"
+#include "broadcast/airing_order.hpp"
 #include "broadcast/client.hpp"
 #include "common/geometry.hpp"
 #include "datasets/datasets.hpp"
@@ -87,9 +88,11 @@ class RtreeClient {
   void FlushPassingData(uint32_t before_node);
   /// Reads all remaining pending data in occurrence order.
   void DrainPendingData();
-  /// Picks the frontier node with the soonest next occurrence; SIZE_MAX
-  /// index when the frontier is empty.
-  size_t EarliestFrontierIndex(const std::vector<uint32_t>& frontier) const;
+  /// Queues \p data_id for retrieval unless it is already retrieved.
+  void AddPendingData(uint32_t data_id);
+  /// Adds / removes every replica of \p node on a search frontier.
+  void AddToFrontier(broadcast::AiringSet* frontier, uint32_t node) const;
+  void EraseFromFrontier(broadcast::AiringSet* frontier, uint32_t node) const;
 
   bool WatchdogExpired() const;
 
@@ -98,7 +101,8 @@ class RtreeClient {
   uint64_t generation_ = 0;  ///< Generation the node cache refers to.
   /// Index nodes already downloaded this query (kept in client memory).
   std::vector<bool> node_cache_;
-  std::vector<uint32_t> pending_data_;
+  /// Data buckets this query still has to read, in airing order.
+  broadcast::AiringSet pending_data_;
   /// Retrieved flags by data id; payloads come from the index's object
   /// store rather than per-query copies.
   std::vector<uint8_t> retrieved_;

@@ -122,7 +122,12 @@ LiveSource::LiveSource(const wire::HelloPayload& hello)
   for (size_t g = 0; g < handles_.size(); ++g) {
     air_programs_.push_back(coding.enabled() ? &coded_[g]
                                              : &handles_[g]->program());
-    schedule_.Append(air_programs_[g], hello.gen_cycles);
+  }
+  // A zero-object recipe builds zero-cycle programs, which never air: the
+  // schedule stays empty and the daemon refuses them (see airable()).
+  if (!airable()) return;
+  for (const broadcast::BroadcastProgram* program : air_programs_) {
+    schedule_.Append(program, hello.gen_cycles);
   }
 }
 
