@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
+#include <iterator>
 #include <limits>
 
 namespace dsi::core {
@@ -25,6 +25,76 @@ constexpr uint64_t kAggressiveFallbackCycles = 2;
 
 }  // namespace
 
+// ---------------------------------------------------------------------------
+// Pending targets
+// ---------------------------------------------------------------------------
+
+void PendingTargets::AssignRanges(const std::vector<hilbert::HcRange>& targets,
+                                  const hilbert::IntervalSet& covered) {
+  covered.SubtractInto(targets, &ranges_);
+  disc_ = nullptr;
+}
+
+void PendingTargets::AssignDisc(Disc* disc) {
+  ranges_.clear();
+  disc_ = disc;
+}
+
+void PendingTargets::Subtract(const hilbert::HcRange& r) {
+  if (disc_ != nullptr) {
+    disc_->reference_fresh = false;
+    return;
+  }
+  // Ranges overlapping r form one run [first, last); at most its two ends
+  // survive, trimmed to the parts outside r.
+  auto first = std::lower_bound(
+      ranges_.begin(), ranges_.end(), r.lo,
+      [](const hilbert::HcRange& a, uint64_t v) { return a.hi < v; });
+  auto last = first;
+  while (last != ranges_.end() && last->lo <= r.hi) ++last;
+  if (first == last) return;
+  hilbert::HcRange keep[2];
+  size_t n = 0;
+  if (first->lo < r.lo) keep[n++] = {first->lo, r.lo - 1};
+  if (std::prev(last)->hi > r.hi) keep[n++] = {r.hi + 1, std::prev(last)->hi};
+  if (n <= static_cast<size_t>(last - first)) {
+    ranges_.erase(std::copy(keep, keep + n, first), last);
+  } else {  // r splits one range in two
+    *first = keep[0];
+    ranges_.insert(std::next(first), keep[1]);
+  }
+}
+
+bool PendingTargets::DiscMayIntersect(uint64_t lo, uint64_t hi_excl) const {
+  if (lo >= hi_excl) return false;
+  const uint64_t hi = hi_excl - 1;
+  const Disc& d = *disc_;
+  // Walk the gaps of the coverage inside [lo, hi]; each asks the disc.
+  const std::vector<hilbert::HcRange>& cov = d.covered->ranges();
+  auto it = std::lower_bound(
+      cov.begin(), cov.end(), lo,
+      [](const hilbert::HcRange& a, uint64_t v) { return a.hi < v; });
+  bool hit = false;
+  for (uint64_t cur = lo; cur <= hi; cur = it++->hi + 1) {
+    if (it == cov.end() || it->lo > hi) {
+      hit = d.mapper->DiscHitsCurveRange(d.center, d.radius, cur, hi);
+      break;
+    }
+    if (it->lo > cur &&
+        d.mapper->DiscHitsCurveRange(d.center, d.radius, cur, it->lo - 1)) {
+      hit = true;
+      break;
+    }
+  }
+  assert(d.reference_fresh && hit == RangesIntersect(d.reference, lo, hi_excl));
+  return hit;
+}
+
+bool PendingTargets::Empty() const {
+  if (disc_ == nullptr) return ranges_.empty();
+  return !MayIntersect(0, disc_->mapper->curve().num_cells());
+}
+
 DsiClient::DsiClient(const DsiIndex& index, broadcast::ClientSession* session)
     : index_(index),
       session_(session),
@@ -45,10 +115,9 @@ DsiClient::DsiClient(const DsiIndex& index, broadcast::ClientSession* session)
 std::vector<datasets::SpatialObject> DsiClient::PointQuery(
     const common::Point& p) {
   const uint64_t h = index_.mapper().PointToIndex(p);
-  const hilbert::HcRange target{h, h};
-  RunSearch(
-      [&](std::vector<hilbert::HcRange>* out) { out->assign(1, target); },
-      nullptr);
+  targets_.assign(1, hilbert::HcRange{h, h});
+  pending_.AssignRanges(targets_, covered_);
+  RunSearch(nullptr);
   std::vector<datasets::SpatialObject> out;
   for (const uint32_t rank : retrieved_ranks_) {
     if (index_.object_hc(rank) == h) {
@@ -60,13 +129,9 @@ std::vector<datasets::SpatialObject> DsiClient::PointQuery(
 
 std::vector<datasets::SpatialObject> DsiClient::WindowQuery(
     const common::Rect& window) {
-  const std::vector<hilbert::HcRange> targets =
-      index_.mapper().WindowToRanges(window);
-  RunSearch(
-      [&](std::vector<hilbert::HcRange>* out) {
-        out->assign(targets.begin(), targets.end());
-      },
-      nullptr);
+  index_.mapper().WindowToRanges(window, &targets_);
+  pending_.AssignRanges(targets_, covered_);
+  RunSearch(nullptr);
   std::vector<datasets::SpatialObject> out;
   for (const uint32_t rank : retrieved_ranks_) {
     const datasets::SpatialObject& obj = index_.sorted_objects()[rank];
@@ -78,94 +143,26 @@ std::vector<datasets::SpatialObject> DsiClient::WindowQuery(
 std::vector<datasets::SpatialObject> DsiClient::KnnQuery(
     const common::Point& q, size_t k, KnnStrategy strategy) {
   if (k == 0) return {};  // degenerate: the empty set, no listening needed
-  const auto& mapper = index_.mapper();
 
-  // Current search radius: k-th smallest upper-bound distance over exact
-  // (retrieved) and advertised (index-table) candidates. The candidate
-  // buffer is hoisted out of the refinement loop, per-advert distances are
-  // memoized (hc and q are fixed for the query), and adverts superseded by
-  // coverage stay superseded — covered_ only ever grows — so they are
-  // retired behind a bitmap instead of re-testing Covers every iteration.
-  struct AdvertCache {
-    std::vector<uint64_t> dist_known;
-    std::vector<uint64_t> superseded;
-    std::unique_ptr<double[]> dist;
-    void Init(uint32_t length) {
-      const size_t words = (length + 63) / 64;
-      dist_known.assign(words, 0);
-      superseded.assign(words, 0);
-      dist.reset(new double[length > 0 ? length : 1]);
-    }
-  };
-  std::vector<AdvertCache> advert_cache(layout_.m);
-  for (uint32_t s = 0; s < layout_.m; ++s) {
-    advert_cache[s].Init(layout_.SegmentLength(s));
+  // Seed the radius bounds from what a warm client already knows; from
+  // here on Learn, MarkRetrieved and AddCoverage keep them current.
+  knn_ = std::make_unique<KnnSearch>();
+  knn_->k = k;
+  knn_->disc.mapper = &index_.mapper();
+  knn_->disc.covered = &covered_;
+  knn_->disc.center = q;
+  for (const uint32_t rank : retrieved_ranks_) {
+    knn_->bounds.insert(
+        common::Distance(q, index_.sorted_objects()[rank].location));
   }
-  std::vector<double> uppers;
-  // Exact distances of retrieved objects, memoized in rank order (the rank
-  // list only gains elements, so a sorted-merge refresh computes each
-  // distance once).
-  std::vector<std::pair<uint32_t, double>> retrieved_dist;
-  auto radius_upper_bound = [&]() -> double {
-    uppers.clear();
-    size_t ci = 0;
-    for (const uint32_t rank : retrieved_ranks_) {
-      double d;
-      if (ci < retrieved_dist.size() && retrieved_dist[ci].first == rank) {
-        d = retrieved_dist[ci].second;
-      } else {
-        d = common::Distance(q, index_.sorted_objects()[rank].location);
-        retrieved_dist.insert(
-            retrieved_dist.begin() + static_cast<ptrdiff_t>(ci), {rank, d});
-      }
-      uppers.push_back(d);
-      ++ci;
-    }
-    const std::vector<hilbert::HcRange>& cov = covered_.ranges();
-    for (uint32_t s = 0; s < layout_.m; ++s) {
-      AdvertCache& cache = advert_cache[s];
-      // Within a segment min-HC ascends with offset, so the coverage test
-      // is a forward merge-walk instead of a binary search per advert.
-      size_t cov_i = 0;
-      known_[s].ForEachKnown([&](uint32_t off, uint64_t hc) {
-        const uint64_t bit = uint64_t{1} << (off % 64);
-        if (cache.superseded[off / 64] & bit) return;
-        while (cov_i < cov.size() && cov[cov_i].hi < hc) ++cov_i;
-        // Skip advertisements already superseded by exact retrievals
-        // (coverage only grows, so superseded is a permanent state).
-        if (cov_i < cov.size() && cov[cov_i].lo <= hc) {
-          cache.superseded[off / 64] |= bit;
-          return;
-        }
-        if (!(cache.dist_known[off / 64] & bit)) {
-          cache.dist_known[off / 64] |= bit;
-          cache.dist[off] = mapper.MaxDistanceToIndex(q, hc);
-        }
-        uppers.push_back(cache.dist[off]);
-      });
-    }
-    if (uppers.size() < k) return std::numeric_limits<double>::infinity();
-    std::nth_element(uppers.begin(), uppers.begin() + (k - 1), uppers.end());
-    return uppers[k - 1];
-  };
+  for (const SegmentKnowledge& seg : known_) {
+    seg.ForEachKnown([&](uint32_t, uint64_t hc) { LearnAdvert(hc); });
+  }
+  pending_.AssignDisc(&knn_->disc);
 
-  double last_radius = std::numeric_limits<double>::quiet_NaN();
-  auto recompute = [&](std::vector<hilbert::HcRange>* out) {
-    const double r = radius_upper_bound();
-    if (std::isinf(r)) {
-      last_radius = r;
-      out->assign(1, hilbert::HcRange{0, hc_cells_ - 1});
-      return;
-    }
-    // Unchanged radius -> identical decomposition; the buffer still holds
-    // it (recompute is its only writer).
-    if (r == last_radius) return;
-    last_radius = r;
-    mapper.CircleToRanges(q, r, out);
-  };
-
-  RunSearch(recompute,
-            strategy == KnnStrategy::kAggressive ? &q : nullptr);
+  RunSearch(strategy == KnnStrategy::kAggressive ? &q : nullptr);
+  pending_ = PendingTargets();  // drop the pointer into the state freed next
+  knn_.reset();
 
   // Answer: the k nearest retrieved objects.
   std::vector<datasets::SpatialObject> out;
@@ -184,13 +181,30 @@ std::vector<datasets::SpatialObject> DsiClient::KnnQuery(
   return out;
 }
 
+double DsiClient::KnnSearch::Radius() const {
+  if (bounds.size() < k) return std::numeric_limits<double>::infinity();
+  return *std::next(bounds.begin(), static_cast<ptrdiff_t>(k - 1));
+}
+
+void DsiClient::KnnSearch::Retire(const hilbert::HcRange& r) {
+  const auto first = adverts.lower_bound(r.lo);
+  const auto last = adverts.upper_bound(r.hi);
+  for (auto it = first; it != last; ++it) bounds.erase(it->second);
+  adverts.erase(first, last);
+}
+
+void DsiClient::LearnAdvert(uint64_t hc) {
+  if (covered_.Intersects(hilbert::HcRange{hc, hc})) return;
+  const double bound =
+      index_.mapper().MaxDistanceToIndex(knn_->disc.center, hc);
+  knn_->adverts.emplace(hc, knn_->bounds.insert(bound));
+}
+
 // ---------------------------------------------------------------------------
 // Search driver
 // ---------------------------------------------------------------------------
 
-template <class RecomputeTargets>
-void DsiClient::RunSearch(const RecomputeTargets& recompute_targets,
-                          const common::Point* spatial_goal) {
+void DsiClient::RunSearch(const common::Point* spatial_goal) {
   session_->InitialProbe();
   generation_ = session_->generation();
   deadline_packets_ = session_->now_packets() +
@@ -205,21 +219,18 @@ void DsiClient::RunSearch(const RecomputeTargets& recompute_targets,
     return;
   }
 
-  std::vector<hilbert::HcRange>& pending = pending_scratch_;
   while (true) {
-    recompute_targets(&targets_scratch_);
-    covered_.SubtractInto(targets_scratch_, &pending);
-    if (pending.empty()) return;
+    RefreshPending();
+    if (pending_.Empty()) return;
 
-    if (FrameMayIntersect(table_.position, pending)) {
+    if (FrameMayIntersect(table_.position, pending_)) {
       ReadFrameObjects(table_.position, table_.own_hc_min);
       if (stats_.stale) {
         stats_.completed = false;
         return;
       }
-      recompute_targets(&targets_scratch_);
-      covered_.SubtractInto(targets_scratch_, &pending);
-      if (pending.empty()) return;
+      RefreshPending();
+      if (pending_.Empty()) return;
     }
 
     if (WatchdogExpired()) {
@@ -231,8 +242,8 @@ void DsiClient::RunSearch(const RecomputeTargets& recompute_targets,
         spatial_goal != nullptr &&
         session_->now_packets() < aggressive_deadline;
     const uint32_t next_pos =
-        aggressive ? SelectAggressiveHop(table_, pending, *spatial_goal)
-                   : SelectConservativeHop(table_, pending);
+        aggressive ? SelectAggressiveHop(table_, pending_, *spatial_goal)
+                   : SelectConservativeHop(table_, pending_);
     ++stats_.hops;
     if (!ReadTableAt(next_pos)) {
       stats_.completed = false;
@@ -240,6 +251,46 @@ void DsiClient::RunSearch(const RecomputeTargets& recompute_targets,
     }
   }
 }
+
+void DsiClient::RefreshPending() {
+  if (knn_) knn_->disc.radius = knn_->Radius();
+#ifndef NDEBUG
+  if (!knn_) {
+    std::vector<hilbert::HcRange> reference;
+    covered_.SubtractInto(targets_, &reference);
+    assert(reference == pending_.ranges());
+    return;
+  }
+  PendingTargets::Disc& disc = knn_->disc;
+  assert(disc.radius == FullScanKnnRadius());
+  covered_.SubtractInto(
+      index_.mapper().CircleToRanges(disc.center, disc.radius),
+      &disc.reference);
+  disc.reference_fresh = true;
+#endif
+}
+
+#ifndef NDEBUG
+double DsiClient::FullScanKnnRadius() const {
+  const common::Point& q = knn_->disc.center;
+  std::vector<double> uppers;
+  for (const uint32_t rank : retrieved_ranks_) {
+    uppers.push_back(
+        common::Distance(q, index_.sorted_objects()[rank].location));
+  }
+  for (const SegmentKnowledge& seg : known_) {
+    seg.ForEachKnown([&](uint32_t, uint64_t hc) {
+      if (!covered_.Intersects(hilbert::HcRange{hc, hc})) {
+        uppers.push_back(index_.mapper().MaxDistanceToIndex(q, hc));
+      }
+    });
+  }
+  if (uppers.size() < knn_->k) return std::numeric_limits<double>::infinity();
+  std::nth_element(uppers.begin(), uppers.begin() + (knn_->k - 1),
+                   uppers.end());
+  return uppers[knn_->k - 1];
+}
+#endif
 
 bool DsiClient::WatchdogExpired() const {
   return session_->now_packets() >= deadline_packets_;
@@ -331,9 +382,9 @@ void DsiClient::ReadFrameObjects(uint32_t position, uint64_t own_hc) {
   const uint32_t off = layout_.OffsetOfPosition(position);
   if (const std::optional<uint64_t> next = NextFrameHcExcl(seg, off)) {
     assert(*next > own_hc);
-    covered_.Add(hilbert::HcRange{own_hc, *next - 1});
+    AddCoverage(hilbert::HcRange{own_hc, *next - 1});
   } else {
-    covered_.Add(hilbert::HcRange{own_hc, max_hc});
+    AddCoverage(hilbert::HcRange{own_hc, max_hc});
   }
   frames_done_[position] = true;
 }
@@ -349,7 +400,7 @@ void DsiClient::Learn(const DsiTableView& table) {
     // have a smaller one, so that prefix of the HC space is vacuously
     // covered.
     const uint64_t head0 = index_.segment_head_hcs().front();
-    if (head0 > 0) covered_.Add(hilbert::HcRange{0, head0 - 1});
+    if (head0 > 0) AddCoverage(hilbert::HcRange{0, head0 - 1});
   }
   // A table's content is a pure function of its broadcast position, so
   // re-reading one (the EEF loop revisits tables constantly) teaches
@@ -357,11 +408,18 @@ void DsiClient::Learn(const DsiTableView& table) {
   if (learned_tables_[table.position]) return;
   learned_tables_[table.position] = true;
   auto record = [&](uint32_t pos, uint64_t hc) {
-    known_[layout_.SegmentOfPosition(pos)].Record(layout_.OffsetOfPosition(pos),
-                                                  hc);
+    const bool fresh = known_[layout_.SegmentOfPosition(pos)].Record(
+        layout_.OffsetOfPosition(pos), hc);
+    if (knn_ && fresh) LearnAdvert(hc);
   };
   record(table.position, table.own_hc_min);
   for (const DsiTableEntry& e : table.entries) record(e.position, e.hc_min);
+}
+
+void DsiClient::AddCoverage(const hilbert::HcRange& r) {
+  covered_.Add(r);
+  pending_.Subtract(r);
+  if (knn_) knn_->Retire(r);
 }
 
 uint64_t DsiClient::SegmentDomainLo(uint32_t seg) const {
@@ -404,34 +462,27 @@ void DsiClient::MarkRetrieved(uint32_t rank) {
                              rank);
   assert(it == retrieved_ranks_.end() || *it != rank);
   retrieved_ranks_.insert(it, rank);
+  if (knn_) {
+    knn_->bounds.insert(common::Distance(
+        knn_->disc.center, index_.sorted_objects()[rank].location));
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Relevance reasoning
 // ---------------------------------------------------------------------------
 
-bool DsiClient::RangesIntersect(const std::vector<hilbert::HcRange>& pending,
-                                uint64_t lo, uint64_t hi_excl) const {
-  if (lo >= hi_excl) return false;
-  const uint64_t hi = hi_excl - 1;
-  auto it = std::lower_bound(
-      pending.begin(), pending.end(), lo,
-      [](const hilbert::HcRange& r, uint64_t v) { return r.hi < v; });
-  return it != pending.end() && it->lo <= hi;
-}
-
-bool DsiClient::FrameMayIntersect(
-    uint32_t position, const std::vector<hilbert::HcRange>& pending) const {
+bool DsiClient::FrameMayIntersect(uint32_t position,
+                                  const PendingTargets& pending) const {
   const uint32_t seg = layout_.SegmentOfPosition(position);
   const uint32_t off = layout_.OffsetOfPosition(position);
   const uint64_t lo = LowerBoundHc(seg, off);
   const uint64_t hi_excl = UpperBoundHcExcl(seg, off);
-  return RangesIntersect(pending, lo, hi_excl);
+  return pending.MayIntersect(lo, hi_excl);
 }
 
-bool DsiClient::GapMayIntersect(
-    uint32_t from_pos, uint32_t to_pos,
-    const std::vector<hilbert::HcRange>& pending) const {
+bool DsiClient::GapMayIntersect(uint32_t from_pos, uint32_t to_pos,
+                                const PendingTargets& pending) const {
   const uint32_t n = layout_.num_frames;
   const uint32_t gap = (to_pos + n - from_pos) % n;
   if (gap <= 1) return false;  // empty gap
@@ -463,8 +514,8 @@ bool DsiClient::GapMayIntersect(
         if (has) {
           const uint32_t o_hi = std::min(o_hi_raw, layout_.base - 1);
           if (o_lo <= o_hi &&
-              RangesIntersect(pending, LowerBoundHc(s, o_lo),
-                              UpperBoundHcExcl(s, o_hi))) {
+              pending.MayIntersect(LowerBoundHc(s, o_lo),
+                                   UpperBoundHcExcl(s, o_hi))) {
             return true;
           }
         }
@@ -473,8 +524,8 @@ bool DsiClient::GapMayIntersect(
       if (s < layout_.extra) {
         const uint32_t pt = layout_.base * layout_.m + s;
         if (a <= pt && pt <= b &&
-            RangesIntersect(pending, LowerBoundHc(s, layout_.base),
-                            UpperBoundHcExcl(s, layout_.base))) {
+            pending.MayIntersect(LowerBoundHc(s, layout_.base),
+                                 UpperBoundHcExcl(s, layout_.base))) {
           return true;
         }
       }
@@ -488,8 +539,7 @@ bool DsiClient::GapMayIntersect(
 // ---------------------------------------------------------------------------
 
 uint32_t DsiClient::SelectConservativeHop(
-    const DsiTableView& table,
-    const std::vector<hilbert::HcRange>& pending) const {
+    const DsiTableView& table, const PendingTargets& pending) const {
   // A single-frame broadcast has an empty table (no frame to point at);
   // the only possible hop is the frame itself, next cycle — reachable when
   // a link error left part of the lone frame unretrieved.
@@ -533,9 +583,9 @@ uint32_t DsiClient::SelectConservativeHop(
   return table.entries.front().position;
 }
 
-uint32_t DsiClient::SelectAggressiveHop(
-    const DsiTableView& table, const std::vector<hilbert::HcRange>& pending,
-    const common::Point& q) const {
+uint32_t DsiClient::SelectAggressiveHop(const DsiTableView& table,
+                                        const PendingTargets& pending,
+                                        const common::Point& q) const {
   if (table.entries.empty()) return table.position;  // single-frame broadcast
   // Paper rule: follow the entry pointing to the frame closest to the query
   // point (fast search-space convergence; skipped ranges wrap to the next

@@ -12,8 +12,8 @@
 ///  * Knowledge: (broadcast position -> min-HC) pairs learned from received
 ///    index tables, kept per segment; within a segment HC grows with
 ///    position, so knowledge brackets the HC content of unvisited frames.
-///  * Targets: the pending HC ranges the query must still confirm (window
-///    target segments, or the ranges under the current kNN search circle).
+///  * Targets: the HC values the query must still confirm (window target
+///    segments, or the cells under the current kNN search circle).
 ///  * Coverage: once a frame's objects are all retrieved and the next frame
 ///    boundary is known, its HC span is confirmed and removed from targets.
 ///  * Navigation: energy-efficient forwarding (EEF) emerges from the hop
@@ -26,16 +26,26 @@
 /// (the fully distributed structure at work); a lost object bucket simply
 /// leaves its frame's span unconfirmed, so the loop revisits it next cycle.
 ///
-/// Hot-path design: all per-query state lives in flat sorted vectors
-/// (knowledge, retrieved ranks) and the search loop reuses scratch buffers
-/// for targets/pending ranges, so a query allocates only while those
-/// buffers warm up — nothing per loop iteration or per hop.
+/// Hot-path design: the pending targets and the kNN radius are kept state,
+/// updated where they change instead of rebuilt per hop. A window or point
+/// query subtracts its coverage from its targets once, then removes each
+/// newly confirmed span in place (PendingTargets, ranges shape). A kNN query
+/// never decomposes its circle: the hop rules ask whether a gap of the
+/// coverage reaches a cell of the disc (PendingTargets, disc shape), and the
+/// radius is the k-th element of an ordered multiset of candidate bounds
+/// that learning, retrieval and coverage update (KnnSearch). Knowledge is a
+/// per-segment bitmap with a summary word per 64 bitmap words, so the
+/// bracket lookups skip empty stretches in a few word operations. Debug
+/// builds recompute the pending state the slow way on every hop and assert
+/// that the kept state matches.
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -44,6 +54,7 @@
 #include "dsi/index.hpp"
 #include "dsi/layout.hpp"
 #include "hilbert/interval_set.hpp"
+#include "hilbert/space_mapper.hpp"
 
 namespace dsi::core {
 
@@ -69,10 +80,10 @@ struct QueryStats {
 
 /// Flat (offset -> min-HC) knowledge for one broadcast segment. Offsets are
 /// dense in [0, segment length), so knowledge is a direct-indexed value
-/// array plus a presence bitmap: recording is O(1) and the
-/// predecessor/successor queries the navigation rules issue per hop are
-/// short word scans over the bitmap (the client's knowledge clusters around
-/// the offsets it travels through).
+/// array plus a presence bitmap: recording is O(1). A summary word per 64
+/// bitmap words (one bit per non-empty word) lets the predecessor/successor
+/// queries the navigation rules ask per hop skip empty stretches in a few
+/// word operations instead of scanning the bitmap word by word.
 class SegmentKnowledge {
  public:
   /// \param length Segment length in frames; offsets are < length. The
@@ -81,21 +92,27 @@ class SegmentKnowledge {
     length_ = length;
     words_ = (length + 63) / 64;
     hc_.reset(new uint64_t[length_ > 0 ? length_ : 1]);
-    bits_.assign(words_, 0);
+    bits_.assign(words_ + (words_ + 63) / 64, 0);
   }
 
-  void Record(uint32_t off, uint64_t hc) {
-    bits_[off / 64] |= uint64_t{1} << (off % 64);
+  /// Records \p hc at \p off; true if the offset was not known before.
+  bool Record(uint32_t off, uint64_t hc) {
+    const uint64_t bit = uint64_t{1} << (off % 64);
+    const bool fresh = (bits_[off / 64] & bit) == 0;
+    bits_[off / 64] |= bit;
+    bits_[words_ + off / 4096] |= uint64_t{1} << ((off / 64) % 64);
     hc_[off] = hc;
+    return fresh;
   }
 
   /// Value of the last known offset <= \p off, or nullopt.
   std::optional<uint64_t> FloorValue(uint32_t off) const {
     size_t w = off / 64;
     uint64_t word = bits_[w] & ((uint64_t{2} << (off % 64)) - 1);
-    while (word == 0) {
-      if (w == 0) return std::nullopt;
-      word = bits_[--w];
+    if (word == 0) {
+      w = LastNonEmptyWordBelow(w);
+      if (w == kNone) return std::nullopt;
+      word = bits_[w];
     }
     return hc_[w * 64 + (63 - std::countl_zero(word))];
   }
@@ -104,8 +121,9 @@ class SegmentKnowledge {
   std::optional<uint64_t> CeilAboveValue(uint32_t off) const {
     size_t w = off / 64;
     uint64_t word = bits_[w] & ~((uint64_t{2} << (off % 64)) - 1);
-    while (word == 0) {
-      if (++w >= words_) return std::nullopt;
+    if (word == 0) {
+      w = FirstNonEmptyWordAbove(w);
+      if (w == kNone) return std::nullopt;
       word = bits_[w];
     }
     return hc_[w * 64 + std::countr_zero(word)];
@@ -130,10 +148,110 @@ class SegmentKnowledge {
   }
 
  private:
+  static constexpr size_t kNone = static_cast<size_t>(-1);
+
+  /// Index of the last non-empty bitmap word below \p w, or kNone.
+  size_t LastNonEmptyWordBelow(size_t w) const {
+    if (w == 0) return kNone;
+    const size_t below = w - 1;
+    size_t s = below / 64;
+    uint64_t word = bits_[words_ + s] & ((uint64_t{2} << (below % 64)) - 1);
+    while (word == 0) {
+      if (s == 0) return kNone;
+      word = bits_[words_ + --s];
+    }
+    return s * 64 + (63 - std::countl_zero(word));
+  }
+
+  /// Index of the first non-empty bitmap word above \p w, or kNone.
+  size_t FirstNonEmptyWordAbove(size_t w) const {
+    const size_t above = w + 1;
+    if (above >= words_) return kNone;
+    size_t s = above / 64;
+    uint64_t word = bits_[words_ + s] & ~((uint64_t{1} << (above % 64)) - 1);
+    while (word == 0) {
+      if (words_ + ++s >= bits_.size()) return kNone;
+      word = bits_[words_ + s];
+    }
+    return s * 64 + std::countr_zero(word);
+  }
+
   uint32_t length_ = 0;
-  size_t words_ = 0;
+  size_t words_ = 0;                // presence bitmap words
   std::unique_ptr<uint64_t[]> hc_;  // by offset; valid where the bit is set
+  // The presence bitmap (one bit per offset, words_ words) followed by its
+  // summary (one bit per non-empty bitmap word), in one allocation.
   std::vector<uint64_t> bits_;
+};
+
+/// The HC values a running DSI query must still confirm: its targets minus
+/// the client's confirmed coverage. The hop rules ask it only two things —
+/// may a span of HC values hold a pending target, and is anything pending
+/// at all — and it answers them in one of two shapes, both kept current as
+/// coverage grows instead of being rebuilt per hop:
+///
+///  * Ranges (window and point queries, whose targets are fixed): the
+///    normalized vector targets − coverage, computed once per query; each
+///    newly confirmed span is subtracted in place (removing points from
+///    maximal runs leaves maximal runs, so the vector stays normalized).
+///  * Disc (kNN, whose search circle follows the radius): the disc and the
+///    coverage itself, never decomposed. A span may hold a target iff some
+///    gap of the coverage inside it reaches a cell of the disc
+///    (SpaceMapper::DiscHitsCurveRange). Nothing assumes the disc only
+///    shrinks — under loss the radius can grow.
+class PendingTargets {
+ public:
+  /// The disc shape's state, owned by the running kNN query.
+  struct Disc {
+    const hilbert::SpaceMapper* mapper = nullptr;
+    const hilbert::IntervalSet* covered = nullptr;  // read live
+    common::Point center{};
+    double radius = 0.0;
+    /// Debug reference: the decomposed disc minus the coverage, recomputed
+    /// the slow way; every MayIntersect answer until the next coverage
+    /// growth is asserted against it. Unused under NDEBUG.
+    std::vector<hilbert::HcRange> reference;
+    bool reference_fresh = false;
+  };
+
+  /// Ranges shape: \p targets (normalized) minus \p covered.
+  void AssignRanges(const std::vector<hilbert::HcRange>& targets,
+                    const hilbert::IntervalSet& covered);
+  /// Disc shape over \p disc, which must outlive the query (or the next
+  /// Assign). Its coverage is read live, so coverage growth needs no
+  /// notification, and the owner may move its radius between questions.
+  void AssignDisc(Disc* disc);
+
+  /// Coverage grew by \p r: drops it from the kept ranges (the disc shape
+  /// keeps none).
+  void Subtract(const hilbert::HcRange& r);
+
+  /// May some pending HC value lie in [\p lo, \p hi_excl)? Inline for the
+  /// ranges shape, which the multi-disk hop walk asks once per frame.
+  bool MayIntersect(uint64_t lo, uint64_t hi_excl) const {
+    return disc_ == nullptr ? RangesIntersect(ranges_, lo, hi_excl)
+                            : DiscMayIntersect(lo, hi_excl);
+  }
+  /// Nothing left to confirm.
+  bool Empty() const;
+
+  /// The kept ranges (ranges shape only).
+  const std::vector<hilbert::HcRange>& ranges() const { return ranges_; }
+
+ private:
+  /// Does the normalized vector \p ranges meet [\p lo, \p hi_excl)?
+  static bool RangesIntersect(const std::vector<hilbert::HcRange>& ranges,
+                              uint64_t lo, uint64_t hi_excl) {
+    if (lo >= hi_excl) return false;
+    auto it = std::lower_bound(
+        ranges.begin(), ranges.end(), lo,
+        [](const hilbert::HcRange& r, uint64_t v) { return r.hi < v; });
+    return it != ranges.end() && it->lo < hi_excl;
+  }
+  bool DiscMayIntersect(uint64_t lo, uint64_t hi_excl) const;
+
+  std::vector<hilbert::HcRange> ranges_;
+  Disc* disc_ = nullptr;  // disc shape iff non-null
 };
 
 /// Query execution against a DSI broadcast. One client serves one query —
@@ -159,9 +277,8 @@ class DsiClient {
     stats_.stale = false;
   }
 
-  /// Point query via EEF: all objects whose HC value equals that of the
-  /// cell containing \p p and whose location equals... is within the cell.
-  /// Returns the objects mapped to that cell.
+  /// Point query via EEF: returns every object whose HC value equals that
+  /// of the cell containing \p p, i.e. all objects located in that cell.
   std::vector<datasets::SpatialObject> PointQuery(const common::Point& p);
 
   /// Window query (Algorithm 1): all objects inside \p window.
@@ -190,6 +307,12 @@ class DsiClient {
 
   // --- knowledge ----------------------------------------------------------
   void Learn(const DsiTableView& table);
+  /// The single place coverage grows: adds \p r to covered_ and updates the
+  /// kept pending state (ranges, kNN adverts) to match.
+  void AddCoverage(const hilbert::HcRange& r);
+  /// Adds the advertised min-HC \p hc to the running kNN query's radius
+  /// bounds unless coverage already superseded it.
+  void LearnAdvert(uint64_t hc);
   uint64_t SegmentDomainLo(uint32_t seg) const;
   uint64_t SegmentDomainHiExcl(uint32_t seg) const;
   /// Largest known min-HC at offset <= off in segment (domain lo if none).
@@ -208,35 +331,40 @@ class DsiClient {
   void MarkRetrieved(uint32_t rank);
 
   // --- relevance reasoning -------------------------------------------------
-  bool RangesIntersect(const std::vector<hilbert::HcRange>& pending,
-                       uint64_t lo, uint64_t hi_excl) const;
   /// May the frame at \p position hold objects in \p pending?
   bool FrameMayIntersect(uint32_t position,
-                         const std::vector<hilbert::HcRange>& pending) const;
+                         const PendingTargets& pending) const;
   /// May any frame at a position strictly inside the cyclic gap
   /// (\p from_pos, \p to_pos) hold objects in \p pending?
   bool GapMayIntersect(uint32_t from_pos, uint32_t to_pos,
-                       const std::vector<hilbert::HcRange>& pending) const;
+                       const PendingTargets& pending) const;
 
   // --- navigation ----------------------------------------------------------
   /// Farthest entry whose skipped gap provably misses \p pending.
-  uint32_t SelectConservativeHop(
-      const DsiTableView& table,
-      const std::vector<hilbert::HcRange>& pending) const;
+  uint32_t SelectConservativeHop(const DsiTableView& table,
+                                 const PendingTargets& pending) const;
   /// Entry whose advertised frame is spatially closest to \p q among those
   /// not already covered; falls back to the conservative rule.
   uint32_t SelectAggressiveHop(const DsiTableView& table,
-                               const std::vector<hilbert::HcRange>& pending,
+                               const PendingTargets& pending,
                                const common::Point& q) const;
 
-  /// Shared driver: runs the pending-targets loop until no targets remain.
-  /// \p recompute_targets(out) is invoked after every learning step to
-  /// produce the current target ranges into the scratch buffer (static for
-  /// window queries, circle-derived for kNN); aggressive kNN passes
-  /// \p spatial_goal. Templated so the per-iteration call inlines.
-  template <class RecomputeTargets>
-  void RunSearch(const RecomputeTargets& recompute_targets,
-                 const common::Point* spatial_goal);
+  /// Shared search loop: sweeps frames until pending_ — armed by the
+  /// caller for this query (AssignRanges, or AssignDisc plus knn_) — is
+  /// empty. Coverage growth updates pending_ in place (AddCoverage); the
+  /// kNN radius is re-read from knn_ after every learning step. Aggressive
+  /// kNN passes \p spatial_goal.
+  void RunSearch(const common::Point* spatial_goal);
+  /// Re-reads the kNN radius into the search disc after a learning step;
+  /// in Debug builds also recomputes the pending state from scratch and
+  /// asserts that the kept state matches.
+  void RefreshPending();
+#ifndef NDEBUG
+  /// The old per-hop rebuild, kept as the Debug reference: the k-th
+  /// smallest candidate bound over a full scan of retrieved objects and
+  /// uncovered adverts.
+  double FullScanKnnRadius() const;
+#endif
 
   bool WatchdogExpired() const;
   /// The session advanced past the generation this client's knowledge was
@@ -268,11 +396,34 @@ class DsiClient {
   QueryStats stats_;
   uint64_t deadline_packets_ = 0;
 
-  // Scratch reused across the RunSearch loop (and across reads): the most
-  // recently received table and the target/pending range buffers.
+  /// State of the running kNN query: its search disc (center q) and the
+  /// disc's radius, the k-th smallest element of an ordered multiset of
+  /// candidate upper bounds — the exact distance of every retrieved object
+  /// and the cell max-distance of every advertised min-HC not yet covered.
+  /// Learn adds an advert when it first records its offset, MarkRetrieved
+  /// adds the exact distance, AddCoverage retires the adverts it covers
+  /// (distinct frames never share a min-HC, so adverts are keyed by HC). A
+  /// frame whose first object arrived but whose others were lost counts
+  /// that object twice until it completes, so the radius can grow under
+  /// loss.
+  struct KnnSearch {
+    size_t k = 0;
+    PendingTargets::Disc disc;
+    std::multiset<double> bounds;
+    std::map<uint64_t, std::multiset<double>::iterator> adverts;  // by HC
+
+    double Radius() const;
+    /// Drops the adverts whose HC lies in \p r (now covered).
+    void Retire(const hilbert::HcRange& r);
+  };
+  std::unique_ptr<KnnSearch> knn_;  // set only while a kNN query runs
+
+  // Per-query search state, reused across queries: the most recently
+  // received table, the target ranges of a window or point query and
+  // what of them (or of the kNN disc) is still pending.
   DsiTableView table_;
-  std::vector<hilbert::HcRange> targets_scratch_;
-  std::vector<hilbert::HcRange> pending_scratch_;
+  std::vector<hilbert::HcRange> targets_;
+  PendingTargets pending_;
 };
 
 }  // namespace dsi::core

@@ -11,14 +11,16 @@
 /// cells lie inside the window (Section 3.3 of the paper).
 ///
 /// The conversions and the quadtree descent are on the per-query hot path
-/// (every kNN iteration re-decomposes its search circle), so they are
-/// implemented as a 4-state Hilbert automaton: a state is the (swap,
-/// flip-both) transform pending on the not-yet-consumed low coordinate
-/// bits, and lookup tables advance it one bit — or one nibble, for the
-/// batched conversion tables in hilbert.cpp — per step. The decomposition
-/// is a template over the block classifier so the whole descent inlines,
-/// and it threads block coordinates plus automaton state through the
-/// recursion instead of recovering them with IndexToCell per node.
+/// (window planning; the HCI and exponential-index kNN searches re-decompose
+/// their circle per refinement, while DSI kNN asks AnyMatchingIn about the
+/// curve spans it may skip), so they are implemented as a 4-state Hilbert
+/// automaton: a state is the (swap, flip-both) transform pending on the
+/// not-yet-consumed low coordinate bits, and lookup tables advance it one
+/// bit — or one nibble, for the batched conversion tables in hilbert.cpp —
+/// per step. The decomposition is a template over the block classifier so
+/// the whole descent inlines, and it threads block coordinates plus
+/// automaton state through the recursion instead of recovering them with
+/// IndexToCell per node.
 
 #include <array>
 #include <cstdint>
@@ -173,6 +175,20 @@ class HilbertCurve {
   /// template + buffer form on hot paths).
   std::vector<HcRange> RangesMatching(const BlockClassifier& classify) const;
 
+  /// True iff some range of RangesMatching(\p classify) intersects the
+  /// inclusive curve span [\p a, \p b], without building the ranges: the
+  /// same quadtree descent, pruned to blocks that overlap the span, that
+  /// returns at the first matching block. \p classify must be exact in the
+  /// sense that every block it does not call kDisjoint holds at least one
+  /// cell it does not call kDisjoint (true of the rectangle and disc
+  /// classifiers, whose sub-cell edges are the block edges' own doubles);
+  /// a non-disjoint block lying inside the span then answers at once.
+  template <class Classifier>
+  bool AnyMatchingIn(const Classifier& classify, uint64_t a,
+                     uint64_t b) const {
+    return AnyRecurse<Classifier>(0, 0, 0, side_, 0, classify, a, b);
+  }
+
   /// Decomposes the inclusive cell rectangle [x_lo..x_hi] x [y_lo..y_hi]
   /// into maximal contiguous curve ranges, sorted ascending, into \p out.
   void RangesInCellRect(uint32_t x_lo, uint32_t y_lo, uint32_t x_hi,
@@ -218,6 +234,40 @@ class HilbertCurve {
                                 by + c.dy * child_side, child_side, c.next,
                                 classify, out);
     }
+  }
+
+  /// AnyMatchingIn's descent over a block that overlaps [a, b] (same
+  /// block parameters as RangesRecurse).
+  template <class Classifier>
+  bool AnyRecurse(uint64_t hc_base, uint64_t bx, uint64_t by,
+                  uint64_t block_side, uint8_t state,
+                  const Classifier& classify, uint64_t a, uint64_t b) const {
+    const uint64_t cells = block_side * block_side;
+    switch (classify(bx, by, block_side)) {
+      case BlockClass::kDisjoint:
+        return false;
+      case BlockClass::kFull:
+        return true;
+      case BlockClass::kPartial:
+        break;
+    }
+    if (block_side == 1 || (a <= hc_base && hc_base + cells - 1 <= b)) {
+      return true;
+    }
+    const uint64_t child_side = block_side / 2;
+    const uint64_t child_cells = cells / 4;
+    for (uint8_t q = 0; q < 4; ++q) {
+      const uint64_t child_base = hc_base + q * child_cells;
+      if (child_base > b) break;
+      if (child_base + child_cells - 1 < a) continue;
+      const detail::HilbertCell c = detail::kInverseStep[state][q];
+      if (AnyRecurse<Classifier>(child_base, bx + c.dx * child_side,
+                                 by + c.dy * child_side, child_side, c.next,
+                                 classify, a, b)) {
+        return true;
+      }
+    }
+    return false;
   }
 
   int order_;

@@ -64,27 +64,50 @@ std::vector<HcRange> SpaceMapper::WindowToRanges(
   return out;
 }
 
+namespace {
+
+/// Classifies quadtree blocks against the disc of squared radius \p r2
+/// around \p center. A block's edges and its sub-cells' edges are the same
+/// doubles (origin + index * cell size) and both distance bounds are
+/// monotone in the edges, so a block is non-disjoint iff one of its cells
+/// is — the exactness HilbertCurve::AnyMatchingIn relies on.
+auto DiscClassifier(const common::Rect& universe, double cell_w,
+                    double cell_h, const common::Point& center, double r2) {
+  return [=](uint64_t bx, uint64_t by, uint64_t side) {
+    const common::Rect block{
+        universe.min_x + static_cast<double>(bx) * cell_w,
+        universe.min_y + static_cast<double>(by) * cell_h,
+        universe.min_x + static_cast<double>(bx + side) * cell_w,
+        universe.min_y + static_cast<double>(by + side) * cell_h};
+    if (block.MinSquaredDistance(center) > r2) {
+      return HilbertCurve::BlockClass::kDisjoint;
+    }
+    if (block.MaxSquaredDistance(center) <= r2) {
+      return HilbertCurve::BlockClass::kFull;
+    }
+    return HilbertCurve::BlockClass::kPartial;
+  };
+}
+
+}  // namespace
+
 void SpaceMapper::CircleToRanges(const common::Point& center, double radius,
                                  std::vector<HcRange>* out) const {
   out->clear();
   if (radius < 0.0) return;
-  const double r2 = radius * radius;
   curve_.RangesMatching(
-      [&](uint64_t bx, uint64_t by, uint64_t side) {
-        const common::Rect block{
-            universe_.min_x + static_cast<double>(bx) * cell_w_,
-            universe_.min_y + static_cast<double>(by) * cell_h_,
-            universe_.min_x + static_cast<double>(bx + side) * cell_w_,
-            universe_.min_y + static_cast<double>(by + side) * cell_h_};
-        if (block.MinSquaredDistance(center) > r2) {
-          return HilbertCurve::BlockClass::kDisjoint;
-        }
-        if (block.MaxSquaredDistance(center) <= r2) {
-          return HilbertCurve::BlockClass::kFull;
-        }
-        return HilbertCurve::BlockClass::kPartial;
-      },
+      DiscClassifier(universe_, cell_w_, cell_h_, center, radius * radius),
       out);
+}
+
+bool SpaceMapper::DiscHitsCurveRange(const common::Point& center,
+                                     double radius, uint64_t a,
+                                     uint64_t b) const {
+  assert(a <= b && b < curve_.num_cells());
+  if (radius < 0.0) return false;
+  return curve_.AnyMatchingIn(
+      DiscClassifier(universe_, cell_w_, cell_h_, center, radius * radius), a,
+      b);
 }
 
 std::vector<HcRange> SpaceMapper::CircleToRanges(const common::Point& center,

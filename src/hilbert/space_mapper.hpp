@@ -59,15 +59,24 @@ class SpaceMapper {
 
   /// Decomposes the disc of radius \p radius around \p center into the
   /// sorted maximal curve ranges of cells intersecting it (superset filter,
-  /// like WindowToRanges), into \p out. Used by kNN search spaces
-  /// ("circles"), which re-decompose per refinement step — hence the
-  /// reusable buffer.
+  /// like WindowToRanges), into \p out. Used by the HCI and exponential
+  /// index kNN search spaces ("circles"), which re-decompose per
+  /// refinement step — hence the reusable buffer.
   void CircleToRanges(const common::Point& center, double radius,
                       std::vector<HcRange>* out) const;
 
   /// Allocating convenience overload.
   std::vector<HcRange> CircleToRanges(const common::Point& center,
                                       double radius) const;
+
+  /// True iff some range of CircleToRanges(\p center, \p radius)
+  /// intersects the inclusive curve span [\p a, \p b] (b < num_cells),
+  /// answered by a quadtree descent pruned to the span that stops at the
+  /// first cell of the disc — the disc is never decomposed. Exact: it uses
+  /// CircleToRanges' own classifier, under which a cell belongs to the
+  /// decomposition iff its MinSquaredDistance is <= radius^2.
+  bool DiscHitsCurveRange(const common::Point& center, double radius,
+                          uint64_t a, uint64_t b) const;
 
   /// Smallest distance from \p q to the cell of the given curve index;
   /// a sound lower bound on the distance to any object advertised with

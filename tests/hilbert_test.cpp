@@ -196,5 +196,41 @@ TEST(RangesMatchingTest, CircleClassifierConservative) {
   EXPECT_EQ(all[0], (HcRange{0, c.num_cells() - 1}));
 }
 
+// AnyMatchingIn over the (exact) cell-rectangle classifier agrees with
+// "some range of the decomposition meets [a, b]" for every span.
+TEST(AnyMatchingInTest, MatchesDecompositionForEverySpan) {
+  const HilbertCurve c(3);
+  common::Rng rng(31);
+  for (int trial = 0; trial < 150; ++trial) {
+    auto x_lo = static_cast<uint32_t>(rng.UniformInt(0, 7));
+    auto x_hi = static_cast<uint32_t>(rng.UniformInt(0, 7));
+    auto y_lo = static_cast<uint32_t>(rng.UniformInt(0, 7));
+    auto y_hi = static_cast<uint32_t>(rng.UniformInt(0, 7));
+    if (x_lo > x_hi) std::swap(x_lo, x_hi);
+    if (y_lo > y_hi) std::swap(y_lo, y_hi);
+    const auto classify = [&](uint64_t bx, uint64_t by, uint64_t side) {
+      if (bx > x_hi || bx + side - 1 < x_lo || by > y_hi ||
+          by + side - 1 < y_lo) {
+        return HilbertCurve::BlockClass::kDisjoint;
+      }
+      if (bx >= x_lo && bx + side - 1 <= x_hi && by >= y_lo &&
+          by + side - 1 <= y_hi) {
+        return HilbertCurve::BlockClass::kFull;
+      }
+      return HilbertCurve::BlockClass::kPartial;
+    };
+    const auto ranges = c.RangesInCellRect(x_lo, y_lo, x_hi, y_hi);
+    for (uint64_t a = 0; a < c.num_cells(); ++a) {
+      for (uint64_t b = a; b < c.num_cells(); ++b) {
+        bool want = false;
+        for (const HcRange& r : ranges) want |= r.lo <= b && a <= r.hi;
+        ASSERT_EQ(c.AnyMatchingIn(classify, a, b), want)
+            << "rect [" << x_lo << ".." << x_hi << "] x [" << y_lo << ".."
+            << y_hi << "] span [" << a << ", " << b << "]";
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dsi::hilbert

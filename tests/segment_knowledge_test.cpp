@@ -148,5 +148,55 @@ TEST(SegmentKnowledgeTest, RandomizedMatchesMapOracle) {
   }
 }
 
+// The summary-word skips of FloorValue/CeilAboveValue against a linear
+// oracle, at lengths around the 64-offset word and the 4096-offset summary
+// word edges and at a long segment, for sparse and dense record patterns.
+TEST(SegmentKnowledgeTest, SummarySkipsMatchLinearOracle) {
+  common::Rng rng(2024);
+  for (const uint32_t length :
+       {1u, 63u, 64u, 65u, 4095u, 4096u, 4097u, 47693u}) {
+    // Expected number of records: none, a handful, 1%, and half the
+    // offsets; plus the two edge offsets alone.
+    for (const double density : {0.0, 3.0 / length, 0.01, 0.5, -1.0}) {
+      SegmentKnowledge k;
+      k.Init(length);
+      std::vector<std::optional<uint64_t>> value(length);
+      auto record = [&](uint32_t off) {
+        const auto hc = static_cast<uint64_t>(rng.UniformInt(0, 1 << 30));
+        const bool fresh = !value[off].has_value();
+        EXPECT_EQ(k.Record(off, hc), fresh);
+        value[off] = hc;
+      };
+      if (density < 0) {
+        record(0);
+        record(length - 1);
+      } else {
+        for (uint32_t off = 0; off < length; ++off) {
+          if (rng.Uniform(0, 1) < density) record(off);
+        }
+      }
+      // Linear oracle: floor[off] = last value at <= off, ceil_above[off]
+      // = first value at > off.
+      std::vector<std::optional<uint64_t>> floor(length), ceil_above(length);
+      std::optional<uint64_t> run;
+      for (uint32_t off = 0; off < length; ++off) {
+        if (value[off]) run = value[off];
+        floor[off] = run;
+      }
+      run.reset();
+      for (uint32_t off = length; off-- > 0;) {
+        ceil_above[off] = run;
+        if (value[off]) run = value[off];
+      }
+      for (uint32_t off = 0; off < length; ++off) {
+        ASSERT_EQ(k.Find(off), value[off]) << length << " @" << off;
+        ASSERT_EQ(k.FloorValue(off), floor[off]) << length << " @" << off;
+        ASSERT_EQ(k.CeilAboveValue(off), ceil_above[off])
+            << length << " @" << off;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dsi::core

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "datasets/datasets.hpp"
@@ -109,6 +112,89 @@ TEST(SpaceMapperTest, CircleToRangesMatchesWindowSemantics) {
 TEST(SpaceMapperTest, CircleWithNegativeRadiusIsEmpty) {
   const SpaceMapper m(Rect{0, 0, 1, 1}, 5);
   EXPECT_TRUE(m.CircleToRanges(Point{0.5, 0.5}, -1.0).empty());
+}
+
+// DiscHitsCurveRange answers "does some range of CircleToRanges meet
+// [a, b]" without decomposing the disc; it must agree with the
+// decomposition exactly, including at cell edges and at radii that are
+// exact multiples of the cell size, where the float classifier decides.
+TEST(SpaceMapperTest, DiscHitsCurveRangeMatchesDecomposition) {
+  common::Rng rng(77);
+  for (const Rect& universe : {Rect{0, 0, 1, 1}, Rect{-3.5, 2, 4.25, 11}}) {
+    for (int order = 1; order <= 9; ++order) {
+      const SpaceMapper m(universe, order);
+      const uint64_t side = m.curve().side();
+      const uint64_t cells = m.curve().num_cells();
+      const double cw = universe.Width() / static_cast<double>(side);
+      const double ch = universe.Height() / static_cast<double>(side);
+      const double diag = std::hypot(universe.Width(), universe.Height());
+      const std::vector<Point> centers = {
+          {rng.Uniform(universe.min_x, universe.max_x),
+           rng.Uniform(universe.min_y, universe.max_y)},
+          // Exactly on cell edges: a universe corner, an interior grid
+          // corner and the middle of an interior vertical edge.
+          {universe.min_x, universe.min_y},
+          {universe.min_x + static_cast<double>(side / 2) * cw,
+           universe.min_y + static_cast<double>(side / 2) * ch},
+          {universe.min_x + cw, universe.min_y + 0.5 * ch},
+          // Outside the universe.
+          {universe.min_x - 0.3 * universe.Width(), universe.Center().y},
+          {universe.max_x + 0.1, universe.max_y + 0.2 * universe.Height()},
+      };
+      const std::vector<double> radii = {
+          0.0,       0.4 * std::min(cw, ch), cw,   ch,
+          2.0 * cw,  3.0 * ch,               rng.Uniform(0, diag / 2),
+          1.5 * diag};
+      // Curve spans: single cells, aligned blocks, unaligned spans and
+      // the whole curve.
+      std::vector<HcRange> spans = {{0, cells - 1}};
+      if (cells <= 256) {
+        for (uint64_t c = 0; c < cells; ++c) spans.push_back({c, c});
+      } else {
+        for (int i = 0; i < 128; ++i) {
+          const auto c = static_cast<uint64_t>(
+              rng.UniformInt(0, static_cast<int64_t>(cells) - 1));
+          spans.push_back({c, c});
+        }
+      }
+      for (uint64_t block = 4; block < cells; block *= 4) {
+        for (int i = 0; i < 16; ++i) {
+          const auto j = static_cast<uint64_t>(rng.UniformInt(
+              0, static_cast<int64_t>(cells / block) - 1));
+          spans.push_back({j * block, j * block + block - 1});
+        }
+      }
+      for (int i = 0; i < 64; ++i) {
+        auto a = static_cast<uint64_t>(
+            rng.UniformInt(0, static_cast<int64_t>(cells) - 1));
+        auto b = static_cast<uint64_t>(
+            rng.UniformInt(0, static_cast<int64_t>(cells) - 1));
+        if (a > b) std::swap(a, b);
+        spans.push_back({a, b});
+      }
+      for (const Point& q : centers) {
+        for (const double r : radii) {
+          const std::vector<HcRange> disc = m.CircleToRanges(q, r);
+          for (const HcRange& span : spans) {
+            const auto it = std::lower_bound(
+                disc.begin(), disc.end(), span.lo,
+                [](const HcRange& d, uint64_t v) { return d.hi < v; });
+            const bool want = it != disc.end() && it->lo <= span.hi;
+            EXPECT_EQ(m.DiscHitsCurveRange(q, r, span.lo, span.hi), want)
+                << "order " << order << " universe " << universe << " q "
+                << q << " r " << r << " span [" << span.lo << ", "
+                << span.hi << "]";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SpaceMapperTest, DiscHitsCurveRangeNegativeRadiusMissesAll) {
+  const SpaceMapper m(Rect{0, 0, 1, 1}, 4);
+  EXPECT_FALSE(m.DiscHitsCurveRange(Point{0.5, 0.5}, -1.0, 0,
+                                    m.curve().num_cells() - 1));
 }
 
 TEST(SpaceMapperTest, MinMaxDistanceToIndexBracketsObjects) {
