@@ -10,6 +10,7 @@ namespace dsi::air {
 
 broadcast::BroadcastProgram MakeSkewedProgram(
     const AirIndexHandle& index, const broadcast::DiskConfig& config) {
+  if (!config.enabled()) return index.program();
   const common::Rect universe = datasets::UnitUniverse();
   const datasets::RegionPopularity popularity(config.grid, config.skew,
                                               config.pop_seed);

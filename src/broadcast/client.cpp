@@ -3,6 +3,7 @@
 #include "broadcast/airing_order.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -106,40 +107,14 @@ void ClientSession::ArmErrorModel() {
   }
 }
 
-size_t ClientSession::PhysSlot(size_t data_slot) const {
-  if (!program_->coded()) return data_slot;
-  // Every full group of g data buckets is followed by p parity buckets, so
-  // a data slot shifts right by p per completed group before it.
-  const size_t g = program_->coding_group();
-  return data_slot + (data_slot / g) * program_->coding_parity();
-}
-
 size_t ClientSession::NextPhysOf(size_t data_slot) const {
-  if (!program_->multi_disk()) return PhysSlot(data_slot);
+  const std::span<const uint32_t> airings = program_->airings(data_slot);
+  if (airings.size() == 1) return airings.front();
   // Repetitions are listed in cycle order: the soonest is the first that
   // starts at or after the cycle position, wrapping to the front.
-  const std::vector<uint32_t>& airings = program_->AiringsOf(data_slot);
   return *SoonestAtOrAfter(
       airings.begin(), airings.end(), cycle_position(),
       [&](uint32_t phys) { return program_->bucket(phys).start_packet; });
-}
-
-size_t ClientSession::PhysToData(size_t phys_slot) const {
-  if (program_->multi_disk()) return program_->DataSlotOf(phys_slot);
-  if (!program_->coded()) return phys_slot;
-  const size_t stride =
-      static_cast<size_t>(program_->coding_group()) + program_->coding_parity();
-  const size_t group = phys_slot / stride;
-  assert(phys_slot - group * stride <
-         static_cast<size_t>(program_->coding_group()));
-  return group * program_->coding_group() + (phys_slot - group * stride);
-}
-
-uint64_t ClientSession::PhysWait(size_t phys_slot) const {
-  const uint64_t pos = cycle_position();
-  const uint64_t start = program_->bucket(phys_slot).start_packet;
-  return start >= pos ? start - pos
-                      : program_->cycle_packets() - pos + start;
 }
 
 void ClientSession::ParkAtNextBoundary() {
@@ -165,7 +140,7 @@ void ClientSession::ParkAtNextBoundary() {
       continue;
     }
     AdvanceTo(now_ + delta);
-    current_slot_ = PhysToData(slot);
+    current_slot_ = program_->bucket(slot).data_slot;
     return;
   }
 }
@@ -231,14 +206,16 @@ ClientSession ClientSession::ForkColdSession(uint64_t tune_in_packet,
   return cold;
 }
 
+uint64_t ClientSession::PhysWait(size_t phys_slot) const {
+  const uint64_t pos = cycle_position();
+  const uint64_t start = program_->bucket(phys_slot).start_packet;
+  return start >= pos ? start - pos
+                      : program_->cycle_packets() - pos + start;
+}
+
 uint64_t ClientSession::PacketsUntil(size_t slot) const {
   assert(probed_);
   return PhysWait(NextPhysOf(slot));
-}
-
-void ClientSession::DozeTo(size_t slot) {
-  AdvanceTo(now_ + PacketsUntil(slot));
-  current_slot_ = slot;
 }
 
 bool ClientSession::ReadBucket(size_t slot) {
@@ -248,31 +225,36 @@ bool ClientSession::ReadBucket(size_t slot) {
   // airtime at all (the radio stays off; the clock does not move), which
   // is exactly what keeps sequential scans affordable when a repair has
   // consumed the airings the scan was about to read.
-  if (program_->coded()) {
-    const size_t phys = PhysSlot(slot);
+  if (program_->coded() && heard_gen_ == generation_) {
+    // The slot's airings inside the buffered group, one bit per member (a
+    // hot slot of a multi-disk cycle may air twice in one group).
     const size_t stride =
-        program_->coding_group() + program_->coding_parity();
-    const size_t member = phys - (phys / stride) * stride;
-    if (heard_group_ == phys / stride && heard_gen_ == generation_) {
-      if (((heard_mask_ >> member) & 1) != 0) {
-        current_slot_ = (slot + 1) % program_->num_data_buckets();
+        size_t{program_->coding_group()} + program_->coding_parity();
+    uint64_t mine = 0;
+    for (const uint32_t phys : program_->airings(slot)) {
+      if (phys / stride == heard_group_) {
+        mine |= uint64_t{1} << (phys - heard_group_ * stride);
+      }
+    }
+    if ((heard_mask_ & mine) != 0) {
+      current_slot_ = (slot + 1) % program_->num_data_buckets();
+      return true;
+    }
+    // Negative buffer hit: this occurrence's airing was already listened
+    // to (by a repair tail) and lost. Try to decode it from what the
+    // buffer holds; otherwise fail NOW — zero listens, zero airtime — so
+    // scan-style callers defer the slot instead of blocking a full cycle
+    // for an airing the client knows is gone. One-shot: the bit clears,
+    // so a deliberate blocking retry dozes to the next airing like any
+    // plain loss and time always progresses.
+    if ((lost_mask_ & mine) != 0) {
+      const uint64_t member = std::countr_zero(lost_mask_ & mine);
+      if (TryRepair(heard_group_ * stride + member, heard_occ_)) {
+        ++repaired_;
         return true;
       }
-      // Negative buffer hit: this occurrence's airing was already listened
-      // to (by a repair tail) and lost. Try to decode it from what the
-      // buffer holds; otherwise fail NOW — zero listens, zero airtime — so
-      // scan-style callers defer the slot instead of blocking a full cycle
-      // for an airing the client knows is gone. One-shot: the bit clears,
-      // so a deliberate blocking retry dozes to the next airing like any
-      // plain loss and time always progresses.
-      if (((lost_mask_ >> member) & 1) != 0) {
-        if (TryRepair(slot, heard_occ_)) {
-          ++repaired_;
-          return true;
-        }
-        lost_mask_ &= ~(uint64_t{1} << member);
-        return false;
-      }
+      lost_mask_ &= ~(uint64_t{1} << member);
+      return false;
     }
   }
   // Dynamic broadcast: the aimed-at occurrence may lie past the end of the
@@ -280,9 +262,13 @@ bool ClientSession::ReadBucket(size_t slot) {
   // in advance — it dozes to where it believed the bucket would start,
   // hears one packet stamped with a newer generation, and re-synchronizes
   // like the initial probe. No loss coin is drawn: nothing was on air to
-  // lose; generation() advancing is the caller's republication signal.
-  if (now_ + PacketsUntil(slot) >= gen_end_) {
-    AdvanceTo(now_ + PacketsUntil(slot));
+  // lose; generation() advancing is the caller's republication signal. The
+  // target airing is resolved before dozing: on a multi-disk cycle the
+  // nearest repetition depends on where the session stands right now.
+  const size_t phys = NextPhysOf(slot);
+  const uint64_t start = now_ + PhysWait(phys);
+  if (start >= gen_end_) {
+    AdvanceTo(start);
     const uint64_t listen_start = now_;
     Listen(1);
     if (trace_ != nullptr) {
@@ -292,32 +278,25 @@ bool ClientSession::ReadBucket(size_t slot) {
     ParkAtNextBoundary();
     return false;
   }
-  // Resolve the target airing before dozing: on a multi-disk cycle the
-  // nearest repetition depends on where the session stands right now, and
-  // DozeTo moves the clock to exactly that airing's boundary.
-  const size_t phys = NextPhysOf(slot);
-  DozeTo(slot);
+  AdvanceTo(start);
   const Bucket& b = program_->bucket(phys);
   const uint64_t listen_start = now_;
   Listen(b.packets);
-  // Park on the next (data) bucket boundary. On a coded cycle the group's
-  // parity may air next; the session rests here and every later operation
-  // dozes over it on demand.
+  // The logical successor becomes the current slot: the next data bucket
+  // on air on plain and coded cycles (the group's parity may air first;
+  // later operations doze over it on demand).
   current_slot_ = (slot + 1) % program_->num_data_buckets();
   const bool lost = DrawLoss(phys, listen_start, b.packets);
   if (trace_ != nullptr) {
     trace_->push_back(
         TraceEvent{TraceEvent::Kind::kListen, listen_start, now_, slot, lost});
   }
-  if (!lost) {
-    NoteHeard(phys, listen_start);  // feed the erasure-decode buffer
-    return true;
-  }
+  NoteSymbol(phys, listen_start, !lost);  // feed the erasure-decode buffer
+  if (!lost) return true;
   if (program_->coded()) {
-    NoteLost(phys, listen_start);
     const uint64_t occ =
         (listen_start - gen_start_) / program_->cycle_packets();
-    if (TryRepair(slot, occ)) {
+    if (TryRepair(phys, occ)) {
       ++repaired_;
       return true;
     }
@@ -387,11 +366,13 @@ bool ClientSession::BurstLost(uint64_t start, uint64_t packets) const {
   return false;
 }
 
-void ClientSession::NoteHeard(size_t phys_slot, uint64_t listen_start) {
+void ClientSession::NoteSymbol(size_t phys_slot, uint64_t listen_start,
+                               bool intact) {
   if (!program_->coded()) return;
-  const size_t stride = program_->coding_group() + program_->coding_parity();
+  const size_t stride =
+      size_t{program_->coding_group()} + program_->coding_parity();
   const size_t group = phys_slot / stride;
-  const size_t member = phys_slot - group * stride;
+  const uint64_t bit = uint64_t{1} << (phys_slot - group * stride);
   const uint64_t occ =
       (listen_start - gen_start_) / program_->cycle_packets();
   if (heard_group_ != group || heard_occ_ != occ ||
@@ -405,39 +386,25 @@ void ClientSession::NoteHeard(size_t phys_slot, uint64_t listen_start) {
     heard_mask_ = 0;
     lost_mask_ = 0;
   }
-  heard_mask_ |= uint64_t{1} << member;
-  lost_mask_ &= ~(uint64_t{1} << member);
-}
-
-void ClientSession::NoteLost(size_t phys_slot, uint64_t listen_start) {
-  if (!program_->coded()) return;
-  const size_t stride = program_->coding_group() + program_->coding_parity();
-  const size_t group = phys_slot / stride;
-  const size_t member = phys_slot - group * stride;
-  const uint64_t occ =
-      (listen_start - gen_start_) / program_->cycle_packets();
-  if (heard_group_ != group || heard_occ_ != occ ||
-      heard_gen_ != generation_) {
-    heard_group_ = group;
-    heard_occ_ = occ;
-    heard_gen_ = generation_;
-    heard_mask_ = 0;
-    lost_mask_ = 0;
+  if (intact) {
+    heard_mask_ |= bit;
+    lost_mask_ &= ~bit;
+  } else {
+    lost_mask_ |= bit;
   }
-  lost_mask_ |= uint64_t{1} << member;
 }
 
-bool ClientSession::TryRepair(size_t data_slot, uint64_t occ) {
-  const size_t g = program_->coding_group();
-  const size_t p = program_->coding_parity();
-  const size_t n = program_->num_data_buckets();
-  const size_t group = data_slot / g;
-  const size_t d = std::min(g, n - group * g);  // short wrap-around group
-  const size_t base = group * (g + p);  // physical slot of the first member
-  const size_t members = d + p;
-  const size_t target = data_slot - group * g;
+bool ClientSession::TryRepair(size_t phys, uint64_t occ) {
+  // The group is the contiguous physical run around the lost airing: d data
+  // airings (fewer in the cycle's short wrap-around group), then p parity.
+  const BroadcastProgram::GroupRun run = program_->GroupOf(phys);
+  const size_t group =
+      phys / (size_t{program_->coding_group()} + program_->coding_parity());
+  const size_t base = run.first;  // physical slot of the first member
+  const size_t d = run.data;
+  const size_t members = d + program_->coding_parity();
+  const size_t target = phys - base;
   const uint64_t cycle = program_->cycle_packets();
-  const Bucket& lost_bucket = program_->bucket(base + target);
   const uint64_t occ_start = gen_start_ + occ * cycle;
 
   // Symbols of this group the client already holds from this occurrence
@@ -482,11 +449,9 @@ bool ClientSession::TryRepair(size_t data_slot, uint64_t occ) {
     // retry, which will hear the new generation stamp and resynchronize.
     if (start >= gen_end_) break;
     // Fail fast mid-tail too: the remaining symbols cannot close the gap.
-    size_t remaining = 0;
-    for (size_t r = m; r < members; ++r) {
-      if (((have >> r) & 1) == 0 && r != target) ++remaining;
-    }
-    if (collected + remaining < d) break;
+    // (Members air in slot order, so every one left is still in flight.)
+    if (collected + in_flight < d) break;
+    --in_flight;
     AdvanceTo(start);
     const uint64_t listen_start = now_;
     Listen(b.packets);
@@ -495,12 +460,9 @@ bool ClientSession::TryRepair(size_t data_slot, uint64_t occ) {
       trace_->push_back(TraceEvent{TraceEvent::Kind::kRepair, listen_start,
                                    now_, base + m, lost});
     }
-    if (lost) {
-      NoteLost(base + m, listen_start);
-      continue;
-    }
+    NoteSymbol(base + m, listen_start, !lost);
+    if (lost) continue;
     have |= uint64_t{1} << m;
-    NoteHeard(base + m, listen_start);
     if (++collected >= d) recovered = true;  // d-of-(d+p): decode closes
   }
   if (recovered) {
@@ -509,7 +471,7 @@ bool ClientSession::TryRepair(size_t data_slot, uint64_t occ) {
     // consumed (the scan's next buckets) are served from the buffer
     // instead of waiting a cycle for airings the client already spent
     // tuning time on.
-    NoteHeard(base + target, occ_start + lost_bucket.start_packet);
+    NoteSymbol(phys, occ_start + program_->bucket(phys).start_packet, true);
     heard_mask_ =
         members >= 64 ? ~uint64_t{0} : (uint64_t{1} << members) - 1;
     lost_mask_ = 0;
@@ -518,11 +480,11 @@ bool ClientSession::TryRepair(size_t data_slot, uint64_t occ) {
   // parity can sit in between) is the parked slot, exactly like the tail of
   // a normal read.
   const uint64_t pos = (now_ - gen_start_) % cycle;
-  size_t phys = program_->SlotStartingAtOrAfter(pos);
-  while (program_->bucket(phys).kind == BucketKind::kParity) {
-    phys = phys + 1 < program_->num_buckets() ? phys + 1 : 0;
+  size_t next = program_->SlotStartingAtOrAfter(pos);
+  while (program_->bucket(next).kind == BucketKind::kParity) {
+    next = next + 1 < program_->num_buckets() ? next + 1 : 0;
   }
-  current_slot_ = PhysToData(phys);
+  current_slot_ = program_->bucket(next).data_slot;
   return recovered;
 }
 
@@ -530,9 +492,9 @@ void ClientSession::SkipBucket() {
   // On a coded cycle the session may rest ahead of the current data
   // bucket's boundary (parity in flight): doze up to it first. Uncoded
   // sessions are already parked there, so the doze is zero packets.
-  DozeTo(current_slot_);
-  const Bucket& b = program_->bucket(NextPhysOf(current_slot_));
-  AdvanceTo(now_ + b.packets);
+  const size_t phys = NextPhysOf(current_slot_);
+  AdvanceTo(now_ + PhysWait(phys));
+  AdvanceTo(now_ + program_->bucket(phys).packets);
   current_slot_ = (current_slot_ + 1) % program_->num_data_buckets();
 }
 

@@ -108,9 +108,10 @@ struct TraceEvent {
 /// Erasure-coded broadcasts: when the program interleaves parity buckets
 /// (BroadcastProgram::coded(), see broadcast/coding.hpp) the session keeps
 /// presenting the DATA slot space to its caller — every slot parameter and
-/// every slot it reports refers to the data buckets in broadcast order, and
-/// the parity schedule learned from the packet header drives an internal
-/// data-to-physical translation. Query clients are coding-oblivious: a read
+/// every slot it reports refers to the data buckets, and the program's slot
+/// map (BroadcastProgram::airings, Bucket::data_slot) translates between
+/// data and physical slots on every layout: plain, coded, multi-disk or
+/// coded multi-disk. Query clients are coding-oblivious: a read
 /// that loses its bucket transparently listens to the group's remaining
 /// data+parity symbols still in flight (and, across later cycles, the ones
 /// already missed) and reconstructs the loss from any d-of-(d+p) survivors,
@@ -149,10 +150,13 @@ class ClientSession {
   /// Global packet counter.
   uint64_t now_packets() const { return now_; }
 
-  /// The next data bucket on air: its slot starts at the current time, or —
-  /// on a coded program, when parity symbols sit between now and it — the
-  /// session rests with nothing but parity in between (valid after
-  /// InitialProbe). Slot numbers are always DATA slots.
+  /// The session's current DATA slot (valid after InitialProbe). After a
+  /// probe, park or repair it is the data bucket airing next: it starts
+  /// now, or only parity symbols sit between now and it. After a read or
+  /// skip it is the LOGICAL successor of that slot, (slot + 1) mod
+  /// num_data_buckets() — the next bucket on air on plain and coded cycles,
+  /// but on a multi-disk cycle possibly tiers away; ReadCurrentBucket then
+  /// dozes to its nearest airing.
   size_t current_slot() const { return current_slot_; }
 
   /// Dozes until the next occurrence of \p slot (possibly now; wraps into
@@ -170,9 +174,6 @@ class ClientSession {
 
   /// Dozes past the bucket starting right now without listening.
   void SkipBucket();
-
-  /// Dozes until the next occurrence of \p slot without listening to it.
-  void DozeTo(size_t slot);
 
   /// Continuous listening: the client turns the radio off for \p packets
   /// (think time between re-evaluations of a moving client), then parks on
@@ -230,11 +231,7 @@ class ClientSession {
   /// cycle. These are the keys of broadcast::AiringSet.
   template <class F>
   void ForEachAiring(size_t slot, F&& f) const {
-    if (!program_->multi_disk()) {
-      f(program_->bucket(PhysSlot(slot)).start_packet);
-      return;
-    }
-    for (const uint32_t phys : program_->AiringsOf(slot)) {
+    for (const uint32_t phys : program_->airings(slot)) {
       f(program_->bucket(phys).start_packet);
     }
   }
@@ -248,8 +245,8 @@ class ClientSession {
     const size_t n = program_->num_buckets();
     size_t phys = program_->SlotStartingAtOrAfter(cycle_position());
     for (size_t i = 0; i < n; ++i, phys = phys + 1 < n ? phys + 1 : 0) {
-      if (program_->bucket(phys).kind == BucketKind::kParity) continue;
-      const size_t slot = PhysToData(phys);
+      const uint32_t slot = program_->bucket(phys).data_slot;
+      if (slot == Bucket::kNoDataSlot) continue;
       if (pred(slot)) return slot;
     }
     return std::nullopt;
@@ -302,17 +299,11 @@ class ClientSession {
   /// coded cycle). Sets current_slot_.
   void ParkAtNextBoundary();
 
-  /// Physical slot of data slot \p data_slot in the on-air cycle (identity
-  /// on uncoded programs). Multi-disk cycles have no unique physical slot —
-  /// use NextPhysOf there.
-  size_t PhysSlot(size_t data_slot) const;
   /// Physical slot of the nearest upcoming airing of data slot
-  /// \p data_slot: on a multi-disk cycle hot slots air several times and
+  /// \p data_slot: hot slots of a multi-disk cycle air several times and
   /// the session always resolves a read to whichever repetition starts
-  /// soonest; otherwise this is PhysSlot.
+  /// soonest.
   size_t NextPhysOf(size_t data_slot) const;
-  /// Data slot of physical slot \p phys_slot (must be a data bucket).
-  size_t PhysToData(size_t phys_slot) const;
   /// Doze distance from now to the next airing of physical slot
   /// \p phys_slot (0 if it starts right now).
   uint64_t PhysWait(size_t phys_slot) const;
@@ -323,23 +314,20 @@ class ClientSession {
   bool DrawLoss(size_t phys_slot, uint64_t listen_start, uint64_t packets);
   /// kBurstLoss: whether any channel burst overlaps [start, start+packets).
   bool BurstLost(uint64_t start, uint64_t packets) const;
-  /// Records that the client holds an intact copy of physical slot
-  /// \p phys_slot from the cycle occurrence containing \p listen_start:
-  /// the per-group symbol buffer a real receiver keeps for erasure
-  /// decoding. Tracks one (group, occurrence) at a time — the sequential
-  /// access pattern of every family — and no-ops on uncoded programs.
-  void NoteHeard(size_t phys_slot, uint64_t listen_start);
-  /// Records a listened-and-LOST airing of \p phys_slot in the same
-  /// per-group buffer (the negative counterpart of NoteHeard). A later
-  /// ReadBucket of that slot knows the occurrence's airing is gone without
-  /// waiting for it again and can fail immediately instead of blocking a
-  /// full cycle.
-  void NoteLost(size_t phys_slot, uint64_t listen_start);
-  /// Reconstruction path for a lost read of \p data_slot whose airing
-  /// belonged to cycle occurrence \p occ of the current generation.
+  /// Records the listen of physical slot \p phys_slot from the cycle
+  /// occurrence containing \p listen_start in the per-group symbol buffer a
+  /// real receiver keeps for erasure decoding: an intact copy (\p intact)
+  /// or a listened-and-LOST airing, which lets a later ReadBucket of that
+  /// slot fail immediately instead of blocking a full cycle for an airing
+  /// the client knows is gone. Tracks one (group, occurrence) at a time —
+  /// the sequential access pattern of every family — and no-ops on uncoded
+  /// programs.
+  void NoteSymbol(size_t phys_slot, uint64_t listen_start, bool intact);
+  /// Reconstruction path for a lost read of the airing at physical slot
+  /// \p phys in cycle occurrence \p occ of the current generation.
   /// Decodes from any d distinct intact symbols of the bucket's parity
   /// group, combining (a) symbols already buffered from this occurrence
-  /// (NoteHeard — free, the client holds them) with (b) the group symbols
+  /// (NoteSymbol — free, the client holds them) with (b) the group symbols
   /// still IN FLIGHT in the same occurrence, listened in broadcast order.
   /// Never dozes across the cycle: if the in-flight tail cannot reach d
   /// symbols the repair fails fast with zero extra listens and the
@@ -348,7 +336,7 @@ class ClientSession {
   /// symbols determine them all), so sibling reads whose airings the
   /// repair consumed are served for free. Leaves the session parked for
   /// the next data bucket and returns whether the bucket was recovered.
-  bool TryRepair(size_t data_slot, uint64_t occ);
+  bool TryRepair(size_t phys, uint64_t occ);
 
   transport::SimTransport sim_;           // embedded simulator substrate
   transport::Transport* ext_ = nullptr;   // external substrate (overrides)

@@ -5,7 +5,7 @@
 
 namespace dsi::broadcast {
 
-BroadcastProgram MakeCodedProgram(const BroadcastProgram& data,
+BroadcastProgram MakeCodedProgram(BroadcastProgram data,
                                   const CodingConfig& config) {
   assert(data.finalized());
   if (!config.enabled() || data.num_buckets() == 0) return data;
@@ -13,16 +13,17 @@ BroadcastProgram MakeCodedProgram(const BroadcastProgram& data,
   // mask; far beyond any sensible redundancy schedule anyway.
   assert(static_cast<size_t>(config.group) + config.parity <= 64);
 
-  BroadcastProgram coded(data.packet_capacity());
+  BroadcastProgram coded(data.packet_capacity(), data.num_disks());
+  coded.SetCodingSchedule(config.group, config.parity);
   const size_t n = data.num_buckets();
   uint32_t group_index = 0;
   uint32_t group_max_bytes = 0;
   uint32_t in_group = 0;
-  for (size_t slot = 0; slot < n; ++slot) {
-    const Bucket& b = data.bucket(slot);
-    coded.AddBucket(b.kind, b.payload, b.size_bytes);
+  for (size_t phys = 0; phys < n; ++phys) {
+    const Bucket& b = data.bucket(phys);
+    coded.AddBucket(b.kind, b.payload, b.size_bytes, b.data_slot);
     group_max_bytes = std::max(group_max_bytes, b.size_bytes);
-    if (++in_group == config.group || slot + 1 == n) {
+    if (++in_group == config.group || phys + 1 == n) {
       // Parity symbols are padded to the widest member (an XOR/RS code
       // word spans whole buckets), so each costs the group's maximum
       // bucket airtime. The short wrap-around group at the cycle end is
@@ -35,7 +36,6 @@ BroadcastProgram MakeCodedProgram(const BroadcastProgram& data,
       group_max_bytes = 0;
     }
   }
-  coded.SetCodingSchedule(config.group, config.parity, n);
   coded.Finalize();
   return coded;
 }

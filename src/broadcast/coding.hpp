@@ -6,13 +6,14 @@
 /// members of its group instead of waiting a full cycle for the retry.
 ///
 /// The scheme is the simplest exact one (the LDPC-over-a-lossy-channel idea
-/// of Bariffi et al., reduced to erasure form): the data buckets of a cycle
-/// are partitioned, in broadcast order, into groups of `group` consecutive
-/// buckets, and each group is followed on air by `parity` parity buckets
-/// (XOR for parity = 1, Reed–Solomon-style beyond). Any `d` intact symbols
-/// of a group's `d + parity` on-air symbols reconstruct every member, where
-/// `d` is the group's data-bucket count (the last group of a cycle may be
-/// short — the wrap-around case). Parity buckets are padded to the largest
+/// of Bariffi et al., reduced to erasure form): the physical data airings of
+/// a cycle are partitioned, in broadcast order, into groups of `group`
+/// consecutive airings, and each group is followed on air by `parity`
+/// parity buckets (XOR for parity = 1, Reed–Solomon-style beyond). On a
+/// multi-disk cycle each hot repetition is an airing of its own. Any `d`
+/// intact symbols of a group's `d + parity` on-air symbols reconstruct
+/// every member, where `d` is the group's data-airing count (the last group
+/// of a cycle may be short — the wrap-around case). Parity buckets are padded to the largest
 /// member, so their on-air size is the group's maximum bucket size.
 ///
 /// Interleaving parity right behind its group (rather than batching it at
@@ -48,12 +49,14 @@ struct CodingConfig {
 };
 
 /// Re-emits \p data with parity buckets interleaved after every group of
-/// \p config.group data buckets (the last, possibly short, group wraps at
-/// the cycle boundary and still gets full parity). Data buckets keep their
-/// kind/payload/size and relative order; slot numbers shift — clients keep
-/// addressing DATA slots and ClientSession translates. Returns a plain copy
-/// when coding is disabled or the cycle is empty.
-BroadcastProgram MakeCodedProgram(const BroadcastProgram& data,
+/// \p config.group physical data airings (the last, possibly short, group
+/// wraps at the cycle boundary and still gets full parity). Data buckets
+/// keep their kind/payload/size, data slot and relative order; physical
+/// slots shift — clients keep addressing DATA slots through the slot map.
+/// \p data may be a multi-disk cycle: a hot slot's repetitions then fall
+/// into different groups. Returns \p data unchanged when coding is
+/// disabled or the cycle is empty.
+BroadcastProgram MakeCodedProgram(BroadcastProgram data,
                                   const CodingConfig& config);
 
 }  // namespace dsi::broadcast

@@ -7,29 +7,14 @@
 
 namespace dsi::broadcast {
 
-namespace {
-
-BroadcastProgram CopyProgram(const BroadcastProgram& flat) {
-  BroadcastProgram out(flat.packet_capacity());
-  for (size_t s = 0; s < flat.num_buckets(); ++s) {
-    const Bucket& b = flat.bucket(s);
-    out.AddBucket(b.kind, b.payload, b.size_bytes);
-  }
-  out.Finalize();
-  return out;
-}
-
-}  // namespace
-
 BroadcastProgram MakeMultiDiskProgram(const BroadcastProgram& flat,
                                       uint32_t num_disks,
                                       const std::vector<double>& weights) {
-  assert(!flat.coded());
   assert(weights.size() == flat.num_buckets());
   const size_t n = flat.num_buckets();
   const uint32_t k = std::min<uint32_t>(
       {num_disks, 3, static_cast<uint32_t>(std::max<size_t>(n, 1))});
-  if (k <= 1 || n == 0) return CopyProgram(flat);
+  if (k <= 1 || n == 0) return flat;
 
   // Rank slots hottest first; ties keep broadcast order so the layout is
   // deterministic and weight-degenerate inputs stay in cycle order.
@@ -69,9 +54,7 @@ BroadcastProgram MakeMultiDiskProgram(const BroadcastProgram& flat,
               order.begin() + static_cast<ptrdiff_t>(boundary[d + 1]));
   }
 
-  BroadcastProgram out(flat.packet_capacity());
-  std::vector<uint32_t> slot_of_phys;
-  std::vector<std::vector<uint32_t>> airings(n);
+  BroadcastProgram out(flat.packet_capacity(), k);
   const uint32_t minors = 1u << (k - 1);
   for (uint32_t minor = 0; minor < minors; ++minor) {
     for (uint32_t d = 0; d < k; ++d) {
@@ -83,13 +66,10 @@ BroadcastProgram MakeMultiDiskProgram(const BroadcastProgram& flat,
       for (size_t i = lo; i < hi; ++i) {
         const uint32_t slot = order[i];
         const Bucket& b = flat.bucket(slot);
-        const size_t phys = out.AddBucket(b.kind, b.payload, b.size_bytes);
-        slot_of_phys.push_back(slot);
-        airings[slot].push_back(static_cast<uint32_t>(phys));
+        out.AddBucket(b.kind, b.payload, b.size_bytes, slot);
       }
     }
   }
-  out.SetDiskSchedule(k, std::move(slot_of_phys), std::move(airings));
   out.Finalize();
   return out;
 }

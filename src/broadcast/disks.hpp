@@ -20,10 +20,12 @@
 /// table before its objects) survive whenever the chain shares a disk.
 ///
 /// Buckets keep their kind/payload/size; only the airing schedule changes.
-/// Clients keep addressing the flat program's slot space — the multi-disk
-/// program records which data slot each physical bucket airs
-/// (BroadcastProgram::SetDiskSchedule) and ClientSession resolves every
-/// read to the nearest upcoming airing. A single-disk config reproduces
+/// Clients keep addressing the flat program's slot space — each physical
+/// bucket of the multi-disk program records the data slot it airs
+/// (Bucket::data_slot) and ClientSession resolves every read to the
+/// nearest upcoming airing. Coding composes on top:
+/// MakeCodedProgram(MakeMultiDiskProgram(...)) protects the physical
+/// airings, hot repetitions included. A single-disk config reproduces
 /// the flat cycle exactly; the simulator then keeps the index's own
 /// program by reference, so disabled runs are byte-identical to a build
 /// without this layer (the same contract CodingConfig{0,0} carries).
@@ -36,7 +38,7 @@
 namespace dsi::broadcast {
 
 /// Server-side multi-disk knobs. Disabled (the default) reproduces the flat
-/// single-frequency broadcast exactly. Mutually exclusive with coding.
+/// single-frequency broadcast exactly.
 struct DiskConfig {
   uint32_t num_disks = 1;  ///< Frequency tiers; 1 disables (flat cycle).
   double skew = 0.0;       ///< Zipf skew of the region popularity ranking.
@@ -50,8 +52,9 @@ struct DiskConfig {
 /// \p weights (descending, ties by slot order), the hottest share binned
 /// onto the fastest disk, and the chunked minor-cycle schedule above is
 /// materialized bucket by bucket. \p weights must have one entry per slot
-/// of \p flat, which must be uncoded. \p num_disks is clamped to 3 (and to
-/// the slot count); a single-disk request returns a plain copy.
+/// of \p flat, a plain program (code the result, not the input).
+/// \p num_disks is clamped to 3 (and to the slot count); a single-disk
+/// request returns a plain copy.
 BroadcastProgram MakeMultiDiskProgram(const BroadcastProgram& flat,
                                       uint32_t num_disks,
                                       const std::vector<double>& weights);

@@ -16,6 +16,8 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 namespace dsi::broadcast {
@@ -30,96 +32,73 @@ enum class BucketKind : uint8_t {
 
 /// One bucket of the broadcast program.
 struct Bucket {
+  /// data_slot of a parity bucket, which airs no data slot.
+  static constexpr uint32_t kNoDataSlot = UINT32_MAX;
+
   BucketKind kind = BucketKind::kDataObject;
   uint32_t payload = 0;     ///< Id meaningful to the owning index structure.
   uint32_t size_bytes = 0;  ///< Serialized size; on-air size rounds up.
+  /// The data slot this physical bucket airs: the slot space query clients
+  /// address (see BroadcastProgram::airings).
+  uint32_t data_slot = 0;
   uint64_t packets = 0;     ///< Derived: ceil(size_bytes / capacity).
   uint64_t start_packet = 0;  ///< Derived: offset within the cycle.
 };
+// data_slot fills the padding hole after size_bytes: the slot map is free.
+static_assert(sizeof(Bucket) == 32, "Bucket grew past 32 bytes");
 
-/// An immutable-after-finalize broadcast cycle description.
+/// An immutable-after-finalize broadcast cycle description. Every program
+/// is one slot map: each physical bucket airs a data slot (or parity), and
+/// the multi-disk (broadcast/disks.hpp) and coded (broadcast/coding.hpp)
+/// re-layouts are builders over it that compose.
 class BroadcastProgram {
  public:
-  explicit BroadcastProgram(size_t packet_capacity)
-      : packet_capacity_(packet_capacity) {
+  /// \p num_disks is the frequency-tier count of a multi-disk cycle (1 for
+  /// a flat one); clients read it to scale their wait budgets.
+  explicit BroadcastProgram(size_t packet_capacity, uint32_t num_disks = 1)
+      : packet_capacity_(packet_capacity), num_disks_(num_disks) {
     assert(packet_capacity_ > 0);
+    assert(num_disks_ >= 1);
   }
 
-  /// Appends a bucket; returns its slot index within the cycle.
-  size_t AddBucket(BucketKind kind, uint32_t payload, uint32_t size_bytes) {
+  /// Appends a bucket airing \p data_slot (default: the next unused one);
+  /// returns its physical slot within the cycle. Parity airs no data slot.
+  /// By Finalize every data slot below num_data_buckets() must air.
+  size_t AddBucket(BucketKind kind, uint32_t payload, uint32_t size_bytes,
+                   std::optional<uint32_t> data_slot = std::nullopt) {
     assert(!finalized_);
+    assert(!(kind == BucketKind::kParity && data_slot));
     Bucket b;
     b.kind = kind;
     b.payload = payload;
     b.size_bytes = size_bytes;
+    b.data_slot = kind == BucketKind::kParity
+                      ? Bucket::kNoDataSlot
+                      : data_slot.value_or(next_data_slot_);
     b.packets = (size_bytes + packet_capacity_ - 1) / packet_capacity_;
     if (b.packets == 0) b.packets = 1;
     buckets_.push_back(b);
+    if (b.kind != BucketKind::kParity) {
+      next_data_slot_ = std::max(next_data_slot_, b.data_slot + 1);
+    }
     return buckets_.size() - 1;
   }
 
-  /// Computes packet offsets; no further AddBucket calls allowed.
-  void Finalize() {
-    uint64_t off = 0;
-    for (Bucket& b : buckets_) {
-      b.start_packet = off;
-      off += b.packets;
-    }
-    cycle_packets_ = off;
-    // Packet -> slot acceleration: stride_slot_[i] is the slot covering
-    // packet i * slot_stride_. With the stride at the mean bucket length,
-    // SlotAtPacket finishes after O(1) expected forward steps — it runs on
-    // the per-session tune-in/doze hot path.
-    if (!buckets_.empty() && cycle_packets_ > 0) {
-      slot_stride_ = std::max<uint64_t>(1, cycle_packets_ / buckets_.size());
-      stride_slot_.resize(cycle_packets_ / slot_stride_ + 1);
-      size_t slot = 0;
-      for (size_t i = 0; i < stride_slot_.size(); ++i) {
-        const uint64_t packet = i * slot_stride_;
-        while (slot + 1 < buckets_.size() &&
-               buckets_[slot + 1].start_packet <= packet) {
-          ++slot;
-        }
-        stride_slot_[i] = slot;
-      }
-    }
-    finalized_ = true;
-  }
+  /// Computes packet offsets and the airing lists; no further AddBucket
+  /// calls allowed.
+  void Finalize();
 
   /// Declares this program an erasure-coded broadcast (MakeCodedProgram is
-  /// the only caller): the first \p num_data buckets of every run of
-  /// \p group data buckets are followed by \p parity parity buckets. The
-  /// schedule is part of the packet header framing (next to the
-  /// bucket-boundary offset and generation stamp), which is how clients
-  /// learn it from a single probe — uncoded programs carry group() == 0 and
-  /// stay byte-identical on air.
-  void SetCodingSchedule(uint32_t group, uint32_t parity, size_t num_data) {
+  /// the only builder): every \p group physical data airings are followed
+  /// by \p parity parity buckets. The schedule is part of the packet header
+  /// framing (next to the bucket-boundary offset and generation stamp),
+  /// which is how clients learn it from a single probe — uncoded programs
+  /// carry group() == 0 and stay byte-identical on air.
+  void SetCodingSchedule(uint32_t group, uint32_t parity) {
     assert(!finalized_);
     assert(group > 0 && parity > 0);
-    assert(num_disks_ == 1);  // coding and multi-disk layouts are exclusive
     coding_group_ = group;
     coding_parity_ = parity;
-    num_data_ = num_data;
-  }
-
-  /// Declares this program a multi-frequency (Broadcast-Disks) cycle
-  /// (MakeMultiDiskProgram is the only caller): the cycle's buckets are
-  /// repeated airings of `airings.size()` underlying data slots —
-  /// `slot_of_phys[p]` names the data slot physical bucket p carries and
-  /// `airings[s]` lists every physical slot airing data slot s (hot slots
-  /// appear 2-4x per cycle). Clients keep addressing data slots; the
-  /// session resolves each read to the nearest upcoming airing. Must be
-  /// called after every AddBucket and before Finalize.
-  void SetDiskSchedule(uint32_t num_disks, std::vector<uint32_t> slot_of_phys,
-                       std::vector<std::vector<uint32_t>> airings) {
-    assert(!finalized_);
-    assert(coding_group_ == 0);  // coding and multi-disk layouts are exclusive
-    assert(num_disks > 1);
-    assert(slot_of_phys.size() == buckets_.size());
-    num_disks_ = num_disks;
-    disk_slot_of_phys_ = std::move(slot_of_phys);
-    disk_airings_ = std::move(airings);
-    num_data_ = disk_airings_.size();
   }
 
   bool finalized() const { return finalized_; }
@@ -132,23 +111,39 @@ class BroadcastProgram {
   bool coded() const { return coding_group_ > 0; }
   uint32_t coding_group() const { return coding_group_; }
   uint32_t coding_parity() const { return coding_parity_; }
-  /// True when the cycle repeats hot buckets (see SetDiskSchedule).
+  /// True when the cycle has frequency tiers (see broadcast/disks.hpp).
   bool multi_disk() const { return num_disks_ > 1; }
   uint32_t num_disks() const { return num_disks_; }
-  /// Data slot aired by physical slot \p phys (identity unless multi-disk).
-  size_t DataSlotOf(size_t phys) const {
-    return multi_disk() ? disk_slot_of_phys_[phys] : phys;
+  /// Number of DATA slots — the slot space query clients address; equals
+  /// num_buckets() for plain programs.
+  size_t num_data_buckets() const { return next_data_slot_; }
+
+  /// Every physical slot airing data slot \p data_slot, in cycle order. Never
+  /// empty: one airing on plain and coded cycles, one per repetition on a
+  /// multi-disk cycle.
+  std::span<const uint32_t> airings(size_t data_slot) const {
+    assert(finalized_ && data_slot < next_data_slot_);
+    // Identity map: bucket s airs data slot s, so its data_slot field is
+    // the one-element list.
+    if (airing_begin_.empty()) return {&buckets_[data_slot].data_slot, 1};
+    return {airing_phys_.data() + airing_begin_[data_slot],
+            airing_phys_.data() + airing_begin_[data_slot + 1]};
   }
-  /// Every physical slot airing data slot \p data_slot (multi-disk only;
-  /// never empty — every data slot airs at least once per cycle).
-  const std::vector<uint32_t>& AiringsOf(size_t data_slot) const {
-    assert(multi_disk() && data_slot < disk_airings_.size());
-    return disk_airings_[data_slot];
-  }
-  /// Number of DATA buckets — the slot space query clients address; equals
-  /// num_buckets() for plain (uncoded, single-disk) programs.
-  size_t num_data_buckets() const {
-    return (coded() || multi_disk()) ? num_data_ : buckets_.size();
+
+  /// The parity group holding physical slot \p phys of a coded cycle: a
+  /// contiguous run of `data` data airings from `first`, followed by
+  /// coding_parity() parity buckets. Runs are coding_group() +
+  /// coding_parity() slots long; the cycle's last may have fewer data
+  /// airings.
+  struct GroupRun {
+    size_t first;
+    size_t data;
+  };
+  GroupRun GroupOf(size_t phys) const {
+    assert(coded() && phys < buckets_.size());
+    const size_t stride = size_t{coding_group_} + coding_parity_;
+    const size_t first = phys / stride * stride;
+    return {first, std::min(stride, buckets_.size() - first) - coding_parity_};
   }
 
   const Bucket& bucket(size_t slot) const {
@@ -169,10 +164,14 @@ class BroadcastProgram {
   uint64_t cycle_packets_ = 0;
   uint32_t coding_group_ = 0;   // data buckets per parity group (0 = uncoded)
   uint32_t coding_parity_ = 0;  // parity buckets per group
-  size_t num_data_ = 0;         // data bucket count when coded or multi-disk
-  uint32_t num_disks_ = 1;      // frequency tiers (1 = flat cycle)
-  std::vector<uint32_t> disk_slot_of_phys_;          // phys -> data slot
-  std::vector<std::vector<uint32_t>> disk_airings_;  // data slot -> phys
+  uint32_t num_disks_;          // frequency tiers (1 = flat cycle)
+  uint32_t next_data_slot_ = 0; // data slots so far (num_data_buckets)
+  // Airing lists in CSR form: data slot s airs at the physical slots
+  // airing_phys_[airing_begin_[s] .. airing_begin_[s + 1]). Both stay empty
+  // on the identity map of a plain program, which then pays no memory or
+  // extra load for its slot map.
+  std::vector<uint32_t> airing_begin_;
+  std::vector<uint32_t> airing_phys_;
   uint64_t slot_stride_ = 1;        // packets per stride-table entry
   std::vector<size_t> stride_slot_; // coarse packet -> slot table
   bool finalized_ = false;

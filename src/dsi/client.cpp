@@ -310,8 +310,22 @@ bool DsiClient::ReadNextTable() {
   while (!WatchdogExpired()) {
     // Find the next table bucket at or after the session's position. The
     // scan is structural: every on-air packet carries the offset to the
-    // next index table in its header.
+    // next index table in its header. On a coded multi-disk cycle logical
+    // order does not track airing order, so take the table airing soonest
+    // instead of the logically next one, which may be tiers away. Uncoded
+    // multi-disk cycles still resume in logical order: their lossy bytes
+    // are pinned by the disk goldens and the city-dyn benchmark (ROADMAP).
     size_t slot = session_->current_slot();
+    const broadcast::BroadcastProgram& on_air = session_->program();
+    if (on_air.multi_disk() && on_air.coded()) {
+      const std::optional<size_t> next =
+          session_->FirstAiringWhere([&](size_t s) {
+            return program.bucket(s).kind ==
+                   broadcast::BucketKind::kDsiFrameTable;
+          });
+      if (!next) return false;  // no table in program
+      slot = *next;
+    }
     size_t guard = 0;
     while (program.bucket(slot).kind != broadcast::BucketKind::kDsiFrameTable) {
       slot = (slot + 1) % nb;

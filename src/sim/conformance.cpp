@@ -678,12 +678,13 @@ ConformanceCase MakeConformanceCase(uint64_t seed) {
     c.code_group = 2 + static_cast<uint32_t>(seed % 3);
     c.code_parity = 1 + static_cast<uint32_t>((seed / 9) % 2);
   }
-  // Multi-disk (Broadcast-Disks) cycles on a slice of the UNCODED seed
-  // blocks — the two server-side layouts are mutually exclusive. 2 and 3
-  // frequency tiers both appear, under moderate and strong Zipf skew; the
-  // case's query/trajectory streams then draw from the matching skewed
+  // Multi-disk (Broadcast-Disks) cycles on a slice of the seed blocks,
+  // independent of the coding blocks: where both draw, the parity protects
+  // the multi-disk cycle's physical airings. 2 and 3 frequency tiers both
+  // appear, under moderate and strong Zipf skew; the case's
+  // query/trajectory streams then draw from the matching skewed
   // distribution (CasePopularity), so hot buckets are actually queried.
-  if ((seed / 6) % 2 == 0 && (seed / 14) % 2 == 1) {
+  if ((seed / 14) % 2 == 1) {
     c.num_disks = 2 + static_cast<uint32_t>((seed / 15) % 2);
     c.disk_skew = seed % 2 == 0 ? 0.8 : 1.4;
   }

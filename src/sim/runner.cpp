@@ -89,16 +89,14 @@ OnAirSchedule::OnAirSchedule(
     const broadcast::CodingConfig& coding,
     const broadcast::DiskConfig& disks) {
   assert(cycles.size() == generations.size());
-  assert(!(coding.enabled() && disks.enabled()));
   const bool relayout = coding.enabled() || disks.enabled();
   // Sized up front: the schedule holds raw pointers, so the re-laid-out
   // programs must never relocate after Append.
   if (relayout) {
     relaid_.reserve(generations.size());
     for (const air::AirIndexHandle* handle : generations) {
-      relaid_.push_back(coding.enabled()
-                            ? MakeCodedProgram(handle->program(), coding)
-                            : air::MakeSkewedProgram(*handle, disks));
+      relaid_.push_back(MakeCodedProgram(
+          air::MakeSkewedProgram(*handle, disks), coding));
     }
   }
   for (size_t g = 0; g < generations.size(); ++g) {

@@ -111,7 +111,8 @@ struct RunOptions {
   /// frequency tiers, hot tiers airing 2-4x per cycle, every read resolved
   /// to the nearest upcoming repetition. Disabled runs take the index's own
   /// program by reference — byte-identical to a build without the layer.
-  /// Mutually exclusive with coding.
+  /// With coding also enabled, the parity protects the multi-disk cycle's
+  /// physical airings.
   broadcast::DiskConfig disks;
 };
 
@@ -153,7 +154,8 @@ AvgMetrics RunWorkload(const air::AirIndexHandle& index,
 namespace detail {
 
 /// The channel one run airs: every generation's program — the index's own
-/// by reference, or its coded / multi-disk re-layout — appended to one
+/// by reference when both layouts are off, else
+/// MakeCodedProgram(MakeSkewedProgram(...)) — appended to one
 /// GenerationSchedule. Each generation is re-laid-out independently:
 /// parity groups and disk schedules die with their generation. Shared by
 /// GenerationalRun and RunTrajectories. Not copyable or movable: the
@@ -161,7 +163,6 @@ namespace detail {
 class OnAirSchedule {
  public:
   /// \p cycles[g] is generation g's airtime (see GenerationalIndex).
-  /// Coding and disks are mutually exclusive.
   OnAirSchedule(const std::vector<const air::AirIndexHandle*>& generations,
                 const std::vector<uint64_t>& cycles,
                 const broadcast::CodingConfig& coding,

@@ -1,6 +1,5 @@
 #include "transport/live_source.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "broadcast/coding.hpp"
@@ -195,28 +194,16 @@ std::vector<uint8_t> LiveSource::BucketContent(size_t g,
   if (bucket.kind != broadcast::BucketKind::kParity) {
     return DataContent(g, bucket, 0);
   }
-  // Parity plane: payload is the group index; the plane number is this
-  // bucket's rank within the group's consecutive parity run.
-  size_t plane = 0;
-  while (phys_slot >= plane + 1 &&
-         p.bucket(phys_slot - plane - 1).kind ==
-             broadcast::BucketKind::kParity) {
-    ++plane;
-  }
-  const size_t group = bucket.payload;
-  const size_t first_data = group * p.coding_group();
-  const size_t last_data =
-      std::min<size_t>(first_data + p.coding_group(), p.num_data_buckets());
-  // Data slot -> physical slot: p parity buckets per completed group.
-  const auto phys_of = [&](size_t data_slot) {
-    return data_slot + (data_slot / p.coding_group()) * p.coding_parity();
-  };
+  // Parity plane: the group's members are the contiguous physical run of
+  // data airings before its parity; the plane number is this bucket's rank
+  // within the parity run.
+  const broadcast::BroadcastProgram::GroupRun run = p.GroupOf(phys_slot);
+  const size_t plane = phys_slot - run.first - run.data;
   std::vector<uint8_t> out(bucket.size_bytes, 0);
-  for (size_t d = first_data; d < last_data; ++d) {
+  for (size_t m = 0; m < run.data; ++m) {
     const std::vector<uint8_t> member =
-        DataContent(g, p.bucket(phys_of(d)), out.size());
-    const uint8_t coeff =
-        GfPow(2, static_cast<uint32_t>(plane * (d - first_data)));
+        DataContent(g, p.bucket(run.first + m), out.size());
+    const uint8_t coeff = GfPow(2, static_cast<uint32_t>(plane * m));
     for (size_t i = 0; i < out.size(); ++i) {
       out[i] ^= GfMul(coeff, member[i]);
     }

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "broadcast/coding.hpp"
 #include "wire/buffer.hpp"
 
 namespace dsi::wire {
@@ -145,26 +146,40 @@ bool DecodeProgramAnnouncement(
   if ((group == 0) != (parity == 0)) return false;
   if (group + parity > 64) return false;
   if (num_buckets > (uint64_t{1} << 24)) return false;  // corrupt count
-  if (num_data > num_buckets) return false;
   if (meta->end_packet <= meta->start_packet) return false;
   // Exact length check up front: 9 bytes per bucket, nothing trailing.
   if (r.remaining() != num_buckets * 9) return false;
-  broadcast::BroadcastProgram decoded(static_cast<size_t>(capacity));
-  if (group > 0) {
-    decoded.SetCodingSchedule(static_cast<uint32_t>(group),
-                              static_cast<uint32_t>(parity),
-                              static_cast<size_t>(num_data));
-  }
+  // The layout is derived, not trusted: the coding builder re-runs over the
+  // announced data buckets, and a second pass over the table requires the
+  // announcement to be its output bucket for bucket (parity placement,
+  // group index and padded size).
+  const size_t table = bytes.size() - r.remaining();
+  broadcast::BroadcastProgram data(static_cast<size_t>(capacity));
   for (uint64_t s = 0; s < num_buckets; ++s) {
     const uint64_t kind = r.ReadUint(1);
     const uint64_t payload = r.ReadUint(4);
     const uint64_t size_bytes = r.ReadUint(4);
     if (!r.ok() || !ValidKind(kind)) return false;
-    decoded.AddBucket(static_cast<broadcast::BucketKind>(kind),
-                      static_cast<uint32_t>(payload),
-                      static_cast<uint32_t>(size_bytes));
+    if (kind != static_cast<uint64_t>(broadcast::BucketKind::kParity)) {
+      data.AddBucket(static_cast<broadcast::BucketKind>(kind),
+                     static_cast<uint32_t>(payload),
+                     static_cast<uint32_t>(size_bytes));
+    }
   }
-  decoded.Finalize();
+  data.Finalize();
+  if (data.num_data_buckets() != num_data) return false;
+  broadcast::BroadcastProgram decoded = broadcast::MakeCodedProgram(
+      std::move(data), broadcast::CodingConfig{static_cast<uint32_t>(group),
+                                               static_cast<uint32_t>(parity)});
+  if (decoded.num_buckets() != num_buckets) return false;
+  ByteReader again(bytes.data() + table, bytes.size() - table);
+  for (size_t s = 0; s < decoded.num_buckets(); ++s) {
+    const broadcast::Bucket& b = decoded.bucket(s);
+    if (again.ReadUint(1) != static_cast<uint64_t>(b.kind) ||
+        again.ReadUint(4) != b.payload || again.ReadUint(4) != b.size_bytes) {
+      return false;
+    }
+  }
   program->emplace(std::move(decoded));
   return true;
 }

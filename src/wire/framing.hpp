@@ -128,8 +128,10 @@ struct ProgramMeta {
 std::vector<uint8_t> EncodeProgramAnnouncement(
     const ProgramMeta& meta, const broadcast::BroadcastProgram& program);
 
-/// Rebuilds a finalized program from an announcement. Returns false on any
-/// malformed field; \p program is emplaced only on success.
+/// Rebuilds a finalized program from an announcement by re-running the
+/// coding builder over its data buckets. Returns false on any malformed
+/// field, including a declared data count or coding layout that is not
+/// what the builder produces; \p program is emplaced only on success.
 bool DecodeProgramAnnouncement(const std::vector<uint8_t>& bytes,
                                ProgramMeta* meta,
                                std::optional<broadcast::BroadcastProgram>* program);

@@ -164,6 +164,19 @@ TEST(AiringOrderTest, ThreeDiskSkewedCycle) {
   }
 }
 
+TEST(AiringOrderTest, CodedThreeDiskSkewedCycle) {
+  const BroadcastProgram flat = MakeFlat(97, 8);
+  const BroadcastProgram p = MakeCodedProgram(
+      MakeMultiDiskProgram(flat, 3, SkewedWeights(flat.num_buckets(), 8)),
+      CodingConfig{3, 1});
+  ASSERT_TRUE(p.coded());
+  ASSERT_EQ(p.num_disks(), 3u);
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    ClientSession s(p, seed * 71, kLossy, common::Rng(seed + 50));
+    CheckOrderParity(&s, 400, seed + 50);
+  }
+}
+
 TEST(AiringOrderTest, ThreeGenerationSchedule) {
   const BroadcastProgram g0 = MakeFlat(61, 4);
   const BroadcastProgram g1 =
@@ -193,6 +206,9 @@ TEST(AiringOrderTest, NextNodeSlotIsSoonestReplica) {
       MakeCodedProgram(flat, CodingConfig{2, 2})));
   layouts.push_back(std::make_unique<BroadcastProgram>(MakeMultiDiskProgram(
       flat, 3, SkewedWeights(flat.num_buckets(), 7))));
+  layouts.push_back(std::make_unique<BroadcastProgram>(MakeCodedProgram(
+      MakeMultiDiskProgram(flat, 3, SkewedWeights(flat.num_buckets(), 7)),
+      CodingConfig{2, 1})));
   std::vector<const BroadcastProgram*> programs{&flat};
   for (const auto& p : layouts) programs.push_back(p.get());
 

@@ -3,6 +3,8 @@
 #include "broadcast/disks.hpp"
 #include "broadcast/program.hpp"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -471,7 +473,9 @@ TEST(MultiDiskProgramTest, SingleDiskIsIdentity) {
     EXPECT_EQ(p.bucket(i).kind, flat.bucket(i).kind);
     EXPECT_EQ(p.bucket(i).payload, flat.bucket(i).payload);
     EXPECT_EQ(p.bucket(i).start_packet, flat.bucket(i).start_packet);
-    EXPECT_EQ(p.DataSlotOf(i), i);
+    EXPECT_EQ(p.bucket(i).data_slot, i);
+    ASSERT_EQ(p.airings(i).size(), 1u);
+    EXPECT_EQ(p.airings(i)[0], i);
   }
 }
 
@@ -490,15 +494,16 @@ TEST(MultiDiskProgramTest, TwoDiskChunkedShape) {
   const uint32_t phys_payload[9] = {2, 5, 0, 1, 2, 5, 3, 4, 6};
   for (size_t i = 0; i < 9; ++i) {
     EXPECT_EQ(p.bucket(i).payload, phys_payload[i]) << "phys " << i;
-    EXPECT_EQ(p.DataSlotOf(i), phys_payload[i]) << "phys " << i;
+    EXPECT_EQ(p.bucket(i).data_slot, phys_payload[i]) << "phys " << i;
   }
   // Hot slots air twice per major cycle, cold ones once; every airing list
-  // round-trips through DataSlotOf.
+  // is in cycle order and round-trips through Bucket::data_slot.
   for (uint32_t slot = 0; slot < 7; ++slot) {
-    const auto& airings = p.AiringsOf(slot);
+    const auto airings = p.airings(slot);
     EXPECT_EQ(airings.size(), (slot == 2 || slot == 5) ? 2u : 1u);
+    EXPECT_TRUE(std::is_sorted(airings.begin(), airings.end()));
     for (const uint32_t phys : airings) {
-      EXPECT_EQ(p.DataSlotOf(phys), slot);
+      EXPECT_EQ(p.bucket(phys).data_slot, slot);
     }
   }
 }
@@ -520,7 +525,7 @@ TEST(MultiDiskProgramTest, ThreeDiskFrequenciesAndExpansion) {
   const size_t airings_by_disk[3] = {4, 2, 1};
   for (uint32_t slot = 0; slot < 14; ++slot) {
     const size_t disk = slot < 2 ? 0 : slot < 6 ? 1 : 2;
-    EXPECT_EQ(p.AiringsOf(slot).size(), airings_by_disk[disk])
+    EXPECT_EQ(p.airings(slot).size(), airings_by_disk[disk])
         << "slot " << slot;
   }
 }
@@ -541,6 +546,94 @@ TEST(ClientSessionTest, MultiDiskReadsResolveToNearestAiring) {
   EXPECT_EQ(s.PacketsUntil(2), 4u);
   ASSERT_TRUE(s.ReadBucket(2));
   EXPECT_EQ(s.now_packets(), 10u);
+}
+
+// ---------------------------------------------------------------------------
+// Coded multi-disk cycle: parity over the physical airings
+// ---------------------------------------------------------------------------
+
+TEST(CodedMultiDiskTest, ParityFollowsEveryGroupOfPhysicalAirings) {
+  // The two-disk cycle [2 5 0 1 2 5 3 4 6] coded (2, 1): parity follows
+  // every 2 PHYSICAL data airings, hot repetitions included —
+  //   [2 5 P][0 1 P][2 5 P][3 4 P][6 P]
+  // so each hot slot's two airings sit in different groups (0 and 2).
+  std::vector<double> weights(7, 1.0);
+  weights[2] = weights[5] = 10.0;
+  const BroadcastProgram p = MakeCodedProgram(
+      MakeMultiDiskProgram(MakeSevenSlots(), 2, weights), CodingConfig{2, 1});
+  EXPECT_TRUE(p.coded());
+  EXPECT_TRUE(p.multi_disk());
+  EXPECT_EQ(p.num_disks(), 2u);
+  EXPECT_EQ(p.num_data_buckets(), 7u);
+  constexpr uint32_t kP = Bucket::kNoDataSlot;
+  const uint32_t data_slot[14] = {2, 5, kP, 0, 1, kP, 2, 5, kP, 3, 4, kP, 6, kP};
+  ASSERT_EQ(p.num_buckets(), 14u);
+  for (size_t i = 0; i < 14; ++i) {
+    EXPECT_EQ(p.bucket(i).data_slot, data_slot[i]) << "phys " << i;
+    EXPECT_EQ(p.bucket(i).kind == BucketKind::kParity, data_slot[i] == kP)
+        << "phys " << i;
+  }
+  for (const uint32_t hot : {2u, 5u}) {
+    const auto airings = p.airings(hot);
+    ASSERT_EQ(airings.size(), 2u);
+    EXPECT_NE(p.GroupOf(airings[0]).first, p.GroupOf(airings[1]).first)
+        << "slot " << hot;
+  }
+  // The short wrap-around group holds one data airing.
+  EXPECT_EQ(p.GroupOf(12).first, 12u);
+  EXPECT_EQ(p.GroupOf(12).data, 1u);
+}
+
+TEST(CodedMultiDiskTest, NearestAiringAndInGroupRepair) {
+  std::vector<double> weights(7, 1.0);
+  weights[2] = weights[5] = 10.0;
+  const BroadcastProgram p = MakeCodedProgram(
+      MakeMultiDiskProgram(MakeSevenSlots(), 2, weights), CodingConfig{2, 1});
+  ASSERT_EQ(p.cycle_packets(), 14u);  // one packet per bucket
+
+  // Tuned at packet 2 (parity), the probe parks on data slot 0 at packet 3.
+  // Hot slot 2 airs at packets 0 and 6: the nearest is 3 packets away, not
+  // the 11 to the next major cycle.
+  {
+    ClientSession s(p, 2, ErrorModel{}, common::Rng(1));
+    s.InitialProbe();
+    EXPECT_EQ(s.now_packets(), 3u);
+    EXPECT_EQ(s.current_slot(), 0u);
+    EXPECT_EQ(s.PacketsUntil(2), 3u);
+    EXPECT_EQ(s.PacketsUntil(5), 4u);
+    EXPECT_EQ(s.PacketsUntil(6), 9u);
+  }
+
+  // One on-air loss (kSingleEvent, theta = 1) lands on the read of hot
+  // slot 2's second airing (physical slot 6) for some seeds. That read
+  // repairs inside its own group [6 7 8] — slot 5's airing and the parity
+  // still in flight — and never touches group 0's copy of the slot.
+  size_t repaired_cases = 0;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    ClientSession s(p, 5, ErrorModel{1.0, ErrorMode::kSingleEvent},
+                    common::Rng(seed));
+    s.InitialProbe();  // listens to packet 5, parks on physical slot 6
+    ASSERT_EQ(s.now_packets(), 6u);
+    std::vector<TraceEvent> trace;
+    s.set_trace(&trace);
+    ASSERT_TRUE(s.ReadBucket(2)) << "seed " << seed;
+    ASSERT_FALSE(trace.empty());
+    if (!trace.front().lost) continue;
+    ++repaired_cases;
+    EXPECT_EQ(trace.front().kind, TraceEvent::Kind::kListen);
+    EXPECT_EQ(trace.front().start_packet, 6u);
+    EXPECT_EQ(s.metrics().repaired, 1u);
+    size_t repairs = 0;
+    for (const TraceEvent& e : trace) {
+      if (e.kind != TraceEvent::Kind::kRepair) continue;
+      ++repairs;
+      EXPECT_GE(e.slot, 7u) << "seed " << seed;
+      EXPECT_LE(e.slot, 8u) << "seed " << seed;
+    }
+    EXPECT_EQ(repairs, 2u) << "seed " << seed;
+    EXPECT_EQ(s.now_packets(), 9u);  // the group's span, not a cycle
+  }
+  EXPECT_GT(repaired_cases, 0u);
 }
 
 }  // namespace

@@ -326,9 +326,8 @@ TEST(ConformanceRegression, CodedBurstFullScansDoNotBlockPerLoss) {
     c.theta = 0.5;
     c.code_group = 2;
     c.code_parity = 2;
-    // Sweep case 16 draws a multi-disk layout; coding and disks are
-    // exclusive, so this coded regression runs it on a flat cycle.
-    c.num_disks = 1;
+    // Sweep case 16 draws a multi-disk layout: the code protects its
+    // physical airings.
     const auto r = sim::RunConformanceCase(c);
     EXPECT_TRUE(r.divergences.empty()) << Describe(r, c);
     EXPECT_EQ(r.incomplete, 0u) << Describe(r, c);

@@ -292,6 +292,36 @@ const DiskGoldenRow kGoldenDisks[] = {
     {"expindex", 3, 1.2, "window", 0.5, 14168506.666666666, 65098.666666666664, 0},
 };
 
+/// One golden row of the coded multi-disk engine: the same workloads and
+/// seed as kGolden, run with a (num_disks, skew) DiskConfig (grid 8, region
+/// popularity seed 5) AND a (group, parity) coding config, the parity
+/// groups running over the multi-disk cycle's physical airings. Captured by
+/// the coded multi-disk section of tools/golden_gen.
+struct CodedDiskGoldenRow {
+  const char* family;
+  uint32_t disks;
+  double skew;
+  uint32_t group;
+  uint32_t parity;
+  const char* kind;
+  double theta;
+  double latency_bytes;
+  double tuning_bytes;
+  size_t incomplete;
+  size_t repaired;
+};
+
+const CodedDiskGoldenRow kGoldenCodedDisks[] = {
+    {"dsi", 2, 1.2, 4, 1, "window", 0, 380560, 10581.333333333334, 0, 0},
+    {"dsi", 2, 1.2, 4, 1, "window", 0.5, 4626725.333333333, 32362.666666666668, 0, 11},
+    {"rtree", 2, 1.2, 4, 1, "window", 0, 490917.33333333331, 7520, 0, 0},
+    {"rtree", 2, 1.2, 4, 1, "window", 0.5, 4538757.333333333, 16480, 0, 8},
+    {"hci", 2, 1.2, 4, 1, "window", 0, 681850.66666666663, 7130.666666666667, 0, 0},
+    {"hci", 2, 1.2, 4, 1, "window", 0.5, 7465269.333333333, 20954.666666666668, 0, 8},
+    {"expindex", 2, 1.2, 4, 1, "window", 0, 2925354.6666666665, 21632, 0, 0},
+    {"expindex", 2, 1.2, 4, 1, "window", 0.5, 14433973.333333334, 106720, 0, 34},
+};
+
 class GoldenMetricsTest : public ::testing::Test {
  protected:
   static constexpr size_t kQueries = 12;
@@ -433,6 +463,42 @@ TEST_F(GoldenMetricsTest, DiskConfigsAllFamilies) {
     EXPECT_EQ(metrics.latency_bytes, row.latency_bytes) << label;
     EXPECT_EQ(metrics.tuning_bytes, row.tuning_bytes) << label;
     EXPECT_EQ(metrics.incomplete, row.incomplete) << label;
+  }
+}
+
+TEST_F(GoldenMetricsTest, CodedDiskConfigsAllFamilies) {
+  const hilbert::SpaceMapper mapper(datasets::UnitUniverse(), 6);
+  const core::DsiIndex dsi(objects_, mapper, kCapacity, core::DsiConfig{});
+  const air::DsiHandle dsi_handle(dsi);
+  const hci::HciIndex hci(objects_, mapper, kCapacity);
+  const air::HciHandle hci_handle(hci);
+  const air::ExpHandle exp_handle(objects_, mapper, kCapacity);
+  const rtree::RtreeIndex rt(objects_, kCapacity);
+  const air::RtreeHandle rtree_handle(rt);
+  const auto handle_for =
+      [&](const char* family) -> const air::AirIndexHandle& {
+    if (std::strcmp(family, "dsi") == 0) return dsi_handle;
+    if (std::strcmp(family, "rtree") == 0) return rtree_handle;
+    if (std::strcmp(family, "hci") == 0) return hci_handle;
+    return exp_handle;
+  };
+  for (const CodedDiskGoldenRow& row : kGoldenCodedDisks) {
+    sim::RunOptions opt;
+    opt.seed = 77;
+    opt.workers = 1;
+    opt.disks = broadcast::DiskConfig{row.disks, row.skew, 8, 5};
+    opt.coding = broadcast::CodingConfig{row.group, row.parity};
+    const auto metrics = sim::RunWorkload(
+        handle_for(row.family), sim::Workload::Window(windows_, row.theta),
+        opt);
+    const std::string label =
+        std::string(row.family) + " disks=" + std::to_string(row.disks) +
+        " (" + std::to_string(row.group) + "," + std::to_string(row.parity) +
+        ") theta=" + std::to_string(row.theta);
+    EXPECT_EQ(metrics.latency_bytes, row.latency_bytes) << label;
+    EXPECT_EQ(metrics.tuning_bytes, row.tuning_bytes) << label;
+    EXPECT_EQ(metrics.incomplete, row.incomplete) << label;
+    EXPECT_EQ(metrics.repaired, row.repaired) << label;
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "broadcast/coding.hpp"
@@ -240,6 +241,75 @@ TEST(WireFuzz, ProgramAnnouncementRoundTripAndTruncation) {
     std::optional<broadcast::BroadcastProgram> none;
     EXPECT_FALSE(wire::DecodeProgramAnnouncement(padded, &back_meta, &none));
   }
+}
+
+TEST(WireFuzz, ProgramAnnouncementRejectsLayoutDisagreement) {
+  // The decoder derives the layout from the announced data buckets: a
+  // declared data count, coding layout or parity bucket that disagrees with
+  // what the coding builder produces from them is corrupt. Offsets of
+  // the fixed head: generation, start, end (8 B each), capacity, group,
+  // parity (4 B each), num_data, num_buckets (8 B each); then 9 B per
+  // bucket, kind first.
+  constexpr size_t kGroupAt = 28;
+  constexpr size_t kNumDataAt = 36;
+  constexpr size_t kBucketsAt = 52;
+  const auto decodes = [](const std::vector<uint8_t>& bytes) {
+    wire::ProgramMeta meta;
+    std::optional<broadcast::BroadcastProgram> program;
+    const bool ok = wire::DecodeProgramAnnouncement(bytes, &meta, &program);
+    EXPECT_EQ(ok, program.has_value());
+    return ok;
+  };
+  const auto kind_at = [&](std::vector<uint8_t>& bytes, size_t s) -> uint8_t& {
+    return bytes[kBucketsAt + 9 * s];
+  };
+  constexpr auto kParity = static_cast<uint8_t>(broadcast::BucketKind::kParity);
+  common::Rng rng(0x51A7);
+  size_t parity_moves = 0;
+  for (int round = 0; round < 60; ++round) {
+    const bool coded = rng.Bernoulli(0.5);
+    const broadcast::BroadcastProgram program = RandomProgram(rng, coded);
+    const std::vector<uint8_t> bytes =
+        wire::EncodeProgramAnnouncement(wire::ProgramMeta{}, program);
+    ASSERT_TRUE(decodes(bytes));
+
+    // Declared data count off by one either way.
+    for (const int delta : {-1, 1}) {
+      std::vector<uint8_t> bad = bytes;
+      bad[kNumDataAt] = static_cast<uint8_t>(bad[kNumDataAt] + delta);
+      EXPECT_FALSE(decodes(bad)) << "round " << round;
+    }
+    // A data bucket turned parity: off the schedule (or uncoded).
+    {
+      std::vector<uint8_t> bad = bytes;
+      kind_at(bad, 0) = kParity;
+      EXPECT_FALSE(decodes(bad)) << "round " << round;
+    }
+    if (!coded) continue;
+    // A parity bucket swapped with the data bucket before it: the data
+    // count still agrees, the parity sits off its group boundary.
+    for (size_t s = 1; s < program.num_buckets(); ++s) {
+      if (program.bucket(s).kind != broadcast::BucketKind::kParity ||
+          program.bucket(s - 1).kind == broadcast::BucketKind::kParity) {
+        continue;
+      }
+      std::vector<uint8_t> bad = bytes;
+      std::swap(kind_at(bad, s), kind_at(bad, s - 1));
+      EXPECT_FALSE(decodes(bad)) << "round " << round << " slot " << s;
+      ++parity_moves;
+      // A parity bucket naming the wrong group.
+      bad = bytes;
+      ++bad[kBucketsAt + 9 * s + 1];
+      EXPECT_FALSE(decodes(bad)) << "round " << round << " slot " << s;
+    }
+    // A group size the kinds do not follow (two full groups pin it).
+    if (program.num_data_buckets() >= 2 * size_t{program.coding_group()}) {
+      std::vector<uint8_t> bad = bytes;
+      ++bad[kGroupAt];
+      EXPECT_FALSE(decodes(bad)) << "round " << round;
+    }
+  }
+  EXPECT_GT(parity_moves, 0u);
 }
 
 // --- bucket frames -----------------------------------------------------------

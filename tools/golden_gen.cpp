@@ -170,5 +170,47 @@ int main() {
       }
     }
   }
+
+  // Coded multi-disk rows (CodedDiskGoldenRow format: family, disks, skew,
+  // group, parity, kind, theta, latency, tuning, incomplete, repaired). Same
+  // workloads and seed; parity groups over the physical airings of the
+  // (2, 1.2) multi-disk cycle, hot repetitions included.
+  auto emit_coded_disks = [&](const char* family, const char* kind,
+                              double theta, const air::AirIndexHandle& h,
+                              const sim::Workload& wl) {
+    sim::RunOptions opt;
+    opt.seed = 77;
+    opt.workers = 1;
+    opt.disks = broadcast::DiskConfig{2, 1.2, 8, 5};
+    opt.coding = broadcast::CodingConfig{4, 1};
+    const auto metrics = sim::RunWorkload(h, wl, opt);
+    std::printf(
+        "    {\"%s\", %u, %g, %u, %u, \"%s\", %g, %.17g, %.17g, %zu, %zu},\n",
+        family, opt.disks.num_disks, opt.disks.skew, opt.coding.group,
+        opt.coding.parity, kind, theta, metrics.latency_bytes,
+        metrics.tuning_bytes, metrics.incomplete, metrics.repaired);
+  };
+
+  {
+    const hilbert::SpaceMapper mapper(datasets::UnitUniverse(), 6);
+    const core::DsiIndex dsi(objects, mapper, kCapacity, core::DsiConfig{});
+    const air::DsiHandle dh(dsi);
+    const hci::HciIndex hci(objects, mapper, kCapacity);
+    const air::HciHandle hh(hci);
+    const air::ExpHandle eh(objects, mapper, kCapacity);
+    const rtree::RtreeIndex rt(objects, kCapacity);
+    const air::RtreeHandle rh(rt);
+    for (const air::AirIndexHandle* h :
+         {static_cast<const air::AirIndexHandle*>(&dh),
+          static_cast<const air::AirIndexHandle*>(&rh),
+          static_cast<const air::AirIndexHandle*>(&hh),
+          static_cast<const air::AirIndexHandle*>(&eh)}) {
+      const std::string family(h->family());
+      emit_coded_disks(family.c_str(), "window", 0.0, *h,
+                       sim::Workload::Window(windows));
+      emit_coded_disks(family.c_str(), "window", 0.5, *h,
+                       sim::Workload::Window(windows, 0.5));
+    }
+  }
   return 0;
 }
