@@ -68,11 +68,14 @@ class AirClient {
   virtual ~AirClient() = default;
 
   /// Arms the next query on this client: resets the per-query diagnostic
-  /// flags (completed/stale), re-arms the watchdog budget from the
-  /// session's current instant and drops any half-resolved per-query work
-  /// lists. Learned channel knowledge is deliberately kept — that is the
-  /// point of a continuous client. The constructor already arms the first
-  /// query, but calling this before it too is harmless.
+  /// flags (completed/stale) and drops any half-resolved per-query work
+  /// lists. The watchdog is the session's per-query airtime budget
+  /// (ClientSession::ArmWatchdog), armed by the family at its own query
+  /// start: here for the tree families, at every search for DSI, at every
+  /// range scan for the exponential index. Learned channel knowledge is
+  /// deliberately kept — that is the point of a continuous client. The
+  /// constructor already arms the first query, but calling this before it
+  /// too is harmless.
   virtual void BeginQuery() = 0;
 
   /// All objects inside \p window (exact).

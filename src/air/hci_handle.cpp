@@ -24,7 +24,7 @@ class HciAirClient : public AirClient {
   }
 
   ClientStats stats() const override {
-    const hci::HciQueryStats& s = client_.stats();
+    const broadcast::TreeQueryStats& s = client_.stats();
     return ClientStats{s.nodes_read, s.objects_read, s.buckets_lost,
                        s.completed, s.stale};
   }

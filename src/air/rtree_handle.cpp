@@ -25,7 +25,7 @@ class RtreeAirClient : public AirClient {
   }
 
   ClientStats stats() const override {
-    const rtree::RtreeQueryStats& s = client_.stats();
+    const broadcast::TreeQueryStats& s = client_.stats();
     return ClientStats{s.nodes_read, s.objects_read, s.buckets_lost,
                        s.completed, s.stale};
   }

@@ -10,6 +10,9 @@ namespace dsi::broadcast {
 
 namespace {
 
+/// Watchdog budget of a tree query, in on-air cycles.
+constexpr uint64_t kWatchdogCycles = 400;
+
 /// Preorder (left-to-right) node order of the whole tree, plus the data
 /// ids in leaf order.
 void PreorderAndData(const AirTreeSpec& spec, std::vector<uint32_t>* order,
@@ -199,6 +202,24 @@ size_t AirTreeBroadcast::DataSlot(uint32_t data_id) const {
   assert(data_id < data_slot_.size());
   assert(data_slot_[data_id] != SIZE_MAX);
   return data_slot_[data_id];
+}
+
+AirTreeReader::AirTreeReader(const AirTreeBroadcast& air,
+                             ClientSession* session)
+    : air_(air),
+      session_(session),
+      node_cache_(air.spec().nodes.size(), false),
+      retrieved_(air.spec().data_sizes.size(), 0) {
+  session_->InitialProbe();
+  generation_ = session_->generation();
+  session_->ArmWatchdog(kWatchdogCycles);
+}
+
+void AirTreeReader::BeginQuery() {
+  pending_data_.clear();
+  stats_.completed = true;
+  stats_.stale = false;
+  session_->ArmWatchdog(kWatchdogCycles);
 }
 
 }  // namespace dsi::broadcast

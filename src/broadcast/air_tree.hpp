@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "broadcast/airing_order.hpp"
 #include "broadcast/client.hpp"
 #include "broadcast/program.hpp"
 
@@ -95,6 +96,146 @@ class AirTreeBroadcast {
   std::vector<uint32_t> subtree_roots_;
   std::vector<std::vector<size_t>> node_slots_;  // by node id, sorted
   std::vector<size_t> data_slot_;                // by data id
+};
+
+/// Per-query diagnostics of a client searching a tree broadcast.
+struct TreeQueryStats {
+  uint64_t nodes_read = 0;
+  uint64_t objects_read = 0;
+  uint64_t buckets_lost = 0;
+  bool completed = true;
+  /// Broadcast republished mid-query (dynamic broadcasts): the node cache,
+  /// pending slots and any family state referred to the dead layout;
+  /// partial results returned.
+  bool stale = false;
+};
+
+/// The channel side of one client searching an AirTreeBroadcast (the
+/// R-tree and HCI baselines). The family decides which node to read next
+/// and when to give up; every listen goes through the reader, which owns
+/// the tree clients' channel rules:
+///  * the watchdog: a 400-cycle budget on the session, armed at
+///    construction and by every BeginQuery;
+///  * stale versus lost: a failed read after the session's generation
+///    advanced marks the query stale (and incomplete); any other failed
+///    read is a lost bucket;
+///  * data retrieval sweeps, never blocks: pending data buckets are read in
+///    airing order and a lost one stays pending for its next airing.
+/// The node cache and retrieved flags describe the broadcast content, so
+/// they survive across the queries of a continuous client within one
+/// generation.
+class AirTreeReader {
+ public:
+  /// Probes \p session and binds the reader to the generation on air.
+  AirTreeReader(const AirTreeBroadcast& air, ClientSession* session);
+
+  /// Arms the next query of a continuous client: clears the per-query
+  /// flags and the previous query's half-resolved data list and re-arms
+  /// the watchdog from the session's current instant.
+  void BeginQuery();
+
+  ClientSession& session() const { return *session_; }
+  const TreeQueryStats& stats() const { return stats_; }
+
+  /// Whether the running query must stop — its budget is spent or the
+  /// broadcast was republished under it — in which case it is flagged
+  /// incomplete (its result is partial).
+  bool AbortIfHalted() {
+    if (!Halted()) return false;
+    stats_.completed = false;
+    return true;
+  }
+
+  /// Whether node \p node_id was already downloaded (kept in client memory:
+  /// revisiting it is free, re-reading it off the air would cost a cycle).
+  bool cached(uint32_t node_id) const { return node_cache_[node_id]; }
+  /// Retrieved flags by data id; payloads stay in the server-side store.
+  const std::vector<uint8_t>& retrieved() const { return retrieved_; }
+
+  /// One listen attempt for node \p node_id at its next occurrence; false
+  /// on a link error or a republication.
+  bool ListenNode(uint32_t node_id) {
+    if (session_->ReadBucket(air_.NextNodeSlot(node_id, *session_))) {
+      ++stats_.nodes_read;
+      node_cache_[node_id] = true;
+      return true;
+    }
+    NoteFailedRead();
+    return false;
+  }
+
+  /// Queues \p data_id for retrieval unless it is already retrieved. Keys
+  /// are offsets in the session's program: none are taken once the session
+  /// has moved on to a newer generation.
+  void AddPendingData(uint32_t data_id) {
+    if (!retrieved_[data_id] && !stats_.stale) {
+      pending_data_.Insert(*session_, air_.DataSlot(data_id), data_id);
+    }
+  }
+
+  /// Reads the pending data buckets that air before the next occurrence of
+  /// \p before_node: a client drains what it already knows it needs on the
+  /// way instead of letting it fly by.
+  void FlushPassingData(uint32_t before_node) {
+    // The soonest pending bucket is re-picked after every read, since
+    // reading advances time. A lost bucket stays pending: its next
+    // occurrence is a cycle away, so the sweep moves on to whatever passes
+    // next instead of blocking on the loss.
+    while (!pending_data_.empty() && !Halted()) {
+      const uint64_t node_wait = session_->PacketsUntil(
+          air_.NextNodeSlot(before_node, *session_));
+      const AiringSet::Pick next = pending_data_.Soonest(*session_);
+      if (next.wait >= node_wait) return;
+      if (TryReadData(next.id)) pending_data_.Erase(*session_, next.slot);
+    }
+  }
+
+  /// Reads all remaining pending data in airing order; lost buckets are
+  /// retried when they come around again, alongside everything else still
+  /// pending (blocking a full cycle per loss would cost O(pending) extra
+  /// cycles under heavy loss and spuriously trip the watchdog). Marks the
+  /// query incomplete if it halts first.
+  void DrainPendingData() {
+    while (!pending_data_.empty() && !Halted()) {
+      const AiringSet::Pick next = pending_data_.Soonest(*session_);
+      if (TryReadData(next.id)) pending_data_.Erase(*session_, next.slot);
+    }
+    if (!pending_data_.empty()) stats_.completed = false;
+  }
+
+ private:
+  bool Halted() const { return session_->WatchdogExpired() || stats_.stale; }
+  /// One listen attempt for data bucket \p data_id at its next occurrence;
+  /// false on a link error (the bucket stays pending) or a republication.
+  bool TryReadData(uint32_t data_id) {
+    if (retrieved_[data_id]) return true;
+    if (session_->ReadBucket(air_.DataSlot(data_id))) {
+      ++stats_.objects_read;
+      retrieved_[data_id] = 1;
+      return true;
+    }
+    NoteFailedRead();
+    return false;
+  }
+  /// Accounts a failed read: stale (and incomplete) if the broadcast was
+  /// republished, else one lost bucket.
+  void NoteFailedRead() {
+    if (session_->generation() != generation_) {
+      stats_.stale = true;
+      stats_.completed = false;
+    } else {
+      ++stats_.buckets_lost;
+    }
+  }
+
+  const AirTreeBroadcast& air_;
+  ClientSession* session_;
+  uint64_t generation_ = 0;  ///< Generation the caches refer to.
+  std::vector<bool> node_cache_;  ///< By node id.
+  /// Data buckets the running query still has to read, in airing order.
+  AiringSet pending_data_;
+  std::vector<uint8_t> retrieved_;  ///< By data id.
+  TreeQueryStats stats_;
 };
 
 }  // namespace dsi::broadcast

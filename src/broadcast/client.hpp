@@ -210,7 +210,7 @@ class ClientSession {
   /// on-air bucket instance; kPerReadLoss / kSingleEvent draws come from
   /// \p rng (those models are receiver-local by construction). The clone
   /// follows the same generation schedule (if any) and carries no trace
-  /// sink.
+  /// sink and an unarmed watchdog.
   ClientSession ForkColdSession(uint64_t tune_in_packet,
                                 common::Rng rng) const;
 
@@ -251,6 +251,18 @@ class ClientSession {
     }
     return std::nullopt;
   }
+
+  /// Arms the per-query airtime budget: the watchdog expires \p cycles
+  /// on-air cycles of the synchronized program from now. Each query family
+  /// arms it at its own query start; a fresh or forked session is unarmed
+  /// (already expired) until then.
+  void ArmWatchdog(uint64_t cycles) {
+    deadline_ = now_ + cycles * program_->cycle_packets();
+  }
+
+  /// Whether the armed budget is spent: the query should abort and report
+  /// what it has (only reachable under extreme link-error rates).
+  bool WatchdogExpired() const { return now_ >= deadline_; }
 
   /// Metrics so far; latency counts from the tune-in instant to now.
   Metrics metrics() const;
@@ -348,6 +360,7 @@ class ClientSession {
   uint64_t now_;
   uint64_t listened_packets_ = 0;
   uint64_t repaired_ = 0;  // lost reads reconstructed from parity groups
+  uint64_t deadline_ = 0;  // watchdog: packet at which the budget is spent
   size_t current_slot_ = 0;
   ErrorModel errors_;
   common::Rng rng_;

@@ -9,13 +9,13 @@ namespace dsi::core {
 
 namespace {
 
-/// Watchdog: abort queries that fail to finish within this many broadcast
-/// cycles (only reachable under extreme link-error rates). On a multi-disk
-/// cycle the budget additionally scales with the disk count: the flat
-/// sweep retries every pending frame once per cycle, but the permuted
-/// layout serializes endgame retries (each lost cold frame costs its own
-/// doze to a once-per-cycle airing), so worst-case recovery stretches by
-/// about that factor.
+/// Watchdog budget each search arms on the session: abort queries that fail
+/// to finish within this many broadcast cycles (only reachable under
+/// extreme link-error rates). On a multi-disk cycle the budget additionally
+/// scales with the disk count: the flat sweep retries every pending frame
+/// once per cycle, but the permuted layout serializes endgame retries (each
+/// lost cold frame costs its own doze to a once-per-cycle airing), so
+/// worst-case recovery stretches by about that factor.
 constexpr uint64_t kWatchdogCycles = 200;
 
 /// Aggressive kNN falls back to the conservative hop rule after this many
@@ -207,9 +207,7 @@ void DsiClient::LearnAdvert(uint64_t hc) {
 void DsiClient::RunSearch(const common::Point* spatial_goal) {
   session_->InitialProbe();
   generation_ = session_->generation();
-  deadline_packets_ = session_->now_packets() +
-                      kWatchdogCycles * session_->program().num_disks() *
-                          session_->program().cycle_packets();
+  session_->ArmWatchdog(kWatchdogCycles * session_->program().num_disks());
   const uint64_t aggressive_deadline =
       session_->now_packets() +
       kAggressiveFallbackCycles * index_.program().cycle_packets();
@@ -233,7 +231,7 @@ void DsiClient::RunSearch(const common::Point* spatial_goal) {
       if (pending_.Empty()) return;
     }
 
-    if (WatchdogExpired()) {
+    if (session_->WatchdogExpired()) {
       stats_.completed = false;
       return;
     }
@@ -292,10 +290,6 @@ double DsiClient::FullScanKnnRadius() const {
 }
 #endif
 
-bool DsiClient::WatchdogExpired() const {
-  return session_->now_packets() >= deadline_packets_;
-}
-
 bool DsiClient::SessionStale() const {
   return session_->generation() != generation_;
 }
@@ -307,7 +301,7 @@ bool DsiClient::SessionStale() const {
 bool DsiClient::ReadNextTable() {
   const auto& program = index_.program();
   const size_t nb = program.num_buckets();
-  while (!WatchdogExpired()) {
+  while (!session_->WatchdogExpired()) {
     // Find the next table bucket at or after the session's position. The
     // scan is structural: every on-air packet carries the offset to the
     // next index table in its header. On a coded multi-disk cycle logical

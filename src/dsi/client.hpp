@@ -262,7 +262,8 @@ class PendingTargets {
 /// queries within one generation and shrink each follow-up search. Call
 /// BeginQuery() before every re-evaluation; when session->generation()
 /// advances, the knowledge describes a dead layout — discard the client
-/// and build a fresh one against the new generation's index.
+/// and build a fresh one against the new generation's index. Every search
+/// arms the session's watchdog budget (200 on-air cycles per disk).
 class DsiClient {
  public:
   /// \param session A fresh session (InitialProbe not yet called); the
@@ -270,7 +271,8 @@ class DsiClient {
   DsiClient(const DsiIndex& index, broadcast::ClientSession* session);
 
   /// Arms the next query of a continuous client: clears the per-query
-  /// completed/stale flags (the search loop re-arms its own watchdog).
+  /// completed/stale flags (each search re-arms the session's watchdog
+  /// budget).
   /// Learned knowledge is kept — it is what makes the warm client cheap.
   void BeginQuery() {
     stats_.completed = true;
@@ -366,7 +368,6 @@ class DsiClient {
   double FullScanKnnRadius() const;
 #endif
 
-  bool WatchdogExpired() const;
   /// The session advanced past the generation this client's knowledge was
   /// learned from (dynamic broadcasts): checked after every failed read,
   /// since every stored slot number and HC bracket is then meaningless.
@@ -394,7 +395,6 @@ class DsiClient {
   hilbert::IntervalSet covered_;
   std::vector<uint32_t> retrieved_ranks_;  // sorted object ranks
   QueryStats stats_;
-  uint64_t deadline_packets_ = 0;
 
   /// State of the running kNN query: its search disc (center q) and the
   /// disc's radius, the k-th smallest element of an ordered multiset of

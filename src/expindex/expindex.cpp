@@ -102,10 +102,6 @@ ExpClient::ExpClient(const ExpIndex& index, broadcast::ClientSession* session,
   }
 }
 
-bool ExpClient::WatchdogExpired() const {
-  return session_->now_packets() >= deadline_packets_;
-}
-
 bool ExpClient::SessionStale() const {
   return session_->generation() != generation_;
 }
@@ -116,7 +112,7 @@ std::optional<uint32_t> ExpClient::ReadNextTable() {
   auto is_table = [&](size_t s) {
     return program.bucket(s).kind == broadcast::BucketKind::kDsiFrameTable;
   };
-  while (!WatchdogExpired()) {
+  while (!session_->WatchdogExpired()) {
     size_t slot;
     if (session_->program().multi_disk()) {
       // Logical slot order no longer tracks airing order: take the chunk
@@ -155,7 +151,7 @@ std::optional<uint32_t> ExpClient::Forward(uint32_t from, uint64_t key) {
   // Cyclic key arithmetic: rel(x) = x - anchor (unsigned wraparound) gives
   // the forward distance along the sorted-and-wrapped key axis.
   uint32_t pos = from;
-  while (!WatchdogExpired()) {
+  while (!session_->WatchdogExpired()) {
     const uint64_t cur_min = index_.ChunkMinKey(pos);
     const auto entries = index_.TableAt(pos);
     if (entries.empty()) return pos;  // single-chunk broadcast
@@ -220,8 +216,7 @@ std::vector<uint32_t> ExpClient::RangeQuery(uint64_t lo, uint64_t hi) {
   // many range scans per spatial query; time legitimately spent on earlier
   // scans must not starve a later one into a phantom abort (the watchdog
   // exists to bound a *stuck* scan, not to cap useful work).
-  deadline_packets_ = session_->now_packets() +
-                      kWatchdogCycles * session_->program().cycle_packets();
+  session_->ArmWatchdog(kWatchdogCycles);
   std::vector<uint32_t> out;
   const auto first_table = ReadNextTable();
   if (!first_table) {
@@ -308,7 +303,7 @@ std::vector<uint32_t> ExpClient::RangeQuery(uint64_t lo, uint64_t hi) {
   // Sweep the lost items in passing order until none remain; every lap of
   // the cycle retries all of them.
   while (!missing.empty()) {
-    if (WatchdogExpired() || stats_.stale) {
+    if (session_->WatchdogExpired() || stats_.stale) {
       stats_.completed = false;
       return out;
     }

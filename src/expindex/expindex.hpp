@@ -91,7 +91,8 @@ struct ExpQueryStats {
 };
 
 /// Client-side search: exponential forwarding toward a key, then
-/// sequential retrieval over a key range.
+/// sequential retrieval over a key range. Every range scan arms the
+/// session's watchdog budget (200 on-air cycles) afresh.
 ///
 /// Continuous clients: constructed with \p reuse_knowledge, the client
 /// remembers every chunk table and item key it has heard. A remembered
@@ -109,7 +110,8 @@ class ExpClient {
             bool reuse_knowledge = false);
 
   /// Arms the next query of a continuous client: clears the per-query
-  /// completed/stale flags (each range scan re-arms its own watchdog).
+  /// completed/stale flags (each range scan re-arms the session's watchdog
+  /// budget).
   void BeginQuery() {
     stats_.completed = true;
     stats_.stale = false;
@@ -131,7 +133,6 @@ class ExpClient {
   /// whose table was just read). Returns the final chunk position.
   std::optional<uint32_t> Forward(uint32_t from, uint64_t key);
 
-  bool WatchdogExpired() const;
   /// Republished since this client synchronized? Checked after every failed
   /// read: chunk positions/slots are meaningless across generations.
   bool SessionStale() const;
@@ -140,7 +141,6 @@ class ExpClient {
   broadcast::ClientSession* session_;
   uint64_t generation_ = 0;  ///< Generation the chunk tables refer to.
   ExpQueryStats stats_;
-  uint64_t deadline_packets_ = 0;
   /// Cross-query knowledge (continuous clients only; empty otherwise).
   bool reuse_ = false;
   std::vector<uint8_t> table_known_;  ///< By chunk position.

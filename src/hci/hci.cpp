@@ -9,8 +9,6 @@ namespace dsi::hci {
 
 namespace {
 
-constexpr uint64_t kWatchdogCycles = 400;
-
 std::vector<datasets::SpatialObject> SortByHc(
     std::vector<datasets::SpatialObject> objects,
     const hilbert::SpaceMapper& mapper) {
@@ -51,101 +49,39 @@ HciIndex::HciIndex(std::vector<datasets::SpatialObject> objects,
 // ---------------------------------------------------------------------------
 
 HciClient::HciClient(const HciIndex& index, broadcast::ClientSession* session)
-    : index_(index),
-      session_(session),
-      node_cache_(index.tree().num_nodes(), false),
-      retrieved_(index.sorted_objects().size(), 0) {
-  session_->InitialProbe();
-  generation_ = session_->generation();
-  deadline_packets_ = session_->now_packets() +
-                      kWatchdogCycles * session_->program().cycle_packets();
-}
-
-void HciClient::BeginQuery() {
-  pending_data_.clear();
-  stats_.completed = true;
-  stats_.stale = false;
-  deadline_packets_ = session_->now_packets() +
-                      kWatchdogCycles * session_->program().cycle_packets();
-}
-
-bool HciClient::WatchdogExpired() const {
-  return session_->now_packets() >= deadline_packets_;
-}
+    : index_(index), reader_(index.air(), session) {}
 
 bool HciClient::ReadNode(uint32_t node_id) {
-  if (node_cache_[node_id]) return true;  // already downloaded this query
+  if (reader_.cached(node_id)) return true;  // already downloaded
   // Drain pending data buckets that pass by before the node: listening to
   // them now is free latency-wise, and skipping them would cost a cycle.
-  FlushPassingData(node_id);
-  if (stats_.stale) return false;  // republished while draining
-  while (!WatchdogExpired()) {
-    const size_t slot = index_.air().NextNodeSlot(node_id, *session_);
-    if (session_->ReadBucket(slot)) {
-      ++stats_.nodes_read;
-      node_cache_[node_id] = true;
-      if (index_.tree().is_leaf(node_id)) {
-        // Keep the (first key -> leaf) anchors sorted; a query downloads
-        // few distinct leaves, so ordered insertion into the flat vector
-        // is cheaper than a node-based map.
-        const uint64_t front_key = index_.tree().entries(node_id).front().key;
-        auto it = std::lower_bound(
-            cached_leaf_by_front_.begin(), cached_leaf_by_front_.end(),
-            front_key, [](const std::pair<uint64_t, uint32_t>& e, uint64_t v) {
-              return e.first < v;
-            });
-        if (it != cached_leaf_by_front_.end() && it->first == front_key) {
-          it->second = node_id;
-        } else {
-          cached_leaf_by_front_.insert(it, {front_key, node_id});
-        }
+  reader_.FlushPassingData(node_id);
+  // Budget spent or republished mid-query (node ids and slots then belong
+  // to the dead layout): the caller aborts with whatever was retrieved.
+  while (!reader_.AbortIfHalted()) {
+    // A lost tree node can only be recovered from a later occurrence (next
+    // path replica or next cycle) — the tree-index weakness in error-prone
+    // environments (Section 5).
+    if (!reader_.ListenNode(node_id)) continue;
+    if (index_.tree().is_leaf(node_id)) {
+      // Keep the (first key -> leaf) anchors sorted; a query downloads few
+      // distinct leaves, so ordered insertion into the flat vector is
+      // cheaper than a node-based map.
+      const uint64_t front_key = index_.tree().entries(node_id).front().key;
+      auto it = std::lower_bound(
+          cached_leaf_by_front_.begin(), cached_leaf_by_front_.end(),
+          front_key, [](const std::pair<uint64_t, uint32_t>& e, uint64_t v) {
+            return e.first < v;
+          });
+      if (it != cached_leaf_by_front_.end() && it->first == front_key) {
+        it->second = node_id;
+      } else {
+        cached_leaf_by_front_.insert(it, {front_key, node_id});
       }
-      return true;
     }
-    if (session_->generation() != generation_) {
-      // Republished mid-query: node ids and slots belong to the dead
-      // layout; the caller aborts with whatever data was retrieved.
-      stats_.stale = true;
-      stats_.completed = false;
-      return false;
-    }
-    ++stats_.buckets_lost;
-    // A lost tree node can only be recovered from a later occurrence
-    // (next path replica or next cycle) — the tree-index weakness in
-    // error-prone environments (Section 5).
-  }
-  stats_.completed = false;
-  return false;
-}
-
-bool HciClient::TryReadData(uint32_t data_id) {
-  if (retrieved_[data_id]) return true;
-  if (session_->ReadBucket(index_.air().DataSlot(data_id))) {
-    ++stats_.objects_read;
-    retrieved_[data_id] = 1;
     return true;
   }
-  if (session_->generation() != generation_) {
-    stats_.stale = true;
-    stats_.completed = false;
-    return false;
-  }
-  ++stats_.buckets_lost;
   return false;
-}
-
-void HciClient::FlushPassingData(uint32_t before_node) {
-  // Repeatedly read the pending data bucket that comes up soonest, as long
-  // as it arrives before the node we are headed to. A lost bucket stays
-  // pending; its next occurrence is a cycle away, so the sweep moves on
-  // instead of blocking on the loss.
-  while (!pending_data_.empty() && !WatchdogExpired() && !stats_.stale) {
-    const uint64_t node_wait = session_->PacketsUntil(
-        index_.air().NextNodeSlot(before_node, *session_));
-    const broadcast::AiringSet::Pick next = pending_data_.Soonest(*session_);
-    if (next.wait >= node_wait) return;
-    if (TryReadData(next.id)) pending_data_.Erase(*session_, next.slot);
-  }
 }
 
 void HciClient::RetrieveRanges(const std::vector<hilbert::HcRange>& targets) {
@@ -156,16 +92,14 @@ void HciClient::RetrieveRanges(const std::vector<hilbert::HcRange>& targets) {
   // major cycle while leaf scans stay pipelined within their tier, so the
   // descent is worth abandoning much sooner. Single-disk sessions (plain
   // or coded) keep the index's own cycle so their paths stay untouched.
-  const broadcast::BroadcastProgram& on_air = session_->program();
+  broadcast::ClientSession& session = reader_.session();
+  const broadcast::BroadcastProgram& on_air = session.program();
   const uint64_t half_cycle =
       on_air.multi_disk()
           ? on_air.cycle_packets() / (2 * on_air.num_disks())
           : index_.program().cycle_packets() / 2;
   for (const hilbert::HcRange& range : targets) {
-    if (WatchdogExpired() || stats_.stale) {
-      stats_.completed = false;
-      return;
-    }
+    if (reader_.AbortIfHalted()) return;
     // Cached anchor: the downloaded leaf with the largest first key
     // *strictly below* range.lo, if any (strictness matters with duplicate
     // keys: a run equal to range.lo may begin before a leaf whose first
@@ -202,9 +136,9 @@ void HciClient::RetrieveRanges(const std::vector<hilbert::HcRange>& targets) {
         const uint32_t child =
             tree.entries(node)[tree.DescendIndexForRange(node, range.lo)]
                 .child;
-        if (!node_cache_[child] && anchor != UINT32_MAX &&
-            session_->PacketsUntil(
-                index_.air().NextNodeSlot(child, *session_)) > half_cycle) {
+        if (!reader_.cached(child) && anchor != UINT32_MAX &&
+            session.PacketsUntil(index_.air().NextNodeSlot(child, session)) >
+                half_cycle) {
           by_scan = true;
           break;
         }
@@ -225,9 +159,8 @@ void HciClient::RetrieveRanges(const std::vector<hilbert::HcRange>& targets) {
     while (true) {
       const auto& es = tree.entries(node);
       for (const bptree::BptEntry& e : es) {
-        if (e.key >= range.lo && e.key <= range.hi && !retrieved_[e.child]) {
-          pending_data_.Insert(*session_, index_.air().DataSlot(e.child),
-                               e.child);
+        if (e.key >= range.lo && e.key <= range.hi) {
+          reader_.AddPendingData(e.child);
         }
       }
       if (es.back().key > range.hi) break;
@@ -237,17 +170,7 @@ void HciClient::RetrieveRanges(const std::vector<hilbert::HcRange>& targets) {
       node = next;
     }
   }
-  // Drain the remaining pending data in occurrence order; lost buckets stay
-  // pending and are retried when they come around again (sweeping, never
-  // blocking a cycle per loss).
-  while (!pending_data_.empty()) {
-    if (WatchdogExpired() || stats_.stale) {
-      stats_.completed = false;
-      return;
-    }
-    const broadcast::AiringSet::Pick next = pending_data_.Soonest(*session_);
-    if (TryReadData(next.id)) pending_data_.Erase(*session_, next.slot);
-  }
+  reader_.DrainPendingData();
 }
 
 std::vector<datasets::SpatialObject> HciClient::WindowQuery(
@@ -255,8 +178,9 @@ std::vector<datasets::SpatialObject> HciClient::WindowQuery(
   RetrieveRanges(index_.mapper().WindowToRanges(window));
   std::vector<datasets::SpatialObject> out;
   const auto& objects = index_.sorted_objects();
-  for (size_t i = 0; i < retrieved_.size(); ++i) {
-    if (retrieved_[i] && window.Contains(objects[i].location)) {
+  const std::vector<uint8_t>& retrieved = reader_.retrieved();
+  for (size_t i = 0; i < retrieved.size(); ++i) {
+    if (retrieved[i] && window.Contains(objects[i].location)) {
       out.push_back(objects[i]);
     }
   }
@@ -339,8 +263,9 @@ std::vector<datasets::SpatialObject> HciClient::KnnQuery(
 
   std::vector<datasets::SpatialObject> out;
   const auto& objects = index_.sorted_objects();
-  for (size_t i = 0; i < retrieved_.size(); ++i) {
-    if (retrieved_[i]) out.push_back(objects[i]);
+  const std::vector<uint8_t>& retrieved = reader_.retrieved();
+  for (size_t i = 0; i < retrieved.size(); ++i) {
+    if (retrieved[i]) out.push_back(objects[i]);
   }
   std::sort(out.begin(), out.end(),
             [&](const datasets::SpatialObject& a,

@@ -18,24 +18,12 @@
 
 #include "bptree/bptree.hpp"
 #include "broadcast/air_tree.hpp"
-#include "broadcast/airing_order.hpp"
 #include "broadcast/client.hpp"
 #include "common/geometry.hpp"
 #include "datasets/datasets.hpp"
 #include "hilbert/space_mapper.hpp"
 
 namespace dsi::hci {
-
-/// Per-query diagnostics.
-struct HciQueryStats {
-  uint64_t nodes_read = 0;
-  uint64_t objects_read = 0;
-  uint64_t buckets_lost = 0;
-  bool completed = true;
-  /// Broadcast republished mid-query (dynamic broadcasts): the node cache
-  /// and leaf anchors referred to the dead layout; partial results returned.
-  bool stale = false;
-};
 
 /// Server-side HCI broadcast: HC-sorted objects + B+-tree + air layout.
 class HciIndex {
@@ -66,11 +54,13 @@ class HciIndex {
 };
 
 /// Query execution against an HCI broadcast: one query, or — kept alive on
-/// the same session — a stream of them. The node cache, leaf anchors and
-/// retrieved flags describe the broadcast content, so they survive across
-/// queries within one generation; call BeginQuery() before every
-/// re-evaluation, and rebuild the client on the new generation's index
-/// when session->generation() advances (the caches refer to a dead layout
+/// the same session — a stream of them. Every listen, the session's
+/// watchdog budget, the node cache and the retrieved flags go through a
+/// broadcast::AirTreeReader; the leaf anchors are HCI's own. The caches
+/// describe the broadcast content, so they survive across queries within
+/// one generation; call BeginQuery() before every re-evaluation, and
+/// rebuild the client on the new generation's index when
+/// session->generation() advances (the caches refer to a dead layout
 /// then).
 class HciClient {
  public:
@@ -78,52 +68,31 @@ class HciClient {
 
   /// Arms the next query of a continuous client: clears the per-query
   /// flags and the previous query's half-resolved data list, and re-arms
-  /// the watchdog from the session's current instant. The node cache, leaf
-  /// anchors and retrieved objects are kept.
-  void BeginQuery();
+  /// the session's watchdog budget from its current instant. The node
+  /// cache, leaf anchors and retrieved objects are kept.
+  void BeginQuery() { reader_.BeginQuery(); }
 
   std::vector<datasets::SpatialObject> WindowQuery(const common::Rect& window);
   std::vector<datasets::SpatialObject> KnnQuery(const common::Point& q,
                                                 size_t k);
 
-  const HciQueryStats& stats() const { return stats_; }
+  const broadcast::TreeQueryStats& stats() const { return reader_.stats(); }
 
  private:
   /// Reads node \p node_id at its next occurrence, retrying later
-  /// occurrences on link errors. False only if the watchdog expires.
+  /// occurrences on link errors. False only if the query halts (watchdog
+  /// or republication).
   bool ReadNode(uint32_t node_id);
-  /// One listen attempt for data bucket \p data_id at its next occurrence;
-  /// false on a link error (the bucket stays pending — callers sweep,
-  /// never block).
-  bool TryReadData(uint32_t data_id);
-  /// Reads every pending data bucket that passes by before the next
-  /// occurrence of \p before_node (a real client drains what it already
-  /// knows it needs instead of letting it fly by).
-  void FlushPassingData(uint32_t before_node);
   /// Retrieves all objects whose HC value lies in \p targets (ascending
-  /// range scan; objects land in retrieved_).
+  /// range scan; objects land in the reader's retrieved flags).
   void RetrieveRanges(const std::vector<hilbert::HcRange>& targets);
 
-  bool WatchdogExpired() const;
-
   const HciIndex& index_;
-  broadcast::ClientSession* session_;
-  uint64_t generation_ = 0;  ///< Generation the caches/anchors refer to.
-  /// Index nodes already downloaded this query: a client keeps them in
-  /// memory, so revisiting one is free (re-reading it off the air would
-  /// cost a whole extra cycle).
-  std::vector<bool> node_cache_;
+  broadcast::AirTreeReader reader_;
   /// Cached leaves by their first key (sorted flat vector), so a later
   /// range that lands in an already-downloaded leaf skips the descent
   /// entirely.
   std::vector<std::pair<uint64_t, uint32_t>> cached_leaf_by_front_;
-  /// Data buckets to retrieve, in airing order.
-  broadcast::AiringSet pending_data_;
-  /// Retrieved flags by data id; payloads are never copied — the simulated
-  /// read is paid via the session and the data lives in the index.
-  std::vector<uint8_t> retrieved_;
-  HciQueryStats stats_;
-  uint64_t deadline_packets_ = 0;
 };
 
 }  // namespace dsi::hci

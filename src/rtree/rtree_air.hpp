@@ -18,17 +18,6 @@
 
 namespace dsi::rtree {
 
-/// Per-query diagnostics.
-struct RtreeQueryStats {
-  uint64_t nodes_read = 0;
-  uint64_t objects_read = 0;
-  uint64_t buckets_lost = 0;
-  bool completed = true;
-  /// Broadcast republished mid-query (dynamic broadcasts): node cache and
-  /// pending slots referred to the dead layout; partial results returned.
-  bool stale = false;
-};
-
 /// Server-side R-tree broadcast.
 class RtreeIndex {
  public:
@@ -55,59 +44,39 @@ class RtreeIndex {
 /// Query execution against an R-tree broadcast. Both searches keep a
 /// frontier of not-yet-visited relevant nodes and always read the one whose
 /// next broadcast occurrence comes soonest (branch-and-bound adapted to the
-/// linear channel). A client kept alive on the same session serves a
-/// stream of queries: the node cache and retrieved flags stay valid within
-/// one generation (call BeginQuery() before each re-evaluation; rebuild the
-/// client on the new generation's index when session->generation()
-/// advances).
+/// linear channel); every listen, the session's watchdog budget and the
+/// node cache go through a broadcast::AirTreeReader. A client kept alive on
+/// the same session serves a stream of queries: the node cache and
+/// retrieved flags stay valid within one generation (call BeginQuery()
+/// before each re-evaluation; rebuild the client on the new generation's
+/// index when session->generation() advances).
 class RtreeClient {
  public:
   RtreeClient(const RtreeIndex& index, broadcast::ClientSession* session);
 
   /// Arms the next query of a continuous client: clears per-query flags
   /// and the previous query's half-resolved data list, re-arms the
-  /// watchdog. The node cache and retrieved objects are kept.
-  void BeginQuery();
+  /// session's watchdog budget. The node cache and retrieved objects are
+  /// kept.
+  void BeginQuery() { reader_.BeginQuery(); }
 
   std::vector<datasets::SpatialObject> WindowQuery(const common::Rect& window);
   std::vector<datasets::SpatialObject> KnnQuery(const common::Point& q,
                                                 size_t k);
 
-  const RtreeQueryStats& stats() const { return stats_; }
+  const broadcast::TreeQueryStats& stats() const { return reader_.stats(); }
 
  private:
-  /// One listen attempt for \p node_id at its next occurrence; false on a
-  /// link error (the node stays in the frontier — callers sweep, never
-  /// block).
+  /// Drains the pending data that passes by on the way to \p node_id, then
+  /// makes one listen attempt for it; false on a link error (the node stays
+  /// in the frontier — callers sweep, never block).
   bool TryReadNode(uint32_t node_id);
-  /// One listen attempt for \p data_id at its next occurrence; false on a
-  /// link error (the bucket stays pending — callers sweep, never block).
-  bool TryReadData(uint32_t data_id);
-  /// Reads pending data buckets that pass by before the next occurrence of
-  /// \p before_node.
-  void FlushPassingData(uint32_t before_node);
-  /// Reads all remaining pending data in occurrence order.
-  void DrainPendingData();
-  /// Queues \p data_id for retrieval unless it is already retrieved.
-  void AddPendingData(uint32_t data_id);
   /// Adds / removes every replica of \p node on a search frontier.
   void AddToFrontier(broadcast::AiringSet* frontier, uint32_t node) const;
   void EraseFromFrontier(broadcast::AiringSet* frontier, uint32_t node) const;
 
-  bool WatchdogExpired() const;
-
   const RtreeIndex& index_;
-  broadcast::ClientSession* session_;
-  uint64_t generation_ = 0;  ///< Generation the node cache refers to.
-  /// Index nodes already downloaded this query (kept in client memory).
-  std::vector<bool> node_cache_;
-  /// Data buckets this query still has to read, in airing order.
-  broadcast::AiringSet pending_data_;
-  /// Retrieved flags by data id; payloads come from the index's object
-  /// store rather than per-query copies.
-  std::vector<uint8_t> retrieved_;
-  RtreeQueryStats stats_;
-  uint64_t deadline_packets_ = 0;
+  broadcast::AirTreeReader reader_;
 };
 
 }  // namespace dsi::rtree

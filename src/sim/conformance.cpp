@@ -217,7 +217,6 @@ void CheckWorkload(const std::vector<const air::AirIndexHandle*>& gens,
   RunOptions opt;
   opt.seed = c.seed;
   opt.workers = c.workers;
-  opt.heap_clients = c.heap_clients;
   opt.results = &results;
   opt.coding = CaseCoding(c);
   opt.disks = CaseDisks(c);
@@ -444,7 +443,6 @@ void CheckTrajectories(const std::vector<const air::AirIndexHandle*>& gens,
   TrajectoryOptions opt;
   opt.seed = c.seed;
   opt.workers = c.workers;
-  opt.heap_clients = c.heap_clients;
   opt.cold_baseline = true;
   opt.results = &results;
   opt.coding = CaseCoding(c);
@@ -660,9 +658,9 @@ ConformanceCase MakeConformanceCase(uint64_t seed) {
   c.clustered = rng.Bernoulli(0.35);
   c.duplicates = rng.Bernoulli(0.2);  // coincident-point case family
 
-  // Structured coverage: consecutive seeds sweep m, error mode, allocation
-  // mode, worker count, dynamic generations and the extreme-loss band
-  // deterministically; the rest is random.
+  // Structured coverage: consecutive seeds sweep m, error mode, worker
+  // count, dynamic generations and the extreme-loss band deterministically;
+  // the rest is random.
   c.m = static_cast<uint32_t>(1 + seed % 3);
   switch ((seed / 3) % 4) {
     case 0: c.error_mode = broadcast::ErrorMode::kPerReadLoss; break;
@@ -704,7 +702,6 @@ ConformanceCase MakeConformanceCase(uint64_t seed) {
     c.theta = rng.Uniform(0.05, 0.7);
   }
   c.workers = 1 + (seed / 2) % 2;
-  c.heap_clients = (seed / 4) % 2 == 1;
 
   // Dynamic broadcasts: every fourth block of five seeds runs 3-4
   // generations with a non-trivial update stream between them.
@@ -849,7 +846,7 @@ std::string FormatReproducer(const ConformanceCase& c,
      << " --object-factor=" << c.object_factor
      << " --chunk-size=" << c.chunk_size << " --theta=" << c.theta
      << " --error-mode=" << ModeName(c.error_mode)
-     << " --workers=" << c.workers << " --heap=" << (c.heap_clients ? 1 : 0)
+     << " --workers=" << c.workers
      << " --windows=" << c.window_queries << " --knn-points=" << c.knn_points
      << " --k=" << c.k << " --duplicates=" << (c.duplicates ? 1 : 0)
      << " --generations=" << c.generations

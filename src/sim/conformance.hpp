@@ -3,8 +3,8 @@
 /// \file conformance.hpp
 /// \brief Differential conformance harness: drives every index family
 /// through the *real* experiment engine (sim::RunWorkload, per-query
-/// sessions, arena or heap clients, lossy channels, mid-cycle tune-ins) and
-/// checks each query's result set against a brute-force oracle.
+/// sessions, lossy channels, mid-cycle tune-ins) and checks each query's
+/// result set against a brute-force oracle.
 ///
 /// The paper's central correctness claim is that broadcast queries return
 /// exact answers no matter where in the cycle the client tunes in and no
@@ -13,9 +13,9 @@
 ///
 ///  * a ConformanceCase is a fully seed-determined instance: dataset, curve
 ///    order, packet capacity, DSI segment count m, object factor, channel
-///    error model, worker count, client allocation mode — and, for dynamic
-///    broadcasts, the generation count, the update stream applied between
-///    generations and each generation's airtime;
+///    error model, worker count — and, for dynamic broadcasts, the
+///    generation count, the update stream applied between generations and
+///    each generation's airtime;
 ///  * the query mix deliberately includes the degenerate shapes directed
 ///    tests forget: zero-area (point) windows, windows clipped by or fully
 ///    outside the universe, kNN with k >= dataset size, query points
@@ -55,7 +55,6 @@ struct ConformanceCase {
   double theta = 0.0;         ///< Link-error rate (up to 1.0 = total loss).
   broadcast::ErrorMode error_mode = broadcast::ErrorMode::kPerReadLoss;
   size_t workers = 1;         ///< Engine worker threads.
-  bool heap_clients = false;  ///< Heap (vs arena) client construction.
   /// Duplicate-heavy dataset: a handful of distinct sites, each hosting a
   /// pile of coincident objects (identical Hilbert keys) — exercises
   /// equal-key runs in frame/chunk formation, kNN distance-multiset ties
@@ -115,8 +114,8 @@ struct ConformanceCase {
 };
 
 /// Randomizes a case from a sweep seed. Guarantees coverage of m = 1 and
-/// m >= 2, clean and lossy channels, all three error modes, both client
-/// allocation modes and 1-vs-2 workers across consecutive seeds.
+/// m >= 2, clean and lossy channels, all error modes and 1-vs-2 workers
+/// across consecutive seeds.
 ConformanceCase MakeConformanceCase(uint64_t seed);
 
 /// One query whose result set deviated from the brute-force oracle.

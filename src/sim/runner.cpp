@@ -53,7 +53,7 @@ ShardSums RunGenerationalShard(const GenerationalIndex& index,
         channel, tune_in, broadcast::ErrorModel{wl.theta, wl.error_mode},
         rng.Fork());
     const detail::FreshAnswer fresh = detail::RunFreshClient(
-        index.generations, session, options.heap_clients, arena,
+        index.generations, session, arena,
         [&](air::AirClient& client) {
           return wl.kind == QueryKind::kWindow
                      ? client.WindowQuery(wl.windows[i])

@@ -23,7 +23,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -97,10 +96,6 @@ struct RunOptions {
   /// When set, resized to the workload size and filled with the per-query
   /// result sets (entry i belongs to query i regardless of worker count).
   std::vector<QueryResult>* results = nullptr;
-  /// Construct each query's client on the heap (AirIndexHandle::MakeClient)
-  /// instead of the per-worker arena. Results and metrics must be identical
-  /// either way; conformance runs exercise both paths.
-  bool heap_clients = false;
   /// Server-side erasure coding of the on-air cycle. Disabled by default;
   /// when enabled every query listens to the coded program (parity buckets
   /// interleaved per group) and lost reads repair in place. Disabled runs
@@ -213,29 +208,22 @@ struct FreshAnswer {
 /// Answers one query with a fresh client on the already-built \p session:
 /// probes first (the probe itself may park past a republication instant,
 /// and the client must be built for the generation actually on air), then
-/// builds the client of the live generation — on the heap or in \p arena —
-/// and runs \p query(client). A stale abort (republished mid-query) keeps
-/// the session, so latency keeps accruing, and restarts with a fresh client
-/// on the new generation; generations strictly advance, so this loops at
-/// most generations.size() times. Shared by GenerationalRun's queries and
+/// builds the client of the live generation in \p arena and runs
+/// \p query(client). A stale abort (republished mid-query) keeps the
+/// session, so latency keeps accruing, and restarts with a fresh client on
+/// the new generation; generations strictly advance, so this loops at most
+/// generations.size() times. Shared by GenerationalRun's queries and
 /// RunTrajectories' cold baseline.
 template <typename Query>
 FreshAnswer RunFreshClient(
     const std::vector<const air::AirIndexHandle*>& generations,
-    broadcast::ClientSession& session, bool heap_clients,
-    air::ClientArena& arena, Query&& query) {
+    broadcast::ClientSession& session, air::ClientArena& arena,
+    Query&& query) {
   session.InitialProbe();
   FreshAnswer out;
   while (true) {
     const uint64_t gen = session.generation();
-    std::unique_ptr<air::AirClient> heap_client;
-    air::AirClient* client;
-    if (heap_clients) {
-      heap_client = generations[gen]->MakeClient(&session);
-      client = heap_client.get();
-    } else {
-      client = generations[gen]->MakeClientIn(arena, &session);
-    }
+    air::AirClient* client = generations[gen]->MakeClientIn(arena, &session);
     out.answer = query(*client);
     const air::ClientStats st = client->stats();
     if (!st.stale) {

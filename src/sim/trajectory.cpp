@@ -75,7 +75,7 @@ void RunColdStep(const std::vector<const air::AirIndexHandle*>& gens,
   broadcast::ClientSession session =
       warm_session.ForkColdSession(tune_in, cold_rng.Fork());
   const detail::FreshAnswer fresh = detail::RunFreshClient(
-      gens, session, options.heap_clients, arena,
+      gens, session, arena,
       [&](air::AirClient& client) { return RunStepQuery(client, wl, c, s); });
   const broadcast::Metrics m = session.metrics();
   sums->cold_latency_bytes += m.access_latency_bytes;

@@ -180,9 +180,6 @@ struct TrajectoryOptions {
   /// the same channel, tuning in at the warm step's start instant: the
   /// reuse-savings baseline and the warm/cold parity differential axis.
   bool cold_baseline = true;
-  /// Heap-construct the cold baseline clients (arena otherwise); warm
-  /// clients always live on the heap for their whole tour.
-  bool heap_clients = false;
   /// When set, resized to [client][step] and filled (entry [c][s] belongs
   /// to that client/step for any worker count).
   std::vector<std::vector<TrajectoryStep>>* results = nullptr;

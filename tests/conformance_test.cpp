@@ -44,9 +44,9 @@ std::string Describe(const sim::ConformanceReport& r,
 
 // The sweep: every seed covers all four families through sim::RunWorkload
 // (uniform mid-cycle tune-ins), clean and lossy channels (theta up to 0.7
-// across all three error modes), m = 1..3 reorganized DSI broadcasts, both
-// allocation modes, 1 and 2 workers, and the degenerate query shapes. CI
-// runs a further 200+ seed matrix via tools/conformance_fuzz.
+// across every error mode), m = 1..3 reorganized DSI broadcasts, 1 and 2
+// workers, and the degenerate query shapes. CI runs a further 200+ seed
+// matrix via tools/conformance_fuzz.
 class ConformanceSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ConformanceSweep, AllFamiliesMatchOracle) {
@@ -140,7 +140,6 @@ TEST(ConformanceRegression, ExpAdapterManyRangeScansUnderLoss) {
   c.theta = 0.42;
   c.error_mode = broadcast::ErrorMode::kPerReadLoss;
   c.workers = 2;
-  c.heap_clients = true;
   c.k = 4;
   const auto r = sim::RunConformanceCase(c, {"expindex"});
   EXPECT_TRUE(r.divergences.empty()) << Describe(r, c);
@@ -277,7 +276,8 @@ TEST(ConformanceRegression, AbortedQueriesKeepPartialResultsAllFamilies) {
 // delivers (theta = 1) every
 // query must abort AND be visible in the RunWorkload aggregates — never
 // silently counted as answered. (R-tree used to discard partial results on
-// abort; all families must flag completed = false.)
+// abort; all families must flag completed = false.) The aborts also pin
+// each family's watchdog budget and where it is armed.
 // ---------------------------------------------------------------------------
 TEST(ConformanceRegression, TotalLossSurfacesIncompleteInAggregates) {
   const auto u = datasets::UnitUniverse();
@@ -293,19 +293,71 @@ TEST(ConformanceRegression, TotalLossSurfacesIncompleteInAggregates) {
 
   const auto windows = sim::MakeWindowWorkload(2, 0.3, u, 17);
   const sim::Workload wl = sim::Workload::Window(windows, 1.0);
-  for (const air::AirIndexHandle* handle :
-       {static_cast<const air::AirIndexHandle*>(&dsi_handle),
-        static_cast<const air::AirIndexHandle*>(&rt_handle),
-        static_cast<const air::AirIndexHandle*>(&hci_handle),
-        static_cast<const air::AirIndexHandle*>(&exp_handle)}) {
-    std::vector<sim::QueryResult> results;
-    sim::RunOptions opt;
-    opt.seed = 3;
-    opt.results = &results;
-    const auto metrics = sim::RunWorkload(*handle, wl, opt);
-    EXPECT_EQ(metrics.incomplete, windows.size()) << handle->family();
-    for (const auto& r : results) {
-      EXPECT_FALSE(r.completed) << handle->family();
+  // Every aborted query burns exactly its family's watchdog budget (plus
+  // the read that crossed the deadline), so total loss pins each budget's
+  // size and arm point to the byte: DSI 200 cycles x disks per search,
+  // R-tree and HCI 400 cycles per query, the exponential index 200 cycles
+  // per range scan. Rows: flat cycle, then a 2-disk cycle; one entry per
+  // query.
+  const uint64_t kPinnedLatency[4][2][2] = {
+      {{6515776, 6516160}, {17391808, 17385216}},    // dsi
+      {{16104448, 16103744}, {21684288, 21683264}},  // rtree
+      {{13312576, 13314176}, {17894848, 17906688}},  // hci
+      {{6515776, 6516160}, {8691904, 8691840}},      // expindex
+  };
+  const air::AirIndexHandle* handles[] = {&dsi_handle, &rt_handle,
+                                          &hci_handle, &exp_handle};
+  for (size_t f = 0; f < 4; ++f) {
+    const air::AirIndexHandle* handle = handles[f];
+    for (const uint32_t disks : {1u, 2u}) {
+      std::vector<sim::QueryResult> results;
+      sim::RunOptions opt;
+      opt.seed = 3;
+      opt.results = &results;
+      opt.disks = broadcast::DiskConfig{disks, 1.2, 8, 5};
+      const auto metrics = sim::RunWorkload(*handle, wl, opt);
+      EXPECT_EQ(metrics.incomplete, windows.size()) << handle->family();
+      ASSERT_EQ(results.size(), windows.size());
+      for (size_t i = 0; i < results.size(); ++i) {
+        EXPECT_FALSE(results[i].completed) << handle->family();
+        EXPECT_EQ(results[i].latency_bytes, kPinnedLatency[f][disks - 1][i])
+            << handle->family() << " disks " << disks << " query " << i;
+      }
+    }
+  }
+
+  // A continuous client re-arms the budget for every query: the second
+  // query burns one full budget again instead of aborting on the first
+  // query's spent deadline. Pins the arm points (BeginQuery for R-tree and
+  // HCI, each search for DSI, each range scan for the exponential index).
+  const uint64_t kBudgetCycles[4] = {200, 400, 400, 200};
+  const uint64_t kPinnedContinuous[4][2] = {
+      {6515264, 6515200},    // dsi
+      {16102528, 16102400},  // rtree
+      {13314112, 13312000},  // hci
+      {6515200, 6515200},    // expindex
+  };
+  for (size_t f = 0; f < 4; ++f) {
+    const air::AirIndexHandle* handle = handles[f];
+    const broadcast::BroadcastProgram& program = handle->program();
+    broadcast::ClientSession session(program, program.cycle_packets() / 3,
+                                     broadcast::ErrorModel{1.0},
+                                     common::Rng(11));
+    const auto client = handle->MakeContinuousClient(&session);
+    const uint64_t cycle_bytes =
+        program.cycle_packets() * program.packet_capacity();
+    const uint64_t budget_bytes = kBudgetCycles[f] * cycle_bytes;
+    for (size_t q = 0; q < windows.size(); ++q) {
+      const uint64_t before = session.metrics().access_latency_bytes;
+      client->BeginQuery();
+      (void)client->WindowQuery(windows[q]);
+      EXPECT_FALSE(client->stats().completed) << handle->family();
+      const uint64_t spent = session.metrics().access_latency_bytes - before;
+      EXPECT_GE(spent, budget_bytes) << handle->family() << " query " << q;
+      EXPECT_LT(spent, budget_bytes + cycle_bytes)
+          << handle->family() << " query " << q;
+      EXPECT_EQ(spent, kPinnedContinuous[f][q])
+          << handle->family() << " query " << q;
     }
   }
 }

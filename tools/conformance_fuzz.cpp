@@ -36,7 +36,7 @@
 /// legitimate; only completed-query correctness and the exact
 /// AvgMetrics::incomplete accounting are enforced. The driver then shrinks
 /// the failing instance (smaller dataset, lossless channel, static
-/// broadcast, serial arena execution — whatever keeps it failing) and
+/// broadcast, serial execution — whatever keeps it failing) and
 /// prints a one-line reproducer. Replaying one is repro mode:
 ///
 ///   conformance_fuzz --repro --seed=17 --n=64 --order=5 ... --families=dsi
@@ -122,7 +122,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     else if (key == "--theta") { args->base.theta = std::strtod(value.c_str(), nullptr); args->have_theta = true; }
     else if (key == "--error-mode") { if (!ParseMode(value, &args->base.error_mode)) return false; args->have_mode = true; }
     else if (key == "--workers") args->base.workers = u64();
-    else if (key == "--heap") args->base.heap_clients = u64() != 0;
     else if (key == "--windows") args->base.window_queries = u64();
     else if (key == "--knn-points") args->base.knn_points = u64();
     else if (key == "--k") args->base.k = u64();
@@ -247,11 +246,10 @@ ConformanceCase Shrink(ConformanceCase c,
     candidate.theta = 0.0;
     if (fails(candidate)) c = candidate;
   }
-  // Serial, arena-allocated execution.
-  if (c.workers != 1 || c.heap_clients) {
+  // Serial execution.
+  if (c.workers != 1) {
     ConformanceCase candidate = c;
     candidate.workers = 1;
-    candidate.heap_clients = false;
     if (fails(candidate)) c = candidate;
   }
   // Fewer random queries (degenerates always remain).
