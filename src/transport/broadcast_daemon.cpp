@@ -6,6 +6,13 @@
 
 namespace dsi::transport {
 
+namespace {
+
+/// A connection's frames go to the socket in sends of about this size.
+constexpr size_t kBatchBytes = 64 * 1024;
+
+}  // namespace
+
 BroadcastDaemon::BroadcastDaemon(const wire::HelloPayload& recipe,
                                  double packets_per_second)
     : source_(recipe), pps_(packets_per_second) {}
@@ -57,6 +64,10 @@ void BroadcastDaemon::AdvanceAirTo(uint64_t packet) {
   }
 }
 
+bool BroadcastDaemon::Aired(uint64_t packet) const {
+  return pps_ <= 0 || AirPosition() >= packet;
+}
+
 uint64_t BroadcastDaemon::AirPosition() const {
   if (pps_ > 0) {
     const auto elapsed = std::chrono::steady_clock::now() - epoch_;
@@ -69,7 +80,6 @@ uint64_t BroadcastDaemon::AirPosition() const {
 }
 
 void BroadcastDaemon::PaceTo(uint64_t packet) {
-  if (pps_ <= 0) return;
   const auto target =
       epoch_ + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                    std::chrono::duration<double>(
@@ -91,12 +101,23 @@ void BroadcastDaemon::ServeConnection(SocketFd fd) {
   const broadcast::GenerationSchedule& schedule = source_.schedule();
   const uint64_t tune_in = std::max(AirPosition(), air_pos_.load());
 
+  // Every frame is written in place into one batch, which goes to the
+  // socket in one send. pos is the end of the last frame in the batch.
+  std::vector<uint8_t> batch;
+  batch.reserve(2 * kBatchBytes);
+  uint64_t pos = tune_in;
+  auto flush = [&] {
+    if (!SendAll(fd, batch.data(), batch.size())) return false;
+    batch.clear();
+    AdvanceAirTo(pos);
+    return true;
+  };
+
   // Hello + the complete timetable up front: the client owns every
   // generation's program before the first bucket arrives.
-  std::vector<uint8_t> out;
   wire::HelloPayload hello = source_.hello();
   hello.now_packet = tune_in;
-  wire::AppendFrame(wire::FrameType::kHello, wire::EncodeHello(hello), &out);
+  wire::AppendFrame(wire::FrameType::kHello, wire::EncodeHello(hello), &batch);
   for (size_t g = 0; g < source_.num_generations(); ++g) {
     wire::ProgramMeta meta;
     meta.generation = g;
@@ -104,14 +125,12 @@ void BroadcastDaemon::ServeConnection(SocketFd fd) {
     meta.end_packet = schedule.end_packet(g);
     wire::AppendFrame(wire::FrameType::kProgram,
                       wire::EncodeProgramAnnouncement(meta, source_.program(g)),
-                      &out);
+                      &batch);
   }
-  if (!SendAll(fd, out.data(), out.size())) return;
 
   // Stream buckets from the one covering the tune-in packet, forever (or
   // until a clean stop finishes the current cycle). Each frame is a pure
   // function of its absolute packet position.
-  uint64_t pos = tune_in;
   for (;;) {
     const uint64_t gen = schedule.GenerationAt(pos);
     const broadcast::BroadcastProgram& program = schedule.program(gen);
@@ -124,32 +143,31 @@ void BroadcastDaemon::ServeConnection(SocketFd fd) {
     const broadcast::Bucket& bucket = program.bucket(slot);
     const uint64_t frame_start = cycle_base + bucket.start_packet;
 
-    wire::BucketFrame frame;
-    frame.generation = gen;
-    frame.phys_slot = slot;
-    frame.start_packet = frame_start;
-    frame.kind = bucket.kind;
-    frame.payload_id = bucket.payload;
-    frame.content = source_.BucketContent(gen, slot);
-
-    PaceTo(frame_start);
-    out.clear();
-    wire::AppendFrame(wire::FrameType::kBucket, wire::EncodeBucketFrame(frame),
-                      &out);
-    if (!SendAll(fd, out.data(), out.size())) return;  // client went away
+    // Paced: the frame is not due yet. Hand over what is, then sleep.
+    if (!Aired(frame_start)) {
+      if (!flush()) return;  // client went away
+      PaceTo(frame_start);
+    }
+    wire::BucketFields fields;
+    fields.generation = gen;
+    fields.phys_slot = slot;
+    fields.start_packet = frame_start;
+    fields.kind = bucket.kind;
+    fields.payload_id = bucket.payload;
+    wire::AppendBucketFrameHead(fields, bucket.size_bytes, &batch);
+    source_.AppendBucketContent(gen, slot, &batch);
 
     pos = frame_start + bucket.packets;
     if (pos >= gen_end) pos = gen_end;  // switch instant: next generation
-    AdvanceAirTo(pos);
 
     // Clean shutdown at the next cycle boundary of the live generation.
     if (stopping_.load() && (pos - gen_start) % cycle == 0) {
-      out.clear();
       wire::AppendFrame(wire::FrameType::kShutdown, wire::EncodeShutdown(pos),
-                        &out);
-      SendAll(fd, out.data(), out.size());
+                        &batch);
+      flush();
       return;
     }
+    if (batch.size() >= kBatchBytes && !flush()) return;
   }
 }
 

@@ -17,8 +17,13 @@
 /// wall time), and a connection's tune-in packet is the clock's current
 /// position — tuning in mid-cycle is the normal case, exactly like a real
 /// receiver. At pps = 0 the channel is unthrottled (tests): frames go out
-/// as fast as the socket drains and the air position advances with the
-/// furthest-streamed packet.
+/// as fast as the socket drains. Either way a connection writes each due
+/// frame in place into one send batch and flushes the batch with one send
+/// when it reaches 64 KiB, before the pacer sleeps for a frame that is not
+/// due yet, and before the shutdown return — so a paced frame never leaves
+/// before its air time, and both modes share one code path. The air
+/// position handed to the next connection is the furthest packet flushed
+/// to a socket.
 ///
 /// Shutdown: Stop() (or SIGINT/SIGTERM in tools/broadcastd) stops
 /// accepting, lets every connection finish its CURRENT cycle, then sends
@@ -83,6 +88,9 @@ class BroadcastDaemon {
   void ServeConnection(SocketFd fd);
   /// Current air position in packets (clock-derived when paced).
   uint64_t AirPosition() const;
+  /// True once \p packet is due: always when unthrottled, else when the
+  /// channel clock has reached it.
+  bool Aired(uint64_t packet) const;
   /// Blocks until the channel clock reaches \p packet (paced mode only).
   void PaceTo(uint64_t packet);
 

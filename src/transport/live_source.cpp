@@ -10,31 +10,41 @@ namespace dsi::transport {
 
 namespace {
 
-/// GF(2^8) multiply (AES polynomial 0x11B). Parity planes are rows of a
-/// Vandermonde matrix over this field: plane j weights group member i with
-/// alpha^(j*i), alpha = 2, so plane 0 is the plain XOR and any d intact
-/// symbols of d data + p planes solve for the group (d <= coding group <=
-/// 64 keeps the matrix nonsingular in GF(256)).
-uint8_t GfMul(uint8_t a, uint8_t b) {
-  uint8_t out = 0;
-  while (b != 0) {
-    if (b & 1) out ^= a;
-    const bool carry = (a & 0x80) != 0;
-    a = static_cast<uint8_t>(a << 1);
-    if (carry) a ^= 0x1B;
-    b >>= 1;
-  }
+// GF(2^8) arithmetic (AES polynomial 0x11B). Parity planes are rows of a
+// Vandermonde matrix over this field: plane j weights group member i with
+// alpha^(j*i), alpha = 2, so plane 0 is the plain XOR and any d intact
+// symbols of d data + p planes solve for the group (d <= coding group <=
+// 64 keeps the matrix nonsingular in GF(256)).
+
+/// a * 2.
+uint8_t GfTimes2(uint8_t a) {
+  return static_cast<uint8_t>((a << 1) ^ ((a & 0x80) != 0 ? 0x1B : 0));
+}
+
+/// alpha^e; alpha^255 = 1 in GF(256).
+uint8_t AlphaPow(uint32_t e) {
+  uint8_t out = 1;
+  for (e %= 255; e > 0; --e) out = GfTimes2(out);
   return out;
 }
 
-uint8_t GfPow(uint8_t base, uint32_t exp) {
-  uint8_t out = 1;
-  while (exp != 0) {
-    if (exp & 1) out = GfMul(out, base);
-    base = GfMul(base, base);
-    exp >>= 1;
+/// dst[i] ^= coeff * src[i] for i < n: a plain XOR for coefficient 1, one
+/// 256-entry product row otherwise. Multiplication by coeff is linear over
+/// the bits of its operand, so row[v + 2^k] = row[v] ^ coeff * 2^k.
+void MulAddPlane(uint8_t coeff, const uint8_t* src, size_t n, uint8_t* dst) {
+  if (coeff == 1) {
+    for (size_t i = 0; i < n; ++i) dst[i] ^= src[i];
+    return;
   }
-  return out;
+  uint8_t row[256];
+  row[0] = 0;
+  uint8_t bit = coeff;
+  for (size_t half = 1; half < 256; half <<= 1, bit = GfTimes2(bit)) {
+    for (size_t v = 0; v < half; ++v) {
+      row[half + v] = static_cast<uint8_t>(row[v] ^ bit);
+    }
+  }
+  for (size_t i = 0; i < n; ++i) dst[i] ^= row[src[i]];
 }
 
 }  // namespace
@@ -130,33 +140,32 @@ LiveSource::LiveSource(const wire::HelloPayload& hello)
   }
 }
 
-std::vector<uint8_t> LiveSource::DataContent(size_t g,
-                                             const broadcast::Bucket& bucket,
-                                             size_t padded_bytes) const {
-  std::vector<uint8_t> content;
+void LiveSource::AppendDataContent(size_t g, const broadcast::Bucket& bucket,
+                                   std::vector<uint8_t>* out) const {
+  [[maybe_unused]] const size_t start = out->size();
   switch (bucket.kind) {
     case broadcast::BucketKind::kDsiFrameTable:
       // DSI and the exponential index both air one table bucket per
       // frame/chunk, payload = broadcast position.
       if (hello_.family == wire::FamilyId::kDsi) {
         const core::DsiIndex& index = *dsi_indexes_[g];
-        content = wire::EncodeDsiTable(index.TableAt(bucket.payload),
-                                       index.segment_head_hcs(),
-                                       index.table_hc_bytes());
+        wire::AppendDsiTable(index.TableAt(bucket.payload),
+                             index.segment_head_hcs(), index.table_hc_bytes(),
+                             out);
       } else {
         const expindex::ExpIndex& index = exp_handles_[g]->index();
-        content = wire::EncodeExpTable(index.ChunkMinKey(bucket.payload),
-                                       index.TableAt(bucket.payload),
-                                       index.config().key_bytes);
+        wire::AppendExpTable(index.ChunkMinKey(bucket.payload),
+                             index.TableAt(bucket.payload),
+                             index.config().key_bytes, out);
       }
       break;
     case broadcast::BucketKind::kIndexNode:
       if (hello_.family == wire::FamilyId::kRtree) {
-        content = wire::EncodeRtreeNode(
-            rtree_indexes_[g]->tree().entries(bucket.payload));
+        wire::AppendRtreeNode(
+            rtree_indexes_[g]->tree().entries(bucket.payload), out);
       } else {
-        content =
-            wire::EncodeBptNode(hci_indexes_[g]->tree().entries(bucket.payload));
+        wire::AppendBptNode(hci_indexes_[g]->tree().entries(bucket.payload),
+                            out);
       }
       break;
     case broadcast::BucketKind::kDataObject: {
@@ -175,40 +184,48 @@ std::vector<uint8_t> LiveSource::DataContent(size_t g,
           sorted = &exp_handles_[g]->sorted_objects();
           break;
       }
-      content = wire::EncodeDataObject((*sorted)[bucket.payload]);
+      wire::AppendDataObject((*sorted)[bucket.payload], out);
       break;
     }
     case broadcast::BucketKind::kParity:
       assert(false && "parity is not data");
       break;
   }
-  assert(content.size() == bucket.size_bytes);
-  if (padded_bytes > content.size()) content.resize(padded_bytes, 0);
-  return content;
+  assert(out->size() - start == bucket.size_bytes);
 }
 
 std::vector<uint8_t> LiveSource::BucketContent(size_t g,
                                                size_t phys_slot) const {
+  std::vector<uint8_t> out;
+  AppendBucketContent(g, phys_slot, &out);
+  return out;
+}
+
+void LiveSource::AppendBucketContent(size_t g, size_t phys_slot,
+                                     std::vector<uint8_t>* out) const {
   const broadcast::BroadcastProgram& p = program(g);
   const broadcast::Bucket& bucket = p.bucket(phys_slot);
   if (bucket.kind != broadcast::BucketKind::kParity) {
-    return DataContent(g, bucket, 0);
+    AppendDataContent(g, bucket, out);
+    return;
   }
   // Parity plane: the group's members are the contiguous physical run of
   // data airings before its parity; the plane number is this bucket's rank
-  // within the parity run.
+  // within the parity run. A member shorter than the plane is zero-padded,
+  // and zeros add nothing, so only its own bytes are folded in.
   const broadcast::BroadcastProgram::GroupRun run = p.GroupOf(phys_slot);
   const size_t plane = phys_slot - run.first - run.data;
-  std::vector<uint8_t> out(bucket.size_bytes, 0);
+  const size_t base = out->size();
+  const size_t end = base + bucket.size_bytes;
+  out->reserve(end + bucket.size_bytes);  // plane + one member, no regrowth
+  out->resize(end, 0);
   for (size_t m = 0; m < run.data; ++m) {
-    const std::vector<uint8_t> member =
-        DataContent(g, p.bucket(run.first + m), out.size());
-    const uint8_t coeff = GfPow(2, static_cast<uint32_t>(plane * m));
-    for (size_t i = 0; i < out.size(); ++i) {
-      out[i] ^= GfMul(coeff, member[i]);
-    }
+    const broadcast::Bucket& member = p.bucket(run.first + m);
+    AppendDataContent(g, member, out);
+    MulAddPlane(AlphaPow(static_cast<uint32_t>(plane * m)), out->data() + end,
+                member.size_bytes, out->data() + base);
+    out->resize(end);
   }
-  return out;
 }
 
 }  // namespace dsi::transport

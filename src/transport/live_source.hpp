@@ -78,12 +78,16 @@ class LiveSource {
   /// is the plain XOR of the group) for kParity buckets. The result is
   /// exactly bucket(phys_slot).size_bytes long.
   std::vector<uint8_t> BucketContent(size_t g, size_t phys_slot) const;
+  /// BucketContent appended to \p out, so a sender encodes straight into
+  /// its send buffer. A parity plane encodes its members one at a time past
+  /// the plane, in \p out's own tail, and trims them off again.
+  void AppendBucketContent(size_t g, size_t phys_slot,
+                           std::vector<uint8_t>* out) const;
 
  private:
-  /// Content of a non-parity bucket, padded to \p padded_bytes when the
-  /// caller is assembling a parity plane (0 = no padding).
-  std::vector<uint8_t> DataContent(size_t g, const broadcast::Bucket& bucket,
-                                   size_t padded_bytes) const;
+  /// Appends the content of a non-parity bucket to \p out.
+  void AppendDataContent(size_t g, const broadcast::Bucket& bucket,
+                         std::vector<uint8_t>* out) const;
 
   wire::HelloPayload hello_;
   hilbert::SpaceMapper mapper_;

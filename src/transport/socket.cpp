@@ -212,27 +212,20 @@ bool SendAll(const SocketFd& fd, const uint8_t* data, size_t size) {
   return true;
 }
 
-bool RecvAll(const SocketFd& fd, uint8_t* data, size_t size, int timeout_ms,
-             std::string* error) {
-  size_t got = 0;
-  while (got < size) {
+size_t RecvSome(const SocketFd& fd, uint8_t* data, size_t capacity,
+                int timeout_ms, std::string* error) {
+  for (;;) {
     if (!WaitFor(fd.get(), POLLIN, timeout_ms)) {
-      if (error != nullptr) *error = "receive timed out";
-      return false;
+      *error = "receive timed out";
+      return 0;
     }
-    const ssize_t n = ::recv(fd.get(), data + got, size - got, 0);
-    if (n > 0) {
-      got += static_cast<size_t>(n);
-      continue;
-    }
+    const ssize_t n = ::recv(fd.get(), data, capacity, 0);
+    if (n > 0) return static_cast<size_t>(n);
     if (n < 0 && errno == EINTR) continue;
-    if (error != nullptr) {
-      *error = n == 0 ? "connection closed"
-                      : std::string("recv: ") + std::strerror(errno);
-    }
-    return false;
+    *error = n == 0 ? "connection closed"
+                    : std::string("recv: ") + std::strerror(errno);
+    return 0;
   }
-  return true;
 }
 
 }  // namespace dsi::transport

@@ -3,7 +3,8 @@
 /// \file socket.hpp
 /// \brief Minimal POSIX socket plumbing for the live broadcast pair:
 /// endpoint parsing ("tcp:PORT", "tcp:HOST:PORT", "unix:PATH"), RAII fds,
-/// listen/accept/connect, and length-exact send/recv with deadlines.
+/// listen/accept/connect, a length-exact send and a bulk recv with a
+/// deadline.
 /// Everything above this file speaks frames (wire/framing.hpp); everything
 /// below is errno.
 
@@ -60,9 +61,10 @@ SocketFd ConnectTo(const Endpoint& ep, int timeout_ms, std::string* error);
 /// Sends exactly \p size bytes (retrying short writes). False on any error.
 bool SendAll(const SocketFd& fd, const uint8_t* data, size_t size);
 
-/// Receives exactly \p size bytes within \p timeout_ms per chunk. False on
-/// EOF, timeout or error (\p error says which).
-bool RecvAll(const SocketFd& fd, uint8_t* data, size_t size, int timeout_ms,
-             std::string* error);
+/// Waits up to \p timeout_ms for data, then receives what one recv returns,
+/// at most \p capacity bytes. Returns the count; 0 on EOF, timeout or error
+/// (\p error says which).
+size_t RecvSome(const SocketFd& fd, uint8_t* data, size_t capacity,
+                int timeout_ms, std::string* error);
 
 }  // namespace dsi::transport

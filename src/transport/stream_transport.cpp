@@ -1,10 +1,15 @@
 #include "transport/stream_transport.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <cstring>
 
 namespace dsi::transport {
 
 namespace {
+
+/// Bytes one refill of the receive buffer asks the socket for.
+constexpr size_t kRecvBytes = 64 * 1024;
 
 /// Structural program equality: the daemon's announced timetable must be
 /// exactly the local rebuild.
@@ -53,9 +58,8 @@ std::unique_ptr<StreamTransport> StreamTransport::Connect(
 
 StreamTransport::StreamTransport(SocketFd fd, const Options& options)
     : fd_(std::move(fd)), options_(options) {
-  wire::FrameType type;
-  std::vector<uint8_t> payload;
-  RecvFrame(&type, &payload);
+  std::span<const uint8_t> payload;
+  wire::FrameType type = RecvFrame(&payload);
   if (type != wire::FrameType::kHello) {
     throw TransportError("protocol error: expected hello, got frame type " +
                          std::to_string(static_cast<int>(type)));
@@ -71,7 +75,7 @@ StreamTransport::StreamTransport(SocketFd fd, const Options& options)
   // The full timetable follows; verify each announcement against the local
   // rebuild.
   for (size_t g = 0; g < source_->num_generations(); ++g) {
-    RecvFrame(&type, &payload);
+    type = RecvFrame(&payload);
     if (type != wire::FrameType::kProgram) {
       throw TransportError("protocol error: expected program announcement " +
                            std::to_string(g));
@@ -94,18 +98,39 @@ StreamTransport::StreamTransport(SocketFd fd, const Options& options)
   cover_end_ = hello_.now_packet;
 }
 
-void StreamTransport::RecvFrame(wire::FrameType* type,
-                                std::vector<uint8_t>* payload) {
-  const auto t0 = std::chrono::steady_clock::now();
-  uint8_t header_bytes[wire::kFrameHeaderBytes];
-  std::string error;
-  if (!RecvAll(fd_, header_bytes, sizeof(header_bytes), options_.timeout_ms,
-               &error)) {
-    throw TransportError("live channel: " + error);
+void StreamTransport::Fill(size_t bytes) {
+  while (rx_end_ - rx_begin_ < bytes) {
+    // Refill after the unparsed tail, moved to the front; a frame larger
+    // than the buffer grows it.
+    if (rx_begin_ > 0) {
+      std::memmove(rx_.data(), rx_.data() + rx_begin_, rx_end_ - rx_begin_);
+      rx_end_ -= rx_begin_;
+      rx_begin_ = 0;
+    }
+    rx_.resize(std::max({rx_.size(), kRecvBytes, bytes}));
+    const auto t0 = std::chrono::steady_clock::now();
+    std::string error;
+    const size_t got = RecvSome(fd_, rx_.data() + rx_end_,
+                                rx_.size() - rx_end_, options_.timeout_ms,
+                                &error);
+    wall_.wait_nanos += static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+    if (got == 0) {
+      throw TransportError(rx_end_ > 0
+                               ? "live channel: torn frame (" + error + ")"
+                               : "live channel: " + error);
+    }
+    rx_end_ += got;
   }
+}
+
+wire::FrameType StreamTransport::RecvFrame(std::span<const uint8_t>* payload) {
+  Fill(wire::kFrameHeaderBytes);
   wire::FrameHeader header;
-  switch (wire::DecodeFrameHeader(header_bytes, sizeof(header_bytes),
-                                  &header)) {
+  switch (wire::DecodeFrameHeader(rx_.data() + rx_begin_,
+                                  rx_end_ - rx_begin_, &header)) {
     case wire::FrameStatus::kOk:
       break;
     case wire::FrameStatus::kBadMagic:
@@ -123,19 +148,14 @@ void StreamTransport::RecvFrame(wire::FrameType* type,
     case wire::FrameStatus::kNeedMore:
       throw TransportError("protocol error: short frame header");
   }
-  payload->resize(header.payload_bytes);
-  if (header.payload_bytes > 0 &&
-      !RecvAll(fd_, payload->data(), payload->size(), options_.timeout_ms,
-               &error)) {
-    throw TransportError("live channel: torn frame (" + error + ")");
-  }
-  *type = header.type;
-  wall_.wait_nanos += static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
+  const size_t frame_bytes = wire::kFrameHeaderBytes + header.payload_bytes;
+  Fill(frame_bytes);
+  *payload = {rx_.data() + rx_begin_ + wire::kFrameHeaderBytes,
+              header.payload_bytes};
+  rx_begin_ += frame_bytes;
   wall_.frames += 1;
-  wall_.frame_bytes += wire::kFrameHeaderBytes + payload->size();
+  wall_.frame_bytes += frame_bytes;
+  return header.type;
 }
 
 void StreamTransport::PullFrame() {
@@ -145,9 +165,8 @@ void StreamTransport::PullFrame() {
         "daemon shut down at packet " + std::to_string(*final_packet_) +
         " but the session still needs the channel");
   }
-  wire::FrameType type;
-  std::vector<uint8_t> payload;
-  RecvFrame(&type, &payload);
+  std::span<const uint8_t> payload;
+  const wire::FrameType type = RecvFrame(&payload);
   if (type == wire::FrameType::kShutdown) {
     uint64_t final_packet = 0;
     if (!wire::DecodeShutdown(payload, &final_packet)) {
@@ -159,20 +178,25 @@ void StreamTransport::PullFrame() {
   if (type != wire::FrameType::kBucket) {
     throw TransportError("protocol error: unexpected mid-stream frame type");
   }
-  wire::BucketFrame frame;
-  if (!wire::DecodeBucketFrame(payload, &frame)) {
+  wire::BucketFields fields;
+  if (!wire::ParseBucketFrame(payload, &fields, &pending_content_)) {
     throw TransportError("protocol error: malformed bucket frame");
   }
-  pending_ = std::move(frame);
+  pending_ = fields;
 }
 
 void StreamTransport::ConsumePending(bool validate) {
-  const wire::BucketFrame& frame = *pending_;
+  const wire::BucketFields& frame = *pending_;
   const broadcast::GenerationSchedule& schedule = source_->schedule();
   // Position check: the frame must sit exactly where the timetable says the
   // channel is (contiguous with everything received so far).
   const uint64_t gen = schedule.GenerationAt(frame.start_packet);
   const broadcast::BroadcastProgram& program = schedule.program(gen);
+  if (frame.phys_slot >= program.num_buckets()) {
+    throw TransportError("daemon drift: bucket frame names slot " +
+                         std::to_string(frame.phys_slot) +
+                         " past the announced program");
+  }
   const broadcast::Bucket& bucket = program.bucket(frame.phys_slot);
   const uint64_t gen_start = schedule.start_packet(gen);
   const uint64_t expected_start =
@@ -189,11 +213,14 @@ void StreamTransport::ConsumePending(bool validate) {
   if (frame.kind != bucket.kind || frame.payload_id != bucket.payload) {
     throw TransportError("daemon drift: bucket frame metadata mismatch");
   }
-  if (validate &&
-      frame.content != source_->BucketContent(gen, frame.phys_slot)) {
-    throw TransportError("daemon drift: bucket content mismatch at slot " +
-                         std::to_string(frame.phys_slot) + " of generation " +
-                         std::to_string(gen));
+  if (validate) {
+    expected_.clear();
+    source_->AppendBucketContent(gen, frame.phys_slot, &expected_);
+    if (!std::ranges::equal(pending_content_, expected_)) {
+      throw TransportError("daemon drift: bucket content mismatch at slot " +
+                           std::to_string(frame.phys_slot) +
+                           " of generation " + std::to_string(gen));
+    }
   }
   first_frame_ = false;
   cover_end_ = frame.start_packet + bucket.packets;

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -49,7 +50,7 @@ class TransportError : public std::runtime_error {
 class StreamTransport final : public Transport {
  public:
   struct Options {
-    int timeout_ms = 5000;  ///< Per connect and per frame receive.
+    int timeout_ms = 5000;  ///< Per connect and per receive-buffer refill.
     /// Check every received bucket's content against the local rebuild.
     bool validate_content = true;
   };
@@ -93,8 +94,12 @@ class StreamTransport final : public Transport {
  private:
   StreamTransport(SocketFd fd, const Options& options);
 
-  /// Receives one frame payload of the given type set; fills type/payload.
-  void RecvFrame(wire::FrameType* type, std::vector<uint8_t>* payload);
+  /// Makes at least \p bytes unparsed bytes available in the receive
+  /// buffer, with one poll + recv per refill of up to 64 KiB.
+  void Fill(size_t bytes);
+  /// Parses the next frame in place; \p payload stays valid until the next
+  /// Fill.
+  wire::FrameType RecvFrame(std::span<const uint8_t>* payload);
   /// Pulls the next bucket frame into pending_ (unless shutdown arrives).
   void PullFrame();
   /// Consumes pending_ into coverage, validating position and content.
@@ -104,8 +109,16 @@ class StreamTransport final : public Transport {
   Options options_;
   wire::HelloPayload hello_;
   std::unique_ptr<LiveSource> source_;
-  /// One-frame lookahead: the next not-yet-consumed bucket frame.
-  std::optional<wire::BucketFrame> pending_;
+  /// Receive buffer: [rx_begin_, rx_end_) is received but not yet parsed.
+  std::vector<uint8_t> rx_;
+  size_t rx_begin_ = 0;
+  size_t rx_end_ = 0;
+  /// One-frame lookahead: the next not-yet-consumed bucket frame, whose
+  /// content views the receive buffer.
+  std::optional<wire::BucketFields> pending_;
+  std::span<const uint8_t> pending_content_;
+  /// The local rebuild of a listened frame's content.
+  std::vector<uint8_t> expected_;
   /// Everything before this absolute packet has been received (frames are
   /// contiguous; coverage starts at the first streamed bucket's start).
   uint64_t cover_end_ = 0;

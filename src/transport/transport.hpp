@@ -36,7 +36,9 @@ namespace dsi::transport {
 /// Wall-clock accounting of one transport, reported next to the paper's
 /// byte metrics. All zero on SimTransport.
 struct WallStats {
-  uint64_t wait_nanos = 0;   ///< Wall time blocked on the live channel.
+  /// Wall time blocked refilling the receive buffer (poll + recv); frame
+  /// parsing and content validation are not counted.
+  uint64_t wait_nanos = 0;
   uint64_t frames = 0;       ///< Bucket frames received off the wire.
   uint64_t frame_bytes = 0;  ///< Total frame payload bytes received.
 };

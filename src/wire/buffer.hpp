@@ -9,16 +9,24 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
 
 namespace dsi::wire {
 
-/// Appends fixed-width little-endian integers to a byte vector.
+/// Appends fixed-width little-endian integers to a byte vector: its own
+/// (bytes()) or a caller's, after whatever that already holds.
 class ByteWriter {
  public:
-  /// Pre-sizes the backing vector; serializers that know their exact
-  /// output size call this once so encoding never regrows the buffer.
-  void Reserve(size_t total_bytes) { bytes_.reserve(total_bytes); }
+  ByteWriter() = default;
+  explicit ByteWriter(std::vector<uint8_t>* out) : out_(out) {}
+  ByteWriter(const ByteWriter&) = delete;
+  ByteWriter& operator=(const ByteWriter&) = delete;
+
+  /// Pre-sizes the backing vector for \p more_bytes of output; serializers
+  /// that know their exact output size call this once so encoding never
+  /// regrows the buffer.
+  void Reserve(size_t more_bytes) { out_->reserve(out_->size() + more_bytes); }
 
   /// Writes the low \p width bytes of \p value (little endian).
   void WriteUint(uint64_t value, size_t width) {
@@ -33,7 +41,7 @@ class ByteWriter {
 
   /// Bulk append of \p n raw bytes.
   void WriteBytes(const uint8_t* data, size_t n) {
-    bytes_.insert(bytes_.end(), data, data + n);
+    out_->insert(out_->end(), data, data + n);
   }
 
   void WriteDouble(double value) {
@@ -44,20 +52,21 @@ class ByteWriter {
   }
 
   /// Zero padding (e.g. the unused high half of a 16-byte HC field).
-  void WriteZeros(size_t n) { bytes_.insert(bytes_.end(), n, 0); }
+  void WriteZeros(size_t n) { out_->insert(out_->end(), n, 0); }
 
-  const std::vector<uint8_t>& bytes() const { return bytes_; }
-  size_t size() const { return bytes_.size(); }
+  const std::vector<uint8_t>& bytes() const { return *out_; }
+  size_t size() const { return out_->size(); }
 
  private:
-  std::vector<uint8_t> bytes_;
+  std::vector<uint8_t> own_;
+  std::vector<uint8_t>* out_ = &own_;
 };
 
 /// Reads fixed-width little-endian integers from a byte span.
 class ByteReader {
  public:
   ByteReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-  explicit ByteReader(const std::vector<uint8_t>& bytes)
+  explicit ByteReader(std::span<const uint8_t> bytes)
       : ByteReader(bytes.data(), bytes.size()) {}
 
   bool ok() const { return ok_; }
@@ -84,13 +93,18 @@ class ByteReader {
     return value;
   }
 
-  void SkipZeros(size_t n) {
-    if (pos_ + n > size_) {
+  /// Bulk read: the next \p n bytes in place (null, and the reader fails,
+  /// when fewer remain).
+  const uint8_t* ReadBytes(size_t n) {
+    if (n > remaining()) {
       ok_ = false;
-      return;
+      return nullptr;
     }
     pos_ += n;
+    return data_ + pos_ - n;
   }
+
+  void SkipZeros(size_t n) { ReadBytes(n); }
 
  private:
   const uint8_t* data_;

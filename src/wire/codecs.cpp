@@ -6,13 +6,13 @@
 
 namespace dsi::wire {
 
-std::vector<uint8_t> EncodeDsiTable(const core::DsiTableView& table,
-                                    const std::vector<uint64_t>& segment_heads,
-                                    uint32_t hc_bytes) {
+void AppendDsiTable(const core::DsiTableView& table,
+                    const std::vector<uint64_t>& segment_heads,
+                    uint32_t hc_bytes, std::vector<uint8_t>* out) {
   assert(hc_bytes >= 1 && hc_bytes <= 16);
   const size_t hc_int = hc_bytes > 8 ? 8 : hc_bytes;  // value width
   const size_t hc_pad = hc_bytes - hc_int;            // zero padding
-  ByteWriter w;
+  ByteWriter w(out);
   const size_t heads = segment_heads.size() > 1 ? segment_heads.size() : 0;
   w.Reserve((1 + heads + table.entries.size()) * hc_bytes +
             table.entries.size() * common::kPointerBytes);
@@ -28,7 +28,6 @@ std::vector<uint8_t> EncodeDsiTable(const core::DsiTableView& table,
     write_hc(e.hc_min);
     w.WriteUint(e.position, common::kPointerBytes);
   }
-  return w.bytes();
 }
 
 bool DecodeDsiTable(const std::vector<uint8_t>& bytes, uint32_t hc_bytes,
@@ -64,13 +63,13 @@ bool DecodeDsiTable(const std::vector<uint8_t>& bytes, uint32_t hc_bytes,
   return r.ok();
 }
 
-std::vector<uint8_t> EncodeExpTable(
-    uint64_t own_min_key, const std::vector<expindex::ExpTableEntry>& entries,
-    uint32_t key_bytes) {
+void AppendExpTable(uint64_t own_min_key,
+                    const std::vector<expindex::ExpTableEntry>& entries,
+                    uint32_t key_bytes, std::vector<uint8_t>* out) {
   assert(key_bytes >= 1 && key_bytes <= 16);
   const size_t key_int = key_bytes > 8 ? 8 : key_bytes;  // value width
   const size_t key_pad = key_bytes - key_int;            // zero padding
-  ByteWriter w;
+  ByteWriter w(out);
   w.Reserve((1 + entries.size()) * key_bytes +
             entries.size() * common::kPointerBytes);
   auto write_key = [&](uint64_t key) {
@@ -82,7 +81,6 @@ std::vector<uint8_t> EncodeExpTable(
     write_key(e.min_key);
     w.WriteUint(e.position, common::kPointerBytes);
   }
-  return w.bytes();
 }
 
 bool DecodeExpTable(const std::vector<uint8_t>& bytes, uint32_t key_bytes,
@@ -108,16 +106,15 @@ bool DecodeExpTable(const std::vector<uint8_t>& bytes, uint32_t key_bytes,
   return r.ok() && r.remaining() == 0;
 }
 
-std::vector<uint8_t> EncodeBptNode(
-    const std::vector<bptree::BptEntry>& entries) {
-  ByteWriter w;
+void AppendBptNode(const std::vector<bptree::BptEntry>& entries,
+                   std::vector<uint8_t>* out) {
+  ByteWriter w(out);
   w.Reserve(entries.size() * common::kHcIndexEntryBytes);
   for (const bptree::BptEntry& e : entries) {
     w.WriteUint(e.key, 8);
     w.WriteZeros(common::kHilbertValueBytes - 8);
     w.WriteUint(e.child, common::kPointerBytes);
   }
-  return w.bytes();
 }
 
 bool DecodeBptNode(const std::vector<uint8_t>& bytes,
@@ -135,9 +132,9 @@ bool DecodeBptNode(const std::vector<uint8_t>& bytes,
   return r.ok() && r.remaining() == 0;
 }
 
-std::vector<uint8_t> EncodeRtreeNode(
-    const std::vector<rtree::Rtree::Entry>& entries) {
-  ByteWriter w;
+void AppendRtreeNode(const std::vector<rtree::Rtree::Entry>& entries,
+                     std::vector<uint8_t>* out) {
+  ByteWriter w(out);
   w.Reserve(entries.size() * common::kRtreeEntryBytes);
   for (const rtree::Rtree::Entry& e : entries) {
     w.WriteDouble(e.mbr.min_x);
@@ -146,7 +143,6 @@ std::vector<uint8_t> EncodeRtreeNode(
     w.WriteDouble(e.mbr.max_y);
     w.WriteUint(e.child, common::kPointerBytes);
   }
-  return w.bytes();
 }
 
 bool DecodeRtreeNode(const std::vector<uint8_t>& bytes,
@@ -166,14 +162,14 @@ bool DecodeRtreeNode(const std::vector<uint8_t>& bytes,
   return r.ok() && r.remaining() == 0;
 }
 
-std::vector<uint8_t> EncodeDataObject(const datasets::SpatialObject& object) {
-  ByteWriter w;
+void AppendDataObject(const datasets::SpatialObject& object,
+                      std::vector<uint8_t>* out) {
+  ByteWriter w(out);
   w.Reserve(common::kDataObjectBytes);
   w.WriteUint(object.id, 4);
   w.WriteDouble(object.location.x);
   w.WriteDouble(object.location.y);
   w.WriteZeros(common::kDataObjectBytes - 4 - 2 * 8);
-  return w.bytes();
 }
 
 bool DecodeDataObject(const std::vector<uint8_t>& bytes,

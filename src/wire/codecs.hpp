@@ -12,6 +12,10 @@
 ///  * R-tree node: e x (32-byte MBR as four doubles, 2-byte pointer);
 ///  * data object: id + coordinates + opaque payload padding to 1024 B.
 ///
+/// Each encoder appends to a caller's buffer (Append*), so the live daemon
+/// writes bucket content straight into its send batch; Encode* returns the
+/// same bytes as a fresh vector.
+///
 /// Decoding never trusts input: truncated buffers flip the reader into a
 /// failed state and the decoders return false.
 
@@ -32,9 +36,16 @@ namespace dsi::wire {
 
 /// Serializes \p table with the given field widths; the result is exactly
 /// DsiIndex::table_bytes() long for the owning index.
-std::vector<uint8_t> EncodeDsiTable(const core::DsiTableView& table,
-                                    const std::vector<uint64_t>& segment_heads,
-                                    uint32_t hc_bytes);
+void AppendDsiTable(const core::DsiTableView& table,
+                    const std::vector<uint64_t>& segment_heads,
+                    uint32_t hc_bytes, std::vector<uint8_t>* out);
+inline std::vector<uint8_t> EncodeDsiTable(
+    const core::DsiTableView& table, const std::vector<uint64_t>& segment_heads,
+    uint32_t hc_bytes) {
+  std::vector<uint8_t> out;
+  AppendDsiTable(table, segment_heads, hc_bytes, &out);
+  return out;
+}
 
 /// Inverse of EncodeDsiTable. \p num_entries and \p num_segments come from
 /// system parameters every client knows. Returns false on malformed input.
@@ -48,9 +59,16 @@ bool DecodeDsiTable(const std::vector<uint8_t>& bytes, uint32_t hc_bytes,
 /// Serializes one exponential-index chunk table: the chunk's own min key
 /// followed by entries x (min key, chunk position). The result is exactly
 /// ExpIndex::table_bytes() long for the owning index.
-std::vector<uint8_t> EncodeExpTable(
+void AppendExpTable(uint64_t own_min_key,
+                    const std::vector<expindex::ExpTableEntry>& entries,
+                    uint32_t key_bytes, std::vector<uint8_t>* out);
+inline std::vector<uint8_t> EncodeExpTable(
     uint64_t own_min_key, const std::vector<expindex::ExpTableEntry>& entries,
-    uint32_t key_bytes);
+    uint32_t key_bytes) {
+  std::vector<uint8_t> out;
+  AppendExpTable(own_min_key, entries, key_bytes, &out);
+  return out;
+}
 
 /// Inverse of EncodeExpTable. \p num_entries comes from system parameters
 /// every client knows. Returns false on malformed input.
@@ -60,14 +78,28 @@ bool DecodeExpTable(const std::vector<uint8_t>& bytes, uint32_t key_bytes,
 
 // --- B+-tree nodes -----------------------------------------------------------
 
-std::vector<uint8_t> EncodeBptNode(const std::vector<bptree::BptEntry>& entries);
+void AppendBptNode(const std::vector<bptree::BptEntry>& entries,
+                   std::vector<uint8_t>* out);
+inline std::vector<uint8_t> EncodeBptNode(
+    const std::vector<bptree::BptEntry>& entries) {
+  std::vector<uint8_t> out;
+  AppendBptNode(entries, &out);
+  return out;
+}
 
 bool DecodeBptNode(const std::vector<uint8_t>& bytes,
                    std::vector<bptree::BptEntry>* entries);
 
 // --- R-tree nodes ------------------------------------------------------------
 
-std::vector<uint8_t> EncodeRtreeNode(const std::vector<rtree::Rtree::Entry>& entries);
+void AppendRtreeNode(const std::vector<rtree::Rtree::Entry>& entries,
+                     std::vector<uint8_t>* out);
+inline std::vector<uint8_t> EncodeRtreeNode(
+    const std::vector<rtree::Rtree::Entry>& entries) {
+  std::vector<uint8_t> out;
+  AppendRtreeNode(entries, &out);
+  return out;
+}
 
 bool DecodeRtreeNode(const std::vector<uint8_t>& bytes,
                      std::vector<rtree::Rtree::Entry>* entries);
@@ -77,7 +109,14 @@ bool DecodeRtreeNode(const std::vector<uint8_t>& bytes,
 /// Serializes a data object into exactly common::kDataObjectBytes: 4-byte
 /// id, two 8-byte coordinates, and zero padding standing in for the
 /// payload ("a set of attribute values").
-std::vector<uint8_t> EncodeDataObject(const datasets::SpatialObject& object);
+void AppendDataObject(const datasets::SpatialObject& object,
+                      std::vector<uint8_t>* out);
+inline std::vector<uint8_t> EncodeDataObject(
+    const datasets::SpatialObject& object) {
+  std::vector<uint8_t> out;
+  AppendDataObject(object, &out);
+  return out;
+}
 
 bool DecodeDataObject(const std::vector<uint8_t>& bytes,
                       datasets::SpatialObject* object);

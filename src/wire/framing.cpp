@@ -10,13 +10,30 @@ namespace dsi::wire {
 
 namespace {
 
-/// Raw byte run out of a ByteReader (ByteReader has no bulk read; frames
-/// are the only variable-length payloads in the protocol).
-bool ReadRaw(ByteReader& r, size_t n, std::vector<uint8_t>* out) {
-  if (r.remaining() < n) return false;
-  out->resize(n);
-  for (size_t i = 0; i < n; ++i) (*out)[i] = static_cast<uint8_t>(r.ReadUint(1));
-  return r.ok();
+/// generation, phys_slot, start_packet u64; kind u8; payload id, content
+/// length u32.
+constexpr size_t kBucketFieldsBytes = 8 * 3 + 1 + 4 + 4;
+
+void WriteBucketFields(const BucketFields& f, size_t content_bytes,
+                       ByteWriter& w) {
+  w.WriteUint(f.generation, 8);
+  w.WriteUint(f.phys_slot, 8);
+  w.WriteUint(f.start_packet, 8);
+  w.WriteUint(static_cast<uint64_t>(f.kind), 1);
+  w.WriteUint(f.payload_id, 4);
+  w.WriteUint(content_bytes, 4);
+}
+
+/// Appends the stream header of a frame with \p payload_bytes of payload;
+/// the caller appends exactly that payload next.
+void AppendFrameHeader(FrameType type, size_t payload_bytes,
+                       std::vector<uint8_t>* out) {
+  assert(payload_bytes <= kMaxFramePayloadBytes);
+  ByteWriter w(out);
+  w.WriteUint(kFrameMagic, 4);
+  w.WriteUint(kFrameVersion, 2);
+  w.WriteUint(static_cast<uint64_t>(type), 1);
+  w.WriteUint(payload_bytes, 4);
 }
 
 bool ValidKind(uint64_t kind) {
@@ -27,15 +44,8 @@ bool ValidKind(uint64_t kind) {
 
 void AppendFrame(FrameType type, const std::vector<uint8_t>& payload,
                  std::vector<uint8_t>* out) {
-  assert(payload.size() <= kMaxFramePayloadBytes);
-  ByteWriter w;
-  w.Reserve(kFrameHeaderBytes + payload.size());
-  w.WriteUint(kFrameMagic, 4);
-  w.WriteUint(kFrameVersion, 2);
-  w.WriteUint(static_cast<uint64_t>(type), 1);
-  w.WriteUint(payload.size(), 4);
-  w.WriteBytes(payload.data(), payload.size());
-  out->insert(out->end(), w.bytes().begin(), w.bytes().end());
+  AppendFrameHeader(type, payload.size(), out);
+  out->insert(out->end(), payload.begin(), payload.end());
 }
 
 FrameStatus DecodeFrameHeader(const uint8_t* data, size_t size,
@@ -76,7 +86,7 @@ std::vector<uint8_t> EncodeHello(const HelloPayload& hello) {
   return w.bytes();
 }
 
-bool DecodeHello(const std::vector<uint8_t>& bytes, HelloPayload* hello) {
+bool DecodeHello(std::span<const uint8_t> bytes, HelloPayload* hello) {
   ByteReader r(bytes);
   const uint64_t family = r.ReadUint(1);
   if (family > static_cast<uint64_t>(FamilyId::kExpIndex)) return false;
@@ -130,7 +140,7 @@ std::vector<uint8_t> EncodeProgramAnnouncement(
 }
 
 bool DecodeProgramAnnouncement(
-    const std::vector<uint8_t>& bytes, ProgramMeta* meta,
+    std::span<const uint8_t> bytes, ProgramMeta* meta,
     std::optional<broadcast::BroadcastProgram>* program) {
   ByteReader r(bytes);
   meta->generation = r.ReadUint(8);
@@ -186,31 +196,44 @@ bool DecodeProgramAnnouncement(
 
 // --- bucket frame -----------------------------------------------------------
 
+void AppendBucketFrameHead(const BucketFields& fields, size_t content_bytes,
+                           std::vector<uint8_t>* out) {
+  AppendFrameHeader(FrameType::kBucket, kBucketFieldsBytes + content_bytes,
+                    out);
+  ByteWriter w(out);
+  WriteBucketFields(fields, content_bytes, w);
+}
+
 std::vector<uint8_t> EncodeBucketFrame(const BucketFrame& frame) {
   ByteWriter w;
-  w.Reserve(8 * 3 + 1 + 4 + 4 + frame.content.size());
-  w.WriteUint(frame.generation, 8);
-  w.WriteUint(frame.phys_slot, 8);
-  w.WriteUint(frame.start_packet, 8);
-  w.WriteUint(static_cast<uint64_t>(frame.kind), 1);
-  w.WriteUint(frame.payload_id, 4);
-  w.WriteUint(frame.content.size(), 4);
+  w.Reserve(kBucketFieldsBytes + frame.content.size());
+  WriteBucketFields(frame, frame.content.size(), w);
   w.WriteBytes(frame.content.data(), frame.content.size());
   return w.bytes();
 }
 
-bool DecodeBucketFrame(const std::vector<uint8_t>& bytes, BucketFrame* frame) {
+bool ParseBucketFrame(std::span<const uint8_t> bytes, BucketFields* fields,
+                      std::span<const uint8_t>* content) {
   ByteReader r(bytes);
-  frame->generation = r.ReadUint(8);
-  frame->phys_slot = r.ReadUint(8);
-  frame->start_packet = r.ReadUint(8);
+  fields->generation = r.ReadUint(8);
+  fields->phys_slot = r.ReadUint(8);
+  fields->start_packet = r.ReadUint(8);
   const uint64_t kind = r.ReadUint(1);
-  frame->payload_id = static_cast<uint32_t>(r.ReadUint(4));
+  fields->payload_id = static_cast<uint32_t>(r.ReadUint(4));
   const uint64_t content_bytes = r.ReadUint(4);
   if (!r.ok() || !ValidKind(kind)) return false;
-  frame->kind = static_cast<broadcast::BucketKind>(kind);
+  fields->kind = static_cast<broadcast::BucketKind>(kind);
   if (r.remaining() != content_bytes) return false;  // torn / padded frame
-  return ReadRaw(r, static_cast<size_t>(content_bytes), &frame->content);
+  const size_t n = static_cast<size_t>(content_bytes);
+  *content = {r.ReadBytes(n), n};
+  return true;
+}
+
+bool DecodeBucketFrame(std::span<const uint8_t> bytes, BucketFrame* frame) {
+  std::span<const uint8_t> content;
+  if (!ParseBucketFrame(bytes, frame, &content)) return false;
+  frame->content.assign(content.begin(), content.end());
+  return true;
 }
 
 // --- shutdown ---------------------------------------------------------------
@@ -221,7 +244,7 @@ std::vector<uint8_t> EncodeShutdown(uint64_t final_packet) {
   return w.bytes();
 }
 
-bool DecodeShutdown(const std::vector<uint8_t>& bytes, uint64_t* final_packet) {
+bool DecodeShutdown(std::span<const uint8_t> bytes, uint64_t* final_packet) {
   ByteReader r(bytes);
   *final_packet = r.ReadUint(8);
   return r.ok() && r.remaining() == 0;

@@ -37,6 +37,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "broadcast/program.hpp"
@@ -113,7 +114,7 @@ struct HelloPayload {
 };
 
 std::vector<uint8_t> EncodeHello(const HelloPayload& hello);
-bool DecodeHello(const std::vector<uint8_t>& bytes, HelloPayload* hello);
+bool DecodeHello(std::span<const uint8_t> bytes, HelloPayload* hello);
 
 // --- program announcement ---------------------------------------------------
 
@@ -132,32 +133,48 @@ std::vector<uint8_t> EncodeProgramAnnouncement(
 /// coding builder over its data buckets. Returns false on any malformed
 /// field, including a declared data count or coding layout that is not
 /// what the builder produces; \p program is emplaced only on success.
-bool DecodeProgramAnnouncement(const std::vector<uint8_t>& bytes,
+bool DecodeProgramAnnouncement(std::span<const uint8_t> bytes,
                                ProgramMeta* meta,
                                std::optional<broadcast::BroadcastProgram>* program);
 
 // --- bucket frame -----------------------------------------------------------
 
-/// One on-air bucket as it crosses the socket. \p start_packet is absolute
-/// (generation start + occurrence * cycle + slot offset), so a receiver can
-/// verify the daemon's timetable frame by frame.
-struct BucketFrame {
+/// The fixed fields of a bucket frame, everything before its content.
+/// \p start_packet is absolute (generation start + occurrence * cycle +
+/// slot offset), so a receiver can verify the daemon's timetable frame by
+/// frame.
+struct BucketFields {
   uint64_t generation = 0;
   uint64_t phys_slot = 0;     ///< Physical slot in the (coded) cycle.
   uint64_t start_packet = 0;  ///< Absolute first packet of this airing.
   broadcast::BucketKind kind = broadcast::BucketKind::kDataObject;
   uint32_t payload_id = 0;
+};
+
+/// One on-air bucket as it crosses the socket.
+struct BucketFrame : BucketFields {
   std::vector<uint8_t> content;  ///< Exactly the bucket's size_bytes.
 };
 
+/// Appends a whole kBucket frame up to its content: stream header, fields
+/// and content length. The caller appends exactly \p content_bytes of
+/// content next, so a sender builds frames in place in its send buffer.
+void AppendBucketFrameHead(const BucketFields& fields, size_t content_bytes,
+                           std::vector<uint8_t>* out);
+
 std::vector<uint8_t> EncodeBucketFrame(const BucketFrame& frame);
-bool DecodeBucketFrame(const std::vector<uint8_t>& bytes, BucketFrame* frame);
+bool DecodeBucketFrame(std::span<const uint8_t> bytes, BucketFrame* frame);
+
+/// DecodeBucketFrame without the copy: \p content views the content inside
+/// \p bytes.
+bool ParseBucketFrame(std::span<const uint8_t> bytes, BucketFields* fields,
+                      std::span<const uint8_t>* content);
 
 // --- shutdown ---------------------------------------------------------------
 
 /// Clean end of transmission: the daemon stops at \p final_packet (a cycle
 /// boundary; no frame at or past it will follow).
 std::vector<uint8_t> EncodeShutdown(uint64_t final_packet);
-bool DecodeShutdown(const std::vector<uint8_t>& bytes, uint64_t* final_packet);
+bool DecodeShutdown(std::span<const uint8_t> bytes, uint64_t* final_packet);
 
 }  // namespace dsi::wire

@@ -7,11 +7,14 @@
 //
 // Also pinned here: the degenerate channel paths (mid-cycle join, empty
 // program, generation switch while the radio is off), the protocol-version
-// rejection, and the daemon's clean final-cycle shutdown semantics.
+// rejection, frame reassembly from dribbled and torn streams, the paced
+// daemon's air-time discipline, the daemon's clean final-cycle shutdown
+// semantics, and the parity planes against a bit-serial GF(2^8) reference.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -254,35 +257,122 @@ TEST(TransportParity, EmptyProgramRefusedCleanly) {
   EXPECT_NE(error.find("empty broadcast"), std::string::npos) << error;
 }
 
-TEST(TransportParity, VersionMismatchRejectedWithClearError) {
-  // A fake daemon speaking a different protocol version: the client must
-  // fail the handshake with an explicit version message, not hang or parse.
+/// Connects a client to a fake daemon that runs \p serve on the accepted
+/// connection and closes it. Returns the client (null, with \p error set,
+/// when the handshake failed).
+template <typename Serve>
+std::unique_ptr<transport::StreamTransport> ConnectToFakeDaemon(
+    Serve serve, std::string* error) {
   transport::Endpoint ep;
-  std::string error;
-  ASSERT_TRUE(transport::ParseEndpoint("tcp:0", &ep, &error));
-  transport::SocketFd listener = transport::ListenOn(&ep, &error);
-  ASSERT_TRUE(listener.valid()) << error;
+  EXPECT_TRUE(transport::ParseEndpoint("tcp:0", &ep, error));
+  transport::SocketFd listener = transport::ListenOn(&ep, error);
+  EXPECT_TRUE(listener.valid()) << *error;
 
-  std::thread fake([&listener] {
+  std::thread fake([&listener, &serve] {
     transport::SocketFd conn =
         transport::AcceptOn(listener, /*timeout_ms=*/10000);
-    if (!conn.valid()) return;
-    std::vector<uint8_t> frame;
-    wire::AppendFrame(wire::FrameType::kHello,
-                      wire::EncodeHello(wire::HelloPayload{}), &frame);
-    frame[4] ^= 0x01;  // corrupt the version field (bytes 4-5, after magic)
-    transport::SendAll(conn, frame.data(), frame.size());
+    if (conn.valid()) serve(conn);
   });
-
   transport::StreamTransport::Options options;
   options.timeout_ms = 10000;
   std::unique_ptr<transport::StreamTransport> stream =
       transport::StreamTransport::Connect("tcp:" + std::to_string(ep.port),
-                                          options, &error);
+                                          options, error);
   fake.join();
-  EXPECT_EQ(stream, nullptr);
+  return stream;
+}
+
+/// A hello frame whose version field is corrupted (bytes 4-5, after magic).
+std::vector<uint8_t> WrongVersionHello() {
+  std::vector<uint8_t> frame;
+  wire::AppendFrame(wire::FrameType::kHello,
+                    wire::EncodeHello(wire::HelloPayload{}), &frame);
+  frame[4] ^= 0x01;
+  return frame;
+}
+
+TEST(TransportParity, VersionMismatchRejectedWithClearError) {
+  // A fake daemon speaking a different protocol version: the client must
+  // fail the handshake with an explicit version message, not hang or parse.
+  std::string error;
+  EXPECT_EQ(ConnectToFakeDaemon(
+                [](const transport::SocketFd& conn) {
+                  const std::vector<uint8_t> frame = WrongVersionHello();
+                  transport::SendAll(conn, frame.data(), frame.size());
+                },
+                &error),
+            nullptr);
   EXPECT_NE(error.find("incompatible protocol version"), std::string::npos)
       << error;
+}
+
+TEST(TransportParity, DribbledHelloStillRejectsVersion) {
+  // One byte per send: the client reassembles the header across refills of
+  // its receive buffer before it judges the version.
+  std::string error;
+  EXPECT_EQ(ConnectToFakeDaemon(
+                [](const transport::SocketFd& conn) {
+                  for (const uint8_t byte : WrongVersionHello()) {
+                    // Stops once the client has rejected the header.
+                    if (!transport::SendAll(conn, &byte, 1)) return;
+                    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                  }
+                },
+                &error),
+            nullptr);
+  EXPECT_NE(error.find("incompatible protocol version"), std::string::npos)
+      << error;
+}
+
+TEST(TransportParity, TornFrameIsAnErrorNotAHang) {
+  // A header promising a payload, then a close: a clear torn-frame error,
+  // whether none or some of the payload arrived.
+  std::vector<uint8_t> frame;
+  wire::AppendFrame(wire::FrameType::kHello,
+                    wire::EncodeHello(MakeRecipe(wire::FamilyId::kDsi, 60, 1,
+                                                 0, 0, 0)),
+                    &frame);
+  const size_t half_payload = (wire::kFrameHeaderBytes + frame.size()) / 2;
+  for (const size_t sent : {wire::kFrameHeaderBytes, half_payload}) {
+    std::string error;
+    EXPECT_EQ(ConnectToFakeDaemon(
+                  [&](const transport::SocketFd& conn) {
+                    transport::SendAll(conn, frame.data(), sent);
+                  },
+                  &error),
+              nullptr);
+    EXPECT_NE(error.find("torn frame"), std::string::npos)
+        << "after " << sent << " bytes: " << error;
+  }
+}
+
+TEST(TransportParity, BucketFramePastTheProgramRejected) {
+  // A well-formed handshake, then a bucket frame naming a slot the
+  // announced program does not have: a drift error, not an out-of-range
+  // read.
+  const wire::HelloPayload recipe =
+      MakeRecipe(wire::FamilyId::kDsi, 60, 1, 0, 0, 0);
+  const transport::LiveSource source(recipe);
+  std::vector<uint8_t> stream_bytes;
+  wire::AppendFrame(wire::FrameType::kHello, wire::EncodeHello(recipe),
+                    &stream_bytes);
+  wire::ProgramMeta meta;
+  meta.end_packet = source.schedule().end_packet(0);
+  wire::AppendFrame(wire::FrameType::kProgram,
+                    wire::EncodeProgramAnnouncement(meta, source.program(0)),
+                    &stream_bytes);
+  wire::BucketFields bogus;
+  bogus.phys_slot = source.program(0).num_buckets();
+  wire::AppendBucketFrameHead(bogus, 0, &stream_bytes);
+
+  std::string error;
+  std::unique_ptr<transport::StreamTransport> stream = ConnectToFakeDaemon(
+      [&](const transport::SocketFd& conn) {
+        transport::SendAll(conn, stream_bytes.data(), stream_bytes.size());
+      },
+      &error);
+  ASSERT_NE(stream, nullptr) << error;
+  EXPECT_THROW(stream->Doze(0, 1), transport::TransportError);
 }
 
 TEST(TransportParity, CleanShutdownEndsAtCycleBoundary) {
@@ -314,6 +404,101 @@ TEST(TransportParity, CleanShutdownEndsAtCycleBoundary) {
   // hang or a torn bucket.
   EXPECT_THROW(stream->Listen(stream->final_packet(), 1),
                transport::TransportError);
+}
+
+TEST(TransportParity, PacedDaemonNeverDeliversEarly) {
+  // A paced daemon batches frames but may not hand one to the socket before
+  // its air time: dozing across kPackets takes at least their air time,
+  // less the frame that ends the doze (it starts at most one bucket before
+  // the target) and one packet (the tune-in is the clock's floor).
+  constexpr double kPps = 20000;
+  constexpr uint64_t kPackets = 4000;  // 0.2 s of air
+  const wire::HelloPayload recipe =
+      MakeRecipe(wire::FamilyId::kDsi, 60, 1, 0, 4, 1);
+  transport::BroadcastDaemon daemon(recipe, kPps);
+  std::string error;
+  ASSERT_TRUE(daemon.Listen("tcp:0", &error)) << error;
+  daemon.Start();
+
+  const auto t0 = std::chrono::steady_clock::now();
+  transport::StreamTransport::Options options;
+  options.timeout_ms = 20000;
+  std::unique_ptr<transport::StreamTransport> stream =
+      transport::StreamTransport::Connect(
+          "tcp:" + std::to_string(daemon.endpoint().port), options, &error);
+  ASSERT_NE(stream, nullptr) << error;
+  const broadcast::BroadcastProgram& program = stream->source().program(0);
+  uint64_t largest = 0;
+  for (size_t s = 0; s < program.num_buckets(); ++s) {
+    largest = std::max(largest, program.bucket(s).packets);
+  }
+  const uint64_t tune_in = stream->tune_in_packet();
+  stream->Doze(tune_in, tune_in + kPackets);
+  const double elapsed_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+  EXPECT_GE(elapsed_s, static_cast<double>(kPackets - largest - 1) / kPps);
+
+  // Stop under pacing still finishes the current cycle.
+  std::thread stopper([&daemon] { daemon.Stop(); });
+  stream->Doze(tune_in + kPackets, tune_in + (1ull << 40));
+  stopper.join();
+  ASSERT_TRUE(stream->shutdown_seen());
+  EXPECT_EQ(stream->final_packet() % program.cycle_packets(), 0u);
+}
+
+/// Bit-serial GF(2^8) multiply (AES polynomial 0x11B).
+uint8_t ReferenceGfMul(uint8_t a, uint8_t b) {
+  uint8_t out = 0;
+  for (int bit = 0; bit < 8; ++bit) {
+    if ((b >> bit) & 1) out ^= a;
+    a = static_cast<uint8_t>((a << 1) ^ ((a & 0x80) != 0 ? 0x1B : 0));
+  }
+  return out;
+}
+
+TEST(TransportParity, ParityPlanesMatchBitSerialReference) {
+  // Daemon and client share the parity kernel, so the live tests cannot
+  // catch a wrong product. Rebuild every plane here: plane j weights group
+  // member i, zero-padded to the plane, by 2^(j*i) over GF(2^8).
+  for (const wire::FamilyId family :
+       {wire::FamilyId::kDsi, wire::FamilyId::kRtree, wire::FamilyId::kHci,
+        wire::FamilyId::kExpIndex}) {
+    for (const auto& [group, parity] :
+         {std::pair{4u, 1u}, std::pair{3u, 2u}, std::pair{2u, 3u}}) {
+      const transport::LiveSource source(
+          MakeRecipe(family, 80, 1, 0, group, parity));
+      const broadcast::BroadcastProgram& p = source.program(0);
+      size_t weighted_planes = 0;
+      for (size_t slot = 0; slot < p.num_buckets(); ++slot) {
+        const broadcast::Bucket& bucket = p.bucket(slot);
+        if (bucket.kind != broadcast::BucketKind::kParity) continue;
+        const broadcast::BroadcastProgram::GroupRun run = p.GroupOf(slot);
+        const size_t plane = slot - run.first - run.data;
+        std::vector<uint8_t> want(bucket.size_bytes, 0);
+        for (size_t m = 0; m < run.data; ++m) {
+          uint8_t coeff = 1;
+          for (size_t k = 0; k < plane * m; ++k) {
+            coeff = ReferenceGfMul(coeff, 2);
+          }
+          if (coeff != 1) ++weighted_planes;
+          std::vector<uint8_t> member =
+              source.BucketContent(0, run.first + m);
+          ASSERT_LE(member.size(), want.size());
+          member.resize(want.size(), 0);
+          for (size_t i = 0; i < want.size(); ++i) {
+            want[i] ^= ReferenceGfMul(coeff, member[i]);
+          }
+        }
+        EXPECT_EQ(source.BucketContent(0, slot), want)
+            << "family " << static_cast<int>(family) << ", (" << group << ","
+            << parity << ") code, slot " << slot;
+      }
+      if (parity > 1) {
+        EXPECT_GT(weighted_planes, 0u);
+      }
+    }
+  }
 }
 
 TEST(TransportParity, ConcurrentStopJoinsOnce) {

@@ -338,6 +338,13 @@ TEST(WireFuzz, BucketFrameRoundTripAndTornFrames) {
     EXPECT_EQ(back.payload_id, frame.payload_id);
     EXPECT_EQ(back.content, frame.content);
 
+    // The in-place form a sender batches is the same frame, byte for byte.
+    std::vector<uint8_t> framed, in_place;
+    wire::AppendFrame(wire::FrameType::kBucket, bytes, &framed);
+    wire::AppendBucketFrameHead(frame, frame.content.size(), &in_place);
+    in_place.insert(in_place.end(), frame.content.begin(), frame.content.end());
+    EXPECT_EQ(in_place, framed);
+
     // Torn frame: any cut inside header or content fails; so does padding.
     for (size_t cut = 0; cut < bytes.size(); cut += 11) {
       std::vector<uint8_t> prefix(bytes.begin(), bytes.begin() + cut);
