@@ -152,8 +152,7 @@ std::vector<datasets::SpatialObject> DsiClient::KnnQuery(
   knn_->disc.covered = &covered_;
   knn_->disc.center = q;
   for (const uint32_t rank : retrieved_ranks_) {
-    knn_->bounds.insert(
-        common::Distance(q, index_.sorted_objects()[rank].location));
+    knn_->AddBound(common::Distance(q, index_.sorted_objects()[rank].location));
   }
   for (const SegmentKnowledge& seg : known_) {
     seg.ForEachKnown([&](uint32_t, uint64_t hc) { LearnAdvert(hc); });
@@ -181,23 +180,47 @@ std::vector<datasets::SpatialObject> DsiClient::KnnQuery(
   return out;
 }
 
-double DsiClient::KnnSearch::Radius() const {
+double DsiClient::KnnSearch::KthBound() const {
   if (bounds.size() < k) return std::numeric_limits<double>::infinity();
   return *std::next(bounds.begin(), static_cast<ptrdiff_t>(k - 1));
 }
 
-void DsiClient::KnnSearch::Retire(const hilbert::HcRange& r) {
+std::multiset<double>::iterator DsiClient::KnnSearch::AddBound(double bound) {
+  const auto it = bounds.insert(bound);
+  if (bound < radius) radius = KthBound();
+  return it;
+}
+
+void DsiClient::KnnSearch::AddAdvert(uint64_t hc, double bound) {
+  if (bound >= radius) {
+    parked.push({bound, hc});
+  } else {
+    adverts.emplace(hc, AddBound(bound));
+  }
+}
+
+uint64_t DsiClient::KnnSearch::Retire(const hilbert::HcRange& r) {
   const auto first = adverts.lower_bound(r.lo);
   const auto last = adverts.upper_bound(r.hi);
+  if (first == last) return 0;
   for (auto it = first; it != last; ++it) bounds.erase(it->second);
   adverts.erase(first, last);
+  radius = KthBound();
+  uint64_t promoted = 0;
+  while (!parked.empty() && parked.top().bound < radius) {
+    const Parked p = parked.top();
+    parked.pop();
+    if (disc.covered->Intersects(hilbert::HcRange{p.hc, p.hc})) continue;
+    adverts.emplace(p.hc, AddBound(p.bound));
+    ++promoted;
+  }
+  return promoted;
 }
 
 void DsiClient::LearnAdvert(uint64_t hc) {
   if (covered_.Intersects(hilbert::HcRange{hc, hc})) return;
-  const double bound =
-      index_.mapper().MaxDistanceToIndex(knn_->disc.center, hc);
-  knn_->adverts.emplace(hc, knn_->bounds.insert(bound));
+  knn_->AddAdvert(hc,
+                  index_.mapper().MaxDistanceToIndex(knn_->disc.center, hc));
 }
 
 // ---------------------------------------------------------------------------
@@ -251,7 +274,7 @@ void DsiClient::RunSearch(const common::Point* spatial_goal) {
 }
 
 void DsiClient::RefreshPending() {
-  if (knn_) knn_->disc.radius = knn_->Radius();
+  if (knn_) knn_->disc.radius = knn_->radius;
 #ifndef NDEBUG
   if (!knn_) {
     std::vector<hilbert::HcRange> reference;
@@ -427,7 +450,7 @@ void DsiClient::Learn(const DsiTableView& table) {
 void DsiClient::AddCoverage(const hilbert::HcRange& r) {
   covered_.Add(r);
   pending_.Subtract(r);
-  if (knn_) knn_->Retire(r);
+  if (knn_) stats_.bounds_promoted += knn_->Retire(r);
 }
 
 uint64_t DsiClient::SegmentDomainLo(uint32_t seg) const {
@@ -471,8 +494,8 @@ void DsiClient::MarkRetrieved(uint32_t rank) {
   assert(it == retrieved_ranks_.end() || *it != rank);
   retrieved_ranks_.insert(it, rank);
   if (knn_) {
-    knn_->bounds.insert(common::Distance(
-        knn_->disc.center, index_.sorted_objects()[rank].location));
+    knn_->AddBound(common::Distance(knn_->disc.center,
+                                    index_.sorted_objects()[rank].location));
   }
 }
 
@@ -582,14 +605,40 @@ uint32_t DsiClient::SelectConservativeHop(
     if (slot) return program.bucket(*slot).payload;
   }
   // Farthest entry whose skipped gap provably cannot hold pending targets.
+  // Entry i reaches r^i < num_frames ahead, so the skipped gaps are nested
+  // and a gap that may hold a target makes every wider one may too: the
+  // qualifying entries form a prefix, and entry 0 (empty gap) is always in
+  // it. Test the farthest first — the sparse skip phase decides in one
+  // test — then bisect the prefix's end.
+  const auto qualifies = [&](size_t i) {
+    return !GapMayIntersect(table.position, table.entries[i].position,
+                            pending);
+  };
+  size_t lo = 0;
+  size_t hi = table.entries.size() - 1;
+  if (qualifies(hi)) {
+    lo = hi;
+  } else {
+    while (hi - lo > 1) {  // qualifies(lo) and !qualifies(hi)
+      const size_t mid = lo + (hi - lo) / 2;
+      (qualifies(mid) ? lo : hi) = mid;
+    }
+  }
+  assert(table.entries[lo].position == LinearConservativeHop(table, pending));
+  return table.entries[lo].position;
+}
+
+#ifndef NDEBUG
+uint32_t DsiClient::LinearConservativeHop(const DsiTableView& table,
+                                          const PendingTargets& pending) const {
   for (auto it = table.entries.rbegin(); it != table.entries.rend(); ++it) {
     if (!GapMayIntersect(table.position, it->position, pending)) {
       return it->position;
     }
   }
-  // Entry 0 always qualifies (empty gap); defensive fallback.
   return table.entries.front().position;
 }
+#endif
 
 uint32_t DsiClient::SelectAggressiveHop(const DsiTableView& table,
                                         const PendingTargets& pending,

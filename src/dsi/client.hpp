@@ -31,20 +31,28 @@
 /// query subtracts its coverage from its targets once, then removes each
 /// newly confirmed span in place (PendingTargets, ranges shape). A kNN query
 /// never decomposes its circle: the hop rules ask whether a gap of the
-/// coverage reaches a cell of the disc (PendingTargets, disc shape), and the
-/// radius is the k-th element of an ordered multiset of candidate bounds
-/// that learning, retrieval and coverage update (KnnSearch). Knowledge is a
-/// per-segment bitmap with a summary word per 64 bitmap words, so the
-/// bracket lookups skip empty stretches in a few word operations. Debug
-/// builds recompute the pending state the slow way on every hop and assert
-/// that the kept state matches.
+/// coverage reaches a cell of the disc (PendingTargets, disc shape). Its
+/// radius is the k-th smallest candidate bound, kept in an ordered multiset
+/// that holds only the bounds that can matter; an advert learned at or above
+/// the radius is parked in a min-heap instead, and is promoted only if the
+/// radius grows past it (KnnSearch). The EEF hop bisects the table: entry
+/// reaches 1, r, r², ... are all below the frame count, so the skipped gaps
+/// are nested, the entries whose gap provably misses the targets form a
+/// prefix, and the farthest of them is found in a logarithmic number of gap
+/// tests. Knowledge is a per-segment bitmap with a summary word per 64
+/// bitmap words, so the bracket lookups skip empty stretches in a few word
+/// operations. Debug builds recompute the pending state and the hop the
+/// slow way on every hop and assert that the kept state matches.
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <queue>
 #include <set>
 #include <utility>
 #include <vector>
@@ -70,6 +78,9 @@ struct QueryStats {
   uint64_t objects_read = 0;
   uint64_t buckets_lost = 0;
   uint64_t hops = 0;
+  /// Parked kNN bounds moved into the radius multiset because the radius
+  /// grew past them (only loss makes the radius grow).
+  uint64_t bounds_promoted = 0;
   bool completed = true;  ///< False if the query was aborted.
   /// True if the broadcast was republished mid-query: every learned table,
   /// SegmentKnowledge entry and coverage interval referred to the dead
@@ -345,6 +356,12 @@ class DsiClient {
   /// Farthest entry whose skipped gap provably misses \p pending.
   uint32_t SelectConservativeHop(const DsiTableView& table,
                                  const PendingTargets& pending) const;
+#ifndef NDEBUG
+  /// The old farthest-first linear scan, kept as the Debug reference for
+  /// the bisected pick.
+  uint32_t LinearConservativeHop(const DsiTableView& table,
+                                 const PendingTargets& pending) const;
+#endif
   /// Entry whose advertised frame is spatially closest to \p q among those
   /// not already covered; falls back to the conservative rule.
   uint32_t SelectAggressiveHop(const DsiTableView& table,
@@ -397,24 +414,46 @@ class DsiClient {
   QueryStats stats_;
 
   /// State of the running kNN query: its search disc (center q) and the
-  /// disc's radius, the k-th smallest element of an ordered multiset of
-  /// candidate upper bounds — the exact distance of every retrieved object
-  /// and the cell max-distance of every advertised min-HC not yet covered.
-  /// Learn adds an advert when it first records its offset, MarkRetrieved
-  /// adds the exact distance, AddCoverage retires the adverts it covers
-  /// (distinct frames never share a min-HC, so adverts are keyed by HC). A
-  /// frame whose first object arrived but whose others were lost counts
-  /// that object twice until it completes, so the radius can grow under
-  /// loss.
+  /// disc's radius, the k-th smallest of the candidate upper bounds — the
+  /// exact distance of every retrieved object and the cell max-distance of
+  /// every advertised min-HC not yet covered. MarkRetrieved adds the exact
+  /// distance, Learn adds an advert when it first records its offset, and
+  /// AddCoverage retires the adverts it covers (distinct frames never share
+  /// a min-HC, so adverts are keyed by HC). A frame whose first object
+  /// arrived but whose others were lost counts that object twice until it
+  /// completes, so the radius can grow under loss.
+  ///
+  /// Most adverts are learned at or above the radius and can never be the
+  /// k-th smallest while it stays put, so only the bounds below it enter the
+  /// ordered multiset; the rest are parked in a min-heap and never erased.
+  /// Invariant: every parked advert that is still uncovered is >= radius,
+  /// so the multiset's k-th smallest is the k-th smallest over all bounds.
+  /// Inserting can only lower the radius; when retiring raises it, the
+  /// parked bounds now below it are promoted (covered ones are dropped as
+  /// they surface), so the "nothing to promote" check is one heap peek.
   struct KnnSearch {
+    struct Parked {
+      double bound;
+      uint64_t hc;
+      bool operator>(const Parked& o) const { return bound > o.bound; }
+    };
     size_t k = 0;
-    PendingTargets::Disc disc;
+    PendingTargets::Disc disc;  // disc.covered is the client's coverage
     std::multiset<double> bounds;
     std::map<uint64_t, std::multiset<double>::iterator> adverts;  // by HC
+    std::priority_queue<Parked, std::vector<Parked>, std::greater<>> parked;
+    double radius = std::numeric_limits<double>::infinity();
 
-    double Radius() const;
-    /// Drops the adverts whose HC lies in \p r (now covered).
-    void Retire(const hilbert::HcRange& r);
+    /// Adds \p bound to the multiset (an object's exact distance, or a
+    /// promoted advert) and lowers the radius to match.
+    std::multiset<double>::iterator AddBound(double bound);
+    /// Adds the uncovered advert \p hc with bound \p bound, or parks it.
+    void AddAdvert(uint64_t hc, double bound);
+    /// Drops the adverts whose HC lies in \p r (now covered) and promotes
+    /// the parked bounds the radius grew past; returns how many.
+    uint64_t Retire(const hilbert::HcRange& r);
+    /// The k-th smallest element of bounds (infinity if there are fewer).
+    double KthBound() const;
   };
   std::unique_ptr<KnnSearch> knn_;  // set only while a kNN query runs
 

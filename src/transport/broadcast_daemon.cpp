@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <vector>
 
 namespace dsi::transport {
 
@@ -44,14 +45,12 @@ void BroadcastDaemon::Stop() {
   std::lock_guard<std::mutex> stop_lock(stop_mu_);
   if (stopping_.exchange(true)) return;
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> conns;
+  std::list<Connection> conns;
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
-    conns.swap(conn_threads_);
+    conns.swap(conns_);
   }
-  for (std::thread& t : conns) {
-    if (t.joinable()) t.join();
-  }
+  for (Connection& c : conns) c.thread.join();
   listener_.Close();
   if (endpoint_.kind == Endpoint::Kind::kUnix && !endpoint_.path.empty()) {
     ::unlink(endpoint_.path.c_str());
@@ -87,13 +86,34 @@ void BroadcastDaemon::PaceTo(uint64_t packet) {
   std::this_thread::sleep_until(target);
 }
 
+size_t BroadcastDaemon::connection_threads() const {
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  return conns_.size();
+}
+
+void BroadcastDaemon::ReapFinished() {
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    if (it->done.load()) {
+      it->thread.join();
+      it = conns_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
 void BroadcastDaemon::AcceptLoop() {
   while (!stopping_.load()) {
+    // The accept poll bounds how long a finished connection stays unjoined.
     SocketFd conn = AcceptOn(listener_, /*timeout_ms=*/100);
-    if (!conn.valid()) continue;
     std::lock_guard<std::mutex> lock(conn_mu_);
-    conn_threads_.emplace_back(
-        [this, fd = std::move(conn)]() mutable { ServeConnection(std::move(fd)); });
+    ReapFinished();
+    if (!conn.valid()) continue;
+    Connection& c = conns_.emplace_back();
+    c.thread = std::thread([this, &c, fd = std::move(conn)]() mutable {
+      ServeConnection(std::move(fd));
+      c.done.store(true);
+    });
   }
 }
 

@@ -37,11 +37,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "transport/live_source.hpp"
 #include "transport/socket.hpp"
@@ -83,7 +83,19 @@ class BroadcastDaemon {
   /// joins mid-cycle or across a generation switch deterministically.
   void AdvanceAirTo(uint64_t packet);
 
+  /// Test hook: connection threads not yet reaped. A finished connection's
+  /// thread is joined by the accept loop within one poll interval.
+  size_t connection_threads() const;
+
  private:
+  /// One served connection; done is set as its thread's last act.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
+  /// Joins and drops finished connections. Caller holds conn_mu_.
+  void ReapFinished();
   void AcceptLoop();
   void ServeConnection(SocketFd fd);
   /// Current air position in packets (clock-derived when paced).
@@ -103,8 +115,8 @@ class BroadcastDaemon {
   std::atomic<uint64_t> air_pos_{0};
   std::chrono::steady_clock::time_point epoch_;
   std::thread accept_thread_;
-  std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
+  mutable std::mutex conn_mu_;
+  std::list<Connection> conns_;
 };
 
 }  // namespace dsi::transport

@@ -17,6 +17,7 @@
 #include "air/hci_handle.hpp"
 #include "air/rtree_handle.hpp"
 #include "datasets/datasets.hpp"
+#include "dsi/client.hpp"
 #include "dsi/index.hpp"
 #include "hci/hci.hpp"
 #include "hilbert/space_mapper.hpp"
@@ -457,6 +458,50 @@ TEST(ConformanceRegression, HilbertOrderNineOnSweepCases) {
       EXPECT_GT(r.queries_checked, 0u);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The DSI kNN radius keeps only the bounds below it in its ordered set and
+// parks the rest; when a frame whose first object arrived but whose others
+// were lost finally completes, its advert retires and the radius can grow
+// past parked bounds, which must then be promoted. That branch needs loss
+// on multi-object frames, so the sweep rarely reaches it: this case does
+// (bounds_promoted > 0), and every answer must still match brute force.
+// ---------------------------------------------------------------------------
+TEST(ConformanceRegression, DsiKnnPromotesParkedBoundsUnderLoss) {
+  const auto u = datasets::UnitUniverse();
+  const auto objects = datasets::MakeUniform(236, u, 5);
+  const hilbert::SpaceMapper mapper(u, 8);
+  core::DsiConfig cfg;
+  cfg.num_segments = 3;
+  cfg.object_factor = 2;
+  const core::DsiIndex dsi(objects, mapper, 64, cfg);
+  constexpr size_t kK = 4;
+  common::Rng rng(3);
+  uint64_t promoted = 0;
+  for (int t = 0; t < 32; ++t) {
+    const common::Point q{rng.Uniform(0, 1), rng.Uniform(0, 1)};
+    broadcast::ClientSession session(
+        dsi.program(), static_cast<uint64_t>(rng.UniformInt(0, 1 << 20)),
+        broadcast::ErrorModel{0.7, broadcast::ErrorMode::kPerBucketLoss},
+        common::Rng(t + 1));
+    core::DsiClient client(dsi, &session);
+    const auto result = client.KnnQuery(q, kK);
+    promoted += client.stats().bounds_promoted;
+    ASSERT_TRUE(client.stats().completed) << "query " << t;
+
+    std::vector<double> got;
+    std::vector<double> want;
+    for (const auto& o : result) got.push_back(common::Distance(q, o.location));
+    for (const auto& o : objects) {
+      want.push_back(common::Distance(q, o.location));
+    }
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    want.resize(kK);
+    EXPECT_EQ(got, want) << "query " << t;
+  }
+  EXPECT_GT(promoted, 0u);
 }
 
 }  // namespace

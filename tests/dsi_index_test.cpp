@@ -77,6 +77,41 @@ TEST(DsiIndexTest, EntriesCoverExponentialDistances) {
   }
 }
 
+TEST(DsiIndexTest, EntryReachesAreNestedWithinOneCycle) {
+  // The client's bisected hop relies on this: every table's entries reach
+  // strictly farther ahead, cyclically, and none wraps a full cycle, so the
+  // gaps the entries skip are nested.
+  const hilbert::SpaceMapper mapper(datasets::UnitUniverse(), 16);
+  for (const size_t n : {1, 2, 3, 17, 1000, 100000}) {
+    const auto objects =
+        datasets::MakeUniform(n, datasets::UnitUniverse(), 7);
+    for (const uint32_t base : {2u, 3u, 4u}) {
+      for (const uint32_t m : {1u, 2u, 3u}) {
+        DsiConfig cfg;
+        cfg.index_base = base;
+        cfg.num_segments = m;
+        const DsiIndex idx(objects, mapper, 64, cfg);
+        const uint32_t nf = idx.num_frames();
+        if (nf == 1) EXPECT_EQ(idx.entries_per_table(), 0u);
+        DsiTableView t;
+        for (uint32_t pos = 0; pos < nf; ++pos) {
+          idx.TableAt(pos, &t);
+          uint32_t prev = 0;
+          uint64_t nominal = 1;  // r^i, the reach before wrapping
+          for (const DsiTableEntry& e : t.entries) {
+            const uint32_t reach = (e.position + nf - pos) % nf;
+            ASSERT_GT(reach, prev) << n << " " << base << " " << m;
+            ASSERT_LT(nominal, nf);
+            ASSERT_EQ(reach, nominal);
+            prev = reach;
+            nominal *= base;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(DsiIndexTest, TableSizeMatchesFieldSizes) {
   const hilbert::SpaceMapper mapper(datasets::UnitUniverse(), 8);
   const DsiIndex idx(SmallDataset(), mapper, 64, DsiConfig{});

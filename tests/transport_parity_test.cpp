@@ -9,7 +9,8 @@
 // program, generation switch while the radio is off), the protocol-version
 // rejection, frame reassembly from dribbled and torn streams, the paced
 // daemon's air-time discipline, the daemon's clean final-cycle shutdown
-// semantics, and the parity planes against a bit-serial GF(2^8) reference.
+// semantics, the reaping of finished connections, and the parity planes
+// against a bit-serial GF(2^8) reference.
 
 #include <gtest/gtest.h>
 
@@ -499,6 +500,34 @@ TEST(TransportParity, ParityPlanesMatchBitSerialReference) {
       }
     }
   }
+}
+
+TEST(TransportParity, FinishedConnectionsAreReaped) {
+  // A long-lived daemon must not keep one dead thread per past connection:
+  // the accept loop joins each finished connection within its poll
+  // interval.
+  const wire::HelloPayload recipe =
+      MakeRecipe(wire::FamilyId::kDsi, 60, 1, 0, 0, 0);
+  transport::BroadcastDaemon daemon(recipe, 0.0);
+  std::string error;
+  ASSERT_TRUE(daemon.Listen("tcp:0", &error)) << error;
+  daemon.Start();
+  transport::StreamTransport::Options options;
+  options.timeout_ms = 20000;
+  for (int i = 0; i < 32; ++i) {
+    std::unique_ptr<transport::StreamTransport> stream =
+        transport::StreamTransport::Connect(
+            "tcp:" + std::to_string(daemon.endpoint().port), options, &error);
+    ASSERT_NE(stream, nullptr) << error;
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (daemon.connection_threads() > 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_LE(daemon.connection_threads(), 1u);
+  daemon.Stop();
 }
 
 TEST(TransportParity, ConcurrentStopJoinsOnce) {

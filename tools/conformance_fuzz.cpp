@@ -16,15 +16,16 @@
 ///       [--min-generations=3] [--min-updates=2]
 ///       [--theta=0.5 --error-mode=burst --code-group=2 --code-parity=2]
 ///       [--clients=8 --churn-rate=0.5]
-///       [--num-disks=3 --disk-skew=1.2]
+///       [--num-disks=3 --disk-skew=1.2] [--windows=0]
 ///
 /// --min-generations / --min-updates lift every swept case to at least
 /// that many broadcast generations / update ops between generations — the
 /// dedicated update-stream sweep CI runs. Passing --theta, --error-mode,
 /// --code-group, --code-parity, --clients (moving-client population),
-/// --churn-rate, --num-disks or --disk-skew in sweep mode pins that axis
-/// across every swept case (the coded-channel, burst-weather, churn and
-/// skewed-multi-disk CI sweeps); axes not pinned keep their
+/// --churn-rate, --num-disks, --disk-skew or --windows (random window
+/// queries per case) in sweep mode pins that axis across every swept case
+/// (the coded-channel, burst-weather, churn, skewed-multi-disk and
+/// kNN-focused CI sweeps); axes not pinned keep their
 /// seed-determined values. Coding and multi-disk layouts compose: pinning
 /// both runs coded multi-disk cycles on every swept case.
 ///
@@ -77,6 +78,7 @@ struct Args {
   bool have_clients = false;
   bool have_churn = false;
   bool have_disks = false;
+  bool have_windows = false;
 };
 
 std::vector<std::string> SplitFamilies(const std::string& value) {
@@ -122,7 +124,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     else if (key == "--theta") { args->base.theta = std::strtod(value.c_str(), nullptr); args->have_theta = true; }
     else if (key == "--error-mode") { if (!ParseMode(value, &args->base.error_mode)) return false; args->have_mode = true; }
     else if (key == "--workers") args->base.workers = u64();
-    else if (key == "--windows") args->base.window_queries = u64();
+    else if (key == "--windows") { args->base.window_queries = u64(); args->have_windows = true; }
     else if (key == "--knn-points") args->base.knn_points = u64();
     else if (key == "--k") args->base.k = u64();
     else if (key == "--duplicates") args->base.duplicates = u64() != 0;
@@ -325,6 +327,7 @@ int main(int argc, char** argv) {
     }
     if (args.have_clients) c.trajectory_clients = args.base.trajectory_clients;
     if (args.have_churn) c.churn_rate = args.base.churn_rate;
+    if (args.have_windows) c.window_queries = args.base.window_queries;
     const ConformanceReport r = RunConformanceCase(c, args.families);
     checked += r.queries_checked;
     incomplete += r.incomplete;
