@@ -1,6 +1,29 @@
 #include "air/air_index.hpp"
 
+#include <cassert>
+
+#include "wire/codecs.hpp"
+
 namespace dsi::air {
+
+bool AirIndexHandle::SlotAnchor(size_t slot, common::Point* anchor) const {
+  const broadcast::Bucket& b = program().bucket(slot);
+  if (b.kind != broadcast::BucketKind::kDataObject) return false;
+  *anchor = data_objects()[b.payload].location;
+  return true;
+}
+
+void AirIndexHandle::AppendContent(const broadcast::Bucket& bucket,
+                                   std::vector<uint8_t>* out) const {
+  assert(bucket.kind != broadcast::BucketKind::kParity);
+  [[maybe_unused]] const size_t start = out->size();
+  if (bucket.kind == broadcast::BucketKind::kDataObject) {
+    wire::AppendDataObject(data_objects()[bucket.payload], out);
+  } else {
+    AppendIndexContent(bucket, out);
+  }
+  assert(out->size() - start == bucket.size_bytes);
+}
 
 std::vector<double> AirIndexHandle::DiskWeights(
     const datasets::RegionPopularity& popularity,

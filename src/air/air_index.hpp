@@ -16,6 +16,7 @@
 /// threads; each query gets its own ClientSession and AirClient.
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <new>
 #include <string_view>
@@ -140,22 +141,27 @@ class AirIndexHandle {
  public:
   virtual ~AirIndexHandle() = default;
 
-  /// Short family name ("dsi", "rtree", "hci", "expindex").
+  /// Short family name (air::FamilyName of the handle's family).
   virtual std::string_view family() const = 0;
 
   /// The broadcast program clients tune into.
   virtual const broadcast::BroadcastProgram& program() const = 0;
 
+  /// The objects the data buckets of program() carry, indexed by
+  /// Bucket::payload (the family's own broadcast order).
+  virtual const std::vector<datasets::SpatialObject>& data_objects() const = 0;
+
   /// Representative spatial anchor of program() slot \p slot — the location
   /// of the data object the bucket carries. Returns false for buckets with
   /// no single location (index tables, tree nodes). Drives popularity-
-  /// ranked multi-disk cycle layouts (air/disk_layout.hpp); every family
-  /// overrides it for its data buckets.
-  virtual bool SlotAnchor(size_t slot, common::Point* anchor) const {
-    (void)slot;
-    (void)anchor;
-    return false;
-  }
+  /// ranked multi-disk cycle layouts (air/disk_layout.hpp).
+  bool SlotAnchor(size_t slot, common::Point* anchor) const;
+
+  /// Appends the on-air content of \p bucket, a non-parity bucket of
+  /// program(): the wire/codecs.hpp encoding of its data object, index
+  /// table or tree node, exactly bucket.size_bytes long.
+  void AppendContent(const broadcast::Bucket& bucket,
+                     std::vector<uint8_t>* out) const;
 
   /// Per-slot popularity weights driving the multi-disk cycle layout
   /// (air/disk_layout.hpp), one entry per program() slot. Data buckets
@@ -194,6 +200,12 @@ class AirIndexHandle {
   /// per worker, so back-to-back queries reuse the same storage.
   virtual AirClient* MakeClientIn(ClientArena& arena,
                                   broadcast::ClientSession* session) const = 0;
+
+ protected:
+  /// Appends the encoding of index bucket \p bucket: a DSI or
+  /// exponential-index table, or an R-tree or B+-tree node.
+  virtual void AppendIndexContent(const broadcast::Bucket& bucket,
+                                  std::vector<uint8_t>* out) const = 0;
 };
 
 }  // namespace dsi::air

@@ -1,6 +1,7 @@
 #include "air/disk_layout.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <numeric>
 #include <vector>
 
@@ -17,6 +18,31 @@ broadcast::BroadcastProgram MakeSkewedProgram(
   return broadcast::MakeMultiDiskProgram(
       index.program(), config.num_disks,
       index.DiskWeights(popularity, universe));
+}
+
+OnAirSchedule::OnAirSchedule(
+    const std::vector<const AirIndexHandle*>& generations,
+    const std::vector<uint64_t>& cycles,
+    const broadcast::CodingConfig& coding,
+    const broadcast::DiskConfig& disks) {
+  assert(cycles.size() == generations.size());
+  for (const AirIndexHandle* handle : generations) {
+    if (handle->program().cycle_packets() == 0) return;
+  }
+  const bool relayout = coding.enabled() || disks.enabled();
+  // Sized up front: the schedule holds raw pointers, so the re-laid-out
+  // programs must never relocate after Append.
+  if (relayout) {
+    relaid_.reserve(generations.size());
+    for (const AirIndexHandle* handle : generations) {
+      relaid_.push_back(
+          MakeCodedProgram(MakeSkewedProgram(*handle, disks), coding));
+    }
+  }
+  for (size_t g = 0; g < generations.size(); ++g) {
+    schedule_.Append(relayout ? &relaid_[g] : &generations[g]->program(),
+                     cycles[g]);
+  }
 }
 
 std::vector<double> TreeDiskWeights(

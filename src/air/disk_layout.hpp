@@ -14,8 +14,13 @@
 /// root rides the hottest disk. Weights are evaluated over the unit
 /// universe, the data space of every simulated broadcast.
 
+#include <cstdint>
+#include <vector>
+
 #include "air/air_index.hpp"
+#include "broadcast/coding.hpp"
 #include "broadcast/disks.hpp"
+#include "broadcast/generation.hpp"
 
 namespace dsi::broadcast {
 class AirTreeBroadcast;
@@ -29,6 +34,32 @@ namespace dsi::air {
 /// program by reference instead of calling this.
 broadcast::BroadcastProgram MakeSkewedProgram(
     const AirIndexHandle& index, const broadcast::DiskConfig& config);
+
+/// The channel a broadcast airs: every generation's on-air program — the
+/// index's own by reference when both layouts are off, else
+/// MakeCodedProgram(MakeSkewedProgram(...)) — appended to one
+/// GenerationSchedule. Each generation is re-laid-out independently:
+/// parity groups and disk schedules die with their generation. The
+/// simulator's runs and the live broadcast (transport::LiveSource) both air
+/// through it. A zero-cycle program never airs: if any generation's program
+/// is empty, nothing is laid out and the schedule stays empty. Not copyable
+/// or movable: the schedule points into the owned re-layouts.
+class OnAirSchedule {
+ public:
+  /// \p cycles[g] is generation g's airtime in its own cycles.
+  OnAirSchedule(const std::vector<const AirIndexHandle*>& generations,
+                const std::vector<uint64_t>& cycles,
+                const broadcast::CodingConfig& coding,
+                const broadcast::DiskConfig& disks);
+  OnAirSchedule(const OnAirSchedule&) = delete;
+  OnAirSchedule& operator=(const OnAirSchedule&) = delete;
+
+  const broadcast::GenerationSchedule& schedule() const { return schedule_; }
+
+ private:
+  std::vector<broadcast::BroadcastProgram> relaid_;
+  broadcast::GenerationSchedule schedule_;
+};
 
 /// Subtree-max DiskWeights for AirTreeBroadcast-backed families (R-tree,
 /// HCI): each data bucket weighs its anchor's region, each node occurrence

@@ -1,6 +1,7 @@
 #include "air/dsi_handle.hpp"
 
 #include "dsi/client.hpp"
+#include "wire/codecs.hpp"
 
 namespace dsi::air {
 
@@ -46,6 +47,12 @@ std::unique_ptr<AirClient> DsiHandle::MakeClient(
 AirClient* DsiHandle::MakeClientIn(ClientArena& arena,
                                   broadcast::ClientSession* session) const {
   return arena.Create<DsiAirClient>(index_, session);
+}
+
+void DsiHandle::AppendIndexContent(const broadcast::Bucket& bucket,
+                                   std::vector<uint8_t>* out) const {
+  wire::AppendDsiTable(index_.TableAt(bucket.payload),
+                       index_.segment_head_hcs(), index_.table_hc_bytes(), out);
 }
 
 }  // namespace dsi::air

@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "air/air_index.hpp"
+#include "air/family.hpp"
 #include "dsi/index.hpp"
 
 namespace dsi::air {
@@ -16,7 +17,9 @@ class DsiHandle : public AirIndexHandle {
  public:
   explicit DsiHandle(const core::DsiIndex& index) : index_(index) {}
 
-  std::string_view family() const override { return "dsi"; }
+  std::string_view family() const override {
+    return FamilyName(Family::kDsi);
+  }
   const broadcast::BroadcastProgram& program() const override {
     return index_.program();
   }
@@ -24,14 +27,15 @@ class DsiHandle : public AirIndexHandle {
       broadcast::ClientSession* session) const override;
   AirClient* MakeClientIn(ClientArena& arena,
                           broadcast::ClientSession* session) const override;
-  bool SlotAnchor(size_t slot, common::Point* anchor) const override {
-    const broadcast::Bucket& b = program().bucket(slot);
-    if (b.kind != broadcast::BucketKind::kDataObject) return false;
-    *anchor = index_.sorted_objects()[b.payload].location;
-    return true;
+  const std::vector<datasets::SpatialObject>& data_objects() const override {
+    return index_.sorted_objects();
   }
 
   const core::DsiIndex& index() const { return index_; }
+
+ protected:
+  void AppendIndexContent(const broadcast::Bucket& bucket,
+                          std::vector<uint8_t>* out) const override;
 
  private:
   const core::DsiIndex& index_;

@@ -5,6 +5,7 @@
 #include <map>
 
 #include "hilbert/interval_set.hpp"
+#include "wire/codecs.hpp"
 
 namespace dsi::air {
 
@@ -139,6 +140,13 @@ std::unique_ptr<AirClient> ExpHandle::MakeContinuousClient(
 AirClient* ExpHandle::MakeClientIn(ClientArena& arena,
                                   broadcast::ClientSession* session) const {
   return arena.Create<ExpAirClient>(*this, session);
+}
+
+void ExpHandle::AppendIndexContent(const broadcast::Bucket& bucket,
+                                   std::vector<uint8_t>* out) const {
+  wire::AppendExpTable(index_->ChunkMinKey(bucket.payload),
+                       index_->TableAt(bucket.payload),
+                       index_->config().key_bytes, out);
 }
 
 }  // namespace dsi::air

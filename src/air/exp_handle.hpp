@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "air/air_index.hpp"
+#include "air/family.hpp"
 #include "expindex/expindex.hpp"
 #include "hilbert/space_mapper.hpp"
 
@@ -42,7 +43,9 @@ class ExpHandle : public AirIndexHandle {
             const hilbert::SpaceMapper& mapper, size_t packet_capacity,
             expindex::ExpConfig config = {});
 
-  std::string_view family() const override { return "expindex"; }
+  std::string_view family() const override {
+    return FamilyName(Family::kExpIndex);
+  }
   const broadcast::BroadcastProgram& program() const override {
     return index_->program();
   }
@@ -57,11 +60,8 @@ class ExpHandle : public AirIndexHandle {
       broadcast::ClientSession* session) const override;
   AirClient* MakeClientIn(ClientArena& arena,
                           broadcast::ClientSession* session) const override;
-  bool SlotAnchor(size_t slot, common::Point* anchor) const override {
-    const broadcast::Bucket& b = program().bucket(slot);
-    if (b.kind != broadcast::BucketKind::kDataObject) return false;
-    *anchor = objects_[b.payload].location;
-    return true;
+  const std::vector<datasets::SpatialObject>& data_objects() const override {
+    return objects_;
   }
 
   const expindex::ExpIndex& index() const { return *index_; }
@@ -70,6 +70,10 @@ class ExpHandle : public AirIndexHandle {
   const std::vector<datasets::SpatialObject>& sorted_objects() const {
     return objects_;
   }
+
+ protected:
+  void AppendIndexContent(const broadcast::Bucket& bucket,
+                          std::vector<uint8_t>* out) const override;
 
  private:
   const hilbert::SpaceMapper& mapper_;

@@ -3,41 +3,30 @@
 /// \file rtree_handle.hpp
 /// \brief AirIndexHandle wrapper for the R-tree air-index baseline.
 
-#include <memory>
 #include <string_view>
+#include <vector>
 
-#include "air/air_index.hpp"
+#include "air/family.hpp"
+#include "air/tree_handle.hpp"
 #include "rtree/rtree_air.hpp"
 
 namespace dsi::air {
 
 /// Non-owning handle over a built rtree::RtreeIndex.
-class RtreeHandle : public AirIndexHandle {
+class RtreeHandle : public TreeHandle<rtree::RtreeIndex, rtree::RtreeClient> {
  public:
-  explicit RtreeHandle(const rtree::RtreeIndex& index) : index_(index) {}
+  using TreeHandle::TreeHandle;
 
-  std::string_view family() const override { return "rtree"; }
-  const broadcast::BroadcastProgram& program() const override {
-    return index_.program();
+  std::string_view family() const override {
+    return FamilyName(Family::kRtree);
   }
-  std::unique_ptr<AirClient> MakeClient(
-      broadcast::ClientSession* session) const override;
-  AirClient* MakeClientIn(ClientArena& arena,
-                          broadcast::ClientSession* session) const override;
-  bool SlotAnchor(size_t slot, common::Point* anchor) const override {
-    const broadcast::Bucket& b = program().bucket(slot);
-    if (b.kind != broadcast::BucketKind::kDataObject) return false;
-    *anchor = index_.str_objects()[b.payload].location;
-    return true;
+  const std::vector<datasets::SpatialObject>& data_objects() const override {
+    return index().str_objects();
   }
-  std::vector<double> DiskWeights(
-      const datasets::RegionPopularity& popularity,
-      const common::Rect& universe) const override;
 
-  const rtree::RtreeIndex& index() const { return index_; }
-
- private:
-  const rtree::RtreeIndex& index_;
+ protected:
+  void AppendIndexContent(const broadcast::Bucket& bucket,
+                          std::vector<uint8_t>* out) const override;
 };
 
 }  // namespace dsi::air

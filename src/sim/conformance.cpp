@@ -4,19 +4,12 @@
 #include <cmath>
 #include <iomanip>
 #include <limits>
-#include <memory>
 #include <sstream>
 
-#include "air/dsi_handle.hpp"
-#include "air/exp_handle.hpp"
-#include "air/hci_handle.hpp"
-#include "air/rtree_handle.hpp"
+#include "air/family.hpp"
 #include "common/rng.hpp"
 #include "datasets/datasets.hpp"
-#include "dsi/index.hpp"
-#include "hci/hci.hpp"
 #include "hilbert/space_mapper.hpp"
-#include "rtree/rtree_air.hpp"
 #include "sim/trajectory.hpp"
 #include "sim/workload.hpp"
 
@@ -635,12 +628,6 @@ void RunFamily(const std::vector<const air::AirIndexHandle*>& gens,
                     gen_objects, report);
 }
 
-bool WantFamily(const std::vector<std::string>& families,
-                const std::string& name) {
-  if (families.empty()) return true;
-  return std::find(families.begin(), families.end(), name) != families.end();
-}
-
 }  // namespace
 
 ConformanceCase MakeConformanceCase(uint64_t seed) {
@@ -746,90 +733,36 @@ ConformanceCase MakeConformanceCase(uint64_t seed) {
 ConformanceReport RunConformanceCase(const ConformanceCase& c,
                                      const std::vector<std::string>& families) {
   const common::Rect u = datasets::UnitUniverse();
-  auto base =
-      c.duplicates
-          ? MakeDuplicateHeavy(c.n, u, c.seed * 3 + 1)
-          : (c.clustered
-                 ? datasets::MakeClustered(
-                       c.n, 2 + c.seed % 9,
-                       0.01 + 0.004 * static_cast<double>(c.seed % 10), 0.2, u,
-                       c.seed * 3 + 1)
-                 : datasets::MakeUniform(c.n, u, c.seed * 3 + 1));
   const hilbert::SpaceMapper mapper(u, c.order);
-  const CaseQueries q = MakeQueries(c, base);
-
-  // The per-generation object sets and the update streams between them;
-  // generation 0 is the base dataset.
-  const uint32_t num_gens = std::max<uint32_t>(1, c.generations);
-  std::vector<std::vector<datasets::SpatialObject>> gen_objects;
-  gen_objects.push_back(std::move(base));
-  std::vector<std::vector<datasets::UpdateOp>> gen_ops;
-  for (uint32_t g = 1; g < num_gens; ++g) {
-    gen_ops.push_back(datasets::MakeUpdateStream(
-        gen_objects.back(), c.updates_per_gen, u, c.seed * 0x51ED + g));
-    gen_objects.push_back(
-        datasets::ApplyUpdates(gen_objects.back(), gen_ops.back()));
-  }
+  // The per-generation object sets and the update streams between them.
+  const air::Generations gens = air::MakeGenerations(
+      c.seed, std::max<uint32_t>(1, c.generations), c.updates_per_gen,
+      [&c, &u](uint64_t seed) {
+        if (c.duplicates) return MakeDuplicateHeavy(c.n, u, seed);
+        if (c.clustered) {
+          return datasets::MakeClustered(
+              c.n, 2 + c.seed % 9,
+              0.01 + 0.004 * static_cast<double>(c.seed % 10), 0.2, u, seed);
+        }
+        return datasets::MakeUniform(c.n, u, seed);
+      });
+  const CaseQueries q = MakeQueries(c, gens.objects[0]);
+  const core::DsiConfig dsi{.object_factor = c.object_factor,
+                            .num_segments = c.m};
+  const expindex::ExpConfig exp{.chunk_size = c.chunk_size};
 
   ConformanceReport report;
-  if (WantFamily(families, "dsi")) {
-    core::DsiConfig cfg;
-    cfg.num_segments = c.m;
-    cfg.object_factor = c.object_factor;
-    // Generation 0 is a full build; every republication goes through the
-    // incremental path, so the fuzzer oracle-checks it for free.
-    std::vector<std::unique_ptr<core::DsiIndex>> indexes;
-    indexes.push_back(std::make_unique<core::DsiIndex>(gen_objects[0], mapper,
-                                                       c.capacity, cfg));
-    for (uint32_t g = 1; g < num_gens; ++g) {
-      indexes.push_back(std::make_unique<core::DsiIndex>(
-          core::DsiIndex::Republish(*indexes.back(), gen_ops[g - 1])));
+  for (const air::Family family : air::kFamilies) {
+    const std::string name(air::FamilyName(family));
+    if (!families.empty() &&
+        std::find(families.begin(), families.end(), name) == families.end()) {
+      continue;
     }
-    std::vector<air::DsiHandle> handles;
-    handles.reserve(indexes.size());
-    for (const auto& index : indexes) handles.emplace_back(*index);
-    std::vector<const air::AirIndexHandle*> gens;
-    for (const auto& h : handles) gens.push_back(&h);
-    RunFamily(gens, c, "dsi", q, gen_objects, &report);
-  }
-  if (WantFamily(families, "rtree")) {
-    std::vector<std::unique_ptr<rtree::RtreeIndex>> indexes;
-    for (uint32_t g = 0; g < num_gens; ++g) {
-      indexes.push_back(
-          std::make_unique<rtree::RtreeIndex>(gen_objects[g], c.capacity));
-    }
-    std::vector<air::RtreeHandle> handles;
-    handles.reserve(indexes.size());
-    for (const auto& index : indexes) handles.emplace_back(*index);
-    std::vector<const air::AirIndexHandle*> gens;
-    for (const auto& h : handles) gens.push_back(&h);
-    RunFamily(gens, c, "rtree", q, gen_objects, &report);
-  }
-  if (WantFamily(families, "hci")) {
-    std::vector<std::unique_ptr<hci::HciIndex>> indexes;
-    for (uint32_t g = 0; g < num_gens; ++g) {
-      indexes.push_back(std::make_unique<hci::HciIndex>(gen_objects[g], mapper,
-                                                        c.capacity));
-    }
-    std::vector<air::HciHandle> handles;
-    handles.reserve(indexes.size());
-    for (const auto& index : indexes) handles.emplace_back(*index);
-    std::vector<const air::AirIndexHandle*> gens;
-    for (const auto& h : handles) gens.push_back(&h);
-    RunFamily(gens, c, "hci", q, gen_objects, &report);
-  }
-  if (WantFamily(families, "expindex")) {
-    expindex::ExpConfig cfg;
-    cfg.chunk_size = c.chunk_size;
-    std::vector<std::unique_ptr<air::ExpHandle>> handles;
-    for (uint32_t g = 0; g < num_gens; ++g) {
-      handles.push_back(std::make_unique<air::ExpHandle>(gen_objects[g],
-                                                         mapper, c.capacity,
-                                                         cfg));
-    }
-    std::vector<const air::AirIndexHandle*> gens;
-    for (const auto& h : handles) gens.push_back(h.get());
-    RunFamily(gens, c, "expindex", q, gen_objects, &report);
+    // Every DSI republication goes through the incremental path, so the
+    // fuzzer oracle-checks it for free.
+    const air::FamilyBroadcast broadcast(family, gens, mapper, c.capacity,
+                                         dsi, exp);
+    RunFamily(broadcast.handles(), c, name, q, gens.objects, &report);
   }
   return report;
 }

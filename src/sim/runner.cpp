@@ -83,28 +83,6 @@ ShardSums RunGenerationalShard(const GenerationalIndex& index,
 
 namespace detail {
 
-OnAirSchedule::OnAirSchedule(
-    const std::vector<const air::AirIndexHandle*>& generations,
-    const std::vector<uint64_t>& cycles,
-    const broadcast::CodingConfig& coding,
-    const broadcast::DiskConfig& disks) {
-  assert(cycles.size() == generations.size());
-  const bool relayout = coding.enabled() || disks.enabled();
-  // Sized up front: the schedule holds raw pointers, so the re-laid-out
-  // programs must never relocate after Append.
-  if (relayout) {
-    relaid_.reserve(generations.size());
-    for (const air::AirIndexHandle* handle : generations) {
-      relaid_.push_back(MakeCodedProgram(
-          air::MakeSkewedProgram(*handle, disks), coding));
-    }
-  }
-  for (size_t g = 0; g < generations.size(); ++g) {
-    schedule_.Append(relayout ? &relaid_[g] : &generations[g]->program(),
-                     cycles[g]);
-  }
-}
-
 void CaptureResult(QueryKind kind, const common::Point& query_point,
                    const std::vector<datasets::SpatialObject>& answer,
                    bool completed, uint64_t generation, size_t restarts,
@@ -139,18 +117,15 @@ AvgMetrics GenerationalRun(const GenerationalIndex& index,
   const size_t n = workload.size();
   AvgMetrics avg;
   if (options.results != nullptr) options.results->assign(n, QueryResult{});
-  // Guard: an empty program has no packet to tune into (the tune-in draw
-  // would underflow), and an empty workload has nothing to average.
-  for (const air::AirIndexHandle* handle : index.generations) {
-    if (handle->program().cycle_packets() == 0) return avg;
-  }
-  if (n == 0) return avg;
-
   // Re-layout once per run, not per query; shards share the immutable
   // programs through one stateless channel view (the same Transport seam a
   // live StreamTransport plugs into).
-  const detail::OnAirSchedule on_air(index.generations, index.cycles,
-                                     options.coding, options.disks);
+  const air::OnAirSchedule on_air(index.generations, index.cycles,
+                                  options.coding, options.disks);
+  // Guard: an empty program never airs, so there is no packet to tune into
+  // (the tune-in draw would underflow), and an empty workload has nothing
+  // to average.
+  if (on_air.schedule().num_generations() == 0 || n == 0) return avg;
   transport::SimTransport channel(on_air.schedule());
   const ShardSums total = detail::RunSharded<ShardSums>(
       n, options.workers, [&](size_t begin, size_t end, ShardSums* sums) {

@@ -148,30 +148,6 @@ AvgMetrics RunWorkload(const air::AirIndexHandle& index,
 
 namespace detail {
 
-/// The channel one run airs: every generation's program — the index's own
-/// by reference when both layouts are off, else
-/// MakeCodedProgram(MakeSkewedProgram(...)) — appended to one
-/// GenerationSchedule. Each generation is re-laid-out independently:
-/// parity groups and disk schedules die with their generation. Shared by
-/// GenerationalRun and RunTrajectories. Not copyable or movable: the
-/// schedule points into the owned re-layouts.
-class OnAirSchedule {
- public:
-  /// \p cycles[g] is generation g's airtime (see GenerationalIndex).
-  OnAirSchedule(const std::vector<const air::AirIndexHandle*>& generations,
-                const std::vector<uint64_t>& cycles,
-                const broadcast::CodingConfig& coding,
-                const broadcast::DiskConfig& disks);
-  OnAirSchedule(const OnAirSchedule&) = delete;
-  OnAirSchedule& operator=(const OnAirSchedule&) = delete;
-
-  const broadcast::GenerationSchedule& schedule() const { return schedule_; }
-
- private:
-  std::vector<broadcast::BroadcastProgram> relaid_;
-  broadcast::GenerationSchedule schedule_;
-};
-
 /// Runs \p run_shard(begin, end, &sums) over contiguous shards of [0, n)
 /// and returns the shards' sums merged with Sums::operator+=. \p workers = 0
 /// means one per hardware thread; shards run on the persistent WorkerPool.

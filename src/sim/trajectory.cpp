@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 
+#include "air/disk_layout.hpp"
 #include "broadcast/generation.hpp"
 #include "common/rng.hpp"
 #include "sim/scheduler.hpp"
@@ -366,14 +367,13 @@ TrajectoryMetrics RunTrajectoriesImpl(
       (*options.results)[c].assign(wl.clients[c].size(), TrajectoryStep{});
     }
   }
-  for (const air::AirIndexHandle* handle : gens) {
-    if (handle->program().cycle_packets() == 0) return avg;
-  }
-  if (num_clients == 0 || wl.num_steps() == 0) return avg;
-
-  const detail::OnAirSchedule on_air(gens, cycles, options.coding,
-                                     options.disks);
+  const air::OnAirSchedule on_air(gens, cycles, options.coding,
+                                  options.disks);
   const broadcast::GenerationSchedule& schedule = on_air.schedule();
+  if (schedule.num_generations() == 0 || num_clients == 0 ||
+      wl.num_steps() == 0) {
+    return avg;
+  }
   const TourSums total = detail::RunSharded<TourSums>(
       num_clients, options.workers,
       [&](size_t begin, size_t end, TourSums* sums) {

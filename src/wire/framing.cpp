@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <iterator>
 
 #include "broadcast/coding.hpp"
 #include "wire/buffer.hpp"
@@ -88,9 +89,7 @@ std::vector<uint8_t> EncodeHello(const HelloPayload& hello) {
 
 bool DecodeHello(std::span<const uint8_t> bytes, HelloPayload* hello) {
   ByteReader r(bytes);
-  const uint64_t family = r.ReadUint(1);
-  if (family > static_cast<uint64_t>(FamilyId::kExpIndex)) return false;
-  hello->family = static_cast<FamilyId>(family);
+  hello->family = static_cast<FamilyId>(r.ReadUint(1));
   hello->seed = r.ReadUint(8);
   hello->num_objects = static_cast<uint32_t>(r.ReadUint(4));
   hello->packet_capacity = static_cast<uint32_t>(r.ReadUint(4));
@@ -102,17 +101,34 @@ bool DecodeHello(std::span<const uint8_t> bytes, HelloPayload* hello) {
   hello->updates_per_gen = static_cast<uint32_t>(r.ReadUint(4));
   hello->gen_cycles = r.ReadUint(8);
   hello->now_packet = r.ReadUint(8);
-  if (!r.ok() || r.remaining() != 0) return false;
-  // Field sanity: a hello that decodes but cannot build a broadcast is
-  // rejected here, not deep inside the index constructors.
-  if (hello->packet_capacity == 0) return false;
-  if (hello->hilbert_order == 0 || hello->hilbert_order > 16) return false;
-  if (hello->num_segments == 0) return false;
-  if (hello->num_generations == 0) return false;
-  if (hello->gen_cycles == 0) return false;
-  if ((hello->coding_group == 0) != (hello->coding_parity == 0)) return false;
-  if (hello->coding_group + hello->coding_parity > 64) return false;
-  return true;
+  // A hello that decodes but cannot build a broadcast is rejected here,
+  // not deep inside the index constructors.
+  return r.ok() && r.remaining() == 0 && RecipeError(*hello).empty();
+}
+
+std::string RecipeError(const HelloPayload& hello) {
+  if (static_cast<size_t>(hello.family) >= std::size(air::kFamilies)) {
+    return "unknown family id";
+  }
+  const size_t min_capacity = air::MinPacketCapacity(hello.family);
+  if (hello.packet_capacity < min_capacity) {
+    return "packet capacity " + std::to_string(hello.packet_capacity) +
+           " is below the " + std::string(air::FamilyName(hello.family)) +
+           " minimum of " + std::to_string(min_capacity);
+  }
+  if (hello.hilbert_order == 0 || hello.hilbert_order > 16) {
+    return "Hilbert order must be in [1, 16]";
+  }
+  if (hello.num_segments == 0) return "segment count must be >= 1";
+  if (hello.num_generations == 0) return "generation count must be >= 1";
+  if (hello.gen_cycles == 0) return "cycles per generation must be >= 1";
+  if ((hello.coding_group == 0) != (hello.coding_parity == 0)) {
+    return "coding group and parity must both be 0 or both be >= 1";
+  }
+  if (hello.coding_group + hello.coding_parity > 64) {
+    return "coding group + parity must be <= 64";
+  }
+  return "";
 }
 
 // --- program announcement ---------------------------------------------------

@@ -38,8 +38,10 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "air/family.hpp"
 #include "broadcast/program.hpp"
 
 namespace dsi::wire {
@@ -86,14 +88,9 @@ FrameStatus DecodeFrameHeader(const uint8_t* data, size_t size,
 
 // --- hello ------------------------------------------------------------------
 
-/// Index family carried in the hello (order matches the repo's canonical
-/// family list).
-enum class FamilyId : uint8_t {
-  kDsi = 0,
-  kRtree = 1,
-  kHci = 2,
-  kExpIndex = 3,
-};
+/// Index family carried in the hello: the family module's enum, whose
+/// values are the protocol's.
+using FamilyId = air::Family;
 
 /// The daemon's build recipe plus the connection's tune-in instant. Every
 /// field feeds transport::LiveSource; two processes constructing from equal
@@ -114,7 +111,14 @@ struct HelloPayload {
 };
 
 std::vector<uint8_t> EncodeHello(const HelloPayload& hello);
+/// Decodes a hello and rejects it unless RecipeError accepts it.
 bool DecodeHello(std::span<const uint8_t> bytes, HelloPayload* hello);
+
+/// Why \p hello cannot build a broadcast, or an empty string when it can.
+/// The one recipe check: DecodeHello applies it to every received hello
+/// and the daemon to its own recipe before it builds, so a daemon never
+/// serves a recipe its clients reject.
+std::string RecipeError(const HelloPayload& hello);
 
 // --- program announcement ---------------------------------------------------
 

@@ -9,55 +9,25 @@
 #include <memory>
 #include <vector>
 
-#include "air/dsi_handle.hpp"
 #include "broadcast/coding.hpp"
-#include "air/exp_handle.hpp"
-#include "air/hci_handle.hpp"
-#include "air/rtree_handle.hpp"
 #include "datasets/datasets.hpp"
 #include "dsi/index.hpp"
-#include "hci/hci.hpp"
 #include "hilbert/space_mapper.hpp"
-#include "rtree/rtree_air.hpp"
 #include "sim/runner.hpp"
 #include "sim/workload.hpp"
+#include "test_families.hpp"
 
 namespace dsi {
 namespace {
 
-/// Owns one index of every family over the same object set.
-struct AllFamilies {
-  AllFamilies(const std::vector<datasets::SpatialObject>& objects,
-              const hilbert::SpaceMapper& mapper, size_t capacity)
-      : dsi(objects, mapper, capacity, core::DsiConfig{}),
-        rt(objects, capacity),
-        hc(objects, mapper, capacity),
-        dsi_handle(dsi),
-        rt_handle(rt),
-        hci_handle(hc),
-        exp_handle(objects, mapper, capacity) {
-    handles = {&dsi_handle, &rt_handle, &hci_handle, &exp_handle};
-  }
-
-  core::DsiIndex dsi;
-  rtree::RtreeIndex rt;
-  hci::HciIndex hc;
-  air::DsiHandle dsi_handle;
-  air::RtreeHandle rt_handle;
-  air::HciHandle hci_handle;
-  air::ExpHandle exp_handle;
-  std::vector<const air::AirIndexHandle*> handles;
-};
-
 TEST(DegenerateDatasets, EmptyDatasetBuildsEmptyProgramsEverywhere) {
   const auto u = datasets::UnitUniverse();
-  const hilbert::SpaceMapper mapper(u, 5);
   const std::vector<datasets::SpatialObject> none;
-  AllFamilies fam(none, mapper, 64);
+  const test::Families fam(none, /*m=*/1, /*capacity=*/64, /*order=*/5);
 
   const auto windows = sim::MakeWindowWorkload(3, 0.4, u, 1);
   const auto points = sim::MakeKnnWorkload(2, u, 2);
-  for (const air::AirIndexHandle* handle : fam.handles) {
+  for (const air::AirIndexHandle* handle : fam.handles()) {
     // Nothing on air: the program is empty...
     EXPECT_EQ(handle->program().cycle_packets(), 0u) << handle->family();
     // ...and the engine guards it: zero metrics, and since the dataset is
@@ -82,10 +52,9 @@ class SingleObject : public ::testing::TestWithParam<double> {};
 TEST_P(SingleObject, AllQueriesFindTheLoneObject) {
   const double theta = GetParam();
   const auto u = datasets::UnitUniverse();
-  const hilbert::SpaceMapper mapper(u, 5);
   const std::vector<datasets::SpatialObject> one{
       datasets::SpatialObject{42, common::Point{0.31, 0.77}}};
-  AllFamilies fam(one, mapper, 64);
+  const test::Families fam(one, /*m=*/1, /*capacity=*/64, /*order=*/5);
 
   // Window containing the object, window missing it, kNN from inside and
   // far outside with k = 1 and k >> n — across tune-in instants and loss.
@@ -93,7 +62,7 @@ TEST_P(SingleObject, AllQueriesFindTheLoneObject) {
   const common::Rect miss{0.6, 0.1, 0.9, 0.3};
   const std::vector<common::Point> points{common::Point{0.3, 0.8},
                                           common::Point{-4.0, 7.0}};
-  for (const air::AirIndexHandle* handle : fam.handles) {
+  for (const air::AirIndexHandle* handle : fam.handles()) {
     ASSERT_GT(handle->program().cycle_packets(), 0u) << handle->family();
     std::vector<sim::QueryResult> results;
     sim::RunOptions opt;
@@ -150,7 +119,6 @@ TEST(DegenerateDatasets, CodingOnEmptyAndSingleObjectBroadcasts) {
   // wrap-around group — still answers every query under loss, repairing
   // from parity when the lone frame is hit.
   const auto u = datasets::UnitUniverse();
-  const hilbert::SpaceMapper mapper(u, 5);
 
   broadcast::BroadcastProgram empty(64);
   empty.Finalize();
@@ -160,12 +128,12 @@ TEST(DegenerateDatasets, CodingOnEmptyAndSingleObjectBroadcasts) {
   EXPECT_FALSE(coded_empty.coded());
 
   const std::vector<datasets::SpatialObject> none;
-  AllFamilies empties(none, mapper, 64);
+  const test::Families empties(none, /*m=*/1, /*capacity=*/64, /*order=*/5);
   sim::RunOptions opt;
   opt.seed = 3;
   opt.coding = broadcast::CodingConfig{4, 2};
   const auto windows = sim::MakeWindowWorkload(2, 0.4, u, 1);
-  for (const air::AirIndexHandle* handle : empties.handles) {
+  for (const air::AirIndexHandle* handle : empties.handles()) {
     const auto m =
         sim::RunWorkload(*handle, sim::Workload::Window(windows), opt);
     EXPECT_EQ(m.queries, 0u) << handle->family();
@@ -174,11 +142,11 @@ TEST(DegenerateDatasets, CodingOnEmptyAndSingleObjectBroadcasts) {
 
   const std::vector<datasets::SpatialObject> one{
       datasets::SpatialObject{42, common::Point{0.31, 0.77}}};
-  AllFamilies fam(one, mapper, 64);
+  const test::Families fam(one, /*m=*/1, /*capacity=*/64, /*order=*/5);
   const common::Rect hit{0.2, 0.7, 0.4, 0.9};
   std::vector<sim::QueryResult> results;
   opt.results = &results;
-  for (const air::AirIndexHandle* handle : fam.handles) {
+  for (const air::AirIndexHandle* handle : fam.handles()) {
     // Group larger than the bucket count: the whole cycle is one short
     // wrap-around group.
     ASSERT_LT(handle->program().num_buckets(), 4u) << handle->family();

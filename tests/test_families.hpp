@@ -8,47 +8,34 @@
 
 #include <vector>
 
-#include "air/dsi_handle.hpp"
-#include "air/exp_handle.hpp"
-#include "air/hci_handle.hpp"
-#include "air/rtree_handle.hpp"
+#include "air/family.hpp"
 #include "datasets/datasets.hpp"
-#include "dsi/index.hpp"
-#include "hci/hci.hpp"
 #include "hilbert/space_mapper.hpp"
-#include "rtree/rtree_air.hpp"
 
 namespace dsi::test {
 
 /// All four families over one object set (plus the shared mapper).
 struct Families {
   hilbert::SpaceMapper mapper;
-  core::DsiIndex dsi;
-  rtree::RtreeIndex rtree;
-  hci::HciIndex hci;
-  air::DsiHandle dsi_h;
-  air::RtreeHandle rtree_h;
-  air::HciHandle hci_h;
-  air::ExpHandle exp_h;
+  std::vector<air::FamilyBroadcast> broadcasts;
 
   explicit Families(const std::vector<datasets::SpatialObject>& objects,
                     uint32_t m = 1, size_t capacity = 64, int order = 6)
-      : mapper(datasets::UnitUniverse(), order),
-        dsi(objects, mapper, capacity,
-            [m] {
-              core::DsiConfig c;
-              c.num_segments = m;
-              return c;
-            }()),
-        rtree(objects, capacity),
-        hci(objects, mapper, capacity),
-        dsi_h(dsi),
-        rtree_h(rtree),
-        hci_h(hci),
-        exp_h(objects, mapper, capacity) {}
+      : mapper(datasets::UnitUniverse(), order) {
+    const air::Generations gens{{objects}, {}};
+    for (const air::Family family : air::kFamilies) {
+      broadcasts.emplace_back(family, gens, mapper, capacity,
+                              core::DsiConfig{.num_segments = m});
+    }
+  }
 
+  /// One handle per family, in air::kFamilies order.
   std::vector<const air::AirIndexHandle*> handles() const {
-    return {&dsi_h, &rtree_h, &hci_h, &exp_h};
+    std::vector<const air::AirIndexHandle*> out;
+    for (const air::FamilyBroadcast& b : broadcasts) {
+      out.push_back(&b.handle(0));
+    }
+    return out;
   }
 };
 

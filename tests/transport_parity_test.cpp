@@ -9,8 +9,9 @@
 // program, generation switch while the radio is off), the protocol-version
 // rejection, frame reassembly from dribbled and torn streams, the paced
 // daemon's air-time discipline, the daemon's clean final-cycle shutdown
-// semantics, the reaping of finished connections, and the parity planes
-// against a bit-serial GF(2^8) reference.
+// semantics, the reaping of finished connections, the parity planes
+// against a bit-serial GF(2^8) reference, and every generation's live
+// bucket content decoded back to that generation's own index.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,10 @@
 #include <vector>
 
 #include "air/air_index.hpp"
+#include "air/dsi_handle.hpp"
+#include "air/exp_handle.hpp"
+#include "air/hci_handle.hpp"
+#include "air/rtree_handle.hpp"
 #include "broadcast/client.hpp"
 #include "common/geometry.hpp"
 #include "common/rng.hpp"
@@ -32,6 +37,7 @@
 #include "transport/socket.hpp"
 #include "transport/stream_transport.hpp"
 #include "transport/transport.hpp"
+#include "wire/codecs.hpp"
 #include "wire/framing.hpp"
 
 namespace dsi {
@@ -497,6 +503,150 @@ TEST(TransportParity, ParityPlanesMatchBitSerialReference) {
       }
       if (parity > 1) {
         EXPECT_GT(weighted_planes, 0u);
+      }
+    }
+  }
+}
+
+/// The payload-ordered object array of \p handle's family: the objects its
+/// data buckets carry, indexed by Bucket::payload.
+const std::vector<datasets::SpatialObject>& PayloadObjects(
+    const air::AirIndexHandle& handle) {
+  if (const auto* h = dynamic_cast<const air::DsiHandle*>(&handle)) {
+    return h->index().sorted_objects();
+  }
+  if (const auto* h = dynamic_cast<const air::RtreeHandle*>(&handle)) {
+    return h->index().str_objects();
+  }
+  if (const auto* h = dynamic_cast<const air::HciHandle*>(&handle)) {
+    return h->index().sorted_objects();
+  }
+  return dynamic_cast<const air::ExpHandle&>(handle).sorted_objects();
+}
+
+/// Decodes the content of one non-parity bucket of \p handle's program
+/// with the codec its kind calls for and compares it with the index's own
+/// table, node or object for the bucket's payload.
+void ExpectContentDecodesToIndex(const air::AirIndexHandle& handle,
+                                 const broadcast::Bucket& bucket,
+                                 const std::vector<uint8_t>& content,
+                                 std::vector<uint32_t>* data_ids) {
+  ASSERT_EQ(content.size(), bucket.size_bytes);
+  const uint32_t payload = bucket.payload;
+  switch (bucket.kind) {
+    case broadcast::BucketKind::kDataObject: {
+      datasets::SpatialObject got;
+      ASSERT_TRUE(wire::DecodeDataObject(content, &got));
+      const datasets::SpatialObject& want = PayloadObjects(handle)[payload];
+      EXPECT_EQ(got.id, want.id);
+      EXPECT_EQ(got.location, want.location);
+      data_ids->push_back(got.id);
+      break;
+    }
+    case broadcast::BucketKind::kDsiFrameTable:
+      if (const auto* h = dynamic_cast<const air::DsiHandle*>(&handle)) {
+        const core::DsiIndex& index = h->index();
+        const core::DsiTableView want = index.TableAt(payload);
+        core::DsiTableView got;
+        std::vector<uint64_t> heads;
+        ASSERT_TRUE(wire::DecodeDsiTable(
+            content, index.table_hc_bytes(), index.config().num_segments,
+            static_cast<uint32_t>(want.entries.size()), payload, &got,
+            &heads));
+        EXPECT_EQ(got.own_hc_min, want.own_hc_min);
+        ASSERT_EQ(got.entries.size(), want.entries.size());
+        for (size_t i = 0; i < want.entries.size(); ++i) {
+          EXPECT_EQ(got.entries[i].hc_min, want.entries[i].hc_min);
+          EXPECT_EQ(got.entries[i].position, want.entries[i].position);
+        }
+        if (index.config().num_segments > 1) {
+          EXPECT_EQ(heads, index.segment_head_hcs());
+        }
+      } else {
+        const expindex::ExpIndex& index =
+            dynamic_cast<const air::ExpHandle&>(handle).index();
+        const std::vector<expindex::ExpTableEntry> want =
+            index.TableAt(payload);
+        uint64_t own_min_key = 0;
+        std::vector<expindex::ExpTableEntry> got;
+        ASSERT_TRUE(wire::DecodeExpTable(
+            content, index.config().key_bytes,
+            static_cast<uint32_t>(want.size()), &own_min_key, &got));
+        EXPECT_EQ(own_min_key, index.ChunkMinKey(payload));
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i].min_key, want[i].min_key);
+          EXPECT_EQ(got[i].position, want[i].position);
+        }
+      }
+      break;
+    case broadcast::BucketKind::kIndexNode:
+      if (const auto* h = dynamic_cast<const air::RtreeHandle*>(&handle)) {
+        const std::vector<rtree::Rtree::Entry>& want =
+            h->index().tree().entries(payload);
+        std::vector<rtree::Rtree::Entry> got;
+        ASSERT_TRUE(wire::DecodeRtreeNode(content, &got));
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i].mbr, want[i].mbr);
+          EXPECT_EQ(got[i].child, want[i].child);
+        }
+      } else {
+        const std::vector<bptree::BptEntry>& want =
+            dynamic_cast<const air::HciHandle&>(handle).index().tree().entries(
+                payload);
+        std::vector<bptree::BptEntry> got;
+        ASSERT_TRUE(wire::DecodeBptNode(content, &got));
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i].key, want[i].key);
+          EXPECT_EQ(got[i].child, want[i].child);
+        }
+      }
+      break;
+    case broadcast::BucketKind::kParity:
+      FAIL() << "parity bucket passed as data";
+  }
+}
+
+TEST(TransportParity, LiveContentDecodesToEachGenerationsIndex) {
+  // Daemon and client share one LiveSource, so the live tests cannot see a
+  // mis-wired generation or a swapped node encoder. Decode every data
+  // bucket of every generation's on-air cycle back to that generation's
+  // own index, and check each cycle carries exactly its generation's
+  // objects.
+  for (const wire::FamilyId family :
+       {wire::FamilyId::kDsi, wire::FamilyId::kRtree, wire::FamilyId::kHci,
+        wire::FamilyId::kExpIndex}) {
+    for (const auto& [group, parity] : {std::pair{0u, 0u}, std::pair{4u, 1u}}) {
+      SCOPED_TRACE("family " + std::to_string(static_cast<int>(family)) +
+                   ", (" + std::to_string(group) + "," +
+                   std::to_string(parity) + ") code");
+      const transport::LiveSource source(
+          MakeRecipe(family, 150, 3, 20, group, parity));
+      ASSERT_EQ(source.num_generations(), 3u);
+      for (size_t g = 0; g < source.num_generations(); ++g) {
+        const broadcast::BroadcastProgram& p = source.program(g);
+        std::vector<uint32_t> data_ids;
+        size_t index_buckets = 0;
+        for (size_t slot = 0; slot < p.num_buckets(); ++slot) {
+          const broadcast::Bucket& bucket = p.bucket(slot);
+          if (bucket.kind == broadcast::BucketKind::kParity) continue;
+          if (bucket.kind != broadcast::BucketKind::kDataObject) {
+            ++index_buckets;
+          }
+          ExpectContentDecodesToIndex(source.handle(g), bucket,
+                                      source.BucketContent(g, slot),
+                                      &data_ids);
+        }
+        EXPECT_GT(index_buckets, 0u) << "generation " << g;
+        std::sort(data_ids.begin(), data_ids.end());
+        data_ids.erase(std::unique(data_ids.begin(), data_ids.end()),
+                       data_ids.end());
+        std::vector<uint32_t> want_ids;
+        for (const auto& o : source.objects(g)) want_ids.push_back(o.id);
+        std::sort(want_ids.begin(), want_ids.end());
+        EXPECT_EQ(data_ids, want_ids) << "generation " << g;
       }
     }
   }

@@ -9,9 +9,11 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "air/family.hpp"
 #include "broadcast/coding.hpp"
 #include "broadcast/program.hpp"
 #include "common/rng.hpp"
@@ -29,7 +31,9 @@ wire::HelloPayload RandomHello(common::Rng& rng) {
   h.family = static_cast<wire::FamilyId>(rng.UniformInt(0, 3));
   h.seed = rng.engine()();
   h.num_objects = static_cast<uint32_t>(rng.UniformInt(0, 100000));
-  h.packet_capacity = static_cast<uint32_t>(rng.UniformInt(1, 4096));
+  // Buildable recipes only: an R-tree needs one whole entry per packet.
+  h.packet_capacity = static_cast<uint32_t>(rng.UniformInt(
+      static_cast<int64_t>(air::MinPacketCapacity(h.family)), 4096));
   h.hilbert_order = static_cast<uint32_t>(rng.UniformInt(1, 16));
   h.num_segments = static_cast<uint32_t>(rng.UniformInt(1, 8));
   if (rng.Bernoulli(0.5)) {
@@ -196,6 +200,27 @@ TEST(WireFuzz, HelloRejectsUnbuildableRecipes) {
     h.coding_group = 60;
     h.coding_parity = 5;  // group + parity over the 64 cap
   });
+}
+
+TEST(WireFuzz, HelloRejectsRtreeBelowOneEntryPerPacket) {
+  // The paper's 34-byte R-tree entry does not fit a 32-byte packet; a
+  // daemon given such a recipe must be refused by the same check clients
+  // run on its hello.
+  wire::HelloPayload h;
+  h.family = wire::FamilyId::kRtree;
+  h.num_objects = 100;
+  h.packet_capacity = 32;
+  wire::HelloPayload back;
+  EXPECT_FALSE(wire::DecodeHello(wire::EncodeHello(h), &back));
+  EXPECT_NE(wire::RecipeError(h).find("below the rtree minimum"),
+            std::string::npos);
+  h.packet_capacity = 64;
+  EXPECT_TRUE(wire::DecodeHello(wire::EncodeHello(h), &back));
+  EXPECT_EQ(wire::RecipeError(h), "");
+  // Other families only need a nonempty packet.
+  h.family = wire::FamilyId::kDsi;
+  h.packet_capacity = 32;
+  EXPECT_TRUE(wire::DecodeHello(wire::EncodeHello(h), &back));
 }
 
 // --- program announcement ----------------------------------------------------

@@ -17,30 +17,26 @@
 ///                   [--pps=PACKETS_PER_SECOND]   (0 = unthrottled)
 ///
 /// Prints the bound endpoint ("listening on tcp:PORT") once serving, so
-/// scripts can wait for readiness on stdout.
+/// scripts can wait for readiness on stdout. A recipe its clients would
+/// reject (wire::RecipeError) is refused with exit 1 before anything is
+/// built.
 
 #include <unistd.h>
 
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 
+#include "air/family.hpp"
 #include "transport/broadcast_daemon.hpp"
+#include "wire/framing.hpp"
 
 namespace {
 
 volatile std::sig_atomic_t g_stop = 0;
 void HandleStop(int) { g_stop = 1; }
-
-bool ParseFamily(const std::string& name, dsi::wire::FamilyId* out) {
-  if (name == "dsi") *out = dsi::wire::FamilyId::kDsi;
-  else if (name == "rtree") *out = dsi::wire::FamilyId::kRtree;
-  else if (name == "hci") *out = dsi::wire::FamilyId::kHci;
-  else if (name == "expindex") *out = dsi::wire::FamilyId::kExpIndex;
-  else return false;
-  return true;
-}
 
 }  // namespace
 
@@ -57,10 +53,12 @@ int main(int argc, char** argv) {
     if (arg.rfind("--listen=", 0) == 0) {
       listen = arg.substr(9);
     } else if (arg.rfind("--family=", 0) == 0) {
-      if (!ParseFamily(arg.substr(9), &recipe.family)) {
+      const std::optional<air::Family> family = air::ParseFamily(arg.substr(9));
+      if (!family) {
         std::fprintf(stderr, "unknown family: %s\n", arg.c_str());
         return 1;
       }
+      recipe.family = *family;
     } else if (arg.rfind("--n=", 0) == 0) {
       recipe.num_objects = static_cast<uint32_t>(std::stoul(arg.substr(4)));
     } else if (arg.rfind("--seed=", 0) == 0) {
@@ -92,6 +90,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "broadcastd: --listen=tcp:PORT or --listen=unix:PATH is "
                  "required\n");
+    return 1;
+  }
+  // The clients' own hello check, applied before anything is built.
+  const std::string recipe_error = wire::RecipeError(recipe);
+  if (!recipe_error.empty()) {
+    std::fprintf(stderr, "broadcastd: invalid recipe: %s\n",
+                 recipe_error.c_str());
     return 1;
   }
 

@@ -53,6 +53,7 @@
 #include <string>
 #include <vector>
 
+#include "air/family.hpp"
 #include "sim/conformance.hpp"
 
 namespace {
@@ -81,16 +82,24 @@ struct Args {
   bool have_windows = false;
 };
 
-std::vector<std::string> SplitFamilies(const std::string& value) {
-  std::vector<std::string> out;
+/// Splits a comma-separated family list, checking each name against the
+/// family table. Returns false on an unknown name.
+bool SplitFamilies(const std::string& value, std::vector<std::string>* out) {
   size_t pos = 0;
   while (pos < value.size()) {
     const size_t comma = value.find(',', pos);
     const size_t end = comma == std::string::npos ? value.size() : comma;
-    if (end > pos) out.push_back(value.substr(pos, end - pos));
+    if (end > pos) {
+      const std::string name = value.substr(pos, end - pos);
+      if (!dsi::air::ParseFamily(name)) {
+        std::fprintf(stderr, "unknown family: %s\n", name.c_str());
+        return false;
+      }
+      out->push_back(name);
+    }
     pos = end + 1;
   }
-  return out;
+  return true;
 }
 
 bool ParseMode(const std::string& value, dsi::broadcast::ErrorMode* mode) {
@@ -112,7 +121,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     if (key == "--repro") args->repro = true;
     else if (key == "--seeds") args->seeds = u64();
     else if (key == "--start") args->start = u64();
-    else if (key == "--families") args->families = SplitFamilies(value);
+    else if (key == "--families") { if (!SplitFamilies(value, &args->families)) return false; }
     else if (key == "--seed") { args->base.seed = u64(); args->have_seed = true; }
     else if (key == "--n") args->base.n = u64();
     else if (key == "--order") args->base.order = static_cast<int>(u64());

@@ -54,15 +54,9 @@
 #include <string>
 #include <vector>
 
-#include "air/dsi_handle.hpp"
-#include "air/exp_handle.hpp"
-#include "air/hci_handle.hpp"
-#include "air/rtree_handle.hpp"
+#include "air/family.hpp"
 #include "datasets/datasets.hpp"
-#include "dsi/index.hpp"
-#include "hci/hci.hpp"
 #include "hilbert/space_mapper.hpp"
-#include "rtree/rtree_air.hpp"
 #include "sim/runner.hpp"
 #include "sim/trajectory.hpp"
 #include "sim/workload.hpp"
@@ -215,20 +209,18 @@ int main(int argc, char** argv) {
     const size_t queries =
         std::max<size_t>(1, opt.queries /
                                 divisors[std::min<size_t>(rung, 3)]);
-    const auto data =
-        datasets::MakeUniform(objects, datasets::UnitUniverse(), 42);
+    const air::Generations gens{
+        {datasets::MakeUniform(objects, datasets::UnitUniverse(), 42)}, {}};
     const hilbert::SpaceMapper mapper(datasets::UnitUniverse(),
                                       hilbert::ChooseOrder(objects));
 
     core::DsiConfig cfg;
     cfg.num_segments = 2;  // the paper's reorganized broadcast
-    const core::DsiIndex dsi(data, mapper, kCapacity, cfg);
-    const rtree::RtreeIndex rtree(data, kCapacity);
-    const hci::HciIndex hci(data, mapper, kCapacity);
-    const air::DsiHandle dsi_air(dsi);
-    const air::RtreeHandle rtree_air(rtree);
-    const air::HciHandle hci_air(hci);
-    const air::ExpHandle exp_air(data, mapper, kCapacity);
+    std::vector<air::FamilyBroadcast> broadcasts;
+    for (const air::Family family : air::kFamilies) {
+      broadcasts.emplace_back(family, gens, mapper, kCapacity, cfg);
+    }
+    const air::AirIndexHandle& dsi_air = broadcasts.front().handle(0);
 
     // fig9-style window workload (WinSideRatio = 0.1) and fig11-style kNN.
     const auto window_wl = sim::Workload::Window(
@@ -236,13 +228,10 @@ int main(int argc, char** argv) {
     const auto knn_wl = sim::Workload::Knn(
         sim::MakeKnnWorkload(queries, datasets::UnitUniverse(), 44), 10);
 
-    for (const air::AirIndexHandle* h :
-         {static_cast<const air::AirIndexHandle*>(&dsi_air),
-          static_cast<const air::AirIndexHandle*>(&rtree_air),
-          static_cast<const air::AirIndexHandle*>(&hci_air),
-          static_cast<const air::AirIndexHandle*>(&exp_air)}) {
-      results.push_back(Measure(*h, window_wl, "window", objects, opt));
-      results.push_back(Measure(*h, knn_wl, "knn", objects, opt));
+    for (const air::FamilyBroadcast& b : broadcasts) {
+      const air::AirIndexHandle& h = b.handle(0);
+      results.push_back(Measure(h, window_wl, "window", objects, opt));
+      results.push_back(Measure(h, knn_wl, "knn", objects, opt));
     }
     results.push_back(MeasureDecomp(mapper, objects, opt));
 
