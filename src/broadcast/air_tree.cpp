@@ -1,7 +1,5 @@
 #include "broadcast/air_tree.hpp"
 
-#include "broadcast/airing_order.hpp"
-
 #include <algorithm>
 #include <cassert>
 #include <utility>
@@ -183,19 +181,19 @@ size_t AirTreeBroadcast::NextNodeSlot(uint32_t node_id,
                                       const ClientSession& session) const {
   const auto& slots = node_slots_[node_id];
   assert(!slots.empty());
-  if (slots.size() == 1) return slots.front();
-  // Every airing of every replica in cycle order; the soonest is the first
-  // at or after the session's position.
-  std::vector<std::pair<uint64_t, size_t>> airings;
-  for (const size_t slot : slots) {
-    session.ForEachAiring(
-        slot, [&](uint64_t offset) { airings.emplace_back(offset, slot); });
+  // The replica whose nearest airing starts soonest. Replicas never share
+  // an airing, so the waits are distinct and the argmin is unique.
+  size_t best = slots.front();
+  if (slots.size() == 1) return best;
+  uint64_t best_wait = session.PacketsUntil(best);
+  for (size_t i = 1; i < slots.size(); ++i) {
+    const uint64_t wait = session.PacketsUntil(slots[i]);
+    if (wait < best_wait) {
+      best_wait = wait;
+      best = slots[i];
+    }
   }
-  std::sort(airings.begin(), airings.end());
-  return SoonestAtOrAfter(airings.begin(), airings.end(),
-                          session.cycle_position(),
-                          [](const auto& a) { return a.first; })
-      ->second;
+  return best;
 }
 
 size_t AirTreeBroadcast::DataSlot(uint32_t data_id) const {
@@ -209,7 +207,7 @@ AirTreeReader::AirTreeReader(const AirTreeBroadcast& air,
     : air_(air),
       session_(session),
       node_cache_(air.spec().nodes.size(), false),
-      retrieved_(air.spec().data_sizes.size(), 0) {
+      retrieved_(air.spec().data_sizes.size()) {
   session_->InitialProbe();
   generation_ = session_->generation();
   session_->ArmWatchdog(kWatchdogCycles);

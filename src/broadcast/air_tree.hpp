@@ -24,6 +24,7 @@
 #include "broadcast/airing_order.hpp"
 #include "broadcast/client.hpp"
 #include "broadcast/program.hpp"
+#include "common/two_level_bitmap.hpp"
 
 namespace dsi::broadcast {
 
@@ -121,7 +122,7 @@ struct TreeQueryStats {
 ///    read is a lost bucket;
 ///  * data retrieval sweeps, never blocks: pending data buckets are read in
 ///    airing order and a lost one stays pending for its next airing.
-/// The node cache and retrieved flags describe the broadcast content, so
+/// The node cache and retrieved set describe the broadcast content, so
 /// they survive across the queries of a continuous client within one
 /// generation.
 class AirTreeReader {
@@ -149,8 +150,8 @@ class AirTreeReader {
   /// Whether node \p node_id was already downloaded (kept in client memory:
   /// revisiting it is free, re-reading it off the air would cost a cycle).
   bool cached(uint32_t node_id) const { return node_cache_[node_id]; }
-  /// Retrieved flags by data id; payloads stay in the server-side store.
-  const std::vector<uint8_t>& retrieved() const { return retrieved_; }
+  /// Retrieved data ids; payloads stay in the server-side store.
+  const common::TwoLevelBitmap& retrieved() const { return retrieved_; }
 
   /// One listen attempt for node \p node_id at its next occurrence; false
   /// on a link error or a republication.
@@ -164,12 +165,12 @@ class AirTreeReader {
     return false;
   }
 
-  /// Queues \p data_id for retrieval unless it is already retrieved. Keys
-  /// are offsets in the session's program: none are taken once the session
-  /// has moved on to a newer generation.
+  /// Queues \p data_id for retrieval unless it is already retrieved. The
+  /// pending set holds physical slots of the session's program: none are
+  /// taken once the session has moved on to a newer generation.
   void AddPendingData(uint32_t data_id) {
-    if (!retrieved_[data_id] && !stats_.stale) {
-      pending_data_.Insert(*session_, air_.DataSlot(data_id), data_id);
+    if (!retrieved_.test(data_id) && !stats_.stale) {
+      pending_data_.Insert(*session_, air_.DataSlot(data_id));
     }
   }
 
@@ -208,10 +209,10 @@ class AirTreeReader {
   /// One listen attempt for data bucket \p data_id at its next occurrence;
   /// false on a link error (the bucket stays pending) or a republication.
   bool TryReadData(uint32_t data_id) {
-    if (retrieved_[data_id]) return true;
+    if (retrieved_.test(data_id)) return true;
     if (session_->ReadBucket(air_.DataSlot(data_id))) {
       ++stats_.objects_read;
-      retrieved_[data_id] = 1;
+      retrieved_.set(data_id);
       return true;
     }
     NoteFailedRead();
@@ -234,7 +235,7 @@ class AirTreeReader {
   std::vector<bool> node_cache_;  ///< By node id.
   /// Data buckets the running query still has to read, in airing order.
   AiringSet pending_data_;
-  std::vector<uint8_t> retrieved_;  ///< By data id.
+  common::TwoLevelBitmap retrieved_;  ///< Data ids read so far.
   TreeQueryStats stats_;
 };
 

@@ -220,20 +220,9 @@ class ClientSession {
 
   /// Offset of the current instant within the synchronized generation's
   /// cycle (valid after InitialProbe). PacketsUntil(slot) is the cyclic
-  /// distance from here to the nearest ForEachAiring offset of the slot.
+  /// distance from here to the start of the slot's nearest airing.
   uint64_t cycle_position() const {
     return (now_ - gen_start_) % program_->cycle_packets();
-  }
-
-  /// Invokes \p f(offset) with the cycle offset at which each physical
-  /// airing of data slot \p slot starts in the synchronized program: one
-  /// airing on plain and coded cycles, every repetition on a multi-disk
-  /// cycle. These are the keys of broadcast::AiringSet.
-  template <class F>
-  void ForEachAiring(size_t slot, F&& f) const {
-    for (const uint32_t phys : program_->airings(slot)) {
-      f(program_->bucket(phys).start_packet);
-    }
   }
 
   /// Forward walk over one on-air cycle: visits the data buckets in airing

@@ -45,7 +45,6 @@
 /// slow way on every hop and assert that the kept state matches.
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -59,6 +58,7 @@
 
 #include "broadcast/client.hpp"
 #include "common/geometry.hpp"
+#include "common/two_level_bitmap.hpp"
 #include "dsi/index.hpp"
 #include "dsi/layout.hpp"
 #include "hilbert/interval_set.hpp"
@@ -91,108 +91,55 @@ struct QueryStats {
 
 /// Flat (offset -> min-HC) knowledge for one broadcast segment. Offsets are
 /// dense in [0, segment length), so knowledge is a direct-indexed value
-/// array plus a presence bitmap: recording is O(1). A summary word per 64
-/// bitmap words (one bit per non-empty word) lets the predecessor/successor
-/// queries the navigation rules ask per hop skip empty stretches in a few
-/// word operations instead of scanning the bitmap word by word.
+/// array plus a presence bitmap (common::TwoLevelBitmap): recording is O(1),
+/// and the predecessor/successor queries the navigation rules ask per hop
+/// skip empty stretches in a few word operations.
 class SegmentKnowledge {
  public:
   /// \param length Segment length in frames; offsets are < length. The
   /// value array is left uninitialized — the bitmap is the source of truth.
   void Init(uint32_t length) {
-    length_ = length;
-    words_ = (length + 63) / 64;
-    hc_.reset(new uint64_t[length_ > 0 ? length_ : 1]);
-    bits_.assign(words_ + (words_ + 63) / 64, 0);
+    hc_.reset(new uint64_t[length > 0 ? length : 1]);
+    known_.Reset(length);
   }
 
   /// Records \p hc at \p off; true if the offset was not known before.
   bool Record(uint32_t off, uint64_t hc) {
-    const uint64_t bit = uint64_t{1} << (off % 64);
-    const bool fresh = (bits_[off / 64] & bit) == 0;
-    bits_[off / 64] |= bit;
-    bits_[words_ + off / 4096] |= uint64_t{1} << ((off / 64) % 64);
     hc_[off] = hc;
-    return fresh;
+    return known_.set(off);
   }
 
   /// Value of the last known offset <= \p off, or nullopt.
   std::optional<uint64_t> FloorValue(uint32_t off) const {
-    size_t w = off / 64;
-    uint64_t word = bits_[w] & ((uint64_t{2} << (off % 64)) - 1);
-    if (word == 0) {
-      w = LastNonEmptyWordBelow(w);
-      if (w == kNone) return std::nullopt;
-      word = bits_[w];
-    }
-    return hc_[w * 64 + (63 - std::countl_zero(word))];
+    const size_t at = known_.PrevAtOrBelow(off);
+    if (at == common::TwoLevelBitmap::kNone) return std::nullopt;
+    return hc_[at];
   }
 
   /// Value of the first known offset > \p off, or nullopt.
   std::optional<uint64_t> CeilAboveValue(uint32_t off) const {
-    size_t w = off / 64;
-    uint64_t word = bits_[w] & ~((uint64_t{2} << (off % 64)) - 1);
-    if (word == 0) {
-      w = FirstNonEmptyWordAbove(w);
-      if (w == kNone) return std::nullopt;
-      word = bits_[w];
-    }
-    return hc_[w * 64 + std::countr_zero(word)];
+    const size_t at = known_.NextAtOrAfter(size_t{off} + 1);
+    if (at == common::TwoLevelBitmap::kNone) return std::nullopt;
+    return hc_[at];
   }
 
   /// Exact-offset lookup.
   std::optional<uint64_t> Find(uint32_t off) const {
-    if ((bits_[off / 64] >> (off % 64)) & 1) return hc_[off];
+    if (known_.test(off)) return hc_[off];
     return std::nullopt;
   }
 
   /// Invokes \p f(offset, hc) for every known entry, ascending by offset.
   template <class F>
   void ForEachKnown(F&& f) const {
-    for (size_t w = 0; w < words_; ++w) {
-      for (uint64_t word = bits_[w]; word != 0; word &= word - 1) {
-        const uint32_t off =
-            static_cast<uint32_t>(w * 64 + std::countr_zero(word));
-        f(off, hc_[off]);
-      }
-    }
+    known_.ForEach([&](size_t off) {
+      f(static_cast<uint32_t>(off), hc_[off]);
+    });
   }
 
  private:
-  static constexpr size_t kNone = static_cast<size_t>(-1);
-
-  /// Index of the last non-empty bitmap word below \p w, or kNone.
-  size_t LastNonEmptyWordBelow(size_t w) const {
-    if (w == 0) return kNone;
-    const size_t below = w - 1;
-    size_t s = below / 64;
-    uint64_t word = bits_[words_ + s] & ((uint64_t{2} << (below % 64)) - 1);
-    while (word == 0) {
-      if (s == 0) return kNone;
-      word = bits_[words_ + --s];
-    }
-    return s * 64 + (63 - std::countl_zero(word));
-  }
-
-  /// Index of the first non-empty bitmap word above \p w, or kNone.
-  size_t FirstNonEmptyWordAbove(size_t w) const {
-    const size_t above = w + 1;
-    if (above >= words_) return kNone;
-    size_t s = above / 64;
-    uint64_t word = bits_[words_ + s] & ~((uint64_t{1} << (above % 64)) - 1);
-    while (word == 0) {
-      if (words_ + ++s >= bits_.size()) return kNone;
-      word = bits_[words_ + s];
-    }
-    return s * 64 + std::countr_zero(word);
-  }
-
-  uint32_t length_ = 0;
-  size_t words_ = 0;                // presence bitmap words
-  std::unique_ptr<uint64_t[]> hc_;  // by offset; valid where the bit is set
-  // The presence bitmap (one bit per offset, words_ words) followed by its
-  // summary (one bit per non-empty bitmap word), in one allocation.
-  std::vector<uint64_t> bits_;
+  std::unique_ptr<uint64_t[]> hc_;  // by offset; valid where known_ is set
+  common::TwoLevelBitmap known_;
 };
 
 /// The HC values a running DSI query must still confirm: its targets minus

@@ -237,7 +237,7 @@ std::vector<uint32_t> ExpClient::RangeQuery(uint64_t lo, uint64_t hi) {
   uint32_t pos = *start;
   bool have_table = true;  // Forward() received the start chunk's table
   uint32_t visited = 0;
-  broadcast::AiringSet missing;  // lost items, keyed by rank
+  broadcast::AiringSet missing;  // lost items; a pick's id is the rank
   while (visited < index_.num_chunks()) {
     ++visited;
     // Retrieve this chunk's items — all of them: only the chunk minimum is
@@ -265,7 +265,7 @@ std::vector<uint32_t> ExpClient::RangeQuery(uint64_t lo, uint64_t hi) {
           return out;  // partial: the layout the scan walked is gone
         }
         ++stats_.buckets_lost;
-        missing.Insert(*session_, items.first_slot + i, rank);
+        missing.Insert(*session_, items.first_slot + i);
       }
     }
     // Stop check needs this chunk's table (entry 0 = the next chunk's

@@ -178,12 +178,9 @@ std::vector<datasets::SpatialObject> HciClient::WindowQuery(
   RetrieveRanges(index_.mapper().WindowToRanges(window));
   std::vector<datasets::SpatialObject> out;
   const auto& objects = index_.sorted_objects();
-  const std::vector<uint8_t>& retrieved = reader_.retrieved();
-  for (size_t i = 0; i < retrieved.size(); ++i) {
-    if (retrieved[i] && window.Contains(objects[i].location)) {
-      out.push_back(objects[i]);
-    }
-  }
+  reader_.retrieved().ForEach([&](size_t i) {
+    if (window.Contains(objects[i].location)) out.push_back(objects[i]);
+  });
   return out;
 }
 
@@ -263,10 +260,7 @@ std::vector<datasets::SpatialObject> HciClient::KnnQuery(
 
   std::vector<datasets::SpatialObject> out;
   const auto& objects = index_.sorted_objects();
-  const std::vector<uint8_t>& retrieved = reader_.retrieved();
-  for (size_t i = 0; i < retrieved.size(); ++i) {
-    if (retrieved[i]) out.push_back(objects[i]);
-  }
+  reader_.retrieved().ForEach([&](size_t i) { out.push_back(objects[i]); });
   std::sort(out.begin(), out.end(),
             [&](const datasets::SpatialObject& a,
                 const datasets::SpatialObject& b) {

@@ -55,7 +55,7 @@ class HciIndex {
 
 /// Query execution against an HCI broadcast: one query, or — kept alive on
 /// the same session — a stream of them. Every listen, the session's
-/// watchdog budget, the node cache and the retrieved flags go through a
+/// watchdog budget, the node cache and the retrieved set go through a
 /// broadcast::AirTreeReader; the leaf anchors are HCI's own. The caches
 /// describe the broadcast content, so they survive across queries within
 /// one generation; call BeginQuery() before every re-evaluation, and
@@ -84,7 +84,7 @@ class HciClient {
   /// or republication).
   bool ReadNode(uint32_t node_id);
   /// Retrieves all objects whose HC value lies in \p targets (ascending
-  /// range scan; objects land in the reader's retrieved flags).
+  /// range scan; objects land in the reader's retrieved set).
   void RetrieveRanges(const std::vector<hilbert::HcRange>& targets);
 
   const HciIndex& index_;

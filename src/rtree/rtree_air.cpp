@@ -35,7 +35,7 @@ bool RtreeClient::TryReadNode(uint32_t node_id) {
 void RtreeClient::AddToFrontier(broadcast::AiringSet* frontier,
                                 uint32_t node) const {
   for (const size_t slot : index_.air().NodeSlots(node)) {
-    frontier->Insert(reader_.session(), slot, node);
+    frontier->Insert(reader_.session(), slot);
   }
 }
 
@@ -70,12 +70,9 @@ std::vector<datasets::SpatialObject> RtreeClient::WindowQuery(
   reader_.DrainPendingData();
   std::vector<datasets::SpatialObject> out;
   const auto& objects = index_.str_objects();
-  const std::vector<uint8_t>& retrieved = reader_.retrieved();
-  for (size_t i = 0; i < retrieved.size(); ++i) {
-    if (retrieved[i] && window.Contains(objects[i].location)) {
-      out.push_back(objects[i]);
-    }
-  }
+  reader_.retrieved().ForEach([&](size_t i) {
+    if (window.Contains(objects[i].location)) out.push_back(objects[i]);
+  });
   return out;
 }
 
@@ -89,19 +86,22 @@ std::vector<datasets::SpatialObject> RtreeClient::KnnQuery(
     double dist2;
     uint32_t data_id;
   };
+  // The k best so far, ascending by (distance, data id).
   std::vector<Candidate> candidates;
+  candidates.reserve(k + 1);
   auto tau2 = [&]() -> double {
     if (candidates.size() < k) return std::numeric_limits<double>::infinity();
     return candidates[k - 1].dist2;
   };
   auto add_candidate = [&](double d2, uint32_t data_id) {
-    candidates.push_back(Candidate{d2, data_id});
-    std::sort(candidates.begin(), candidates.end(),
-              [](const Candidate& a, const Candidate& b) {
-                return a.dist2 != b.dist2 ? a.dist2 < b.dist2
-                                          : a.data_id < b.data_id;
-              });
-    if (candidates.size() > k) candidates.resize(k);
+    const Candidate c{d2, data_id};
+    auto before = [](const Candidate& a, const Candidate& b) {
+      return a.dist2 != b.dist2 ? a.dist2 < b.dist2 : a.data_id < b.data_id;
+    };
+    if (candidates.size() == k && !before(c, candidates.back())) return;
+    candidates.insert(
+        std::upper_bound(candidates.begin(), candidates.end(), c, before), c);
+    if (candidates.size() > k) candidates.pop_back();
   };
 
   broadcast::AiringSet frontier;
@@ -139,7 +139,7 @@ std::vector<datasets::SpatialObject> RtreeClient::KnnQuery(
   std::vector<datasets::SpatialObject> out;
   out.reserve(candidates.size());
   for (const Candidate& c : candidates) {
-    if (reader_.retrieved()[c.data_id]) {
+    if (reader_.retrieved().test(c.data_id)) {
       out.push_back(index_.str_objects()[c.data_id]);
     }
   }

@@ -47,7 +47,7 @@ class RtreeIndex {
 /// linear channel); every listen, the session's watchdog budget and the
 /// node cache go through a broadcast::AirTreeReader. A client kept alive on
 /// the same session serves a stream of queries: the node cache and
-/// retrieved flags stay valid within one generation (call BeginQuery()
+/// retrieved set stay valid within one generation (call BeginQuery()
 /// before each re-evaluation; rebuild the client on the new generation's
 /// index when session->generation() advances).
 class RtreeClient {

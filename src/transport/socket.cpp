@@ -91,19 +91,35 @@ void SocketFd::Close() {
 
 SocketFd ListenOn(Endpoint* ep, std::string* error) {
   if (ep->kind == Endpoint::Kind::kUnix) {
+    // The socket file appears at bind, before listen: a client waiting for
+    // the path could connect in between and be refused. Bind and listen
+    // under a temporary name in the same directory, then rename it into
+    // place (replacing any stale socket), so the path only ever names a
+    // listening socket.
+    const std::string tmp =
+        ep->path + "." + std::to_string(::getpid()) + ".tmp";
+    sockaddr_un addr{};
+    if (tmp.size() >= sizeof(addr.sun_path)) {
+      *error = "listen " + ep->path + ": path too long (" +
+               std::to_string(tmp.size()) +
+               " bytes with the temporary suffix, max " +
+               std::to_string(sizeof(addr.sun_path) - 1) + ")";
+      return {};
+    }
     SocketFd fd(::socket(AF_UNIX, SOCK_STREAM, 0));
     if (!fd.valid()) {
       *error = std::string("socket: ") + std::strerror(errno);
       return {};
     }
-    sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, ep->path.c_str(), sizeof(addr.sun_path) - 1);
-    ::unlink(ep->path.c_str());
+    std::memcpy(addr.sun_path, tmp.c_str(), tmp.size() + 1);
+    ::unlink(tmp.c_str());
     if (::bind(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
             0 ||
-        ::listen(fd.get(), 16) != 0) {
+        ::listen(fd.get(), 16) != 0 ||
+        ::rename(tmp.c_str(), ep->path.c_str()) != 0) {
       *error = "listen " + ep->path + ": " + std::strerror(errno);
+      ::unlink(tmp.c_str());
       return {};
     }
     return fd;

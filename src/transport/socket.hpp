@@ -46,8 +46,11 @@ class SocketFd {
 };
 
 /// Binds + listens on \p ep. For TCP with port 0 the kernel picks a port
-/// and \p ep->port is updated to it; for Unix any stale path is unlinked
-/// first. Invalid SocketFd (with \p error set) on failure.
+/// and \p ep->port is updated to it. A Unix socket is bound and listening
+/// under a temporary name before it is renamed onto the path (replacing any
+/// stale file), so once the path exists a connect succeeds; a path too long
+/// for the temporary name is an error. Invalid SocketFd (with \p error
+/// set) on failure.
 SocketFd ListenOn(Endpoint* ep, std::string* error);
 
 /// Accepts one connection; blocks up to \p timeout_ms (<= 0 = forever).

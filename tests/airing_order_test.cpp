@@ -91,7 +91,7 @@ void CheckOrderParity(ClientSession* session, size_t steps, uint64_t seed) {
     while (pending_slots.size() < 8 || rng.Bernoulli(0.3)) {
       const auto slot = static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(n) - 1));
-      pending.Insert(*session, slot, static_cast<uint32_t>(slot));
+      pending.Insert(*session, slot);
       pending_slots.insert(slot);
       if (pending_slots.size() >= n) break;
     }
@@ -192,6 +192,64 @@ TEST(AiringOrderTest, ThreeGenerationSchedule) {
     ClientSession s(schedule, seed * 211, kLossy, common::Rng(seed + 30));
     CheckOrderParity(&s, 600, seed + 30);
     EXPECT_GT(s.generation(), 0u) << "the walk never crossed a republication";
+  }
+}
+
+// Programs of more than 64 x 64 physical buckets: the pending set's
+// summary level spans several words, so picks cross summary words.
+constexpr size_t kManyBuckets = 9000;  // 141 bitmap words, 3 summary words
+
+TEST(AiringOrderTest, ManySummaryWordsPlainAndMultiDisk) {
+  const BroadcastProgram flat = MakeFlat(kManyBuckets, 12);
+  const BroadcastProgram disks =
+      MakeMultiDiskProgram(MakeFlat(5000, 13), 3, SkewedWeights(5000, 13));
+  ASSERT_GT(disks.num_buckets(), 64u * 64u);
+  for (uint64_t seed = 0; seed < 2; ++seed) {
+    ClientSession a(flat, seed * 977, kLossy, common::Rng(seed + 60));
+    CheckOrderParity(&a, 300, seed + 60);
+    ClientSession b(disks, seed * 991, kLossy, common::Rng(seed + 70));
+    CheckOrderParity(&b, 300, seed + 70);
+  }
+}
+
+TEST(AiringOrderTest, PicksCrossAndWrapSummaryWords) {
+  const BroadcastProgram p = MakeFlat(kManyBuckets, 14);
+  ClientSession s(p, 0, ErrorModel{}, common::Rng(1));
+  s.InitialProbe();
+  // Pending slots in the first and last summary words (physical slots
+  // < 4096 and >= 8192); the middle one is empty.
+  const std::vector<size_t> slots{3, 64, 4000, 8600};
+  AiringSet pending;
+  for (const size_t slot : slots) pending.Insert(s, slot);
+  // Reading a slot parks the session on its successor. From 4002 the pick
+  // skips the empty middle summary word; from 8701 it wraps from the last
+  // summary word to the first.
+  for (const size_t read : {8200, 8700, 4001, 100, 4095, 8999, 1, 8650}) {
+    ASSERT_TRUE(s.ReadBucket(read));
+    const AiringSet::Pick pick = pending.Soonest(s);
+    ASSERT_EQ(pick.slot, BruteSoonest(s, slots).value()) << "after " << read;
+    EXPECT_EQ(pick.id, pick.slot);
+    EXPECT_EQ(pick.wait, s.PacketsUntil(pick.slot));
+  }
+}
+
+TEST(AiringOrderTest, GenerationSwitchToLargerProgram) {
+  // A set sized for the small first program must be re-sized for the
+  // next, larger one after clear(), then again for a coded multi-disk one.
+  const BroadcastProgram g0 = MakeFlat(61, 15);
+  const BroadcastProgram g1 = MakeFlat(kManyBuckets, 16);
+  const BroadcastProgram flat2 = MakeFlat(5000, 17);
+  const BroadcastProgram g2 = MakeCodedProgram(
+      MakeMultiDiskProgram(flat2, 3, SkewedWeights(flat2.num_buckets(), 17)),
+      CodingConfig{3, 1});
+  GenerationSchedule schedule;
+  schedule.Append(&g0, 3);
+  schedule.Append(&g1, 1);
+  schedule.Append(&g2, 1);
+  for (uint64_t seed = 0; seed < 2; ++seed) {
+    ClientSession s(schedule, seed * 29, kLossy, common::Rng(seed + 80));
+    CheckOrderParity(&s, 600, seed + 80);
+    EXPECT_GT(s.generation(), 1u) << "the walk never reached the third program";
   }
 }
 

@@ -6,7 +6,8 @@
 // metrics may not depend on which substrate carries the packets.
 //
 // Also pinned here: the degenerate channel paths (mid-cycle join, empty
-// program, generation switch while the radio is off), the protocol-version
+// program, generation switch while the radio is off), a unix listener
+// that accepts as soon as its path exists, the protocol-version
 // rejection, frame reassembly from dribbled and torn streams, the paced
 // daemon's air-time discipline, the daemon's clean final-cycle shutdown
 // semantics, the reaping of finished connections, the parity planes
@@ -14,10 +15,13 @@
 // bucket content decoded back to that generation's own index.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -252,6 +256,41 @@ TEST(TransportParity, UnixSocketEndpoint) {
   EXPECT_TRUE(live == RunPair(stream->source(), sim, tune_in, 0.0, 21));
   stream.reset();
   daemon.Stop();
+}
+
+TEST(TransportParity, UnixListenerAcceptsOnceItsPathExists) {
+  // A fresh directory, so a leftover temporary file would show.
+  std::string dir = testing::TempDir() + "/dsi_listen_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  transport::Endpoint ep;
+  std::string error;
+  ASSERT_TRUE(transport::ParseEndpoint("unix:" + dir + "/d.sock", &ep, &error))
+      << error;
+  transport::SocketFd listener = transport::ListenOn(&ep, &error);
+  ASSERT_TRUE(listener.valid()) << error;
+  struct stat st {};
+  ASSERT_EQ(::stat(ep.path.c_str(), &st), 0);
+  EXPECT_TRUE(S_ISSOCK(st.st_mode));
+  transport::SocketFd conn = transport::ConnectTo(ep, 5000, &error);
+  EXPECT_TRUE(conn.valid()) << error;
+  std::vector<std::string> entries;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    entries.push_back(e.path().filename().string());
+  }
+  EXPECT_EQ(entries, std::vector<std::string>{"d.sock"});
+
+  // A path that fits a socket address but not with the temporary suffix.
+  const size_t fill = 104 - dir.size() - 1;
+  transport::Endpoint long_ep;
+  ASSERT_TRUE(transport::ParseEndpoint(
+      "unix:" + dir + "/" + std::string(fill, 'x'), &long_ep, &error))
+      << error;
+  EXPECT_FALSE(transport::ListenOn(&long_ep, &error).valid());
+  EXPECT_NE(error.find("path too long"), std::string::npos) << error;
+
+  conn.Close();
+  listener.Close();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(TransportParity, EmptyProgramRefusedCleanly) {

@@ -297,6 +297,24 @@ int main(int argc, char** argv) {
                  "0<=--churn-rate<=1, 1<=--num-disks<=3, --disk-skew>=0\n");
     return 2;
   }
+  // Every requested family (all four when none is named) must build at the
+  // case's packet capacity.
+  for (const dsi::air::Family family : dsi::air::kFamilies) {
+    const std::string name(dsi::air::FamilyName(family));
+    const bool requested =
+        args.families.empty() ||
+        std::find(args.families.begin(), args.families.end(), name) !=
+            args.families.end();
+    if (requested &&
+        args.base.capacity < dsi::air::MinPacketCapacity(family)) {
+      std::fprintf(stderr,
+                   "invalid case: --capacity=%zu is below the %s minimum of "
+                   "%zu\n",
+                   args.base.capacity, name.c_str(),
+                   dsi::air::MinPacketCapacity(family));
+      return 2;
+    }
+  }
 
   if (args.repro) {
     if (!args.have_seed) {
