@@ -85,6 +85,9 @@ void ClientSession::SyncGeneration() {
   program_ = &chan().ProgramOf(generation_);
   gen_start_ = chan().StartOf(generation_);
   gen_end_ = chan().EndOf(generation_);
+  const uint64_t cycle = program_->cycle_packets();
+  cycle_index_ = (now_ - gen_start_) / cycle;
+  cycle_pos_ = (now_ - gen_start_) - cycle_index_ * cycle;
 }
 
 void ClientSession::ArmErrorModel() {
@@ -121,7 +124,7 @@ void ClientSession::ParkAtNextBoundary() {
   while (true) {
     SyncGeneration();
     const uint64_t cycle = program_->cycle_packets();
-    const uint64_t pos = (now_ - gen_start_) % cycle;
+    const uint64_t pos = cycle_position();
     size_t slot = program_->SlotStartingAtOrAfter(pos);
     // Parity symbols are no tune-in target: park on the next DATA bucket
     // boundary, dozing over any parity tail in between (parity sits only
@@ -237,7 +240,7 @@ bool ClientSession::ReadBucket(size_t slot) {
       }
     }
     if ((heard_mask_ & mine) != 0) {
-      current_slot_ = (slot + 1) % program_->num_data_buckets();
+      current_slot_ = NextDataSlot(slot);
       return true;
     }
     // Negative buffer hit: this occurrence's airing was already listened
@@ -281,21 +284,20 @@ bool ClientSession::ReadBucket(size_t slot) {
   AdvanceTo(start);
   const Bucket& b = program_->bucket(phys);
   const uint64_t listen_start = now_;
+  const uint64_t occ = cycle_index_;  // the listen's cycle occurrence
   Listen(b.packets);
   // The logical successor becomes the current slot: the next data bucket
   // on air on plain and coded cycles (the group's parity may air first;
   // later operations doze over it on demand).
-  current_slot_ = (slot + 1) % program_->num_data_buckets();
-  const bool lost = DrawLoss(phys, listen_start, b.packets);
+  current_slot_ = NextDataSlot(slot);
+  const bool lost = DrawLoss(phys, listen_start, b.packets, occ);
   if (trace_ != nullptr) {
     trace_->push_back(
         TraceEvent{TraceEvent::Kind::kListen, listen_start, now_, slot, lost});
   }
-  NoteSymbol(phys, listen_start, !lost);  // feed the erasure-decode buffer
+  NoteSymbol(phys, occ, !lost);  // feed the erasure-decode buffer
   if (!lost) return true;
   if (program_->coded()) {
-    const uint64_t occ =
-        (listen_start - gen_start_) / program_->cycle_packets();
     if (TryRepair(phys, occ)) {
       ++repaired_;
       return true;
@@ -305,7 +307,7 @@ bool ClientSession::ReadBucket(size_t slot) {
 }
 
 bool ClientSession::DrawLoss(size_t phys_slot, uint64_t listen_start,
-                             uint64_t packets) {
+                             uint64_t packets, uint64_t occ) {
   switch (errors_.mode) {
     case ErrorMode::kPerReadLoss:
       return rng_.Bernoulli(errors_.theta);
@@ -320,15 +322,13 @@ bool ClientSession::DrawLoss(size_t phys_slot, uint64_t listen_start,
       return false;
     case ErrorMode::kPerBucketLoss: {
       // The coin belongs to the on-air instance: the generation-relative
-      // cycle number of the listen start (the session is parked on the
+      // cycle occurrence of the listen start (the session is parked on the
       // bucket boundary when the listen begins) paired with the physical
       // slot, hashed against the channel seed. Generations past the first
       // salt the key so a republished layout rolls fresh coins; generation
       // 0 reproduces the static formula exactly. 2^-53 granularity matches
       // the double mantissa.
-      const uint64_t cycle_index =
-          (listen_start - gen_start_) / program_->cycle_packets();
-      uint64_t key = cycle_index * program_->num_buckets() + phys_slot;
+      uint64_t key = occ * program_->num_buckets() + phys_slot;
       if (generation_ != 0) key ^= MixBits(generation_);
       const uint64_t h = MixBits(channel_seed_ ^ MixBits(key));
       return HashToUnit(h) < errors_.theta;
@@ -366,15 +366,12 @@ bool ClientSession::BurstLost(uint64_t start, uint64_t packets) const {
   return false;
 }
 
-void ClientSession::NoteSymbol(size_t phys_slot, uint64_t listen_start,
-                               bool intact) {
+void ClientSession::NoteSymbol(size_t phys_slot, uint64_t occ, bool intact) {
   if (!program_->coded()) return;
   const size_t stride =
       size_t{program_->coding_group()} + program_->coding_parity();
   const size_t group = phys_slot / stride;
   const uint64_t bit = uint64_t{1} << (phys_slot - group * stride);
-  const uint64_t occ =
-      (listen_start - gen_start_) / program_->cycle_packets();
   if (heard_group_ != group || heard_occ_ != occ ||
       heard_gen_ != generation_) {
     // The buffer holds one group of one cycle occurrence: crossing into a
@@ -455,12 +452,12 @@ bool ClientSession::TryRepair(size_t phys, uint64_t occ) {
     AdvanceTo(start);
     const uint64_t listen_start = now_;
     Listen(b.packets);
-    const bool lost = DrawLoss(base + m, listen_start, b.packets);
+    const bool lost = DrawLoss(base + m, listen_start, b.packets, occ);
     if (trace_ != nullptr) {
       trace_->push_back(TraceEvent{TraceEvent::Kind::kRepair, listen_start,
                                    now_, base + m, lost});
     }
-    NoteSymbol(base + m, listen_start, !lost);
+    NoteSymbol(base + m, occ, !lost);
     if (lost) continue;
     have |= uint64_t{1} << m;
     if (++collected >= d) recovered = true;  // d-of-(d+p): decode closes
@@ -471,7 +468,7 @@ bool ClientSession::TryRepair(size_t phys, uint64_t occ) {
     // consumed (the scan's next buckets) are served from the buffer
     // instead of waiting a cycle for airings the client already spent
     // tuning time on.
-    NoteSymbol(phys, occ_start + program_->bucket(phys).start_packet, true);
+    NoteSymbol(phys, occ, true);
     heard_mask_ =
         members >= 64 ? ~uint64_t{0} : (uint64_t{1} << members) - 1;
     lost_mask_ = 0;
@@ -479,8 +476,7 @@ bool ClientSession::TryRepair(size_t phys, uint64_t occ) {
   // Rest where the repair ended; the next data bucket to start (nothing but
   // parity can sit in between) is the parked slot, exactly like the tail of
   // a normal read.
-  const uint64_t pos = (now_ - gen_start_) % cycle;
-  size_t next = program_->SlotStartingAtOrAfter(pos);
+  size_t next = program_->SlotStartingAtOrAfter(cycle_position());
   while (program_->bucket(next).kind == BucketKind::kParity) {
     next = next + 1 < program_->num_buckets() ? next + 1 : 0;
   }
@@ -495,7 +491,7 @@ void ClientSession::SkipBucket() {
   const size_t phys = NextPhysOf(current_slot_);
   AdvanceTo(now_ + PhysWait(phys));
   AdvanceTo(now_ + program_->bucket(phys).packets);
-  current_slot_ = (current_slot_ + 1) % program_->num_data_buckets();
+  current_slot_ = NextDataSlot(current_slot_);
 }
 
 Metrics ClientSession::metrics() const {
@@ -513,13 +509,29 @@ void ClientSession::AdvanceTo(uint64_t target_packet) {
                                  /*slot=*/0, /*lost=*/false});
   }
   if (target_packet > now_) chan().Doze(now_, target_packet);
-  now_ = target_packet;
+  Tick(target_packet - now_);
 }
 
 void ClientSession::Listen(uint64_t packets) {
   chan().Listen(now_, packets);
   listened_packets_ += packets;
+  Tick(packets);
+}
+
+void ClientSession::Tick(uint64_t packets) {
   now_ += packets;
+  const uint64_t cycle = program_->cycle_packets();
+  if (packets >= cycle) {  // only a doze spanning a whole cycle divides
+    cycle_index_ += packets / cycle;
+    packets %= cycle;
+  }
+  cycle_pos_ += packets;
+  if (cycle_pos_ >= cycle) {
+    cycle_pos_ -= cycle;
+    ++cycle_index_;
+  }
+  assert(cycle_pos_ == (now_ - gen_start_) % cycle &&
+         cycle_index_ == (now_ - gen_start_) / cycle);
 }
 
 }  // namespace dsi::broadcast

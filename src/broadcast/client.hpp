@@ -10,6 +10,7 @@
 /// access latency for every packet that goes by, exactly as a real client
 /// with an air index would.
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -90,8 +91,11 @@ struct TraceEvent {
 /// One client's interaction with the periodically repeated program.
 ///
 /// Time is a monotonically increasing global packet counter; the cycle
-/// position is time mod cycle length. The client is dozing except inside
-/// InitialProbe() and ReadBucket().
+/// position is time mod cycle length. The session keeps that position (and
+/// the cycle occurrence number) as state, advanced with the clock by a
+/// compare-subtract, so a read divides only when a doze spans a whole cycle
+/// or a republication re-syncs the session. The client is dozing except
+/// inside InitialProbe() and ReadBucket().
 ///
 /// Dynamic broadcasts: a session constructed over a GenerationSchedule is
 /// synchronized to exactly one generation at a time — all slot numbers the
@@ -222,7 +226,8 @@ class ClientSession {
   /// cycle (valid after InitialProbe). PacketsUntil(slot) is the cyclic
   /// distance from here to the start of the slot's nearest airing.
   uint64_t cycle_position() const {
-    return (now_ - gen_start_) % program_->cycle_packets();
+    assert(cycle_pos_ == (now_ - gen_start_) % program_->cycle_packets());
+    return cycle_pos_;
   }
 
   /// Forward walk over one on-air cycle: visits the data buckets in airing
@@ -291,6 +296,14 @@ class ClientSession {
 
   void AdvanceTo(uint64_t target_packet);  // doze, no tuning cost
   void Listen(uint64_t packets);           // active listening
+  /// Logical successor of data slot \p slot, wrapping by comparison.
+  size_t NextDataSlot(size_t slot) const {
+    return slot + 1 < program_->num_data_buckets() ? slot + 1 : 0;
+  }
+  /// Moves now_ forward by \p packets and keeps cycle_pos_ and
+  /// cycle_index_ in step: one compare-subtract, plus a division only when
+  /// the step spans a whole cycle.
+  void Tick(uint64_t packets);
   /// Shared constructor tail: arms kSingleEvent/kPerBucketLoss/kBurstLoss
   /// state with identical draws for static and generational sessions.
   void ArmErrorModel();
@@ -309,21 +322,23 @@ class ClientSession {
   /// \p phys_slot (0 if it starts right now).
   uint64_t PhysWait(size_t phys_slot) const;
   /// One loss coin for the bucket instance of \p phys_slot whose listen
-  /// covered [listen_start, listen_start + packets). Consumes receiver
-  /// state for the receiver-local modes (kPerReadLoss rng draws, the
-  /// kSingleEvent one-shot); channel-keyed for kPerBucketLoss/kBurstLoss.
-  bool DrawLoss(size_t phys_slot, uint64_t listen_start, uint64_t packets);
+  /// covered [listen_start, listen_start + packets) in cycle occurrence
+  /// \p occ of the current generation. Consumes receiver state for the
+  /// receiver-local modes (kPerReadLoss rng draws, the kSingleEvent
+  /// one-shot); channel-keyed for kPerBucketLoss/kBurstLoss.
+  bool DrawLoss(size_t phys_slot, uint64_t listen_start, uint64_t packets,
+                uint64_t occ);
   /// kBurstLoss: whether any channel burst overlaps [start, start+packets).
   bool BurstLost(uint64_t start, uint64_t packets) const;
-  /// Records the listen of physical slot \p phys_slot from the cycle
-  /// occurrence containing \p listen_start in the per-group symbol buffer a
-  /// real receiver keeps for erasure decoding: an intact copy (\p intact)
-  /// or a listened-and-LOST airing, which lets a later ReadBucket of that
-  /// slot fail immediately instead of blocking a full cycle for an airing
-  /// the client knows is gone. Tracks one (group, occurrence) at a time —
+  /// Records the listen of physical slot \p phys_slot from cycle
+  /// occurrence \p occ of the current generation in the per-group symbol
+  /// buffer a real receiver keeps for erasure decoding: an intact copy
+  /// (\p intact) or a listened-and-LOST airing, which lets a later
+  /// ReadBucket of that slot fail immediately instead of blocking a full
+  /// cycle for an airing the client knows is gone. Tracks one (group, occurrence) at a time —
   /// the sequential access pattern of every family — and no-ops on uncoded
   /// programs.
-  void NoteSymbol(size_t phys_slot, uint64_t listen_start, bool intact);
+  void NoteSymbol(size_t phys_slot, uint64_t occ, bool intact);
   /// Reconstruction path for a lost read of the airing at physical slot
   /// \p phys in cycle occurrence \p occ of the current generation.
   /// Decodes from any d distinct intact symbols of the bucket's parity
@@ -347,6 +362,8 @@ class ClientSession {
   uint64_t gen_end_ = UINT64_MAX;    // absolute end (exclusive); MAX = forever
   uint64_t tune_in_;
   uint64_t now_;
+  uint64_t cycle_pos_ = 0;    // (now_ - gen_start_) mod cycle, kept by Tick
+  uint64_t cycle_index_ = 0;  // (now_ - gen_start_) / cycle, kept by Tick
   uint64_t listened_packets_ = 0;
   uint64_t repaired_ = 0;  // lost reads reconstructed from parity groups
   uint64_t deadline_ = 0;  // watchdog: packet at which the budget is spent

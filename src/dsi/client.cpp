@@ -244,8 +244,8 @@ void DsiClient::RunSearch(const common::Point* spatial_goal) {
     RefreshPending();
     if (pending_.Empty()) return;
 
-    if (FrameMayIntersect(table_.position, pending_)) {
-      ReadFrameObjects(table_.position, table_.own_hc_min);
+    if (FrameMayIntersect(table_pos_, pending_)) {
+      ReadFrameObjects(table_pos_, index_.FrameMinHcAtPosition(table_pos_));
       if (stats_.stale) {
         stats_.completed = false;
         return;
@@ -263,8 +263,8 @@ void DsiClient::RunSearch(const common::Point* spatial_goal) {
         spatial_goal != nullptr &&
         session_->now_packets() < aggressive_deadline;
     const uint32_t next_pos =
-        aggressive ? SelectAggressiveHop(table_, pending_, *spatial_goal)
-                   : SelectConservativeHop(table_, pending_);
+        aggressive ? SelectAggressiveHop(table_pos_, pending_, *spatial_goal)
+                   : SelectConservativeHop(table_pos_, pending_);
     ++stats_.hops;
     if (!ReadTableAt(next_pos)) {
       stats_.completed = false;
@@ -345,13 +345,13 @@ bool DsiClient::ReadNextTable() {
     }
     size_t guard = 0;
     while (program.bucket(slot).kind != broadcast::BucketKind::kDsiFrameTable) {
-      slot = (slot + 1) % nb;
+      slot = slot + 1 < nb ? slot + 1 : 0;
       if (++guard > nb) return false;  // no table in program
     }
     if (session_->ReadBucket(slot)) {
       ++stats_.tables_read;
-      index_.TableAt(program.bucket(slot).payload, &table_);
-      Learn(table_);
+      table_pos_ = program.bucket(slot).payload;
+      Learn(table_pos_);
       return true;
     }
     if (SessionStale()) {
@@ -370,8 +370,8 @@ bool DsiClient::ReadNextTable() {
 bool DsiClient::ReadTableAt(uint32_t position) {
   if (session_->ReadBucket(index_.TableSlot(position))) {
     ++stats_.tables_read;
-    index_.TableAt(position, &table_);
-    Learn(table_);
+    table_pos_ = position;
+    Learn(table_pos_);
     return true;
   }
   if (SessionStale()) {
@@ -424,7 +424,7 @@ void DsiClient::ReadFrameObjects(uint32_t position, uint64_t own_hc) {
 // Knowledge
 // ---------------------------------------------------------------------------
 
-void DsiClient::Learn(const DsiTableView& table) {
+void DsiClient::Learn(uint32_t position) {
   if (!heads_known_) {
     heads_known_ = true;  // every table carries the segment head HC values
     // The head of segment 0 is the global minimum HC value: no object can
@@ -435,16 +435,22 @@ void DsiClient::Learn(const DsiTableView& table) {
   }
   // A table's content is a pure function of its broadcast position, so
   // re-reading one (the EEF loop revisits tables constantly) teaches
-  // nothing new — skip the entry recording wholesale.
-  if (learned_tables_[table.position]) return;
-  learned_tables_[table.position] = true;
-  auto record = [&](uint32_t pos, uint64_t hc) {
-    const bool fresh = known_[layout_.SegmentOfPosition(pos)].Record(
-        layout_.OffsetOfPosition(pos), hc);
-    if (knn_ && fresh) LearnAdvert(hc);
+  // nothing new — skip the entry recording wholesale. Entries are read in
+  // place; an offset already known costs one bit test and no HC load.
+  if (learned_tables_[position]) return;
+  learned_tables_[position] = true;
+  auto record = [&](uint32_t pos) {
+    SegmentKnowledge& seg = known_[layout_.SegmentOfPosition(pos)];
+    const uint32_t off = layout_.OffsetOfPosition(pos);
+    if (seg.Known(off)) return;
+    const uint64_t hc = index_.FrameMinHcAtPosition(pos);
+    seg.Record(off, hc);
+    if (knn_) LearnAdvert(hc);
   };
-  record(table.position, table.own_hc_min);
-  for (const DsiTableEntry& e : table.entries) record(e.position, e.hc_min);
+  record(position);
+  for (uint32_t i = 0; i < index_.entries_per_table(); ++i) {
+    record(index_.EntryPosition(position, i));
+  }
 }
 
 void DsiClient::AddCoverage(const hilbert::HcRange& r) {
@@ -515,12 +521,13 @@ bool DsiClient::FrameMayIntersect(uint32_t position,
 bool DsiClient::GapMayIntersect(uint32_t from_pos, uint32_t to_pos,
                                 const PendingTargets& pending) const {
   const uint32_t n = layout_.num_frames;
-  const uint32_t gap = (to_pos + n - from_pos) % n;
+  const uint32_t gap =
+      to_pos >= from_pos ? to_pos - from_pos : to_pos + (n - from_pos);
   if (gap <= 1) return false;  // empty gap
 
   // Positions strictly between, as one or two linear windows.
-  const uint32_t lo = (from_pos + 1) % n;
-  const uint32_t hi = (to_pos + n - 1) % n;
+  const uint32_t lo = from_pos + 1 < n ? from_pos + 1 : 0;
+  const uint32_t hi = to_pos > 0 ? to_pos - 1 : n - 1;
   struct Window {
     uint32_t a, b;
   };
@@ -570,11 +577,12 @@ bool DsiClient::GapMayIntersect(uint32_t from_pos, uint32_t to_pos,
 // ---------------------------------------------------------------------------
 
 uint32_t DsiClient::SelectConservativeHop(
-    const DsiTableView& table, const PendingTargets& pending) const {
+    uint32_t position, const PendingTargets& pending) const {
   // A single-frame broadcast has an empty table (no frame to point at);
   // the only possible hop is the frame itself, next cycle — reachable when
   // a link error left part of the lone frame unretrieved.
-  if (table.entries.empty()) return table.position;
+  const uint32_t entries = index_.entries_per_table();
+  if (entries == 0) return position;
   // Multi-disk cycles: frame position no longer tracks on-air order, so
   // the farthest-qualifying-gap rule below — tuned for a sequential sweep
   // — would pay an arbitrary doze on every hop. Visit instead the
@@ -609,41 +617,52 @@ uint32_t DsiClient::SelectConservativeHop(
   // and a gap that may hold a target makes every wider one may too: the
   // qualifying entries form a prefix, and entry 0 (empty gap) is always in
   // it. Test the farthest first — the sparse skip phase decides in one
-  // test — then bisect the prefix's end.
-  const auto qualifies = [&](size_t i) {
-    return !GapMayIntersect(table.position, table.entries[i].position,
+  // test — then gallop up from entry 0 (1, 2, 4, ...) to bracket the
+  // prefix's end and bisect the bracket. A window query's dense sweep
+  // mostly picks entry 1, which the gallop settles in three gap tests where
+  // a plain bisect of a 17-entry table takes five.
+  const auto qualifies = [&](uint32_t i) {
+    return !GapMayIntersect(position, index_.EntryPosition(position, i),
                             pending);
   };
-  size_t lo = 0;
-  size_t hi = table.entries.size() - 1;
+  uint32_t lo = 0;
+  uint32_t hi = entries - 1;
   if (qualifies(hi)) {
     lo = hi;
   } else {
+    for (uint32_t probe = 1; probe < hi; probe *= 2) {
+      if (!qualifies(probe)) {
+        hi = probe;
+        break;
+      }
+      lo = probe;
+    }
     while (hi - lo > 1) {  // qualifies(lo) and !qualifies(hi)
-      const size_t mid = lo + (hi - lo) / 2;
+      const uint32_t mid = lo + (hi - lo) / 2;
       (qualifies(mid) ? lo : hi) = mid;
     }
   }
-  assert(table.entries[lo].position == LinearConservativeHop(table, pending));
-  return table.entries[lo].position;
+  const uint32_t hop = index_.EntryPosition(position, lo);
+  assert(hop == LinearConservativeHop(position, pending));
+  return hop;
 }
 
 #ifndef NDEBUG
-uint32_t DsiClient::LinearConservativeHop(const DsiTableView& table,
+uint32_t DsiClient::LinearConservativeHop(uint32_t position,
                                           const PendingTargets& pending) const {
-  for (auto it = table.entries.rbegin(); it != table.entries.rend(); ++it) {
-    if (!GapMayIntersect(table.position, it->position, pending)) {
-      return it->position;
-    }
+  for (uint32_t i = index_.entries_per_table(); i-- > 0;) {
+    const uint32_t target = index_.EntryPosition(position, i);
+    if (!GapMayIntersect(position, target, pending)) return target;
   }
-  return table.entries.front().position;
+  return index_.EntryPosition(position, 0);
 }
 #endif
 
-uint32_t DsiClient::SelectAggressiveHop(const DsiTableView& table,
+uint32_t DsiClient::SelectAggressiveHop(uint32_t position,
                                         const PendingTargets& pending,
                                         const common::Point& q) const {
-  if (table.entries.empty()) return table.position;  // single-frame broadcast
+  const uint32_t entries = index_.entries_per_table();
+  if (entries == 0) return position;  // single-frame broadcast
   // Paper rule: follow the entry pointing to the frame closest to the query
   // point (fast search-space convergence; skipped ranges wrap to the next
   // cycle). Only frames that may still matter qualify — once the local
@@ -651,18 +670,20 @@ uint32_t DsiClient::SelectAggressiveHop(const DsiTableView& table,
   // ("sequentially retrieving all the data objects located within the
   // search space", Section 3.4). Ties prefer the farther reach.
   double best = std::numeric_limits<double>::infinity();
-  uint32_t best_pos = table.entries.front().position;
-  bool found = false;
-  for (auto it = table.entries.rbegin(); it != table.entries.rend(); ++it) {
-    if (!FrameMayIntersect(it->position, pending)) continue;
-    const double d = index_.mapper().MinDistanceToIndex(q, it->hc_min);
+  uint32_t best_pos = 0;
+  for (uint32_t i = entries; i-- > 0;) {
+    const uint32_t target = index_.EntryPosition(position, i);
+    if (!FrameMayIntersect(target, pending)) continue;
+    const double d = index_.mapper().MinDistanceToIndex(
+        q, index_.FrameMinHcAtPosition(target));
     if (d < best) {
       best = d;
-      best_pos = it->position;
-      found = true;
+      best_pos = target;
     }
   }
-  return found ? best_pos : SelectConservativeHop(table, pending);
+  return best < std::numeric_limits<double>::infinity()
+             ? best_pos
+             : SelectConservativeHop(position, pending);
 }
 
 }  // namespace dsi::core

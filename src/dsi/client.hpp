@@ -35,11 +35,15 @@
 /// radius is the k-th smallest candidate bound, kept in an ordered multiset
 /// that holds only the bounds that can matter; an advert learned at or above
 /// the radius is parked in a min-heap instead, and is promoted only if the
-/// radius grows past it (KnnSearch). The EEF hop bisects the table: entry
-/// reaches 1, r, r², ... are all below the frame count, so the skipped gaps
-/// are nested, the entries whose gap provably misses the targets form a
-/// prefix, and the farthest of them is found in a logarithmic number of gap
-/// tests. Knowledge is a per-segment bitmap with a summary word per 64
+/// radius grows past it (KnnSearch). Tables are read in place: the client
+/// keeps only the current table's position and reads entry i through
+/// DsiIndex::EntryPosition and FrameMinHcAtPosition, so no table is built
+/// per read. The EEF hop tests the farthest entry, then gallops up from
+/// entry 0 and bisects: entry reaches 1, r, r², ... are all below the frame
+/// count, so the skipped gaps are nested, the entries whose gap provably
+/// misses the targets form a prefix, and the farthest of them is found in
+/// a logarithmic number of gap tests — three when a window query's dense
+/// sweep picks entry 1. Knowledge is a per-segment bitmap with a summary word per 64
 /// bitmap words, so the bracket lookups skip empty stretches in a few word
 /// operations. Debug builds recompute the pending state and the hop the
 /// slow way on every hop and assert that the kept state matches.
@@ -108,6 +112,9 @@ class SegmentKnowledge {
     hc_[off] = hc;
     return known_.set(off);
   }
+
+  /// Whether \p off is known.
+  bool Known(uint32_t off) const { return known_.test(off); }
 
   /// Value of the last known offset <= \p off, or nullopt.
   std::optional<uint64_t> FloorValue(uint32_t off) const {
@@ -254,11 +261,11 @@ class DsiClient {
  private:
   // --- on-air reads -------------------------------------------------------
   /// Dozes to the next table at/after the session's current slot, reads it
-  /// into table_ (skipping ahead frame by frame past link errors), learns
-  /// its content. Returns false only if the watchdog expires.
+  /// (skipping ahead frame by frame past link errors), sets table_pos_ and
+  /// learns its content. Returns false only if the watchdog expires.
   bool ReadNextTable();
-  /// Dozes to the table of \p position and reads it into table_ (with loss
-  /// recovery, which may land on a *different*, later table).
+  /// Dozes to the table of \p position and reads it (with loss recovery,
+  /// which may land on a *different*, later table).
   bool ReadTableAt(uint32_t position);
   /// Reads all object buckets of the frame at \p position (whose table was
   /// just read, own min-HC \p own_hc); records retrieved objects and
@@ -266,7 +273,9 @@ class DsiClient {
   void ReadFrameObjects(uint32_t position, uint64_t own_hc);
 
   // --- knowledge ----------------------------------------------------------
-  void Learn(const DsiTableView& table);
+  /// Records the table carried by the frame at \p position, entries read
+  /// in place from the index.
+  void Learn(uint32_t position);
   /// The single place coverage grows: adds \p r to covered_ and updates the
   /// kept pending state (ranges, kNN adverts) to match.
   void AddCoverage(const hilbert::HcRange& r);
@@ -300,18 +309,20 @@ class DsiClient {
                        const PendingTargets& pending) const;
 
   // --- navigation ----------------------------------------------------------
-  /// Farthest entry whose skipped gap provably misses \p pending.
-  uint32_t SelectConservativeHop(const DsiTableView& table,
+  /// Target of the farthest entry of the table at \p position whose
+  /// skipped gap provably misses \p pending.
+  uint32_t SelectConservativeHop(uint32_t position,
                                  const PendingTargets& pending) const;
 #ifndef NDEBUG
   /// The old farthest-first linear scan, kept as the Debug reference for
-  /// the bisected pick.
-  uint32_t LinearConservativeHop(const DsiTableView& table,
+  /// the galloping pick.
+  uint32_t LinearConservativeHop(uint32_t position,
                                  const PendingTargets& pending) const;
 #endif
-  /// Entry whose advertised frame is spatially closest to \p q among those
-  /// not already covered; falls back to the conservative rule.
-  uint32_t SelectAggressiveHop(const DsiTableView& table,
+  /// Target of the entry of the table at \p position whose advertised frame
+  /// is spatially closest to \p q among those not already covered; falls
+  /// back to the conservative rule.
+  uint32_t SelectAggressiveHop(uint32_t position,
                                const PendingTargets& pending,
                                const common::Point& q) const;
 
@@ -404,10 +415,10 @@ class DsiClient {
   };
   std::unique_ptr<KnnSearch> knn_;  // set only while a kNN query runs
 
-  // Per-query search state, reused across queries: the most recently
-  // received table, the target ranges of a window or point query and
-  // what of them (or of the kNN disc) is still pending.
-  DsiTableView table_;
+  // Per-query search state, reused across queries: the position of the
+  // most recently received table, the target ranges of a window or point
+  // query and what of them (or of the kNN disc) is still pending.
+  uint32_t table_pos_ = 0;
   std::vector<hilbert::HcRange> targets_;
   PendingTargets pending_;
 };

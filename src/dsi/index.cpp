@@ -178,17 +178,11 @@ void DsiIndex::BuildFromSorted(size_t packet_capacity) {
   }
   num_frames_ = static_cast<uint32_t>(frame_first_rank_.size() - 1);
 
-  frame_min_hc_.resize(num_frames_);
-  for (uint32_t f = 0; f < num_frames_; ++f) {
-    frame_min_hc_[f] = object_hcs_[frame_first_rank_[f]];
-    assert(f == 0 || frame_min_hc_[f] > frame_min_hc_[f - 1]);
-  }
-
   // Entries per table: all i with r^i < nF (full-cycle exponential cover).
-  entries_per_table_ = 0;
+  reach_.clear();
   for (uint64_t reach = 1; reach < num_frames_;
        reach *= config_.index_base) {
-    ++entries_per_table_;
+    reach_.push_back(static_cast<uint32_t>(reach));
   }
 
   // Broadcast reorganization (Section 3.5): round-robin interleave of m
@@ -196,27 +190,27 @@ void DsiIndex::BuildFromSorted(size_t packet_capacity) {
   // structural single source of truth shared with clients.
   const ReorgLayout layout(num_frames_, config_.num_segments);
   const uint32_t m = layout.m;
-  segment_length_ = layout.base + (layout.extra != 0 ? 1 : 0);
   rank_to_position_.assign(num_frames_, 0);
   position_to_rank_.assign(num_frames_, 0);
+  min_hc_by_position_.assign(num_frames_, 0);
   for (uint32_t rank = 0; rank < num_frames_; ++rank) {
     const uint32_t pos = layout.RankToPosition(rank);
     rank_to_position_[rank] = pos;
     position_to_rank_[pos] = rank;
+    min_hc_by_position_[pos] = object_hcs_[frame_first_rank_[rank]];
+    assert(rank == 0 || object_hcs_[frame_first_rank_[rank]] >
+                            object_hcs_[frame_first_rank_[rank - 1]]);
   }
 
-  segment_head_hcs_.clear();
-  segment_head_hcs_.reserve(m);
-  if (num_frames_ > 0) {
-    for (uint32_t s = 0; s < m; ++s) {
-      segment_head_hcs_.push_back(frame_min_hc_[layout.SegmentStartRank(s)]);
-    }
-  }
+  // Segment s's head (offset 0) airs at position s.
+  segment_head_hcs_.assign(
+      min_hc_by_position_.begin(),
+      min_hc_by_position_.begin() + (num_frames_ > 0 ? m : 0));
 
   // Table byte size: own min-HC + (for reorganized broadcasts) the m
   // segment-head HC values + the exponential entries.
   table_bytes_ = table_hc_bytes_ + (m > 1 ? m * table_hc_bytes_ : 0) +
-                 entries_per_table_ * entry_bytes;
+                 entries_per_table() * entry_bytes;
 
   // Emit the program: per position, one table bucket then the frame's
   // object buckets.
@@ -246,10 +240,6 @@ uint32_t DsiIndex::PositionToFrameRank(uint32_t position) const {
   return position_to_rank_[position];
 }
 
-uint64_t DsiIndex::FrameMinHcAtPosition(uint32_t position) const {
-  return frame_min_hc_[PositionToFrameRank(position)];
-}
-
 DsiTableView DsiIndex::TableAt(uint32_t position) const {
   DsiTableView view;
   TableAt(position, &view);
@@ -257,18 +247,14 @@ DsiTableView DsiIndex::TableAt(uint32_t position) const {
 }
 
 void DsiIndex::TableAt(uint32_t position, DsiTableView* out) const {
-  assert(position < num_frames_);
   out->position = position;
   out->own_hc_min = FrameMinHcAtPosition(position);
   out->entries.clear();
-  out->entries.reserve(entries_per_table_);
-  uint64_t reach = 1;
-  for (uint32_t i = 0; i < entries_per_table_; ++i) {
-    const uint32_t target = static_cast<uint32_t>(
-        (position + reach) % num_frames_);
-    out->entries.push_back(DsiTableEntry{FrameMinHcAtPosition(target),
-                                         target});
-    reach *= config_.index_base;
+  out->entries.reserve(entries_per_table());
+  for (uint32_t i = 0; i < entries_per_table(); ++i) {
+    const uint32_t target = EntryPosition(position, i);
+    out->entries.push_back(
+        DsiTableEntry{FrameMinHcAtPosition(target), target});
   }
 }
 

@@ -14,6 +14,7 @@
 ///  * every frame carries an index table whose entry i points r^i positions
 ///    ahead and advertises that frame's min-HC.
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -90,7 +91,9 @@ class DsiIndex {
 
   uint32_t num_frames() const { return num_frames_; }
   uint32_t object_factor() const { return object_factor_; }
-  uint32_t entries_per_table() const { return entries_per_table_; }
+  uint32_t entries_per_table() const {
+    return static_cast<uint32_t>(reach_.size());
+  }
 
   /// Objects in Hilbert broadcast order (rank order).
   const std::vector<datasets::SpatialObject>& sorted_objects() const {
@@ -103,8 +106,22 @@ class DsiIndex {
   uint32_t FrameRankToPosition(uint32_t rank) const;
   uint32_t PositionToFrameRank(uint32_t position) const;
 
-  /// Min-HC of the frame at a broadcast position.
-  uint64_t FrameMinHcAtPosition(uint32_t position) const;
+  /// Min-HC of the frame at a broadcast position: one load.
+  uint64_t FrameMinHcAtPosition(uint32_t position) const {
+    assert(position < num_frames_);
+    return min_hc_by_position_[position];
+  }
+
+  /// Broadcast position that entry \p i of the table at \p position points
+  /// to: r^i frames ahead, cyclically. Every reach is below num_frames(), so
+  /// the wrap is one compare-subtract. The entry's advertised min-HC is
+  /// FrameMinHcAtPosition of the result; this pair is the single definition
+  /// of a table entry that clients read in place and TableAt assembles.
+  uint32_t EntryPosition(uint32_t position, uint32_t i) const {
+    assert(position < num_frames_ && i < reach_.size());
+    const uint32_t target = position + reach_[i];
+    return target >= num_frames_ ? target - num_frames_ : target;
+  }
 
   /// Min-HC values of the m segment head frames (broadcast positions
   /// 0..m-1); carried in every table so clients can resolve sub-channels.
@@ -113,11 +130,11 @@ class DsiIndex {
   }
 
   /// The index table carried by the frame at \p position, as a client
-  /// decodes it. Cheap (assembled from precomputed layout).
+  /// decodes it (wire encoders, DiffGenerations and inspection tools; the
+  /// query client reads entries in place through EntryPosition).
   DsiTableView TableAt(uint32_t position) const;
 
-  /// Assembles the table into \p out, reusing its entry storage (the
-  /// client re-reads a table every hop; this keeps the hop allocation-free).
+  /// Assembles the table into \p out, reusing its entry storage.
   void TableAt(uint32_t position, DsiTableView* out) const;
 
   /// Program slot of the table bucket of the frame at \p position.
@@ -153,12 +170,11 @@ class DsiIndex {
   std::vector<uint64_t> object_hcs_;              // parallel to objects_
   uint32_t num_frames_ = 0;
   uint32_t object_factor_ = 1;
-  uint32_t entries_per_table_ = 0;
-  uint32_t segment_length_ = 0;  // frames per segment (last may be short)
   uint32_t table_bytes_ = 0;
   uint32_t table_hc_bytes_ = 0;
   std::vector<uint32_t> frame_first_rank_;  // frame rank -> first object rank
-  std::vector<uint64_t> frame_min_hc_;      // by frame rank
+  std::vector<uint64_t> min_hc_by_position_;  // frame min-HC by position
+  std::vector<uint32_t> reach_;  // entry i's reach r^i, all < num_frames_
   std::vector<uint32_t> rank_to_position_;
   std::vector<uint32_t> position_to_rank_;
   std::vector<uint64_t> segment_head_hcs_;

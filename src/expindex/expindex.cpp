@@ -37,14 +37,13 @@ ExpIndex::ExpIndex(std::vector<uint64_t> keys, size_t packet_capacity,
   chunk_first_.push_back(n);
   num_chunks_ = static_cast<uint32_t>(chunk_first_.size() - 1);
 
-  entries_per_table_ = 0;
   for (uint64_t reach = 1; reach < num_chunks_;
        reach *= config_.index_base) {
-    ++entries_per_table_;
+    reach_.push_back(static_cast<uint32_t>(reach));
   }
   table_bytes_ =
       config_.key_bytes +
-      entries_per_table_ * (config_.key_bytes + common::kPointerBytes);
+      entries_per_table() * (config_.key_bytes + common::kPointerBytes);
 
   table_slot_.resize(num_chunks_);
   first_item_slot_.resize(num_chunks_);
@@ -60,20 +59,11 @@ ExpIndex::ExpIndex(std::vector<uint64_t> keys, size_t packet_capacity,
   program_.Finalize();
 }
 
-uint64_t ExpIndex::ChunkMinKey(uint32_t position) const {
-  assert(position < num_chunks_);
-  return keys_[chunk_first_[position]];
-}
-
 std::vector<ExpTableEntry> ExpIndex::TableAt(uint32_t position) const {
   std::vector<ExpTableEntry> entries;
-  entries.reserve(entries_per_table_);
-  uint64_t reach = 1;
-  for (uint32_t i = 0; i < entries_per_table_; ++i) {
-    const auto target =
-        static_cast<uint32_t>((position + reach) % num_chunks_);
-    entries.push_back(ExpTableEntry{ChunkMinKey(target), target});
-    reach *= config_.index_base;
+  entries.reserve(entries_per_table());
+  for (uint32_t i = 0; i < entries_per_table(); ++i) {
+    entries.push_back(EntryAt(position, i));
   }
   return entries;
 }
@@ -125,7 +115,7 @@ std::optional<uint32_t> ExpClient::ReadNextTable() {
       slot = session_->current_slot();
       size_t guard = 0;
       while (!is_table(slot)) {
-        slot = (slot + 1) % nb;
+        slot = slot + 1 < nb ? slot + 1 : 0;
         if (++guard > nb) return std::nullopt;
       }
     }
@@ -150,31 +140,29 @@ std::optional<uint32_t> ExpClient::ReadNextTable() {
 std::optional<uint32_t> ExpClient::Forward(uint32_t from, uint64_t key) {
   // Cyclic key arithmetic: rel(x) = x - anchor (unsigned wraparound) gives
   // the forward distance along the sorted-and-wrapped key axis.
+  const uint32_t entries = index_.entries_per_table();
   uint32_t pos = from;
   while (!session_->WatchdogExpired()) {
+    if (entries == 0) return pos;  // single-chunk broadcast
     const uint64_t cur_min = index_.ChunkMinKey(pos);
-    const auto entries = index_.TableAt(pos);
-    if (entries.empty()) return pos;  // single-chunk broadcast
     const uint64_t rel_key = key - cur_min;
     // Containment: key before the next chunk's minimum.
-    if (rel_key < entries.front().min_key - cur_min) return pos;
+    if (rel_key < index_.EntryAt(pos, 0).min_key - cur_min) return pos;
     // Farthest entry that does not overshoot. On a multi-disk cycle the
     // two farthest qualifying entries compete on airing wait: the runner-up
     // sits at half the leader's exponential distance, so taking it still
     // cuts the remaining distance geometrically (the chain stays
     // logarithmic), and it often airs a whole tier sooner than a leader
-    // that would cost a cross-tier doze.
-    uint32_t next = entries.front().position;
-    size_t farthest = 0;
-    for (size_t i = entries.size(); i-- > 0;) {
-      if (entries[i].min_key - cur_min <= rel_key) {
-        farthest = i;
-        next = entries[i].position;
-        break;
-      }
+    // that would cost a cross-tier doze. Entry 0 does not overshoot
+    // (checked above), so the scan stops there at the latest.
+    uint32_t farthest = entries - 1;
+    while (farthest > 0 &&
+           index_.EntryAt(pos, farthest).min_key - cur_min > rel_key) {
+      --farthest;
     }
+    uint32_t next = index_.EntryAt(pos, farthest).position;
     if (session_->program().multi_disk() && farthest > 0) {
-      const uint32_t runner_up = entries[farthest - 1].position;
+      const uint32_t runner_up = index_.EntryAt(pos, farthest - 1).position;
       if (session_->PacketsUntil(index_.TableSlot(runner_up)) <
           session_->PacketsUntil(index_.TableSlot(next))) {
         next = runner_up;
@@ -273,13 +261,12 @@ std::vector<uint32_t> ExpClient::RangeQuery(uint64_t lo, uint64_t hi) {
     // chunk is structurally known, its items are filtered by key anyway,
     // and the next received table restores the check.
     if (have_table) {
-      const auto entries = index_.TableAt(pos);
-      if (entries.empty()) break;  // single-chunk broadcast
-      if (entries.front().min_key - lo > hi - lo) break;  // cyclic: past hi
+      if (index_.entries_per_table() == 0) break;  // single-chunk broadcast
+      // Cyclic: the next chunk starts past hi.
+      if (index_.EntryAt(pos, 0).min_key - lo > hi - lo) break;
     }
     if (visited == index_.num_chunks()) break;  // full lap: nothing ahead
-    const uint32_t next =
-        static_cast<uint32_t>((pos + 1) % index_.num_chunks());
+    const uint32_t next = pos + 1 < index_.num_chunks() ? pos + 1 : 0;
     if (reuse_ && table_known_[next] != 0) {
       have_table = true;
       pos = next;

@@ -13,7 +13,13 @@
 /// `related_exponential_index` shows the two coincide on 1-D-equivalent
 /// workloads. Implemented here as an independent library over opaque
 /// uint64 keys.
+///
+/// Clients read table entries in place (ExpIndex::EntryAt, entry i of the
+/// table at a chunk position): forwarding and the scan's stop check build
+/// no table per read, and entry targets wrap by compare-subtract against
+/// precomputed reaches instead of a modulo by the chunk count.
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -50,13 +56,29 @@ class ExpIndex {
   const ExpConfig& config() const { return config_; }
   const broadcast::BroadcastProgram& program() const { return program_; }
   uint32_t num_chunks() const { return num_chunks_; }
-  uint32_t entries_per_table() const { return entries_per_table_; }
+  uint32_t entries_per_table() const {
+    return static_cast<uint32_t>(reach_.size());
+  }
   uint32_t table_bytes() const { return table_bytes_; }
   const std::vector<uint64_t>& sorted_keys() const { return keys_; }
 
   /// Min key of the chunk at \p position.
-  uint64_t ChunkMinKey(uint32_t position) const;
-  /// Decoded index table of the chunk at \p position.
+  uint64_t ChunkMinKey(uint32_t position) const {
+    assert(position < num_chunks_);
+    return keys_[chunk_first_[position]];
+  }
+  /// Entry \p i of the table at \p position: the chunk r^i positions
+  /// ahead, cyclically, and its min key. Every reach is below num_chunks(),
+  /// so the wrap is one compare-subtract. The single definition of a table
+  /// entry; clients read it in place.
+  ExpTableEntry EntryAt(uint32_t position, uint32_t i) const {
+    assert(position < num_chunks_ && i < reach_.size());
+    uint32_t target = position + reach_[i];
+    if (target >= num_chunks_) target -= num_chunks_;
+    return ExpTableEntry{ChunkMinKey(target), target};
+  }
+  /// Decoded index table of the chunk at \p position (wire encoders and
+  /// tests; clients use EntryAt).
   std::vector<ExpTableEntry> TableAt(uint32_t position) const;
   /// Program slot of the table / first item bucket of a chunk.
   size_t TableSlot(uint32_t position) const { return table_slot_[position]; }
@@ -72,7 +94,7 @@ class ExpIndex {
   std::vector<uint64_t> keys_;            // sorted
   std::vector<uint32_t> chunk_first_;     // chunk -> first key rank (+end)
   uint32_t num_chunks_ = 0;
-  uint32_t entries_per_table_ = 0;
+  std::vector<uint32_t> reach_;  // entry i's reach r^i, all < num_chunks_
   uint32_t table_bytes_ = 0;
   std::vector<size_t> table_slot_;
   std::vector<size_t> first_item_slot_;

@@ -112,6 +112,45 @@ TEST(DsiIndexTest, EntryReachesAreNestedWithinOneCycle) {
   }
 }
 
+TEST(DsiIndexTest, EntryPositionMatchesModuloTableFormula) {
+  // Clients read entry i in place as {FrameMinHcAtPosition(t), t} with
+  // t = EntryPosition(p, i). The reference is the old table formula:
+  // t = (p + r^i) mod frames, and the min-HC of the frame at t found
+  // through the position -> rank map.
+  const hilbert::SpaceMapper mapper(datasets::UnitUniverse(), 16);
+  for (const uint32_t n : {1u, 2u, 3u, 7u, 64u, 65u, 1000u}) {
+    const auto objects =
+        datasets::MakeUniform(n, datasets::UnitUniverse(), 23);
+    for (const uint32_t r : {2u, 3u}) {
+      for (const uint32_t m : {1u, 2u, 3u}) {
+        DsiConfig cfg;
+        cfg.index_base = r;
+        cfg.num_segments = m;
+        const DsiIndex idx(objects, mapper, 64, cfg);
+        ASSERT_EQ(idx.num_frames(), n);  // distinct cells: one object each
+        auto ref_hc = [&](uint32_t pos) {
+          return idx.object_hc(idx.ObjectsAt(pos).first_rank);
+        };
+        DsiTableView t;
+        for (uint32_t p = 0; p < n; ++p) {
+          ASSERT_EQ(idx.FrameMinHcAtPosition(p), ref_hc(p));
+          idx.TableAt(p, &t);
+          ASSERT_EQ(t.entries.size(), idx.entries_per_table());
+          uint64_t reach = 1;
+          for (uint32_t i = 0; i < idx.entries_per_table(); ++i, reach *= r) {
+            const auto target = static_cast<uint32_t>((p + reach) % n);
+            const uint32_t got = idx.EntryPosition(p, i);
+            ASSERT_EQ(got, target) << n << " " << r << " " << m << " " << p;
+            ASSERT_EQ(idx.FrameMinHcAtPosition(got), ref_hc(target));
+            ASSERT_EQ(t.entries[i].position, target);
+            ASSERT_EQ(t.entries[i].hc_min, ref_hc(target));
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(DsiIndexTest, TableSizeMatchesFieldSizes) {
   const hilbert::SpaceMapper mapper(datasets::UnitUniverse(), 8);
   const DsiIndex idx(SmallDataset(), mapper, 64, DsiConfig{});

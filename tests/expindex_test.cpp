@@ -45,6 +45,38 @@ TEST(ExpIndexTest, TableEntriesExponential) {
   }
 }
 
+TEST(ExpIndexTest, EntryAtMatchesModuloTableFormula) {
+  // EntryAt wraps by compare-subtract; the reference is the old table
+  // formula: entry i targets chunk (p + r^i) mod chunks, advertising its
+  // min key.
+  for (const uint32_t n : {1u, 2u, 3u, 7u, 64u, 65u, 1000u}) {
+    std::vector<uint64_t> keys;
+    for (uint32_t k = 0; k < n; ++k) keys.push_back(uint64_t{k} * 3 + 1);
+    for (const uint32_t r : {2u, 3u}) {
+      ExpConfig cfg;
+      cfg.index_base = r;
+      const ExpIndex index(keys, 64, cfg);
+      ASSERT_EQ(index.num_chunks(), n);
+      uint32_t entries = 0;
+      for (uint64_t reach = 1; reach < n; reach *= r) ++entries;
+      ASSERT_EQ(index.entries_per_table(), entries);
+      for (uint32_t p = 0; p < n; ++p) {
+        const auto table = index.TableAt(p);
+        ASSERT_EQ(table.size(), entries);
+        uint64_t reach = 1;
+        for (uint32_t i = 0; i < entries; ++i, reach *= r) {
+          const auto target = static_cast<uint32_t>((p + reach) % n);
+          const ExpTableEntry e = index.EntryAt(p, i);
+          ASSERT_EQ(e.position, target) << n << " " << r << " " << p;
+          ASSERT_EQ(e.min_key, keys[target]) << n << " " << r << " " << p;
+          ASSERT_EQ(table[i].position, target);
+          ASSERT_EQ(table[i].min_key, keys[target]);
+        }
+      }
+    }
+  }
+}
+
 TEST(ExpIndexTest, ChunkSizeRespectedModuloTies) {
   ExpConfig cfg;
   cfg.chunk_size = 5;

@@ -18,6 +18,7 @@
 #include "air/hci_handle.hpp"
 #include "air/rtree_handle.hpp"
 #include "broadcast/client.hpp"
+#include "broadcast/disks.hpp"
 #include "broadcast/generation.hpp"
 #include "datasets/datasets.hpp"
 #include "dsi/index.hpp"
@@ -157,6 +158,74 @@ TEST(GenerationalSession, SingleGenerationScheduleMatchesStaticSession) {
   EXPECT_EQ(dynamic.metrics().access_latency_bytes,
             fixed.metrics().access_latency_bytes);
   EXPECT_EQ(dynamic.metrics().tuning_bytes, fixed.metrics().tuning_bytes);
+}
+
+TEST(GenerationalSession, CyclePositionTracksClockAcrossDozesAndResyncs) {
+  // The session keeps its cycle position as state, advanced with the clock;
+  // after every call it must equal the generation-relative clock modulo the
+  // cycle. Three generations of 2-disk programs with unequal bucket sizes,
+  // so cycles differ per generation and hot slots air twice.
+  auto two_disk = [](uint32_t buckets) {
+    broadcast::BroadcastProgram flat(64);
+    std::vector<double> weights;
+    for (uint32_t i = 0; i < buckets; ++i) {
+      flat.AddBucket(broadcast::BucketKind::kDataObject, i, 64 * (1 + i % 3));
+      weights.push_back(i % 4 == 1 ? 8.0 : 1.0);
+    }
+    flat.Finalize();
+    return broadcast::MakeMultiDiskProgram(flat, 2, weights);
+  };
+  const auto a = two_disk(7);
+  const auto b = two_disk(9);
+  const auto c = two_disk(5);
+  ASSERT_TRUE(a.multi_disk() && b.multi_disk() && c.multi_disk());
+  broadcast::GenerationSchedule s;
+  s.Append(&a, 30);
+  s.Append(&b, 30);
+  s.Append(&c, 30);
+
+  broadcast::ClientSession session(s, 3, broadcast::ErrorModel{},
+                                   common::Rng(5));
+  auto check = [&](const char* step) {
+    const uint64_t cycle = session.program().cycle_packets();
+    EXPECT_EQ(session.cycle_position(),
+              (session.now_packets() - s.start_packet(session.generation())) %
+                  cycle)
+        << step << " at packet " << session.now_packets();
+  };
+  session.InitialProbe();
+  check("probe");
+  for (size_t g = 0; g < 3; ++g) {
+    ASSERT_EQ(session.generation(), g);
+    const uint64_t cycle = session.program().cycle_packets();
+    for (const uint64_t pace : {uint64_t{0}, uint64_t{1}, cycle - 1, cycle,
+                                3 * cycle + 5}) {
+      session.Pace(pace);
+      check("pace");
+    }
+    for (size_t slot = 0; slot < session.program().num_data_buckets();
+         ++slot) {
+      EXPECT_TRUE(session.ReadBucket(slot));
+      check("read");
+    }
+    if (g + 1 < 3) {
+      // Wake two packets past the republication instant: one header
+      // listen re-syncs the session onto the next generation.
+      ASSERT_LT(session.now_packets(), s.end_packet(g));
+      session.ResumeAt(s.end_packet(g) + 2);
+      check("resume");
+    }
+  }
+  // A read aimed at a slot of a dead layout re-syncs too.
+  broadcast::ClientSession late(s, s.end_packet(0) - 2,
+                                broadcast::ErrorModel{}, common::Rng(6));
+  late.InitialProbe();
+  while (late.generation() == 0) {
+    late.ReadBucket(late.program().num_data_buckets() - 1);
+    EXPECT_EQ(late.cycle_position(),
+              (late.now_packets() - s.start_packet(late.generation())) %
+                  late.program().cycle_packets());
+  }
 }
 
 // ---------------------------------------------------------------------------
