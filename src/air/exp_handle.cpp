@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "hilbert/interval_set.hpp"
 #include "wire/codecs.hpp"
@@ -74,27 +73,30 @@ class ExpAirClient : public AirClient {
         side / static_cast<double>(handle_.mapper().curve().side()));
 
     hilbert::IntervalSet scanned;
-    std::map<uint32_t, datasets::SpatialObject> candidates;  // by rank
+    // Candidate ranks. The scanned ranges are disjoint, so no rank repeats.
+    std::vector<uint32_t> candidates;
     while (true) {
       const auto targets = handle_.mapper().CircleToRanges(q, radius);
       for (const hilbert::HcRange& r : scanned.Subtract(targets)) {
-        for (const uint32_t rank : client_.RangeQuery(r.lo, r.hi)) {
-          candidates.emplace(rank, handle_.sorted_objects()[rank]);
-        }
+        const std::vector<uint32_t> ranks = client_.RangeQuery(r.lo, r.hi);
+        candidates.insert(candidates.end(), ranks.begin(), ranks.end());
         scanned.Add(r);
-        if (!client_.stats().completed) return Best(q, k, candidates);
+        if (!client_.stats().completed) return Best(q, k, &candidates);
       }
       // Exact once k candidates are confirmed inside the scanned circle:
       // every object within `radius` lies in a cell intersecting the
       // circle, and all such cells have been scanned.
       size_t within = 0;
-      for (const auto& [rank, o] : candidates) {
-        if (common::Distance(q, o.location) <= radius) ++within;
+      for (const uint32_t rank : candidates) {
+        if (common::Distance(q, handle_.sorted_objects()[rank].location) <=
+            radius) {
+          ++within;
+        }
       }
       if (within >= k || radius >= cover) break;
       radius = std::min(2.0 * radius, cover);
     }
-    return Best(q, k, candidates);
+    return Best(q, k, &candidates);
   }
 
   ClientStats stats() const override {
@@ -104,12 +106,17 @@ class ExpAirClient : public AirClient {
   }
 
  private:
-  static std::vector<datasets::SpatialObject> Best(
+  /// The \p k candidates nearest \p q. Ranks are sorted first: the
+  /// distance sort is not stable, so ties resolve by its rank-order input.
+  std::vector<datasets::SpatialObject> Best(
       const common::Point& q, size_t k,
-      const std::map<uint32_t, datasets::SpatialObject>& candidates) {
+      std::vector<uint32_t>* candidates) const {
+    std::sort(candidates->begin(), candidates->end());
     std::vector<datasets::SpatialObject> out;
-    out.reserve(candidates.size());
-    for (const auto& [rank, o] : candidates) out.push_back(o);
+    out.reserve(candidates->size());
+    for (const uint32_t rank : *candidates) {
+      out.push_back(handle_.sorted_objects()[rank]);
+    }
     std::sort(out.begin(), out.end(),
               [&](const datasets::SpatialObject& a,
                   const datasets::SpatialObject& b) {

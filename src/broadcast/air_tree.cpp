@@ -46,7 +46,6 @@ AirTreeBroadcast::AirTreeBroadcast(AirTreeSpec spec, size_t packet_capacity,
   }
   assert(spec_.root < spec_.nodes.size());
   target_subtrees = std::max<uint32_t>(target_subtrees, 1);
-  node_slots_.resize(spec_.nodes.size());
   data_slot_.assign(spec_.data_sizes.size(), SIZE_MAX);
 
   switch (layout_) {
@@ -58,8 +57,7 @@ AirTreeBroadcast::AirTreeBroadcast(AirTreeSpec spec, size_t packet_capacity,
       break;
   }
   program_.Finalize();
-  // Slots were appended in broadcast order; occurrence lists are sorted by
-  // construction.
+  IndexNodeSlots();
 }
 
 void AirTreeBroadcast::BuildDistributed(uint32_t target_subtrees) {
@@ -112,8 +110,8 @@ void AirTreeBroadcast::BuildDistributed(uint32_t target_subtrees) {
     subtree_roots_.push_back(r.node);
     // Replicated part: the ancestor path, root first.
     for (uint32_t anc : r.path) {
-      node_slots_[anc].push_back(program_.AddBucket(
-          BucketKind::kIndexNode, anc, spec_.nodes[anc].size_bytes));
+      program_.AddBucket(BucketKind::kIndexNode, anc,
+                         spec_.nodes[anc].size_bytes);
     }
     // Non-replicated part: subtree nodes in DFS preorder, then its data.
     std::vector<uint32_t> order;
@@ -136,8 +134,8 @@ void AirTreeBroadcast::BuildDistributed(uint32_t target_subtrees) {
       }
     }
     for (uint32_t id : order) {
-      node_slots_[id].push_back(program_.AddBucket(
-          BucketKind::kIndexNode, id, spec_.nodes[id].size_bytes));
+      program_.AddBucket(BucketKind::kIndexNode, id,
+                         spec_.nodes[id].size_bytes);
     }
     for (uint32_t d : data_ids) {
       assert(d < spec_.data_sizes.size());
@@ -162,8 +160,8 @@ void AirTreeBroadcast::BuildOneM(uint32_t copies) {
   for (uint32_t copy = 0; copy < copies; ++copy) {
     // One full copy of the index...
     for (uint32_t id : order) {
-      node_slots_[id].push_back(program_.AddBucket(
-          BucketKind::kIndexNode, id, spec_.nodes[id].size_bytes));
+      program_.AddBucket(BucketKind::kIndexNode, id,
+                         spec_.nodes[id].size_bytes);
     }
     // ...followed by the next 1/m of the data.
     const size_t end = std::min(total, next_data + chunk);
@@ -177,9 +175,29 @@ void AirTreeBroadcast::BuildOneM(uint32_t copies) {
   assert(next_data == total);
 }
 
+void AirTreeBroadcast::IndexNodeSlots() {
+  // Count each node's airings, turn the counts into group offsets, then
+  // fill the groups in slot order, which keeps each one ascending.
+  first_node_slot_.assign(spec_.nodes.size() + 1, 0);
+  for (size_t s = 0; s < program_.num_buckets(); ++s) {
+    const Bucket& b = program_.bucket(s);
+    if (b.kind == BucketKind::kIndexNode) ++first_node_slot_[b.payload + 1];
+  }
+  for (size_t id = 0; id < spec_.nodes.size(); ++id) {
+    first_node_slot_[id + 1] += first_node_slot_[id];
+  }
+  node_slots_.resize(first_node_slot_.back());
+  std::vector<size_t> fill(first_node_slot_.begin(),
+                           first_node_slot_.end() - 1);
+  for (size_t s = 0; s < program_.num_buckets(); ++s) {
+    const Bucket& b = program_.bucket(s);
+    if (b.kind == BucketKind::kIndexNode) node_slots_[fill[b.payload]++] = s;
+  }
+}
+
 size_t AirTreeBroadcast::NextNodeSlot(uint32_t node_id,
                                       const ClientSession& session) const {
-  const auto& slots = node_slots_[node_id];
+  const std::span<const size_t> slots = NodeSlots(node_id);
   assert(!slots.empty());
   // The replica whose nearest airing starts soonest. Replicas never share
   // an airing, so the waits are distinct and the argmin is unique.

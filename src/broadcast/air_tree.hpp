@@ -17,8 +17,13 @@
 /// next occurrence of each child's bucket — wrapping into the next cycle
 /// whenever the needed node has already gone by (the fundamental cost of
 /// tree indexes on air that DSI avoids).
+///
+/// Replica lists are flat: the occurrence slots of every node sit in one
+/// array grouped by node id, each group ascending, with an offset per node
+/// id; a client's replica pick reads a node's group as a span.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "broadcast/airing_order.hpp"
@@ -81,22 +86,28 @@ class AirTreeBroadcast {
   /// Slot of the (single) occurrence of data bucket \p data_id.
   size_t DataSlot(uint32_t data_id) const;
 
-  /// All occurrence slots of a node (for tests/inspection).
-  const std::vector<size_t>& NodeSlots(uint32_t node_id) const {
-    return node_slots_[node_id];
+  /// All occurrence slots of a node, ascending.
+  std::span<const size_t> NodeSlots(uint32_t node_id) const {
+    return {node_slots_.data() + first_node_slot_[node_id],
+            node_slots_.data() + first_node_slot_[node_id + 1]};
   }
 
  private:
   void BuildDistributed(uint32_t target_subtrees);
   void BuildOneM(uint32_t copies);
+  /// Groups the finalized program's index-node buckets by node id.
+  void IndexNodeSlots();
 
   AirTreeSpec spec_;
   BroadcastProgram program_;
   TreeLayout layout_ = TreeLayout::kDistributed;
   uint32_t distribution_level_ = 0;
   std::vector<uint32_t> subtree_roots_;
-  std::vector<std::vector<size_t>> node_slots_;  // by node id, sorted
-  std::vector<size_t> data_slot_;                // by data id
+  /// Every index-node slot, grouped by node id, ascending within a group:
+  /// node i's are [first_node_slot_[i], first_node_slot_[i + 1]).
+  std::vector<size_t> node_slots_;
+  std::vector<size_t> first_node_slot_;  // by node id, plus one end offset
+  std::vector<size_t> data_slot_;        // by data id
 };
 
 /// Per-query diagnostics of a client searching a tree broadcast.

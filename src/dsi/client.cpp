@@ -102,7 +102,8 @@ DsiClient::DsiClient(const DsiIndex& index, broadcast::ClientSession* session)
       hc_cells_(index.mapper().curve().num_cells()),
       known_(layout_.m),
       learned_tables_(index.num_frames(), false),
-      frames_done_(index.num_frames(), false) {
+      frames_done_(index.num_frames(), false),
+      retrieved_(index.sorted_objects().size()) {
   for (uint32_t s = 0; s < layout_.m; ++s) {
     known_[s].Init(layout_.SegmentLength(s));
   }
@@ -119,11 +120,11 @@ std::vector<datasets::SpatialObject> DsiClient::PointQuery(
   pending_.AssignRanges(targets_, covered_);
   RunSearch(nullptr);
   std::vector<datasets::SpatialObject> out;
-  for (const uint32_t rank : retrieved_ranks_) {
+  retrieved_.ForEach([&](size_t rank) {
     if (index_.object_hc(rank) == h) {
       out.push_back(index_.sorted_objects()[rank]);
     }
-  }
+  });
   return out;
 }
 
@@ -133,10 +134,10 @@ std::vector<datasets::SpatialObject> DsiClient::WindowQuery(
   pending_.AssignRanges(targets_, covered_);
   RunSearch(nullptr);
   std::vector<datasets::SpatialObject> out;
-  for (const uint32_t rank : retrieved_ranks_) {
+  retrieved_.ForEach([&](size_t rank) {
     const datasets::SpatialObject& obj = index_.sorted_objects()[rank];
     if (window.Contains(obj.location)) out.push_back(obj);
-  }
+  });
   return out;
 }
 
@@ -145,14 +146,21 @@ std::vector<datasets::SpatialObject> DsiClient::KnnQuery(
   if (k == 0) return {};  // degenerate: the empty set, no listening needed
 
   // Seed the radius bounds from what a warm client already knows; from
-  // here on Learn, MarkRetrieved and AddCoverage keep them current.
-  knn_ = std::make_unique<KnnSearch>();
-  knn_->k = k;
+  // here on Learn, MarkRetrieved and AddCoverage keep them current. Object
+  // distances go in ascending, so each lands at the end of the live vector.
+  knn_ = std::make_unique<KnnSearch>(k);
   knn_->disc.mapper = &index_.mapper();
   knn_->disc.covered = &covered_;
   knn_->disc.center = q;
-  for (const uint32_t rank : retrieved_ranks_) {
-    knn_->AddBound(common::Distance(q, index_.sorted_objects()[rank].location));
+  if (!retrieved_.empty()) {
+    std::vector<double> distances;
+    distances.reserve(retrieved_.count());
+    retrieved_.ForEach([&](size_t rank) {
+      distances.push_back(
+          common::Distance(q, index_.sorted_objects()[rank].location));
+    });
+    std::sort(distances.begin(), distances.end());
+    for (const double d : distances) knn_->bounds.AddObject(d);
   }
   for (const SegmentKnowledge& seg : known_) {
     seg.ForEachKnown([&](uint32_t, uint64_t hc) { LearnAdvert(hc); });
@@ -165,10 +173,9 @@ std::vector<datasets::SpatialObject> DsiClient::KnnQuery(
 
   // Answer: the k nearest retrieved objects.
   std::vector<datasets::SpatialObject> out;
-  out.reserve(retrieved_ranks_.size());
-  for (const uint32_t rank : retrieved_ranks_) {
-    out.push_back(index_.sorted_objects()[rank]);
-  }
+  out.reserve(retrieved_.count());
+  retrieved_.ForEach(
+      [&](size_t rank) { out.push_back(index_.sorted_objects()[rank]); });
   std::sort(out.begin(), out.end(),
             [&](const datasets::SpatialObject& a,
                 const datasets::SpatialObject& b) {
@@ -180,47 +187,70 @@ std::vector<datasets::SpatialObject> DsiClient::KnnQuery(
   return out;
 }
 
-double DsiClient::KnnSearch::KthBound() const {
-  if (bounds.size() < k) return std::numeric_limits<double>::infinity();
-  return *std::next(bounds.begin(), static_cast<ptrdiff_t>(k - 1));
+// ---------------------------------------------------------------------------
+// kNN radius bounds
+// ---------------------------------------------------------------------------
+
+void KnnBounds::Insert(const Bound& b) {
+  live_.insert(std::upper_bound(live_.begin(), live_.end(), b.bound,
+                                [](double v, const Bound& x) {
+                                  return v < x.bound;
+                                }),
+               b);
+  if (b.bound < radius_) radius_ = KthBound();
 }
 
-std::multiset<double>::iterator DsiClient::KnnSearch::AddBound(double bound) {
-  const auto it = bounds.insert(bound);
-  if (bound < radius) radius = KthBound();
-  return it;
-}
-
-void DsiClient::KnnSearch::AddAdvert(uint64_t hc, double bound) {
-  if (bound >= radius) {
-    parked.push({bound, hc});
+void KnnBounds::AddAdvert(uint64_t hc, double bound) {
+  assert(hc != kObjectHc);
+  if (bound >= radius_) {
+    parked_.push_back({bound, hc});
+    parked_min_ = std::min(parked_min_, bound);
   } else {
-    adverts.emplace(hc, AddBound(bound));
+    Insert({bound, hc});
   }
 }
 
-uint64_t DsiClient::KnnSearch::Retire(const hilbert::HcRange& r) {
-  const auto first = adverts.lower_bound(r.lo);
-  const auto last = adverts.upper_bound(r.hi);
-  if (first == last) return 0;
-  for (auto it = first; it != last; ++it) bounds.erase(it->second);
-  adverts.erase(first, last);
-  radius = KthBound();
+uint64_t KnnBounds::Retire(const hilbert::HcRange& r,
+                           const hilbert::IntervalSet& covered) {
+  assert(r.hi < kObjectHc);
+  // remove_if keeps the survivors' order, so live_ stays sorted.
+  const auto kept_end =
+      std::remove_if(live_.begin(), live_.end(), [&](const Bound& b) {
+        return b.hc >= r.lo && b.hc <= r.hi;
+      });
+  if (kept_end == live_.end()) return 0;
+  live_.erase(kept_end, live_.end());
+  radius_ = KthBound();
+  if (!(parked_min_ < radius_)) return 0;
+
+  // Move the parked bounds below the raised radius to the back, sorted, and
+  // promote them in ascending order while they stay below it: each
+  // promotion may lower the radius and end the run. Ties go by HC so the
+  // pick is deterministic. Promoted and covered bounds leave the parked
+  // vector; the rest of the run stays parked.
+  const auto below = std::partition(
+      parked_.begin(), parked_.end(),
+      [&](const Bound& b) { return !(b.bound < radius_); });
+  std::sort(below, parked_.end(), [](const Bound& a, const Bound& b) {
+    return a.bound != b.bound ? a.bound < b.bound : a.hc < b.hc;
+  });
   uint64_t promoted = 0;
-  while (!parked.empty() && parked.top().bound < radius) {
-    const Parked p = parked.top();
-    parked.pop();
-    if (disc.covered->Intersects(hilbert::HcRange{p.hc, p.hc})) continue;
-    adverts.emplace(p.hc, AddBound(p.bound));
+  auto it = below;
+  for (; it != parked_.end() && it->bound < radius_; ++it) {
+    if (covered.Intersects(hilbert::HcRange{it->hc, it->hc})) continue;
+    Insert(*it);
     ++promoted;
   }
+  parked_.erase(below, it);
+  parked_min_ = std::numeric_limits<double>::infinity();
+  for (const Bound& b : parked_) parked_min_ = std::min(parked_min_, b.bound);
   return promoted;
 }
 
 void DsiClient::LearnAdvert(uint64_t hc) {
   if (covered_.Intersects(hilbert::HcRange{hc, hc})) return;
-  knn_->AddAdvert(hc,
-                  index_.mapper().MaxDistanceToIndex(knn_->disc.center, hc));
+  knn_->bounds.AddAdvert(
+      hc, index_.mapper().MaxDistanceToIndex(knn_->disc.center, hc));
 }
 
 // ---------------------------------------------------------------------------
@@ -274,7 +304,7 @@ void DsiClient::RunSearch(const common::Point* spatial_goal) {
 }
 
 void DsiClient::RefreshPending() {
-  if (knn_) knn_->disc.radius = knn_->radius;
+  if (knn_) knn_->disc.radius = knn_->bounds.radius();
 #ifndef NDEBUG
   if (!knn_) {
     std::vector<hilbert::HcRange> reference;
@@ -295,10 +325,10 @@ void DsiClient::RefreshPending() {
 double DsiClient::FullScanKnnRadius() const {
   const common::Point& q = knn_->disc.center;
   std::vector<double> uppers;
-  for (const uint32_t rank : retrieved_ranks_) {
+  retrieved_.ForEach([&](size_t rank) {
     uppers.push_back(
         common::Distance(q, index_.sorted_objects()[rank].location));
-  }
+  });
   for (const SegmentKnowledge& seg : known_) {
     seg.ForEachKnown([&](uint32_t, uint64_t hc) {
       if (!covered_.Intersects(hilbert::HcRange{hc, hc})) {
@@ -306,10 +336,10 @@ double DsiClient::FullScanKnnRadius() const {
       }
     });
   }
-  if (uppers.size() < knn_->k) return std::numeric_limits<double>::infinity();
-  std::nth_element(uppers.begin(), uppers.begin() + (knn_->k - 1),
-                   uppers.end());
-  return uppers[knn_->k - 1];
+  const size_t k = knn_->bounds.k();
+  if (uppers.size() < k) return std::numeric_limits<double>::infinity();
+  std::nth_element(uppers.begin(), uppers.begin() + (k - 1), uppers.end());
+  return uppers[k - 1];
 }
 #endif
 
@@ -388,7 +418,7 @@ void DsiClient::ReadFrameObjects(uint32_t position, uint64_t own_hc) {
   uint64_t max_hc = own_hc;
   for (uint32_t i = 0; i < fo.count; ++i) {
     const uint32_t rank = fo.first_rank + i;
-    if (!Retrieved(rank)) {
+    if (!retrieved_.test(rank)) {
       if (session_->ReadBucket(fo.first_slot + i)) {
         MarkRetrieved(rank);
         ++stats_.objects_read;
@@ -456,7 +486,7 @@ void DsiClient::Learn(uint32_t position) {
 void DsiClient::AddCoverage(const hilbert::HcRange& r) {
   covered_.Add(r);
   pending_.Subtract(r);
-  if (knn_) stats_.bounds_promoted += knn_->Retire(r);
+  if (knn_) stats_.bounds_promoted += knn_->bounds.Retire(r, covered_);
 }
 
 uint64_t DsiClient::SegmentDomainLo(uint32_t seg) const {
@@ -489,19 +519,12 @@ std::optional<uint64_t> DsiClient::NextFrameHcExcl(uint32_t seg,
 // Retrieved objects
 // ---------------------------------------------------------------------------
 
-bool DsiClient::Retrieved(uint32_t rank) const {
-  return std::binary_search(retrieved_ranks_.begin(), retrieved_ranks_.end(),
-                            rank);
-}
-
 void DsiClient::MarkRetrieved(uint32_t rank) {
-  auto it = std::lower_bound(retrieved_ranks_.begin(), retrieved_ranks_.end(),
-                             rank);
-  assert(it == retrieved_ranks_.end() || *it != rank);
-  retrieved_ranks_.insert(it, rank);
+  [[maybe_unused]] const bool added = retrieved_.set(rank);
+  assert(added);
   if (knn_) {
-    knn_->AddBound(common::Distance(knn_->disc.center,
-                                    index_.sorted_objects()[rank].location));
+    knn_->bounds.AddObject(common::Distance(
+        knn_->disc.center, index_.sorted_objects()[rank].location));
   }
 }
 

@@ -32,31 +32,29 @@
 /// newly confirmed span in place (PendingTargets, ranges shape). A kNN query
 /// never decomposes its circle: the hop rules ask whether a gap of the
 /// coverage reaches a cell of the disc (PendingTargets, disc shape). Its
-/// radius is the k-th smallest candidate bound, kept in an ordered multiset
-/// that holds only the bounds that can matter; an advert learned at or above
-/// the radius is parked in a min-heap instead, and is promoted only if the
-/// radius grows past it (KnnSearch). Tables are read in place: the client
-/// keeps only the current table's position and reads entry i through
-/// DsiIndex::EntryPosition and FrameMinHcAtPosition, so no table is built
-/// per read. The EEF hop tests the farthest entry, then gallops up from
-/// entry 0 and bisects: entry reaches 1, r, r², ... are all below the frame
-/// count, so the skipped gaps are nested, the entries whose gap provably
-/// misses the targets form a prefix, and the farthest of them is found in
-/// a logarithmic number of gap tests — three when a window query's dense
-/// sweep picks entry 1. Knowledge is a per-segment bitmap with a summary word per 64
-/// bitmap words, so the bracket lookups skip empty stretches in a few word
-/// operations. Debug builds recompute the pending state and the hop the
-/// slow way on every hop and assert that the kept state matches.
+/// radius is the k-th smallest candidate bound, kept in a vector sorted by
+/// bound that holds only the bounds that can matter; an advert learned at
+/// or above the radius is parked in an unordered vector instead, and is
+/// promoted only if the radius grows past it (KnnBounds). Retrieved objects
+/// are a bitmap over object ranks, read back in rank order. Tables are read
+/// in place: the client keeps only the current table's position and reads
+/// entry i through DsiIndex::EntryPosition and FrameMinHcAtPosition, so no
+/// table is built per read. The EEF hop tests the farthest entry, then
+/// gallops up from entry 0 and bisects: entry reaches 1, r, r², ... are all
+/// below the frame count, so the skipped gaps are nested, the entries whose
+/// gap provably misses the targets form a prefix, and the farthest of them
+/// is found in a logarithmic number of gap tests — three when a window
+/// query's dense sweep picks entry 1. Knowledge is a per-segment bitmap
+/// with a summary word per 64 bitmap words, so the bracket lookups skip
+/// empty stretches in a few word operations. Debug builds recompute the
+/// pending state and the hop the slow way on every hop and assert that the
+/// kept state matches.
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
-#include <queue>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -82,8 +80,8 @@ struct QueryStats {
   uint64_t objects_read = 0;
   uint64_t buckets_lost = 0;
   uint64_t hops = 0;
-  /// Parked kNN bounds moved into the radius multiset because the radius
-  /// grew past them (only loss makes the radius grow).
+  /// Parked kNN bounds moved into the live radius bounds because the
+  /// radius grew past them (only loss makes the radius grow).
   uint64_t bounds_promoted = 0;
   bool completed = true;  ///< False if the query was aborted.
   /// True if the broadcast was republished mid-query: every learned table,
@@ -219,6 +217,65 @@ class PendingTargets {
   Disc* disc_ = nullptr;  // disc shape iff non-null
 };
 
+/// The radius of a running kNN query: the k-th smallest of its candidate
+/// upper bounds — the exact distance of every retrieved object and the cell
+/// max-distance of every advertised min-HC not yet covered. Adverts are
+/// keyed by HC (distinct frames never share a min-HC); objects carry the
+/// sentinel kObjectHc and are never retired. A frame whose first object
+/// arrived but whose others were lost counts that object twice until it
+/// completes, so the radius can grow under loss.
+///
+/// Most adverts are learned at or above the radius and can never be the
+/// k-th smallest while it stays put, so only the bounds below it go into
+/// the live vector, sorted by bound; the rest are parked in an unordered
+/// vector that tracks its minimum. Invariant: every parked bound is >=
+/// radius, so the live vector's k-th smallest is the k-th smallest over all
+/// uncovered bounds. Adding can only lower the radius. Retiring can raise
+/// it (only loss makes it grow); then the parked bounds now below it are
+/// promoted in ascending bound order, covered ones dropped, for as long as
+/// they stay below the radius that each promotion may lower. The "nothing
+/// to promote" check is one comparison with the parked minimum, so the
+/// parked vector is scanned only when the radius grows past it.
+class KnnBounds {
+ public:
+  /// HC of an object's bound: outside every HC range, so never retired.
+  static constexpr uint64_t kObjectHc = UINT64_MAX;
+
+  explicit KnnBounds(size_t k) : k_(k) {}
+
+  size_t k() const { return k_; }
+  /// The k-th smallest uncovered bound (infinity if there are fewer).
+  double radius() const { return radius_; }
+
+  /// Adds a retrieved object's exact distance \p bound.
+  void AddObject(double bound) { Insert({bound, kObjectHc}); }
+  /// Adds the uncovered advert \p hc with bound \p bound, or parks it.
+  void AddAdvert(uint64_t hc, double bound);
+  /// Coverage grew by \p r (already added to \p covered): drops the adverts
+  /// whose HC lies in \p r and promotes the uncovered parked bounds the
+  /// radius grew past; returns how many.
+  uint64_t Retire(const hilbert::HcRange& r,
+                  const hilbert::IntervalSet& covered);
+
+ private:
+  struct Bound {
+    double bound;
+    uint64_t hc;
+  };
+  /// Adds \p b to the live vector and lowers the radius to match.
+  void Insert(const Bound& b);
+  double KthBound() const {
+    return live_.size() < k_ ? std::numeric_limits<double>::infinity()
+                             : live_[k_ - 1].bound;
+  }
+
+  size_t k_;
+  std::vector<Bound> live_;    // ascending by bound
+  std::vector<Bound> parked_;  // unordered; every bound >= radius_
+  double parked_min_ = std::numeric_limits<double>::infinity();
+  double radius_ = std::numeric_limits<double>::infinity();
+};
+
 /// Query execution against a DSI broadcast. One client serves one query —
 /// or, kept alive on the same session, a stream of them (the paper's
 /// moving client re-issuing queries as it travels): SegmentKnowledge, the
@@ -293,10 +350,8 @@ class DsiClient {
   std::optional<uint64_t> NextFrameHcExcl(uint32_t seg, uint32_t off) const;
 
   // --- retrieved objects ---------------------------------------------------
-  /// Ranks (= ids into index_.sorted_objects()) retrieved so far, sorted.
-  /// Object payloads are never copied: the simulated read is paid through
-  /// the session and the data comes from the server-side store.
-  bool Retrieved(uint32_t rank) const;
+  /// Adds \p rank to the retrieved set (and its distance to a running kNN
+  /// query's bounds).
   void MarkRetrieved(uint32_t rank);
 
   // --- relevance reasoning -------------------------------------------------
@@ -368,50 +423,20 @@ class DsiClient {
   bool heads_known_ = false;
 
   hilbert::IntervalSet covered_;
-  std::vector<uint32_t> retrieved_ranks_;  // sorted object ranks
+  /// Ranks (= ids into index_.sorted_objects()) retrieved so far. Object
+  /// payloads are never copied: the simulated read is paid through the
+  /// session and the data comes from the server-side store.
+  common::TwoLevelBitmap retrieved_;
   QueryStats stats_;
 
   /// State of the running kNN query: its search disc (center q) and the
-  /// disc's radius, the k-th smallest of the candidate upper bounds — the
-  /// exact distance of every retrieved object and the cell max-distance of
-  /// every advertised min-HC not yet covered. MarkRetrieved adds the exact
-  /// distance, Learn adds an advert when it first records its offset, and
-  /// AddCoverage retires the adverts it covers (distinct frames never share
-  /// a min-HC, so adverts are keyed by HC). A frame whose first object
-  /// arrived but whose others were lost counts that object twice until it
-  /// completes, so the radius can grow under loss.
-  ///
-  /// Most adverts are learned at or above the radius and can never be the
-  /// k-th smallest while it stays put, so only the bounds below it enter the
-  /// ordered multiset; the rest are parked in a min-heap and never erased.
-  /// Invariant: every parked advert that is still uncovered is >= radius,
-  /// so the multiset's k-th smallest is the k-th smallest over all bounds.
-  /// Inserting can only lower the radius; when retiring raises it, the
-  /// parked bounds now below it are promoted (covered ones are dropped as
-  /// they surface), so the "nothing to promote" check is one heap peek.
+  /// bounds that set the disc's radius. MarkRetrieved adds an object's
+  /// exact distance, Learn adds an advert when it first records its offset,
+  /// and AddCoverage retires the adverts it covers.
   struct KnnSearch {
-    struct Parked {
-      double bound;
-      uint64_t hc;
-      bool operator>(const Parked& o) const { return bound > o.bound; }
-    };
-    size_t k = 0;
+    explicit KnnSearch(size_t k) : bounds(k) {}
     PendingTargets::Disc disc;  // disc.covered is the client's coverage
-    std::multiset<double> bounds;
-    std::map<uint64_t, std::multiset<double>::iterator> adverts;  // by HC
-    std::priority_queue<Parked, std::vector<Parked>, std::greater<>> parked;
-    double radius = std::numeric_limits<double>::infinity();
-
-    /// Adds \p bound to the multiset (an object's exact distance, or a
-    /// promoted advert) and lowers the radius to match.
-    std::multiset<double>::iterator AddBound(double bound);
-    /// Adds the uncovered advert \p hc with bound \p bound, or parks it.
-    void AddAdvert(uint64_t hc, double bound);
-    /// Drops the adverts whose HC lies in \p r (now covered) and promotes
-    /// the parked bounds the radius grew past; returns how many.
-    uint64_t Retire(const hilbert::HcRange& r);
-    /// The k-th smallest element of bounds (infinity if there are fewer).
-    double KthBound() const;
+    KnnBounds bounds;
   };
   std::unique_ptr<KnnSearch> knn_;  // set only while a kNN query runs
 

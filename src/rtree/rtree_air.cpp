@@ -56,9 +56,10 @@ std::vector<datasets::SpatialObject> RtreeClient::WindowQuery(
     const uint32_t node = frontier.Soonest(reader_.session()).id;
     if (!TryReadNode(node)) continue;  // lost: retried at next occurrence
     EraseFromFrontier(&frontier, node);
+    const bool leaf = tree.is_leaf(node);
     for (const Rtree::Entry& e : tree.entries(node)) {
       if (!e.mbr.Intersects(window)) continue;
-      if (tree.is_leaf(node)) {
+      if (leaf) {
         // Leaf entries carry the exact point: membership is known here,
         // the payload still has to be fetched from the data segment.
         reader_.AddPendingData(e.child);
@@ -121,10 +122,11 @@ std::vector<datasets::SpatialObject> RtreeClient::KnnQuery(
     }
     if (!TryReadNode(node)) continue;  // lost: retried at next occurrence
     EraseFromFrontier(&frontier, node);
+    const bool leaf = tree.is_leaf(node);
     for (const Rtree::Entry& e : tree.entries(node)) {
       const double mind2 = e.mbr.MinSquaredDistance(q);
       if (mind2 > tau2()) continue;
-      if (tree.is_leaf(node)) {
+      if (leaf) {
         add_candidate(mind2, e.child);
       } else {
         AddToFrontier(&frontier, e.child);

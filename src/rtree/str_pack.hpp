@@ -8,8 +8,13 @@
 /// Leaf entries hold the exact object point (a degenerate MBR) and a data
 /// id; every entry costs kRtreeEntryBytes (34 B) on air, which is why the
 /// paper cannot build this index at 32-byte packets.
+///
+/// Storage is flat: every node's entries sit in one array in node-id order,
+/// and a node is a run of it (an offset per node id). The searches walk a
+/// node's entries as a span, with no per-node allocation to chase.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "broadcast/air_tree.hpp"
@@ -47,11 +52,12 @@ class Rtree {
 
   uint32_t root() const { return root_; }
   uint32_t height() const { return height_; }
-  size_t num_nodes() const { return entries_.size(); }
+  size_t num_nodes() const { return levels_.size(); }
   uint32_t level(uint32_t node_id) const { return levels_[node_id]; }
   bool is_leaf(uint32_t node_id) const { return levels_[node_id] == 0; }
-  const std::vector<Entry>& entries(uint32_t node_id) const {
-    return entries_[node_id];
+  std::span<const Entry> entries(uint32_t node_id) const {
+    return {entries_.data() + first_entry_[node_id],
+            entries_.data() + first_entry_[node_id + 1]};
   }
   const common::Rect& node_mbr(uint32_t node_id) const {
     return mbrs_[node_id];
@@ -63,7 +69,7 @@ class Rtree {
   }
 
   uint32_t NodeBytes(uint32_t node_id) const {
-    return static_cast<uint32_t>(entries_[node_id].size() *
+    return static_cast<uint32_t>(entries(node_id).size() *
                                  common::kRtreeEntryBytes);
   }
 
@@ -72,7 +78,10 @@ class Rtree {
 
  private:
   std::vector<datasets::SpatialObject> objects_;  // STR order
-  std::vector<std::vector<Entry>> entries_;       // by node id
+  std::vector<Entry> entries_;                    // all nodes', by node id
+  /// Node id -> index of its first entry; num_nodes() + 1 items, so node
+  /// i's entries are [first_entry_[i], first_entry_[i + 1]).
+  std::vector<uint32_t> first_entry_;
   std::vector<common::Rect> mbrs_;                // by node id
   std::vector<uint32_t> levels_;                  // by node id
   uint32_t root_ = 0;

@@ -132,7 +132,7 @@ bool DecodeBptNode(const std::vector<uint8_t>& bytes,
   return r.ok() && r.remaining() == 0;
 }
 
-void AppendRtreeNode(const std::vector<rtree::Rtree::Entry>& entries,
+void AppendRtreeNode(std::span<const rtree::Rtree::Entry> entries,
                      std::vector<uint8_t>* out) {
   ByteWriter w(out);
   w.Reserve(entries.size() * common::kRtreeEntryBytes);

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "bptree/bptree.hpp"
@@ -92,10 +93,10 @@ bool DecodeBptNode(const std::vector<uint8_t>& bytes,
 
 // --- R-tree nodes ------------------------------------------------------------
 
-void AppendRtreeNode(const std::vector<rtree::Rtree::Entry>& entries,
+void AppendRtreeNode(std::span<const rtree::Rtree::Entry> entries,
                      std::vector<uint8_t>* out);
 inline std::vector<uint8_t> EncodeRtreeNode(
-    const std::vector<rtree::Rtree::Entry>& entries) {
+    std::span<const rtree::Rtree::Entry> entries) {
   std::vector<uint8_t> out;
   AppendRtreeNode(entries, &out);
   return out;

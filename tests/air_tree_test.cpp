@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "bptree/bptree.hpp"
 #include "common/rng.hpp"
@@ -182,6 +184,51 @@ TEST(AirTreeTest, RealTreeBothLayoutsCoverSameData) {
   for (uint32_t n = 0; n < tree.num_nodes(); ++n) {
     EXPECT_GE(dist.NodeSlots(n).size(), 1u);
     EXPECT_EQ(onem.NodeSlots(n).size(), 2u);
+  }
+}
+
+// The replica lists are one flat array cut by per-node offsets: each list
+// must be ascending and name only its own node's index buckets, and together
+// they must name every index-node bucket of the program exactly once.
+TEST(AirTreeTest, ReplicaListsPartitionIndexAirTime) {
+  std::vector<uint64_t> keys;
+  common::Rng rng(11);
+  for (int i = 0; i < 500; ++i) {
+    keys.push_back(static_cast<uint64_t>(rng.UniformInt(0, 1 << 20)));
+  }
+  std::sort(keys.begin(), keys.end());
+  const bptree::BptTree tree(keys, 3);
+  const std::vector<AirTreeSpec> specs = {
+      MakeSpec(), tree.ToAirSpec(std::vector<uint32_t>(500, 1024))};
+  for (const AirTreeSpec& spec : specs) {
+    for (const TreeLayout layout :
+         {TreeLayout::kDistributed, TreeLayout::kOneM}) {
+      for (const uint32_t target : {1u, 3u, 8u}) {
+        const AirTreeBroadcast air(spec, 64, target, layout);
+        const BroadcastProgram& prog = air.program();
+        std::vector<int> named(prog.num_buckets(), 0);
+        for (uint32_t id = 0; id < spec.nodes.size(); ++id) {
+          const auto slots = air.NodeSlots(id);
+          ASSERT_FALSE(slots.empty()) << "node " << id;
+          for (size_t i = 0; i < slots.size(); ++i) {
+            if (i > 0) {
+              EXPECT_LT(slots[i - 1], slots[i]) << "node " << id;
+            }
+            ASSERT_LT(slots[i], prog.num_buckets());
+            EXPECT_EQ(prog.bucket(slots[i]).kind, BucketKind::kIndexNode);
+            EXPECT_EQ(prog.bucket(slots[i]).payload, id);
+            ++named[slots[i]];
+          }
+        }
+        for (size_t s = 0; s < prog.num_buckets(); ++s) {
+          const bool index_node =
+              prog.bucket(s).kind == BucketKind::kIndexNode;
+          EXPECT_EQ(named[s], index_node ? 1 : 0)
+              << "slot " << s << " layout " << static_cast<int>(layout)
+              << " target " << target;
+        }
+      }
+    }
   }
 }
 

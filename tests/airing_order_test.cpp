@@ -11,6 +11,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,7 +32,7 @@ namespace {
 /// The linear scan the primitive replaces: the slot among \p slots whose
 /// next airing comes soonest (nullopt when empty).
 std::optional<size_t> BruteSoonest(const ClientSession& s,
-                                   const std::vector<size_t>& slots) {
+                                   std::span<const size_t> slots) {
   std::optional<size_t> best;
   uint64_t best_wait = UINT64_MAX;
   for (const size_t slot : slots) {

@@ -461,12 +461,13 @@ TEST(ConformanceRegression, HilbertOrderNineOnSweepCases) {
 }
 
 // ---------------------------------------------------------------------------
-// The DSI kNN radius keeps only the bounds below it in its ordered set and
-// parks the rest; when a frame whose first object arrived but whose others
-// were lost finally completes, its advert retires and the radius can grow
-// past parked bounds, which must then be promoted. That branch needs loss
-// on multi-object frames, so the sweep rarely reaches it: this case does
-// (bounds_promoted > 0), and every answer must still match brute force.
+// The DSI kNN radius keeps only the bounds below it in its sorted live
+// vector and parks the rest; when a frame whose first object arrived but
+// whose others were lost finally completes, its advert retires and the
+// radius can grow past parked bounds, which must then be promoted. That
+// branch needs loss on multi-object frames, so the sweep rarely reaches it:
+// this case does (bounds_promoted > 0), and every answer must still match
+// brute force.
 // ---------------------------------------------------------------------------
 TEST(ConformanceRegression, DsiKnnPromotesParkedBoundsUnderLoss) {
   const auto u = datasets::UnitUniverse();

@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -621,7 +622,7 @@ void ExpectContentDecodesToIndex(const air::AirIndexHandle& handle,
       break;
     case broadcast::BucketKind::kIndexNode:
       if (const auto* h = dynamic_cast<const air::RtreeHandle*>(&handle)) {
-        const std::vector<rtree::Rtree::Entry>& want =
+        const std::span<const rtree::Rtree::Entry> want =
             h->index().tree().entries(payload);
         std::vector<rtree::Rtree::Entry> got;
         ASSERT_TRUE(wire::DecodeRtreeNode(content, &got));
