@@ -14,7 +14,9 @@
 ///     generation numbers from the same workload.
 
 #include <iostream>
+#include <string>
 
+#include "air/family.hpp"
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
@@ -61,13 +63,16 @@ int main(int argc, char** argv) {
   const auto win_workload = sim::Workload::Window(windows);
   const size_t updates = std::max<size_t>(1, objects.size() / 50);
 
-  std::vector<std::vector<datasets::SpatialObject>> gen_objects{objects};
-  std::vector<std::vector<datasets::UpdateOp>> gen_ops;
+  // The bench's own update streams (seed + 20 + g), not
+  // air::MakeGenerations' derivation, so its numbers stay comparable.
+  air::Generations gens;
+  gens.objects.push_back(objects);
   for (int g = 1; g < 4; ++g) {
-    gen_ops.push_back(datasets::MakeUpdateStream(
-        gen_objects.back(), updates, u, opt.seed + 20 + static_cast<uint64_t>(g)));
-    gen_objects.push_back(
-        datasets::ApplyUpdates(gen_objects.back(), gen_ops.back()));
+    gens.ops.push_back(datasets::MakeUpdateStream(
+        gens.objects.back(), updates, u,
+        opt.seed + 20 + static_cast<uint64_t>(g)));
+    gens.objects.push_back(
+        datasets::ApplyUpdates(gens.objects.back(), gens.ops.back()));
   }
 
   std::cout << "\n(b) Window queries across 4 generations (2 cycles each, "
@@ -75,46 +80,17 @@ int main(int argc, char** argv) {
   sim::TablePrinter dyn({"Family", "Lat(Static)", "Lat(Dyn)", "Tun(Static)",
                          "Tun(Dyn)", "Restarted"});
   dyn.PrintHeader();
-
-  {
-    std::vector<std::unique_ptr<core::DsiIndex>> indexes;
-    indexes.push_back(std::make_unique<core::DsiIndex>(
-        gen_objects[0], mapper, kCapacity, bench::DsiOriginal()));
-    for (int g = 1; g < 4; ++g) {
-      indexes.push_back(std::make_unique<core::DsiIndex>(
-          core::DsiIndex::Republish(*indexes.back(), gen_ops[g - 1])));
-    }
-    std::vector<air::DsiHandle> handles;
-    handles.reserve(indexes.size());
-    for (const auto& index : indexes) handles.emplace_back(*index);
-    sim::GenerationalIndex gi;
-    for (const auto& h : handles) gi.generations.push_back(&h);
-    gi.cycles.assign(4, 2);
-    const auto stat = sim::RunWorkload(handles.front(), win_workload,
+  for (const air::Family family : {air::Family::kDsi, air::Family::kRtree}) {
+    // DSI republishes each generation incrementally; the R-tree rebuilds.
+    const air::FamilyBroadcast broadcast(family, gens, mapper, kCapacity,
+                                         bench::DsiOriginal());
+    const sim::GenerationalIndex gi{broadcast.handles(), {2, 2, 2, 2}};
+    const auto stat = sim::RunWorkload(broadcast.handle(0), win_workload,
                                        bench::Par(opt.seed + 3));
     const auto dynm = sim::GenerationalRun(gi, win_workload,
                                            bench::Par(opt.seed + 3));
-    dyn.PrintRow("dsi", stat.latency_bytes / 1e3, dynm.latency_bytes / 1e3,
-                 stat.tuning_bytes / 1e3, dynm.tuning_bytes / 1e3,
-                 dynm.restarted);
-  }
-  {
-    std::vector<std::unique_ptr<rtree::RtreeIndex>> indexes;
-    for (int g = 0; g < 4; ++g) {
-      indexes.push_back(std::make_unique<rtree::RtreeIndex>(
-          gen_objects[static_cast<size_t>(g)], kCapacity));
-    }
-    std::vector<air::RtreeHandle> handles;
-    handles.reserve(indexes.size());
-    for (const auto& index : indexes) handles.emplace_back(*index);
-    sim::GenerationalIndex gi;
-    for (const auto& h : handles) gi.generations.push_back(&h);
-    gi.cycles.assign(4, 2);
-    const auto stat = sim::RunWorkload(handles.front(), win_workload,
-                                       bench::Par(opt.seed + 3));
-    const auto dynm = sim::GenerationalRun(gi, win_workload,
-                                           bench::Par(opt.seed + 3));
-    dyn.PrintRow("rtree", stat.latency_bytes / 1e3, dynm.latency_bytes / 1e3,
+    dyn.PrintRow(std::string(air::FamilyName(family)),
+                 stat.latency_bytes / 1e3, dynm.latency_bytes / 1e3,
                  stat.tuning_bytes / 1e3, dynm.tuning_bytes / 1e3,
                  dynm.restarted);
   }

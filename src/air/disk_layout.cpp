@@ -46,11 +46,10 @@ OnAirSchedule::OnAirSchedule(
 }
 
 std::vector<double> TreeDiskWeights(
+    const broadcast::AirTreeSpec& spec,
     const broadcast::AirTreeBroadcast& air, const AirIndexHandle& handle,
     const datasets::RegionPopularity& popularity,
     const common::Rect& universe) {
-  const broadcast::AirTreeSpec& spec = air.spec();
-
   std::vector<double> data_w(spec.data_sizes.size(), 1.0);
   for (uint32_t id = 0; id < data_w.size(); ++id) {
     common::Point anchor;

@@ -24,6 +24,7 @@
 
 namespace dsi::broadcast {
 class AirTreeBroadcast;
+struct AirTreeSpec;
 }
 
 namespace dsi::air {
@@ -65,8 +66,10 @@ class OnAirSchedule {
 /// HCI): each data bucket weighs its anchor's region, each node occurrence
 /// the maximum over its subtree's data — a node is requested by every
 /// query descending into it, so it must air at least as often as its
-/// hottest descendant (and the root at the global maximum).
+/// hottest descendant (and the root at the global maximum). \p spec is the
+/// tree \p air was laid out from.
 std::vector<double> TreeDiskWeights(
+    const broadcast::AirTreeSpec& spec,
     const broadcast::AirTreeBroadcast& air, const AirIndexHandle& handle,
     const datasets::RegionPopularity& popularity,
     const common::Rect& universe);

@@ -81,7 +81,7 @@ class ExpAirClient : public AirClient {
         const std::vector<uint32_t> ranks = client_.RangeQuery(r.lo, r.hi);
         candidates.insert(candidates.end(), ranks.begin(), ranks.end());
         scanned.Add(r);
-        if (!client_.stats().completed) return Best(q, k, &candidates);
+        if (!client_.stats().completed) return Best(q, k, candidates);
       }
       // Exact once k candidates are confirmed inside the scanned circle:
       // every object within `radius` lies in a cell intersecting the
@@ -96,7 +96,7 @@ class ExpAirClient : public AirClient {
       if (within >= k || radius >= cover) break;
       radius = std::min(2.0 * radius, cover);
     }
-    return Best(q, k, &candidates);
+    return Best(q, k, candidates);
   }
 
   ClientStats stats() const override {
@@ -106,22 +106,22 @@ class ExpAirClient : public AirClient {
   }
 
  private:
-  /// The \p k candidates nearest \p q. Ranks are sorted first: the
-  /// distance sort is not stable, so ties resolve by its rank-order input.
+  /// The \p k candidates nearest \p q, ordered by (distance, id) as the
+  /// DSI and HCI clients order theirs.
   std::vector<datasets::SpatialObject> Best(
       const common::Point& q, size_t k,
-      std::vector<uint32_t>* candidates) const {
-    std::sort(candidates->begin(), candidates->end());
+      const std::vector<uint32_t>& candidates) const {
     std::vector<datasets::SpatialObject> out;
-    out.reserve(candidates->size());
-    for (const uint32_t rank : *candidates) {
+    out.reserve(candidates.size());
+    for (const uint32_t rank : candidates) {
       out.push_back(handle_.sorted_objects()[rank]);
     }
     std::sort(out.begin(), out.end(),
               [&](const datasets::SpatialObject& a,
                   const datasets::SpatialObject& b) {
-                return common::Distance(q, a.location) <
-                       common::Distance(q, b.location);
+                const double da = common::SquaredDistance(q, a.location);
+                const double db = common::SquaredDistance(q, b.location);
+                return da != db ? da < db : a.id < b.id;
               });
     if (out.size() > k) out.resize(k);
     return out;

@@ -37,7 +37,8 @@ class TreeHandle : public AirIndexHandle {
   std::vector<double> DiskWeights(
       const datasets::RegionPopularity& popularity,
       const common::Rect& universe) const override {
-    return TreeDiskWeights(index_.air(), *this, popularity, universe);
+    return TreeDiskWeights(index_.AirSpec(), index_.air(), *this, popularity,
+                           universe);
   }
 
   const Index& index() const { return index_; }

@@ -11,11 +11,12 @@ namespace {
 /// Watchdog budget of a tree query, in on-air cycles.
 constexpr uint64_t kWatchdogCycles = 400;
 
-/// Preorder (left-to-right) node order of the whole tree, plus the data
-/// ids in leaf order.
-void PreorderAndData(const AirTreeSpec& spec, std::vector<uint32_t>* order,
+/// Preorder (left-to-right) node order of the subtree at \p root, plus its
+/// data ids in leaf order.
+void PreorderAndData(const AirTreeSpec& spec, uint32_t root,
+                     std::vector<uint32_t>* order,
                      std::vector<uint32_t>* data_ids) {
-  std::vector<uint32_t> stack{spec.root};
+  std::vector<uint32_t> stack{root};
   while (!stack.empty()) {
     const uint32_t id = stack.back();
     stack.pop_back();
@@ -34,39 +35,41 @@ void PreorderAndData(const AirTreeSpec& spec, std::vector<uint32_t>* order,
 
 }  // namespace
 
-AirTreeBroadcast::AirTreeBroadcast(AirTreeSpec spec, size_t packet_capacity,
+AirTreeBroadcast::AirTreeBroadcast(const AirTreeSpec& spec,
+                                   size_t packet_capacity,
                                    uint32_t target_subtrees,
                                    TreeLayout layout)
-    : spec_(std::move(spec)), program_(packet_capacity), layout_(layout) {
+    : program_(packet_capacity), layout_(layout) {
   // An empty tree (zero objects) yields an empty program — nothing on air;
   // RunWorkload guards it and no ClientSession may be constructed over it.
-  if (spec_.nodes.empty()) {
+  if (spec.nodes.empty()) {
     program_.Finalize();
     return;
   }
-  assert(spec_.root < spec_.nodes.size());
+  assert(spec.root < spec.nodes.size());
   target_subtrees = std::max<uint32_t>(target_subtrees, 1);
-  data_slot_.assign(spec_.data_sizes.size(), SIZE_MAX);
+  data_slot_.assign(spec.data_sizes.size(), SIZE_MAX);
 
   switch (layout_) {
     case TreeLayout::kDistributed:
-      BuildDistributed(target_subtrees);
+      BuildDistributed(spec, target_subtrees);
       break;
     case TreeLayout::kOneM:
-      BuildOneM(target_subtrees);
+      BuildOneM(spec, target_subtrees);
       break;
   }
   program_.Finalize();
-  IndexNodeSlots();
+  IndexNodeSlots(spec.nodes.size());
 }
 
-void AirTreeBroadcast::BuildDistributed(uint32_t target_subtrees) {
-  const uint32_t root_level = spec_.nodes[spec_.root].level;
+void AirTreeBroadcast::BuildDistributed(const AirTreeSpec& spec,
+                                        uint32_t target_subtrees) {
+  const uint32_t root_level = spec.nodes[spec.root].level;
 
   // Count nodes per level to find the distribution level: the highest level
   // with at least target_subtrees nodes (or the leaf level if none).
   std::vector<uint32_t> level_count(root_level + 1, 0);
-  for (const auto& n : spec_.nodes) {
+  for (const auto& n : spec.nodes) {
     assert(n.level <= root_level);
     ++level_count[n.level];
   }
@@ -87,12 +90,12 @@ void AirTreeBroadcast::BuildDistributed(uint32_t target_subtrees) {
   std::vector<PathedRoot> roots;
   {
     std::vector<std::pair<uint32_t, std::vector<uint32_t>>> stack;
-    stack.emplace_back(spec_.root, std::vector<uint32_t>{});
+    stack.emplace_back(spec.root, std::vector<uint32_t>{});
     // Depth-first, left to right (stack gets children reversed).
     while (!stack.empty()) {
       auto [id, path] = std::move(stack.back());
       stack.pop_back();
-      const auto& node = spec_.nodes[id];
+      const auto& node = spec.nodes[id];
       if (node.level == distribution_level_) {
         roots.push_back(PathedRoot{id, std::move(path)});
         continue;
@@ -111,48 +114,32 @@ void AirTreeBroadcast::BuildDistributed(uint32_t target_subtrees) {
     // Replicated part: the ancestor path, root first.
     for (uint32_t anc : r.path) {
       program_.AddBucket(BucketKind::kIndexNode, anc,
-                         spec_.nodes[anc].size_bytes);
+                         spec.nodes[anc].size_bytes);
     }
     // Non-replicated part: subtree nodes in DFS preorder, then its data.
     std::vector<uint32_t> order;
     std::vector<uint32_t> data_ids;
-    {
-      std::vector<uint32_t> stack{r.node};
-      while (!stack.empty()) {
-        const uint32_t id = stack.back();
-        stack.pop_back();
-        order.push_back(id);
-        const auto& node = spec_.nodes[id];
-        if (node.level == 0) {
-          for (uint32_t d : node.children) data_ids.push_back(d);
-        } else {
-          for (auto it = node.children.rbegin(); it != node.children.rend();
-               ++it) {
-            stack.push_back(*it);
-          }
-        }
-      }
-    }
+    PreorderAndData(spec, r.node, &order, &data_ids);
     for (uint32_t id : order) {
       program_.AddBucket(BucketKind::kIndexNode, id,
-                         spec_.nodes[id].size_bytes);
+                         spec.nodes[id].size_bytes);
     }
     for (uint32_t d : data_ids) {
-      assert(d < spec_.data_sizes.size());
+      assert(d < spec.data_sizes.size());
       assert(data_slot_[d] == SIZE_MAX);  // each datum broadcast once
       data_slot_[d] =
-          program_.AddBucket(BucketKind::kDataObject, d, spec_.data_sizes[d]);
+          program_.AddBucket(BucketKind::kDataObject, d, spec.data_sizes[d]);
     }
   }
 }
 
-void AirTreeBroadcast::BuildOneM(uint32_t copies) {
-  distribution_level_ = spec_.nodes[spec_.root].level;
-  subtree_roots_.assign(copies, spec_.root);
+void AirTreeBroadcast::BuildOneM(const AirTreeSpec& spec, uint32_t copies) {
+  distribution_level_ = spec.nodes[spec.root].level;
+  subtree_roots_.assign(copies, spec.root);
 
   std::vector<uint32_t> order;
   std::vector<uint32_t> data_ids;
-  PreorderAndData(spec_, &order, &data_ids);
+  PreorderAndData(spec, spec.root, &order, &data_ids);
 
   const size_t total = data_ids.size();
   const size_t chunk = (total + copies - 1) / std::max<uint32_t>(copies, 1);
@@ -161,7 +148,7 @@ void AirTreeBroadcast::BuildOneM(uint32_t copies) {
     // One full copy of the index...
     for (uint32_t id : order) {
       program_.AddBucket(BucketKind::kIndexNode, id,
-                         spec_.nodes[id].size_bytes);
+                         spec.nodes[id].size_bytes);
     }
     // ...followed by the next 1/m of the data.
     const size_t end = std::min(total, next_data + chunk);
@@ -169,21 +156,21 @@ void AirTreeBroadcast::BuildOneM(uint32_t copies) {
       const uint32_t d = data_ids[next_data];
       assert(data_slot_[d] == SIZE_MAX);
       data_slot_[d] =
-          program_.AddBucket(BucketKind::kDataObject, d, spec_.data_sizes[d]);
+          program_.AddBucket(BucketKind::kDataObject, d, spec.data_sizes[d]);
     }
   }
   assert(next_data == total);
 }
 
-void AirTreeBroadcast::IndexNodeSlots() {
+void AirTreeBroadcast::IndexNodeSlots(size_t num_nodes) {
   // Count each node's airings, turn the counts into group offsets, then
   // fill the groups in slot order, which keeps each one ascending.
-  first_node_slot_.assign(spec_.nodes.size() + 1, 0);
+  first_node_slot_.assign(num_nodes + 1, 0);
   for (size_t s = 0; s < program_.num_buckets(); ++s) {
     const Bucket& b = program_.bucket(s);
     if (b.kind == BucketKind::kIndexNode) ++first_node_slot_[b.payload + 1];
   }
-  for (size_t id = 0; id < spec_.nodes.size(); ++id) {
+  for (size_t id = 0; id < num_nodes; ++id) {
     first_node_slot_[id + 1] += first_node_slot_[id];
   }
   node_slots_.resize(first_node_slot_.back());
@@ -224,8 +211,8 @@ AirTreeReader::AirTreeReader(const AirTreeBroadcast& air,
                              ClientSession* session)
     : air_(air),
       session_(session),
-      node_cache_(air.spec().nodes.size(), false),
-      retrieved_(air.spec().data_sizes.size()) {
+      node_cache_(air.num_nodes(), false),
+      retrieved_(air.num_data()) {
   session_->InitialProbe();
   generation_ = session_->generation();
   session_->ArmWatchdog(kWatchdogCycles);

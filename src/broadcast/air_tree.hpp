@@ -67,17 +67,22 @@ class AirTreeBroadcast {
   /// non-replicated subtrees; the distribution level is the highest tree
   /// level with at least this many nodes (clamped to the leaf level), and
   /// 1 disables replication. For kOneM: the number of index copies m.
-  AirTreeBroadcast(AirTreeSpec spec, size_t packet_capacity,
+  /// The spec is read only here; the broadcast keeps its slot tables.
+  AirTreeBroadcast(const AirTreeSpec& spec, size_t packet_capacity,
                    uint32_t target_subtrees = 16,
                    TreeLayout layout = TreeLayout::kDistributed);
 
-  const AirTreeSpec& spec() const { return spec_; }
   const BroadcastProgram& program() const { return program_; }
   TreeLayout layout() const { return layout_; }
   uint32_t distribution_level() const { return distribution_level_; }
   uint32_t num_subtrees() const {
     return static_cast<uint32_t>(subtree_roots_.size());
   }
+  /// Node ids are 0 .. num_nodes() - 1, data ids 0 .. num_data() - 1.
+  size_t num_nodes() const {
+    return first_node_slot_.empty() ? 0 : first_node_slot_.size() - 1;
+  }
+  size_t num_data() const { return data_slot_.size(); }
 
   /// Slot of the occurrence of node \p node_id that starts soonest at or
   /// after the session's current time.
@@ -93,12 +98,11 @@ class AirTreeBroadcast {
   }
 
  private:
-  void BuildDistributed(uint32_t target_subtrees);
-  void BuildOneM(uint32_t copies);
+  void BuildDistributed(const AirTreeSpec& spec, uint32_t target_subtrees);
+  void BuildOneM(const AirTreeSpec& spec, uint32_t copies);
   /// Groups the finalized program's index-node buckets by node id.
-  void IndexNodeSlots();
+  void IndexNodeSlots(size_t num_nodes);
 
-  AirTreeSpec spec_;
   BroadcastProgram program_;
   TreeLayout layout_ = TreeLayout::kDistributed;
   uint32_t distribution_level_ = 0;

@@ -40,9 +40,12 @@ HciIndex::HciIndex(std::vector<datasets::SpatialObject> objects,
     : mapper_(mapper),
       objects_(SortByHc(std::move(objects), mapper)),
       tree_(BuildTree(objects_, mapper, packet_capacity)),
-      air_(tree_.ToAirSpec(std::vector<uint32_t>(
-               objects_.size(), common::kDataObjectBytes)),
-           packet_capacity, target_subtrees, layout) {}
+      air_(AirSpec(), packet_capacity, target_subtrees, layout) {}
+
+broadcast::AirTreeSpec HciIndex::AirSpec() const {
+  return tree_.ToAirSpec(
+      std::vector<uint32_t>(objects_.size(), common::kDataObjectBytes));
+}
 
 // ---------------------------------------------------------------------------
 // Client

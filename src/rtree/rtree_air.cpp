@@ -10,10 +10,13 @@ RtreeIndex::RtreeIndex(std::vector<datasets::SpatialObject> objects,
                        size_t packet_capacity, uint32_t target_subtrees,
                        broadcast::TreeLayout layout)
     : tree_(std::move(objects), Rtree::FanoutForCapacity(packet_capacity)),
-      air_(tree_.ToAirSpec(std::vector<uint32_t>(
-               tree_.str_objects().size(), common::kDataObjectBytes)),
-           packet_capacity, target_subtrees, layout) {
+      air_(AirSpec(), packet_capacity, target_subtrees, layout) {
   assert(Rtree::SupportedCapacity(packet_capacity));
+}
+
+broadcast::AirTreeSpec RtreeIndex::AirSpec() const {
+  return tree_.ToAirSpec(std::vector<uint32_t>(tree_.str_objects().size(),
+                                               common::kDataObjectBytes));
 }
 
 RtreeClient::RtreeClient(const RtreeIndex& index,

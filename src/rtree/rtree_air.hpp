@@ -28,6 +28,9 @@ class RtreeIndex {
 
   const Rtree& tree() const { return tree_; }
   const broadcast::AirTreeBroadcast& air() const { return air_; }
+  /// The tree as air() was laid out from, rebuilt on each call (the
+  /// broadcast does not keep it).
+  broadcast::AirTreeSpec AirSpec() const;
   const broadcast::BroadcastProgram& program() const {
     return air_.program();
   }

@@ -1,10 +1,15 @@
 #include "sim/conformance.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <initializer_list>
 #include <iomanip>
 #include <limits>
 #include <sstream>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 
 #include "air/family.hpp"
 #include "common/rng.hpp"
@@ -17,14 +22,74 @@ namespace dsi::sim {
 
 namespace {
 
-const char* ModeName(broadcast::ErrorMode mode) {
-  switch (mode) {
-    case broadcast::ErrorMode::kPerReadLoss: return "read";
-    case broadcast::ErrorMode::kSingleEvent: return "event";
-    case broadcast::ErrorMode::kPerBucketLoss: return "bucket";
-    case broadcast::ErrorMode::kBurstLoss: return "burst";
+constexpr std::pair<broadcast::ErrorMode, std::string_view> kErrorModes[] = {
+    {broadcast::ErrorMode::kPerReadLoss, "read"},
+    {broadcast::ErrorMode::kSingleEvent, "event"},
+    {broadcast::ErrorMode::kPerBucketLoss, "bucket"},
+    {broadcast::ErrorMode::kBurstLoss, "burst"},
+};
+
+/// The strict value parser of every flag: the whole of \p text must be one
+/// value of T — a decimal integer in range, 0 or 1 for a switch, a finite
+/// number, or an error-mode name. Leaves \p out as it was otherwise.
+template <class T>
+bool ParseValue(std::string_view text, T* out) {
+  if constexpr (std::is_same_v<T, broadcast::ErrorMode>) {
+    for (const auto& [mode, name] : kErrorModes) {
+      if (name == text) {
+        *out = mode;
+        return true;
+      }
+    }
+    return false;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    if (text != "0" && text != "1") return false;
+    *out = text == "1";
+    return true;
+  } else {
+    T value{};
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end) return false;
+    if constexpr (std::is_floating_point_v<T>) {
+      if (!std::isfinite(value)) return false;
+    }
+    *out = value;
+    return true;
   }
-  return "read";
+}
+
+/// The flag table: every ConformanceCase field under its command-line flag,
+/// in reproducer order. SetCaseFlag (and with it the fuzzer's parser and
+/// sweep pins) and FormatReproducer all walk it, so each field is encoded
+/// in one place.
+template <class Case, class Visit>
+void ForEachCaseFlag(Case& c, Visit&& visit) {
+  visit("--seed", c.seed);
+  visit("--n", c.n);
+  visit("--order", c.order);
+  visit("--capacity", c.capacity);
+  visit("--clustered", c.clustered);
+  visit("--m", c.m);
+  visit("--object-factor", c.object_factor);
+  visit("--chunk-size", c.chunk_size);
+  visit("--theta", c.theta);
+  visit("--error-mode", c.error_mode);
+  visit("--workers", c.workers);
+  visit("--windows", c.window_queries);
+  visit("--knn-points", c.knn_points);
+  visit("--k", c.k);
+  visit("--duplicates", c.duplicates);
+  visit("--generations", c.generations);
+  visit("--updates", c.updates_per_gen);
+  visit("--gen-cycles", c.gen_cycles);
+  visit("--code-group", c.code_group);
+  visit("--code-parity", c.code_parity);
+  visit("--traj-clients", c.trajectory_clients);
+  visit("--traj-steps", c.trajectory_steps);
+  visit("--churn-rate", c.churn_rate);
+  visit("--num-disks", c.num_disks);
+  visit("--disk-skew", c.disk_skew);
 }
 
 broadcast::CodingConfig CaseCoding(const ConformanceCase& c) {
@@ -195,17 +260,121 @@ std::string DescribeDistDiff(const std::vector<double>& oracle,
   return os.str();
 }
 
-/// Runs one workload against one family (all generations), comparing each
-/// completed query to the oracle of the generation it answered for, and
-/// auditing the aggregate incomplete accounting against the per-query
-/// completed flags.
-void CheckWorkload(const std::vector<const air::AirIndexHandle*>& gens,
-                   const Workload& wl, const ConformanceCase& c,
-                   const std::string& family,
-                   const std::string& workload_name,
-                   const std::vector<std::vector<datasets::SpatialObject>>&
-                       gen_objects,
-                   ConformanceReport* report) {
+/// One query as the oracle sees it: a window, or a point and its k.
+struct OracleQuery {
+  QueryKind kind = QueryKind::kWindow;
+  common::Rect window;
+  common::Point point;
+  size_t k = 0;
+};
+
+OracleQuery QueryAt(const Workload& wl, size_t i) {
+  if (wl.kind == QueryKind::kWindow) return {wl.kind, wl.windows[i], {}, 0};
+  return {wl.kind, {}, wl.points[i], wl.k};
+}
+
+OracleQuery QueryAt(const TrajectoryWorkload& wl, size_t client, size_t step) {
+  if (wl.kind == QueryKind::kWindow) {
+    return {wl.kind, wl.WindowAt(client, step), {}, 0};
+  }
+  return {wl.kind, {}, wl.clients[client][step], wl.k};
+}
+
+/// Per-result counts the engine's aggregates must equal.
+struct Tally {
+  size_t incomplete = 0;
+  size_t repaired = 0;
+};
+
+/// The audit every result goes through — each one-shot query and both
+/// sides of every trajectory step — with the context its divergences name.
+struct ResultAudit {
+  bool coded;  ///< Whether the channel carries parity.
+  const std::string& family;
+  std::string workload;
+  const std::vector<std::vector<datasets::SpatialObject>>& gen_objects;
+  ConformanceReport* report;
+
+  void Diverge(size_t index, std::string detail) const {
+    report->divergences.push_back(
+        Divergence{family, workload, index, std::move(detail)});
+  }
+
+  /// One divergence at \p index naming every engine aggregate that differs
+  /// from its count over the results: (name, engine, counted).
+  void CheckCounts(
+      size_t index,
+      std::initializer_list<std::tuple<const char*, uint64_t, uint64_t>>
+          counts) const {
+    std::ostringstream os;
+    for (const auto& [name, engine, counted] : counts) {
+      if (engine != counted) os << ' ' << name << '=' << engine << '/' << counted;
+    }
+    if (os.tellp() > 0) {
+      Diverge(index, "accounting mismatch (engine/results):" + os.str());
+    }
+  }
+
+  /// Checks result \p r of query \p q (number \p index of the workload):
+  /// no repairs on an uncoded channel, tuning <= latency, aborts listed and
+  /// counted in \p tally (never compared), the generation stamp inside the
+  /// schedule, and the oracle of the stamped generation. \p label ("warm ",
+  /// "cold " or empty) opens every message.
+  void Check(const QueryResult& r, const OracleQuery& q, size_t index,
+             const std::string& label, Tally* tally) const {
+    tally->repaired += r.repaired;
+    // Repairs exist only on a coded channel: an uncoded run reporting one
+    // means the engine invented parity out of thin air.
+    if (!coded && r.repaired != 0) {
+      Diverge(index, label + "repaired=" + std::to_string(r.repaired) +
+                         " on an uncoded channel");
+    }
+    // A client can never have listened longer than the whole query took:
+    // tuning <= latency must hold for EVERY result (aborted ones included),
+    // at every theta — not just on the averages.
+    if (r.tuning_bytes > r.latency_bytes) {
+      Diverge(index, label + "byte invariant violated: tuning_bytes=" +
+                         std::to_string(r.tuning_bytes) +
+                         " > latency_bytes=" +
+                         std::to_string(r.latency_bytes));
+    }
+    if (!r.completed) {
+      ++tally->incomplete;
+      report->incomplete_queries.push_back(
+          Divergence{family, workload, index,
+                     label + "aborted with " + std::to_string(r.ids.size()) +
+                         " result ids"});
+      return;
+    }
+    ++report->queries_checked;
+    // The oracle object set is the one live at the result's last
+    // (re)tune-in: its recorded generation.
+    if (r.generation >= gen_objects.size()) {
+      Diverge(index, label + "stamped with out-of-schedule generation " +
+                         std::to_string(r.generation));
+      return;
+    }
+    const std::vector<datasets::SpatialObject>& objects =
+        gen_objects[r.generation];
+    if (q.kind == QueryKind::kWindow) {
+      const std::vector<uint32_t> oracle = OracleWindowIds(objects, q.window);
+      if (oracle != r.ids) {
+        Diverge(index, label + DescribeIdDiff(oracle, r.ids));
+      }
+    } else {
+      const std::vector<double> oracle =
+          OracleKnnDistances(objects, q.point, q.k);
+      if (oracle != r.knn_distances) {
+        Diverge(index, label + DescribeDistDiff(oracle, r.knn_distances));
+      }
+    }
+  }
+};
+
+/// Runs one workload against one family over the case's schedule, audits
+/// every result, and checks the aggregate accounting against the counts.
+void CheckWorkload(const GenerationalIndex& gi, const Workload& wl,
+                   const ConformanceCase& c, const ResultAudit& audit) {
   std::vector<QueryResult> results;
   RunOptions opt;
   opt.seed = c.seed;
@@ -213,102 +382,23 @@ void CheckWorkload(const std::vector<const air::AirIndexHandle*>& gens,
   opt.results = &results;
   opt.coding = CaseCoding(c);
   opt.disks = CaseDisks(c);
-  AvgMetrics metrics;
-  if (gens.size() == 1) {
-    metrics = RunWorkload(*gens[0], wl, opt);
-  } else {
-    GenerationalIndex gi;
-    gi.generations = gens;
-    gi.cycles.assign(gens.size(), std::max<uint64_t>(1, c.gen_cycles));
-    metrics = GenerationalRun(gi, wl, opt);
-  }
-  report->restarted += metrics.restarted;
+  const AvgMetrics metrics = GenerationalRun(gi, wl, opt);
+  audit.report->restarted += metrics.restarted;
 
-  size_t counted_incomplete = 0;
-  size_t counted_repaired = 0;
+  Tally tally;
   for (size_t i = 0; i < results.size(); ++i) {
-    const QueryResult& r = results[i];
-    counted_repaired += r.repaired;
-    // Repairs exist only on a coded channel: an uncoded run reporting one
-    // means the engine invented parity out of thin air.
-    if (!opt.coding.enabled() && r.repaired != 0) {
-      report->divergences.push_back(
-          Divergence{family, workload_name, i,
-                     "repaired=" + std::to_string(r.repaired) +
-                         " on an uncoded channel"});
-    }
-    // A client can never have listened longer than the whole query took:
-    // tuning <= latency must hold for EVERY query (aborted ones included),
-    // at every theta — not just on the workload averages.
-    if (r.tuning_bytes > r.latency_bytes) {
-      std::ostringstream os;
-      os << "per-query byte invariant violated: tuning_bytes="
-         << r.tuning_bytes << " > latency_bytes=" << r.latency_bytes;
-      report->divergences.push_back(
-          Divergence{family, workload_name, i, os.str()});
-    }
-    if (!r.completed) {
-      ++counted_incomplete;
-      ++report->incomplete;
-      std::ostringstream os;
-      os << "aborted with " << r.ids.size() << " result ids";
-      report->incomplete_queries.push_back(
-          Divergence{family, workload_name, i, os.str()});
-      continue;
-    }
-    ++report->queries_checked;
-    // The oracle object set is the one live at the query's last
-    // (re)tune-in: its recorded generation.
-    if (r.generation >= gen_objects.size()) {
-      report->divergences.push_back(
-          Divergence{family, workload_name, i,
-                     "result stamped with out-of-schedule generation " +
-                         std::to_string(r.generation)});
-      continue;
-    }
-    const std::vector<datasets::SpatialObject>& objects =
-        gen_objects[r.generation];
-    if (wl.kind == QueryKind::kWindow) {
-      const std::vector<uint32_t> oracle =
-          OracleWindowIds(objects, wl.windows[i]);
-      if (oracle != r.ids) {
-        report->divergences.push_back(Divergence{
-            family, workload_name, i, DescribeIdDiff(oracle, r.ids)});
-      }
-    } else {
-      const std::vector<double> oracle =
-          OracleKnnDistances(objects, wl.points[i], wl.k);
-      if (oracle != r.knn_distances) {
-        report->divergences.push_back(Divergence{
-            family, workload_name, i,
-            DescribeDistDiff(oracle, r.knn_distances)});
-      }
-    }
+    audit.Check(results[i], QueryAt(wl, i), i, "", &tally);
   }
+  // One-shot aborts are what the sweep's abort rule counts.
+  audit.report->incomplete += tally.incomplete;
   // Exact incomplete accounting: the engine's aggregate must agree with the
   // per-query flags at EVERY theta, total loss included — silent
-  // undercounting is how aborted queries masquerade as answered.
-  if (metrics.incomplete != counted_incomplete ||
-      metrics.queries != results.size() ||
-      metrics.repaired != counted_repaired) {
-    std::ostringstream os;
-    os << "aggregate accounting mismatch: AvgMetrics{queries="
-       << metrics.queries << ", incomplete=" << metrics.incomplete
-       << ", repaired=" << metrics.repaired << "} vs results{n="
-       << results.size() << ", incomplete=" << counted_incomplete
-       << ", repaired=" << counted_repaired << "}";
-    // Sentinel index one past the workload: this is a whole-run accounting
-    // failure, not a defect of any individual query's result set.
-    report->divergences.push_back(
-        Divergence{family, workload_name, results.size(), os.str()});
-  }
-}
-
-bool SameQueryResult(const QueryResult& a, const QueryResult& b) {
-  return a.ids == b.ids && a.knn_distances == b.knn_distances &&
-         a.completed == b.completed && a.generation == b.generation &&
-         a.restarts == b.restarts && a.latency_bytes == b.latency_bytes &&
-         a.tuning_bytes == b.tuning_bytes && a.repaired == b.repaired;
+  // undercounting is how aborted queries masquerade as answered. The
+  // sentinel index one past the workload marks a whole-run failure.
+  audit.CheckCounts(results.size(),
+                    {{"queries", metrics.queries, results.size()},
+                     {"incomplete", metrics.incomplete, tally.incomplete},
+                     {"repaired", metrics.repaired, tally.repaired}});
 }
 
 /// Bit-exact loop-vs-scheduler differential: the two simulation cores ran
@@ -320,21 +410,8 @@ void CheckEngineParity(const TrajectoryMetrics& loop,
                        const TrajectoryMetrics& sched,
                        const std::vector<std::vector<TrajectoryStep>>& loop_r,
                        const std::vector<std::vector<TrajectoryStep>>& sched_r,
-                       const std::string& family,
-                       const std::string& workload_name,
-                       ConformanceReport* report) {
-  if (loop.latency_bytes != sched.latency_bytes ||
-      loop.tuning_bytes != sched.tuning_bytes ||
-      loop.cold_latency_bytes != sched.cold_latency_bytes ||
-      loop.cold_tuning_bytes != sched.cold_tuning_bytes ||
-      loop.clients != sched.clients || loop.steps != sched.steps ||
-      loop.incomplete != sched.incomplete ||
-      loop.restarted != sched.restarted ||
-      loop.cold_incomplete != sched.cold_incomplete ||
-      loop.repaired != sched.repaired ||
-      loop.cold_repaired != sched.cold_repaired ||
-      loop.departed != sched.departed ||
-      loop.skipped_steps != sched.skipped_steps) {
+                       const ResultAudit& audit) {
+  if (loop != sched) {
     std::ostringstream os;
     os << "engine parity: scheduler metrics deviate from the loop oracle:"
        << " steps " << loop.steps << "/" << sched.steps << ", latency "
@@ -342,55 +419,31 @@ void CheckEngineParity(const TrajectoryMetrics& loop,
        << loop.tuning_bytes << "/" << sched.tuning_bytes << ", departed "
        << loop.departed << "/" << sched.departed << ", skipped "
        << loop.skipped_steps << "/" << sched.skipped_steps;
-    report->divergences.push_back(
-        Divergence{family, workload_name, 0, os.str()});
+    audit.Diverge(0, os.str());
   }
   if (loop_r.size() != sched_r.size()) {
-    report->divergences.push_back(
-        Divergence{family, workload_name, 0,
-                   "engine parity: result shapes differ"});
+    audit.Diverge(0, "engine parity: result shapes differ");
     return;
   }
   for (size_t cl = 0; cl < loop_r.size(); ++cl) {
-    if (loop_r[cl].size() != sched_r[cl].size()) {
-      report->divergences.push_back(
-          Divergence{family, workload_name, cl,
-                     "engine parity: per-client step counts differ"});
-      continue;
-    }
-    for (size_t s = 0; s < loop_r[cl].size(); ++s) {
-      const TrajectoryStep& a = loop_r[cl][s];
-      const TrajectoryStep& b = sched_r[cl][s];
-      if (a.ran != b.ran || !SameQueryResult(a.warm, b.warm) ||
-          !SameQueryResult(a.cold, b.cold)) {
-        std::ostringstream os;
-        os << "engine parity: client " << cl << " step " << s
-           << " differs between loop and scheduler (ran " << a.ran << "/"
-           << b.ran << ")";
-        report->divergences.push_back(
-            Divergence{family, workload_name, cl, os.str()});
-      }
+    if (loop_r[cl] != sched_r[cl]) {
+      audit.Diverge(cl, "engine parity: client " + std::to_string(cl) +
+                            " steps differ between loop and scheduler");
     }
   }
 }
 
 /// The continuous moving-client differential axis: persistent warm clients
 /// re-evaluate along seed-determined trajectories; a fresh cold client
-/// re-runs every step at the same instant over the same channel. Warm and
-/// cold must answer identically whenever they answered for the same
-/// generation and both completed; both must match their generation's
-/// oracle; every step must satisfy tuning <= latency; and the aggregate
-/// incomplete accounting must be exact on both paths. The axis also runs
-/// the event-driven scheduler engine against the loop oracle on every seed
-/// (bit-exact parity), and — on churned cases — audits the exact
-/// departed/skipped accounting of clients that left mid-run.
-void CheckTrajectories(const std::vector<const air::AirIndexHandle*>& gens,
-                       QueryKind kind, const ConformanceCase& c,
-                       const std::string& family,
-                       const std::string& workload_name,
-                       const std::vector<std::vector<datasets::SpatialObject>>&
-                           gen_objects,
-                       ConformanceReport* report) {
+/// re-runs every step at the same instant over the same channel. Both sides
+/// of every step go through the result audit; warm and cold must answer
+/// identically whenever they answered for the same generation and both
+/// completed; and the aggregate accounting must be exact on both paths.
+/// The axis also runs the event-driven scheduler engine against the loop
+/// oracle on every seed (bit-exact parity), and — on churned cases — audits
+/// the exact departed/skipped accounting of clients that left mid-run.
+void CheckTrajectories(const GenerationalIndex& gi, QueryKind kind,
+                       const ConformanceCase& c, const ResultAudit& audit) {
   if (c.trajectory_clients == 0 || c.trajectory_steps == 0) return;
   const common::Rect u = datasets::UnitUniverse();
   common::Rng rng(c.seed * 0x9E3779B97F4A7C15ull + 0x7EA);
@@ -413,17 +466,17 @@ void CheckTrajectories(const std::vector<const air::AirIndexHandle*>& gens,
   wl.k = c.k;
   wl.theta = c.theta;
   wl.error_mode = c.error_mode;
+  const uint64_t cycle = gi.generations[0]->program().cycle_packets();
   // Think time between re-evaluations: up to two cycles, so paced tours on
   // dynamic cases regularly doze across republication instants.
-  wl.pace_packets = static_cast<uint64_t>(rng.UniformInt(
-      0, static_cast<int64_t>(2 * gens[0]->program().cycle_packets())));
+  wl.pace_packets =
+      static_cast<uint64_t>(rng.UniformInt(0, static_cast<int64_t>(2 * cycle)));
   if (c.churn_rate > 0.0) {
     // Presence spans over the generational horizon: arrivals replace the
     // uniform tune-in draw, departures cut tours short mid-run.
     const uint64_t horizon =
-        gens[0]->program().cycle_packets() *
-        std::max<uint64_t>(1, gens.size() *
-                                  std::max<uint64_t>(1, c.gen_cycles));
+        cycle * std::max<uint64_t>(1, gi.generations.size() *
+                                          std::max<uint64_t>(1, c.gen_cycles));
     wl.churn = datasets::MakeChurnStream(wl.clients.size(), horizon,
                                          c.churn_rate, c.seed * 13 + 9);
   }
@@ -444,110 +497,34 @@ void CheckTrajectories(const std::vector<const air::AirIndexHandle*>& gens,
   TrajectoryOptions sched_opt = opt;
   sched_opt.results = &sched_results;
   sched_opt.engine = TrajectoryEngine::kScheduler;
-  TrajectoryMetrics m;
-  TrajectoryMetrics sched_m;
-  if (gens.size() == 1) {
-    m = RunTrajectories(*gens[0], wl, opt);
-    sched_m = RunTrajectories(*gens[0], wl, sched_opt);
-  } else {
-    GenerationalIndex gi;
-    gi.generations = gens;
-    gi.cycles.assign(gens.size(), std::max<uint64_t>(1, c.gen_cycles));
-    m = RunTrajectories(gi, wl, opt);
-    sched_m = RunTrajectories(gi, wl, sched_opt);
-  }
-  report->restarted += m.restarted;
-  CheckEngineParity(m, sched_m, results, sched_results, family,
-                    workload_name, report);
+  const TrajectoryMetrics m = RunTrajectories(gi, wl, opt);
+  const TrajectoryMetrics sched_m = RunTrajectories(gi, wl, sched_opt);
+  audit.report->restarted += m.restarted;
+  CheckEngineParity(m, sched_m, results, sched_results, audit);
 
-  size_t counted_incomplete = 0;
-  size_t counted_cold_incomplete = 0;
+  Tally warm;
+  Tally cold;
   size_t counted_steps = 0;
   size_t counted_skipped = 0;
-  size_t counted_repaired = 0;
-  size_t counted_cold_repaired = 0;
   for (size_t cl = 0; cl < results.size(); ++cl) {
     for (size_t s = 0; s < results[cl].size(); ++s) {
       const TrajectoryStep& step = results[cl][s];
       const size_t index = cl * c.trajectory_steps + s;
       if (!step.ran) {
         // A step a churned client departed before: it must carry no cost
-        // at all — the oracle audits below only apply to steps that
-        // touched the channel.
+        // at all — the result audit only applies to steps that touched
+        // the channel.
         ++counted_skipped;
         if (step.warm.latency_bytes != 0 || step.warm.tuning_bytes != 0 ||
             step.cold.latency_bytes != 0 || !step.warm.ids.empty()) {
-          report->divergences.push_back(
-              Divergence{family, workload_name, index,
-                         "skipped step carries nonzero cost or results"});
+          audit.Diverge(index, "skipped step carries nonzero cost or results");
         }
         continue;
       }
       ++counted_steps;
-      counted_repaired += step.warm.repaired;
-      counted_cold_repaired += step.cold.repaired;
-      if (!opt.coding.enabled() &&
-          (step.warm.repaired != 0 || step.cold.repaired != 0)) {
-        report->divergences.push_back(
-            Divergence{family, workload_name, index,
-                       "repaired step counters on an uncoded channel"});
-      }
-      // Both paths go through the full per-result audit: byte invariant,
-      // generation stamp, oracle of the stamped generation.
-      struct Side {
-        const QueryResult* r;
-        const char* label;
-      };
-      for (const Side side : {Side{&step.warm, "warm"},
-                              Side{&step.cold, "cold"}}) {
-        const QueryResult& r = *side.r;
-        if (r.tuning_bytes > r.latency_bytes) {
-          std::ostringstream os;
-          os << side.label << " step byte invariant violated: tuning_bytes="
-             << r.tuning_bytes << " > latency_bytes=" << r.latency_bytes;
-          report->divergences.push_back(
-              Divergence{family, workload_name, index, os.str()});
-        }
-        if (!r.completed) {
-          if (side.r == &step.warm) ++counted_incomplete;
-          else ++counted_cold_incomplete;
-          std::ostringstream os;
-          os << side.label << " step aborted with " << r.ids.size()
-             << " result ids";
-          report->incomplete_queries.push_back(
-              Divergence{family, workload_name, index, os.str()});
-          continue;
-        }
-        ++report->queries_checked;
-        if (r.generation >= gen_objects.size()) {
-          report->divergences.push_back(Divergence{
-              family, workload_name, index,
-              std::string(side.label) +
-                  " step stamped with out-of-schedule generation " +
-                  std::to_string(r.generation)});
-          continue;
-        }
-        const auto& objects = gen_objects[r.generation];
-        if (kind == QueryKind::kWindow) {
-          const std::vector<uint32_t> oracle =
-              OracleWindowIds(objects, wl.WindowAt(cl, s));
-          if (oracle != r.ids) {
-            report->divergences.push_back(
-                Divergence{family, workload_name, index,
-                           std::string(side.label) + " " +
-                               DescribeIdDiff(oracle, r.ids)});
-          }
-        } else {
-          const std::vector<double> oracle =
-              OracleKnnDistances(objects, wl.clients[cl][s], wl.k);
-          if (oracle != r.knn_distances) {
-            report->divergences.push_back(
-                Divergence{family, workload_name, index,
-                           std::string(side.label) + " " +
-                               DescribeDistDiff(oracle, r.knn_distances)});
-          }
-        }
-      }
+      const OracleQuery q = QueryAt(wl, cl, s);
+      audit.Check(step.warm, q, index, "warm ", &warm);
+      audit.Check(step.cold, q, index, "cold ", &cold);
       // Warm/cold parity proper: same query, same instant, same channel —
       // a persistent client's learned knowledge must never change the
       // answer. (When the two straddled a republication differently each
@@ -555,18 +532,15 @@ void CheckTrajectories(const std::vector<const air::AirIndexHandle*>& gens,
       if (step.warm.completed && step.cold.completed &&
           step.warm.generation == step.cold.generation) {
         if (kind == QueryKind::kWindow && step.warm.ids != step.cold.ids) {
-          report->divergences.push_back(
-              Divergence{family, workload_name, index,
-                         "warm/cold parity: " +
-                             DescribeIdDiff(step.cold.ids, step.warm.ids)});
+          audit.Diverge(index, "warm/cold parity: " +
+                                   DescribeIdDiff(step.cold.ids, step.warm.ids));
         }
         if (kind == QueryKind::kKnn &&
             step.warm.knn_distances != step.cold.knn_distances) {
-          report->divergences.push_back(Divergence{
-              family, workload_name, index,
-              "warm/cold parity: " +
-                  DescribeDistDiff(step.cold.knn_distances,
-                                   step.warm.knn_distances)});
+          audit.Diverge(index,
+                        "warm/cold parity: " +
+                            DescribeDistDiff(step.cold.knn_distances,
+                                             step.warm.knn_distances));
         }
       }
     }
@@ -574,30 +548,22 @@ void CheckTrajectories(const std::vector<const air::AirIndexHandle*>& gens,
   // Exact churn accounting rides along: ran + skipped covers the workload
   // with nothing lost, a churn-free case never skips or departs, and the
   // departed count can never exceed the population.
-  if (m.incomplete != counted_incomplete ||
-      m.cold_incomplete != counted_cold_incomplete ||
-      m.steps != counted_steps || m.repaired != counted_repaired ||
-      m.cold_repaired != counted_cold_repaired ||
-      m.skipped_steps != counted_skipped ||
-      m.steps + m.skipped_steps != wl.num_steps() ||
-      m.departed > wl.clients.size() ||
+  audit.CheckCounts(counted_steps,
+                    {{"steps", m.steps, counted_steps},
+                     {"incomplete", m.incomplete, warm.incomplete},
+                     {"cold_incomplete", m.cold_incomplete, cold.incomplete},
+                     {"repaired", m.repaired, warm.repaired},
+                     {"cold_repaired", m.cold_repaired, cold.repaired},
+                     {"skipped", m.skipped_steps, counted_skipped},
+                     {"steps+skipped", m.steps + m.skipped_steps,
+                      wl.num_steps()}});
+  if (m.departed > wl.clients.size() ||
       (wl.churn.empty() && (m.departed != 0 || m.skipped_steps != 0))) {
-    std::ostringstream os;
-    os << "trajectory accounting mismatch: TrajectoryMetrics{steps="
-       << m.steps << ", incomplete=" << m.incomplete
-       << ", cold_incomplete=" << m.cold_incomplete
-       << ", repaired=" << m.repaired
-       << ", cold_repaired=" << m.cold_repaired
-       << ", departed=" << m.departed
-       << ", skipped=" << m.skipped_steps << "} vs results{steps="
-       << counted_steps << ", incomplete=" << counted_incomplete
-       << ", cold_incomplete=" << counted_cold_incomplete
-       << ", repaired=" << counted_repaired
-       << ", cold_repaired=" << counted_cold_repaired
-       << ", skipped=" << counted_skipped
-       << ", workload=" << wl.num_steps() << "}";
-    report->divergences.push_back(
-        Divergence{family, workload_name, counted_steps, os.str()});
+    audit.Diverge(counted_steps,
+                  "churn accounting: departed=" + std::to_string(m.departed) +
+                      " skipped=" + std::to_string(m.skipped_steps) + " of " +
+                      std::to_string(wl.clients.size()) + " clients" +
+                      (wl.churn.empty() ? " without churn" : ""));
   }
 }
 
@@ -607,25 +573,35 @@ void RunFamily(const std::vector<const air::AirIndexHandle*>& gens,
                const std::vector<std::vector<datasets::SpatialObject>>&
                    gen_objects,
                ConformanceReport* report) {
-  CheckWorkload(gens, Workload::Window(q.windows, c.theta, c.error_mode), c,
-                family, "window", gen_objects, report);
-  CheckWorkload(gens,
+  // One schedule for every run of the case; a static case is one
+  // generation airing one cycle, exactly what RunWorkload and the static
+  // RunTrajectories run.
+  const GenerationalIndex gi{
+      gens, gens.size() == 1 ? std::vector<uint64_t>{1}
+                             : std::vector<uint64_t>(
+                                   gens.size(),
+                                   std::max<uint32_t>(1, c.gen_cycles))};
+  const bool coded = CaseCoding(c).enabled();
+  const auto audit = [&](const char* workload) {
+    return ResultAudit{coded, family, workload, gen_objects, report};
+  };
+  CheckWorkload(gi, Workload::Window(q.windows, c.theta, c.error_mode), c,
+                audit("window"));
+  CheckWorkload(gi,
                 Workload::Knn(q.points, c.k, air::KnnStrategy::kConservative,
                               c.theta, c.error_mode),
-                c, family, "knn", gen_objects, report);
-  CheckWorkload(gens,
+                c, audit("knn"));
+  CheckWorkload(gi,
                 Workload::Knn(q.points, c.k, air::KnnStrategy::kAggressive,
                               c.theta, c.error_mode),
-                c, family, "knn-aggressive", gen_objects, report);
-  CheckWorkload(gens,
+                c, audit("knn-aggressive"));
+  CheckWorkload(gi,
                 Workload::Knn(q.big_points, q.big_k,
                               air::KnnStrategy::kConservative, c.theta,
                               c.error_mode),
-                c, family, "knn-big", gen_objects, report);
-  CheckTrajectories(gens, QueryKind::kWindow, c, family, "traj-window",
-                    gen_objects, report);
-  CheckTrajectories(gens, QueryKind::kKnn, c, family, "traj-knn",
-                    gen_objects, report);
+                c, audit("knn-big"));
+  CheckTrajectories(gi, QueryKind::kWindow, c, audit("traj-window"));
+  CheckTrajectories(gi, QueryKind::kKnn, c, audit("traj-knn"));
 }
 
 }  // namespace
@@ -770,29 +746,55 @@ ConformanceReport RunConformanceCase(const ConformanceCase& c,
 std::string FormatReproducer(const ConformanceCase& c,
                              const std::string& family) {
   std::ostringstream os;
-  // Round-trip precision for theta: every loss coin compares a draw against
-  // it, so a truncated reproducer would replay a *different* channel.
+  // Round-trip precision for doubles: every loss coin compares a draw
+  // against theta, so a truncated reproducer would replay a *different*
+  // channel.
   os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  os << "conformance_fuzz --repro --seed=" << c.seed << " --n=" << c.n
-     << " --order=" << c.order << " --capacity=" << c.capacity
-     << " --clustered=" << (c.clustered ? 1 : 0) << " --m=" << c.m
-     << " --object-factor=" << c.object_factor
-     << " --chunk-size=" << c.chunk_size << " --theta=" << c.theta
-     << " --error-mode=" << ModeName(c.error_mode)
-     << " --workers=" << c.workers
-     << " --windows=" << c.window_queries << " --knn-points=" << c.knn_points
-     << " --k=" << c.k << " --duplicates=" << (c.duplicates ? 1 : 0)
-     << " --generations=" << c.generations
-     << " --updates=" << c.updates_per_gen
-     << " --gen-cycles=" << c.gen_cycles
-     << " --code-group=" << c.code_group
-     << " --code-parity=" << c.code_parity
-     << " --traj-clients=" << c.trajectory_clients
-     << " --traj-steps=" << c.trajectory_steps
-     << " --churn-rate=" << c.churn_rate
-     << " --num-disks=" << c.num_disks << " --disk-skew=" << c.disk_skew;
+  os << "conformance_fuzz --repro";
+  ForEachCaseFlag(c, [&os](std::string_view flag, const auto& value) {
+    os << ' ' << flag << '=';
+    if constexpr (std::is_same_v<std::decay_t<decltype(value)>,
+                                 broadcast::ErrorMode>) {
+      for (const auto& [mode, name] : kErrorModes) {
+        if (mode == value) os << name;
+      }
+    } else {
+      os << value;
+    }
+  });
   if (!family.empty()) os << " --families=" << family;
   return os.str();
+}
+
+ConformanceCase SweepPins::CaseFor(uint64_t seed) const {
+  ConformanceCase c = MakeConformanceCase(seed);
+  c.generations = std::max(c.generations, min_generations);
+  if (c.generations > 1) {
+    c.updates_per_gen = std::max(c.updates_per_gen, min_updates);
+  }
+  for (const auto& [flag, value] : flags) SetCaseFlag(flag, value, &c);
+  return c;
+}
+
+CaseFlag SetCaseFlag(std::string_view flag, std::string_view value,
+                     ConformanceCase* c) {
+  if (flag == "--clients") flag = "--traj-clients";
+  CaseFlag result = CaseFlag::kUnknown;
+  ForEachCaseFlag(*c, [&](std::string_view name, auto& field) {
+    if (name == flag) {
+      result = ParseValue(value, &field) ? CaseFlag::kSet
+                                         : CaseFlag::kBadValue;
+    }
+  });
+  return result;
+}
+
+bool ParseFlagValue(std::string_view text, uint64_t* out) {
+  return ParseValue(text, out);
+}
+
+bool ParseFlagValue(std::string_view text, uint32_t* out) {
+  return ParseValue(text, out);
 }
 
 }  // namespace dsi::sim

@@ -31,9 +31,13 @@
 ///
 /// The same entry points back tools/conformance_fuzz (sweep + shrink +
 /// one-line reproducers) and tests/conformance_test.cpp (CI seed sweep).
+/// A case's command-line encoding is one flag table (SetCaseFlag,
+/// FormatReproducer): a reproducer line parses back to the case it prints.
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "broadcast/client.hpp"
@@ -111,6 +115,8 @@ struct ConformanceCase {
   /// protects the multi-disk cycle's physical airings.
   uint32_t num_disks = 1;
   double disk_skew = 0.0;
+
+  bool operator==(const ConformanceCase&) const = default;
 };
 
 /// Randomizes a case from a sweep seed. Guarantees coverage of m = 1 and
@@ -148,8 +154,40 @@ ConformanceReport RunConformanceCase(
 
 /// The one-line reproducer for a failing case: a conformance_fuzz command
 /// line that replays exactly this instance (optionally restricted to one
-/// family).
+/// family). Every field of the case appears, as `--flag=value` in flag-table
+/// order, with doubles at round-trip precision.
 std::string FormatReproducer(const ConformanceCase& c,
                              const std::string& family = "");
+
+/// Outcome of SetCaseFlag.
+enum class CaseFlag { kSet, kUnknown, kBadValue };
+
+/// Sets the case field of command-line flag \p flag ("--theta"; "--clients"
+/// is an alias of "--traj-clients") from \p value. The flag table behind it
+/// also drives FormatReproducer, so every field has exactly one flag.
+CaseFlag SetCaseFlag(std::string_view flag, std::string_view value,
+                     ConformanceCase* c);
+
+/// The flag table's strict value parser, for a tool's own counts: the
+/// whole of \p text must be a decimal integer in range. Returns false and
+/// leaves \p out as it was otherwise.
+bool ParseFlagValue(std::string_view text, uint64_t* out);
+bool ParseFlagValue(std::string_view text, uint32_t* out);
+
+/// What a conformance sweep sets over each seed's case.
+struct SweepPins {
+  /// Floors lifting every case onto the dynamic-broadcast axis: at least
+  /// this many generations, and (when dynamic) update ops between them.
+  uint32_t min_generations = 1;
+  uint32_t min_updates = 0;
+  /// Case flags as given, (flag, value), each one SetCaseFlag accepts.
+  /// Every flag pins its field on every swept case.
+  std::vector<std::pair<std::string, std::string>> flags;
+
+  /// The case of sweep seed \p seed: MakeConformanceCase(seed) lifted to
+  /// the floors, then every flag set over it. The dataset, query and
+  /// tune-in derivation stays seed-driven.
+  ConformanceCase CaseFor(uint64_t seed) const;
+};
 
 }  // namespace dsi::sim

@@ -63,6 +63,8 @@ struct QueryResult {
   /// Lost bucket reads this query recovered from parity instead of a
   /// next-cycle retry (coded broadcasts only; always 0 uncoded).
   uint64_t repaired = 0;
+
+  bool operator==(const QueryResult&) const = default;
 };
 
 /// Averaged byte metrics over a workload.

@@ -113,6 +113,8 @@ struct TrajectoryStep {
   /// client departed before reaching (or never arrived for) — such entries
   /// keep their default-constructed results and carry no cost.
   bool ran = false;
+
+  bool operator==(const TrajectoryStep&) const = default;
 };
 
 /// Aggregate continuous-query metrics, averaged per re-evaluation.
@@ -137,6 +139,9 @@ struct TrajectoryMetrics {
   /// workload's num_steps() always; both are 0 without churn.
   size_t departed = 0;
   size_t skipped_steps = 0;
+
+  /// Field-by-field, doubles compared exactly (engine parity is bit-exact).
+  bool operator==(const TrajectoryMetrics&) const = default;
 
   /// Headline reuse metric: share of the cold tuning cost the warm client
   /// did not have to pay (percent).

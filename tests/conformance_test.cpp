@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "air/dsi_handle.hpp"
@@ -503,6 +505,146 @@ TEST(ConformanceRegression, DsiKnnPromotesParkedBoundsUnderLoss) {
     EXPECT_EQ(got, want) << "query " << t;
   }
   EXPECT_GT(promoted, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Equidistant kNN answers come back in ascending id on every family that
+// orders by (distance, id). Four objects at exactly the same distance from
+// q sit in four Hilbert cells, with ids the reverse of their Hilbert (rank)
+// order: an answer ordered by rank among ties comes back in descending id.
+// ---------------------------------------------------------------------------
+TEST(ConformanceRegression, KnnTiesComeBackInIdOrder) {
+  const auto u = datasets::UnitUniverse();
+  const hilbert::SpaceMapper mapper(u, 6);
+  std::vector<common::Point> sites = {{0.25, 0.5}, {0.75, 0.5}, {0.5, 0.25},
+                                      {0.5, 0.75}, {0.05, 0.05}, {0.95, 0.95}};
+  std::sort(sites.begin(), sites.begin() + 4,
+            [&](const common::Point& a, const common::Point& b) {
+              return mapper.PointToIndex(a) > mapper.PointToIndex(b);
+            });
+  std::vector<datasets::SpatialObject> objects;
+  for (size_t i = 0; i < sites.size(); ++i) {
+    objects.push_back(
+        datasets::SpatialObject{static_cast<uint32_t>(i), sites[i]});
+  }
+  const common::Point q{0.5, 0.5};
+  const core::DsiIndex dsi(objects, mapper, 64, core::DsiConfig{});
+  const air::DsiHandle dsi_handle(dsi);
+  const hci::HciIndex hc(objects, mapper, 64);
+  const air::HciHandle hci_handle(hc);
+  const air::ExpHandle exp_handle(objects, mapper, 64);
+  for (const air::AirIndexHandle* handle :
+       {static_cast<const air::AirIndexHandle*>(&dsi_handle),
+        static_cast<const air::AirIndexHandle*>(&hci_handle),
+        static_cast<const air::AirIndexHandle*>(&exp_handle)}) {
+    broadcast::ClientSession session(handle->program(), 7,
+                                     broadcast::ErrorModel{}, common::Rng(2));
+    const auto client = handle->MakeClient(&session);
+    std::vector<uint32_t> ids;
+    for (const auto& o :
+         client->KnnQuery(q, 4, air::KnnStrategy::kConservative)) {
+      ids.push_back(o.id);
+    }
+    EXPECT_EQ(ids, (std::vector<uint32_t>{0, 1, 2, 3})) << handle->family();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A reproducer line is the flag table printed, so parsing it back through
+// SetCaseFlag must give the very case it printed: for the sweep's cases and
+// for one case with every field off its default (a field the table loses
+// comes back as its default and fails here).
+// ---------------------------------------------------------------------------
+sim::ConformanceCase ParseReproducer(const std::string& line) {
+  std::istringstream in(line);
+  std::string token;
+  in >> token;
+  EXPECT_EQ(token, "conformance_fuzz");
+  in >> token;
+  EXPECT_EQ(token, "--repro");
+  sim::ConformanceCase c;
+  while (in >> token) {
+    const size_t eq = token.find('=');
+    EXPECT_EQ(sim::SetCaseFlag(token.substr(0, eq), token.substr(eq + 1), &c),
+              sim::CaseFlag::kSet)
+        << token;
+  }
+  return c;
+}
+
+TEST(ConformanceFlags, ReproducerParsesBackToItsCase) {
+  std::vector<sim::ConformanceCase> cases;
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    cases.push_back(sim::MakeConformanceCase(seed));
+  }
+  sim::ConformanceCase off;  // every field off its default
+  off.seed = 991;
+  off.n = 333;
+  off.order = 9;
+  off.capacity = 257;
+  off.clustered = true;
+  off.m = 3;
+  off.object_factor = 0;
+  off.chunk_size = 4;
+  off.theta = 0.1 + 0.2;  // needs all 17 digits to round-trip
+  off.error_mode = broadcast::ErrorMode::kBurstLoss;
+  off.workers = 3;
+  off.window_queries = 0;
+  off.knn_points = 5;
+  off.k = 11;
+  off.duplicates = true;
+  off.generations = 4;
+  off.updates_per_gen = 9;
+  off.gen_cycles = 5;
+  off.code_group = 3;
+  off.code_parity = 2;
+  off.trajectory_clients = 6;
+  off.trajectory_steps = 1;
+  off.churn_rate = 1.0 / 3.0;
+  off.num_disks = 3;
+  off.disk_skew = 1.0 / 7.0;
+  cases.push_back(off);
+  for (const sim::ConformanceCase& c : cases) {
+    const std::string line = sim::FormatReproducer(c);
+    EXPECT_TRUE(ParseReproducer(line) == c) << line;
+  }
+}
+
+TEST(ConformanceFlags, ValuesParseWholeOrNotAtAll) {
+  sim::ConformanceCase c;
+  for (const auto& [flag, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"--theta", "abc"},
+           {"--theta", "0.5x"},
+           {"--theta", "nan"},
+           {"--n", "-3"},
+           {"--n", ""},
+           {"--m", "4294967296"},
+           {"--clustered", "2"},
+           {"--error-mode", "bogus"}}) {
+    EXPECT_EQ(sim::SetCaseFlag(flag, value, &c), sim::CaseFlag::kBadValue)
+        << flag << "=" << value;
+  }
+  EXPECT_TRUE(c == sim::ConformanceCase{});  // nothing half-set
+  EXPECT_EQ(sim::SetCaseFlag("--nope", "1", &c), sim::CaseFlag::kUnknown);
+  EXPECT_EQ(sim::SetCaseFlag("--clients", "4", &c), sim::CaseFlag::kSet);
+  EXPECT_EQ(c.trajectory_clients, 4u);
+  EXPECT_EQ(sim::SetCaseFlag("--error-mode", "burst", &c),
+            sim::CaseFlag::kSet);
+  EXPECT_EQ(c.error_mode, broadcast::ErrorMode::kBurstLoss);
+}
+
+// Sweep mode pins every case flag it is given, not only the axes the CI
+// sweeps use: --m=3 reaches every swept case, whose other fields stay
+// seed-determined.
+TEST(ConformanceFlags, SweepPinsAnyCaseFlag) {
+  sim::SweepPins pins;
+  pins.flags = {{"--m", "3"}};
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    sim::ConformanceCase want = sim::MakeConformanceCase(seed);
+    want.m = 3;
+    EXPECT_TRUE(pins.CaseFor(seed) == want) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -20,14 +20,19 @@
 ///
 /// --min-generations / --min-updates lift every swept case to at least
 /// that many broadcast generations / update ops between generations — the
-/// dedicated update-stream sweep CI runs. Passing --theta, --error-mode,
-/// --code-group, --code-parity, --clients (moving-client population),
-/// --churn-rate, --num-disks, --disk-skew or --windows (random window
-/// queries per case) in sweep mode pins that axis across every swept case
-/// (the coded-channel, burst-weather, churn, skewed-multi-disk and
-/// kNN-focused CI sweeps); axes not pinned keep their
-/// seed-determined values. Coding and multi-disk layouts compose: pinning
-/// both runs coded multi-disk cycles on every swept case.
+/// dedicated update-stream sweep CI runs. Every case flag of the
+/// reproducer line except --seed (a sweep draws each case's seed from
+/// --start and --seeds; --seed without --repro is a usage error) also
+/// works in sweep mode and pins its field across every swept case, after
+/// the floors: --theta, --error-mode, --code-group, --code-parity,
+/// --clients (an alias of --traj-clients, the moving-client population),
+/// --churn-rate, --num-disks, --disk-skew and --windows give the
+/// coded-channel, burst-weather, churn, skewed-multi-disk and kNN-focused
+/// CI sweeps, and --n, --m, --order, --capacity and the rest pin the same
+/// way. Fields not pinned keep their seed-determined values. Coding and
+/// multi-disk layouts compose: pinning both runs coded multi-disk cycles
+/// on every swept case. Every value must parse whole: --theta=abc is a
+/// usage error.
 ///
 /// A case fails on any oracle divergence (completed queries are checked
 /// against the object set of the generation they answered for) OR — at
@@ -48,9 +53,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "air/family.hpp"
@@ -67,19 +71,8 @@ struct Args {
   uint64_t seeds = 50;
   uint64_t start = 0;
   std::vector<std::string> families;
-  ConformanceCase base;     // repro mode: explicit case
-  bool have_seed = false;
-  // Sweep-mode floors: force every case onto the dynamic-broadcast axis.
-  uint32_t min_generations = 1;
-  uint32_t min_updates = 0;
-  // Sweep-mode axis pins (set when the flag was given explicitly).
-  bool have_theta = false;
-  bool have_mode = false;
-  bool have_coding = false;
-  bool have_clients = false;
-  bool have_churn = false;
-  bool have_disks = false;
-  bool have_windows = false;
+  ConformanceCase base;  // the default case with every case flag set
+  dsi::sim::SweepPins sweep;
 };
 
 /// Splits a comma-separated family list, checking each name against the
@@ -102,62 +95,38 @@ bool SplitFamilies(const std::string& value, std::vector<std::string>* out) {
   return true;
 }
 
-bool ParseMode(const std::string& value, dsi::broadcast::ErrorMode* mode) {
-  if (value == "read") *mode = dsi::broadcast::ErrorMode::kPerReadLoss;
-  else if (value == "event") *mode = dsi::broadcast::ErrorMode::kSingleEvent;
-  else if (value == "bucket") *mode = dsi::broadcast::ErrorMode::kPerBucketLoss;
-  else if (value == "burst") *mode = dsi::broadcast::ErrorMode::kBurstLoss;
-  else return false;
-  return true;
-}
-
 bool ParseArgs(int argc, char** argv, Args* args) {
+  using dsi::sim::ParseFlagValue;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const size_t eq = arg.find('=');
     const std::string key = arg.substr(0, eq);
     const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
-    auto u64 = [&]() { return static_cast<uint64_t>(std::strtoull(value.c_str(), nullptr, 10)); };
+    bool ok = true;
     if (key == "--repro") args->repro = true;
-    else if (key == "--seeds") args->seeds = u64();
-    else if (key == "--start") args->start = u64();
     else if (key == "--families") { if (!SplitFamilies(value, &args->families)) return false; }
-    else if (key == "--seed") { args->base.seed = u64(); args->have_seed = true; }
-    else if (key == "--n") args->base.n = u64();
-    else if (key == "--order") args->base.order = static_cast<int>(u64());
-    else if (key == "--capacity") args->base.capacity = u64();
-    else if (key == "--clustered") args->base.clustered = u64() != 0;
-    else if (key == "--m") args->base.m = static_cast<uint32_t>(u64());
-    else if (key == "--object-factor") args->base.object_factor = static_cast<uint32_t>(u64());
-    else if (key == "--chunk-size") args->base.chunk_size = static_cast<uint32_t>(u64());
-    else if (key == "--theta") { args->base.theta = std::strtod(value.c_str(), nullptr); args->have_theta = true; }
-    else if (key == "--error-mode") { if (!ParseMode(value, &args->base.error_mode)) return false; args->have_mode = true; }
-    else if (key == "--workers") args->base.workers = u64();
-    else if (key == "--windows") { args->base.window_queries = u64(); args->have_windows = true; }
-    else if (key == "--knn-points") args->base.knn_points = u64();
-    else if (key == "--k") args->base.k = u64();
-    else if (key == "--duplicates") args->base.duplicates = u64() != 0;
-    else if (key == "--generations") args->base.generations = static_cast<uint32_t>(u64());
-    else if (key == "--updates") args->base.updates_per_gen = static_cast<uint32_t>(u64());
-    else if (key == "--gen-cycles") args->base.gen_cycles = static_cast<uint32_t>(u64());
-    else if (key == "--code-group") { args->base.code_group = static_cast<uint32_t>(u64()); args->have_coding = true; }
-    else if (key == "--code-parity") { args->base.code_parity = static_cast<uint32_t>(u64()); args->have_coding = true; }
-    else if (key == "--traj-clients" || key == "--clients") { args->base.trajectory_clients = static_cast<uint32_t>(u64()); args->have_clients = true; }
-    else if (key == "--traj-steps") args->base.trajectory_steps = static_cast<uint32_t>(u64());
-    else if (key == "--churn-rate") { args->base.churn_rate = std::strtod(value.c_str(), nullptr); args->have_churn = true; }
-    else if (key == "--num-disks") { args->base.num_disks = static_cast<uint32_t>(u64()); args->have_disks = true; }
-    else if (key == "--disk-skew") { args->base.disk_skew = std::strtod(value.c_str(), nullptr); args->have_disks = true; }
-    else if (key == "--min-generations") args->min_generations = static_cast<uint32_t>(u64());
-    else if (key == "--min-updates") args->min_updates = static_cast<uint32_t>(u64());
+    else if (key == "--seeds") ok = ParseFlagValue(value, &args->seeds);
+    else if (key == "--start") ok = ParseFlagValue(value, &args->start);
+    else if (key == "--min-generations") ok = ParseFlagValue(value, &args->sweep.min_generations);
+    else if (key == "--min-updates") ok = ParseFlagValue(value, &args->sweep.min_updates);
     else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+      switch (dsi::sim::SetCaseFlag(key, value, &args->base)) {
+        case dsi::sim::CaseFlag::kSet: args->sweep.flags.emplace_back(key, value); break;
+        case dsi::sim::CaseFlag::kBadValue: ok = false; break;
+        case dsi::sim::CaseFlag::kUnknown:
+          std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+          return false;
+      }
+    }
+    if (!ok) {
+      std::fprintf(stderr, "invalid value for %s: '%s'\n", key.c_str(), value.c_str());
       return false;
     }
   }
   return true;
 }
 
-void PrintDivergences(const ConformanceCase& c, const ConformanceReport& r) {
+void PrintDivergences(const ConformanceReport& r) {
   for (const Divergence& d : r.divergences) {
     std::printf("  DIVERGENCE family=%s workload=%s query=%zu: %s\n",
                 d.family.c_str(), d.workload.c_str(), d.query_index,
@@ -170,7 +139,6 @@ void PrintDivergences(const ConformanceCase& c, const ConformanceReport& r) {
   }
   std::printf("  checked=%zu incomplete=%zu divergences=%zu\n",
               r.queries_checked, r.incomplete, r.divergences.size());
-  (void)c;
 }
 
 /// A case fails if any query diverged from the oracle OR — at theta <= 0.7,
@@ -189,90 +157,95 @@ bool CaseFails(const ConformanceCase& c, const ConformanceReport& r) {
 /// or more deterministic.
 ConformanceCase Shrink(ConformanceCase c,
                        const std::vector<std::string>& families) {
-  auto fails = [&](const ConformanceCase& candidate) {
-    return CaseFails(candidate, RunConformanceCase(candidate, families));
+  // Takes one simplification if the case still fails after it; false when
+  // it changes nothing or the failure goes away.
+  const auto take = [&](auto simplify) {
+    ConformanceCase candidate = c;
+    simplify(candidate);
+    if (candidate == c ||
+        !CaseFails(candidate, RunConformanceCase(candidate, families))) {
+      return false;
+    }
+    c = candidate;
+    return true;
   };
   // Smaller dataset.
-  while (c.n / 2 >= 8) {
-    ConformanceCase candidate = c;
-    candidate.n = c.n / 2;
-    if (!fails(candidate)) break;
-    c = candidate;
-  }
+  while (c.n / 2 >= 8 && take([](ConformanceCase& s) { s.n /= 2; })) {}
   // Static broadcast, then fewer updates.
-  if (c.generations > 1) {
-    ConformanceCase candidate = c;
-    candidate.generations = 1;
-    candidate.updates_per_gen = 0;
-    if (fails(candidate)) c = candidate;
-  }
-  while (c.generations > 1 && c.updates_per_gen > 1) {
-    ConformanceCase candidate = c;
-    candidate.updates_per_gen = c.updates_per_gen / 2;
-    if (!fails(candidate)) break;
-    c = candidate;
-  }
+  take([](ConformanceCase& s) {
+    s.generations = 1;
+    s.updates_per_gen = 0;
+  });
+  while (c.generations > 1 && c.updates_per_gen > 1 &&
+         take([](ConformanceCase& s) { s.updates_per_gen /= 2; })) {}
   // No moving clients, then shorter tours.
-  if (c.trajectory_clients > 0) {
-    ConformanceCase candidate = c;
-    candidate.trajectory_clients = 0;
-    candidate.trajectory_steps = 0;
-    if (fails(candidate)) c = candidate;
-  }
-  while (c.trajectory_clients > 1 || c.trajectory_steps > 2) {
-    ConformanceCase candidate = c;
-    candidate.trajectory_clients = std::max<uint32_t>(1, c.trajectory_clients / 2);
-    candidate.trajectory_steps = std::max<uint32_t>(2, c.trajectory_steps / 2);
-    if (candidate.trajectory_clients == c.trajectory_clients &&
-        candidate.trajectory_steps == c.trajectory_steps) {
-      break;
-    }
-    if (!fails(candidate)) break;
-    c = candidate;
-  }
+  take([](ConformanceCase& s) {
+    s.trajectory_clients = 0;
+    s.trajectory_steps = 0;
+  });
+  while ((c.trajectory_clients > 1 || c.trajectory_steps > 2) &&
+         take([](ConformanceCase& s) {
+           s.trajectory_clients = std::max<uint32_t>(1, s.trajectory_clients / 2);
+           s.trajectory_steps = std::max<uint32_t>(2, s.trajectory_steps / 2);
+         })) {}
   // Churn-free population (uniform tune-ins, nobody departs).
-  if (c.churn_rate != 0.0) {
-    ConformanceCase candidate = c;
-    candidate.churn_rate = 0.0;
-    if (fails(candidate)) c = candidate;
-  }
+  take([](ConformanceCase& s) { s.churn_rate = 0.0; });
   // Uncoded channel (repairs off, plain broadcast layout).
-  if (c.code_group != 0 || c.code_parity != 0) {
-    ConformanceCase candidate = c;
-    candidate.code_group = 0;
-    candidate.code_parity = 0;
-    if (fails(candidate)) c = candidate;
-  }
+  take([](ConformanceCase& s) {
+    s.code_group = 0;
+    s.code_parity = 0;
+  });
   // Flat single-disk cycle (skewed sampling off too: disk_skew drives the
   // query distribution, so the pair shrinks together).
-  if (c.num_disks != 1 || c.disk_skew != 0.0) {
-    ConformanceCase candidate = c;
-    candidate.num_disks = 1;
-    candidate.disk_skew = 0.0;
-    if (fails(candidate)) c = candidate;
-  }
-  // Lossless channel.
-  if (c.theta != 0.0) {
-    ConformanceCase candidate = c;
-    candidate.theta = 0.0;
-    if (fails(candidate)) c = candidate;
-  }
-  // Serial execution.
-  if (c.workers != 1) {
-    ConformanceCase candidate = c;
-    candidate.workers = 1;
-    if (fails(candidate)) c = candidate;
-  }
+  take([](ConformanceCase& s) {
+    s.num_disks = 1;
+    s.disk_skew = 0.0;
+  });
+  // Lossless channel, then serial execution.
+  take([](ConformanceCase& s) { s.theta = 0.0; });
+  take([](ConformanceCase& s) { s.workers = 1; });
   // Fewer random queries (degenerates always remain).
-  while (c.window_queries > 0 || c.knn_points > 0) {
-    ConformanceCase candidate = c;
-    candidate.window_queries = c.window_queries / 2;
-    candidate.knn_points = c.knn_points / 2;
-    if (!fails(candidate)) break;
-    c = candidate;
-    if (candidate.window_queries == 0 && candidate.knn_points == 0) break;
-  }
+  while (take([](ConformanceCase& s) {
+    s.window_queries /= 2;
+    s.knn_points /= 2;
+  })) {}
   return c;
+}
+
+/// Whether \p c can run for \p families; prints why not. A hand-edited
+/// reproducer line or a sweep pin must fail as a usage error, not crash.
+bool ValidCase(const ConformanceCase& c,
+               const std::vector<std::string>& families) {
+  if (c.n == 0 || c.order < 1 || c.order > 16 || c.capacity < 32 ||
+      c.theta < 0.0 || c.theta > 1.0 || c.workers == 0 ||
+      c.generations == 0 || c.gen_cycles == 0 ||
+      c.code_group + c.code_parity > 64 || c.churn_rate < 0.0 ||
+      c.churn_rate > 1.0 || c.num_disks < 1 || c.num_disks > 3 ||
+      c.disk_skew < 0.0) {
+    std::fprintf(stderr,
+                 "invalid case: need --n>=1, 1<=--order<=16, --capacity>=32, "
+                 "0<=--theta<=1, --workers>=1, --generations>=1, "
+                 "--gen-cycles>=1, --code-group + --code-parity <= 64, "
+                 "0<=--churn-rate<=1, 1<=--num-disks<=3, --disk-skew>=0\n");
+    return false;
+  }
+  // Every requested family (all four when none is named) must build at the
+  // case's packet capacity.
+  for (const dsi::air::Family family : dsi::air::kFamilies) {
+    const std::string name(dsi::air::FamilyName(family));
+    const bool requested =
+        families.empty() ||
+        std::find(families.begin(), families.end(), name) != families.end();
+    if (requested && c.capacity < dsi::air::MinPacketCapacity(family)) {
+      std::fprintf(stderr,
+                   "invalid case: --capacity=%zu is below the %s minimum of "
+                   "%zu\n",
+                   c.capacity, name.c_str(),
+                   dsi::air::MinPacketCapacity(family));
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -280,52 +253,25 @@ ConformanceCase Shrink(ConformanceCase c,
 int main(int argc, char** argv) {
   Args args;
   if (!ParseArgs(argc, argv, &args)) return 2;
-
-  // A hand-edited reproducer line must fail as usage error, not crash.
-  if (args.base.n == 0 || args.base.order < 1 || args.base.order > 16 ||
-      args.base.capacity < 32 || args.base.theta < 0.0 ||
-      args.base.theta > 1.0 || args.base.workers == 0 ||
-      args.base.generations == 0 || args.base.gen_cycles == 0 ||
-      args.base.code_group + args.base.code_parity > 64 ||
-      args.base.churn_rate < 0.0 || args.base.churn_rate > 1.0 ||
-      args.base.num_disks < 1 || args.base.num_disks > 3 ||
-      args.base.disk_skew < 0.0) {
-    std::fprintf(stderr,
-                 "invalid case: need --n>=1, 1<=--order<=16, --capacity>=32, "
-                 "0<=--theta<=1, --workers>=1, --generations>=1, "
-                 "--gen-cycles>=1, --code-group + --code-parity <= 64, "
-                 "0<=--churn-rate<=1, 1<=--num-disks<=3, --disk-skew>=0\n");
+  const auto& flags = args.sweep.flags;
+  const bool have_seed =
+      std::any_of(flags.begin(), flags.end(),
+                  [](const auto& flag) { return flag.first == "--seed"; });
+  if (args.repro != have_seed) {
+    std::fprintf(stderr, args.repro
+                             ? "--repro requires --seed\n"
+                             : "--seed requires --repro: a sweep draws each "
+                               "case's seed from --start and --seeds\n");
     return 2;
   }
-  // Every requested family (all four when none is named) must build at the
-  // case's packet capacity.
-  for (const dsi::air::Family family : dsi::air::kFamilies) {
-    const std::string name(dsi::air::FamilyName(family));
-    const bool requested =
-        args.families.empty() ||
-        std::find(args.families.begin(), args.families.end(), name) !=
-            args.families.end();
-    if (requested &&
-        args.base.capacity < dsi::air::MinPacketCapacity(family)) {
-      std::fprintf(stderr,
-                   "invalid case: --capacity=%zu is below the %s minimum of "
-                   "%zu\n",
-                   args.base.capacity, name.c_str(),
-                   dsi::air::MinPacketCapacity(family));
-      return 2;
-    }
-  }
 
+  if (!ValidCase(args.base, args.families)) return 2;
   if (args.repro) {
-    if (!args.have_seed) {
-      std::fprintf(stderr, "--repro requires --seed\n");
-      return 2;
-    }
     const ConformanceReport r =
         RunConformanceCase(args.base, args.families);
     std::printf("repro seed=%llu\n",
                 static_cast<unsigned long long>(args.base.seed));
-    PrintDivergences(args.base, r);
+    PrintDivergences(r);
     return CaseFails(args.base, r) ? 1 : 0;
   }
 
@@ -333,28 +279,12 @@ int main(int argc, char** argv) {
   size_t incomplete = 0;
   size_t restarted = 0;
   for (uint64_t seed = args.start; seed < args.start + args.seeds; ++seed) {
-    ConformanceCase c = dsi::sim::MakeConformanceCase(seed);
-    if (args.min_generations > c.generations) {
-      c.generations = args.min_generations;
+    const ConformanceCase c = args.sweep.CaseFor(seed);
+    if (!ValidCase(c, args.families)) {
+      std::fprintf(stderr, "  (the pinned case of seed %llu)\n",
+                   static_cast<unsigned long long>(seed));
+      return 2;
     }
-    if (c.generations > 1 && args.min_updates > c.updates_per_gen) {
-      c.updates_per_gen = args.min_updates;
-    }
-    // Pinned axes override the seed-determined values across the whole
-    // sweep (dataset/query/tune-in derivation stays seed-driven).
-    if (args.have_theta) c.theta = args.base.theta;
-    if (args.have_mode) c.error_mode = args.base.error_mode;
-    if (args.have_coding) {
-      c.code_group = args.base.code_group;
-      c.code_parity = args.base.code_parity;
-    }
-    if (args.have_disks) {
-      c.num_disks = args.base.num_disks;
-      c.disk_skew = args.base.disk_skew;
-    }
-    if (args.have_clients) c.trajectory_clients = args.base.trajectory_clients;
-    if (args.have_churn) c.churn_rate = args.base.churn_rate;
-    if (args.have_windows) c.window_queries = args.base.window_queries;
     const ConformanceReport r = RunConformanceCase(c, args.families);
     checked += r.queries_checked;
     incomplete += r.incomplete;
@@ -362,7 +292,7 @@ int main(int argc, char** argv) {
     if (CaseFails(c, r)) {
       std::printf("seed %llu FAILED:\n",
                   static_cast<unsigned long long>(seed));
-      PrintDivergences(c, r);
+      PrintDivergences(r);
       // Shrink against the families that actually failed.
       std::vector<std::string> failing;
       for (const std::vector<Divergence>* list :
@@ -377,7 +307,7 @@ int main(int argc, char** argv) {
       const ConformanceCase small = Shrink(c, failing);
       const ConformanceReport small_r = RunConformanceCase(small, failing);
       std::printf("shrunk instance:\n");
-      PrintDivergences(small, small_r);
+      PrintDivergences(small_r);
       std::string fam_list;
       for (const std::string& f : failing) {
         fam_list += (fam_list.empty() ? "" : ",") + f;
