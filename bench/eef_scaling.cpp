@@ -41,8 +41,8 @@ int main(int argc, char** argv) {
           broadcast::ErrorModel{}, rng.Fork());
       core::DsiClient client(index, &session);
       (void)client.PointQuery(target.location);
-      hops += static_cast<double>(client.stats().hops);
-      tables += static_cast<double>(client.stats().tables_read);
+      hops += static_cast<double>(client.hops());
+      tables += static_cast<double>(client.stats().index_reads);
       tuning += static_cast<double>(session.metrics().tuning_bytes);
       cycles += static_cast<double>(session.metrics().access_latency_bytes) /
                 static_cast<double>(index.program().cycle_bytes());

@@ -79,7 +79,7 @@ int main() {
     const auto result = client.PointQuery(target.location);
     std::printf("point query:  found %zu object(s) at the cell of object "
                 "%u after %lu hops\n",
-                result.size(), target.id, client.stats().hops);
+                result.size(), target.id, client.hops());
   }
   return 0;
 }

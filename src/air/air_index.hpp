@@ -9,7 +9,10 @@
 ///  * AirIndexHandle — the server side: names the family, owns/refers to the
 ///    broadcast program, and constructs per-query clients.
 ///  * AirClient — the client side of ONE query execution: the two spatial
-///    query kinds of the paper plus unified per-query diagnostics.
+///    query kinds of the paper plus unified per-query diagnostics. The
+///    family clients (core::DsiClient, rtree::RtreeClient, hci::HciClient)
+///    implement it directly; only the exponential index needs an adapter,
+///    which lifts its 1-D range scans to the two spatial queries.
 ///
 /// A handle is a thin non-owning view over a built index (the index must
 /// outlive the handle). Handles are immutable and safe to share across
@@ -40,18 +43,7 @@ enum class KnnStrategy {
 /// Unified per-query diagnostics. Metrics proper (latency/tuning bytes) come
 /// from the driving broadcast::ClientSession; these count what the client
 /// logic did with them.
-struct ClientStats {
-  uint64_t index_reads = 0;   ///< Index buckets read (tables / tree nodes).
-  uint64_t object_reads = 0;  ///< Data buckets read.
-  uint64_t buckets_lost = 0;  ///< Reads corrupted by link errors.
-  bool completed = true;      ///< False if the query was aborted.
-  /// True if the query aborted because the broadcast was republished
-  /// mid-flight (the session's generation advanced): every piece of learned
-  /// state referred to a dead layout. The result is partial and the caller
-  /// should re-issue the query against the new generation's handle on the
-  /// same session (sim::GenerationalRun does exactly that).
-  bool stale = false;
-};
+using ClientStats = broadcast::QueryStats;
 
 /// Query execution against a broadcast air index. Construct via
 /// AirIndexHandle::MakeClient with a fresh session and run one query — or,
@@ -93,7 +85,7 @@ class AirClient {
     return KnnQuery(q, k, KnnStrategy::kConservative);
   }
 
-  virtual ClientStats stats() const = 0;
+  virtual const ClientStats& stats() const = 0;
 };
 
 /// Reusable storage for one AirClient at a time. The experiment engine

@@ -99,15 +99,11 @@ class ExpAirClient : public AirClient {
     return Best(q, k, candidates);
   }
 
-  ClientStats stats() const override {
-    const expindex::ExpQueryStats& s = client_.stats();
-    return ClientStats{s.tables_read, s.items_read, s.buckets_lost,
-                       s.completed, s.stale};
-  }
+  const ClientStats& stats() const override { return client_.stats(); }
 
  private:
-  /// The \p k candidates nearest \p q, ordered by (distance, id) as the
-  /// DSI and HCI clients order theirs.
+  /// The \p k candidates nearest \p q, in the answer order of every
+  /// family (datasets::KeepNearest).
   std::vector<datasets::SpatialObject> Best(
       const common::Point& q, size_t k,
       const std::vector<uint32_t>& candidates) const {
@@ -116,14 +112,7 @@ class ExpAirClient : public AirClient {
     for (const uint32_t rank : candidates) {
       out.push_back(handle_.sorted_objects()[rank]);
     }
-    std::sort(out.begin(), out.end(),
-              [&](const datasets::SpatialObject& a,
-                  const datasets::SpatialObject& b) {
-                const double da = common::SquaredDistance(q, a.location);
-                const double db = common::SquaredDistance(q, b.location);
-                return da != db ? da < db : a.id < b.id;
-              });
-    if (out.size() > k) out.resize(k);
+    datasets::KeepNearest(q, k, &out);
     return out;
   }
 

@@ -114,18 +114,6 @@ class AirTreeBroadcast {
   std::vector<size_t> data_slot_;        // by data id
 };
 
-/// Per-query diagnostics of a client searching a tree broadcast.
-struct TreeQueryStats {
-  uint64_t nodes_read = 0;
-  uint64_t objects_read = 0;
-  uint64_t buckets_lost = 0;
-  bool completed = true;
-  /// Broadcast republished mid-query (dynamic broadcasts): the node cache,
-  /// pending slots and any family state referred to the dead layout;
-  /// partial results returned.
-  bool stale = false;
-};
-
 /// The channel side of one client searching an AirTreeBroadcast (the
 /// R-tree and HCI baselines). The family decides which node to read next
 /// and when to give up; every listen goes through the reader, which owns
@@ -151,7 +139,7 @@ class AirTreeReader {
   void BeginQuery();
 
   ClientSession& session() const { return *session_; }
-  const TreeQueryStats& stats() const { return stats_; }
+  const QueryStats& stats() const { return stats_; }
 
   /// Whether the running query must stop — its budget is spent or the
   /// broadcast was republished under it — in which case it is flagged
@@ -172,7 +160,7 @@ class AirTreeReader {
   /// on a link error or a republication.
   bool ListenNode(uint32_t node_id) {
     if (session_->ReadBucket(air_.NextNodeSlot(node_id, *session_))) {
-      ++stats_.nodes_read;
+      ++stats_.index_reads;
       node_cache_[node_id] = true;
       return true;
     }
@@ -226,7 +214,7 @@ class AirTreeReader {
   bool TryReadData(uint32_t data_id) {
     if (retrieved_.test(data_id)) return true;
     if (session_->ReadBucket(air_.DataSlot(data_id))) {
-      ++stats_.objects_read;
+      ++stats_.object_reads;
       retrieved_.set(data_id);
       return true;
     }
@@ -251,7 +239,7 @@ class AirTreeReader {
   /// Data buckets the running query still has to read, in airing order.
   AiringSet pending_data_;
   common::TwoLevelBitmap retrieved_;  ///< Data ids read so far.
-  TreeQueryStats stats_;
+  QueryStats stats_;
 };
 
 }  // namespace dsi::broadcast

@@ -31,6 +31,22 @@ struct Metrics {
   uint64_t repaired = 0;
 };
 
+/// What one family client did for its query, beside the session's Metrics:
+/// the reads it counted and how the query ended. Every family client fills
+/// this one struct (air::ClientStats names it).
+struct QueryStats {
+  uint64_t index_reads = 0;   ///< Index buckets read (tables / tree nodes).
+  uint64_t object_reads = 0;  ///< Data buckets read.
+  uint64_t buckets_lost = 0;  ///< Reads corrupted by link errors.
+  bool completed = true;      ///< False if the query was aborted.
+  /// True if the query aborted because the broadcast was republished
+  /// mid-flight (the session's generation advanced): every piece of learned
+  /// state referred to a dead layout. The result is partial and the caller
+  /// should re-issue the query with a client built on the new generation's
+  /// handle on the same session (sim::GenerationalRun does exactly that).
+  bool stale = false;
+};
+
 /// How link errors (Section 5) are injected.
 enum class ErrorMode : uint8_t {
   /// Every bucket read is independently lost with probability theta. A
@@ -159,7 +175,7 @@ class ClientSession {
   /// now, or only parity symbols sit between now and it. After a read or
   /// skip it is the LOGICAL successor of that slot, (slot + 1) mod
   /// num_data_buckets() — the next bucket on air on plain and coded cycles,
-  /// but on a multi-disk cycle possibly tiers away; ReadCurrentBucket then
+  /// but on a multi-disk cycle possibly tiers away; ReadBucket of it then
   /// dozes to its nearest airing.
   size_t current_slot() const { return current_slot_; }
 
@@ -172,9 +188,6 @@ class ClientSession {
   /// tuning time and latency are still spent and the client is parked on
   /// the next (data) bucket boundary.
   bool ReadBucket(size_t slot);
-
-  /// Reads the bucket starting right now.
-  bool ReadCurrentBucket() { return ReadBucket(current_slot_); }
 
   /// Dozes past the bucket starting right now without listening.
   void SkipBucket();

@@ -39,6 +39,16 @@ size_t RegionOf(const common::Point& p, const common::Rect& u, uint32_t grid) {
 
 }  // namespace
 
+void KeepNearest(const common::Point& q, size_t k,
+                 std::vector<SpatialObject>* objects) {
+  std::sort(objects->begin(), objects->end(),
+            [&](const SpatialObject& a, const SpatialObject& b) {
+              return NearerFirst(common::SquaredDistance(q, a.location), a.id,
+                                 common::SquaredDistance(q, b.location), b.id);
+            });
+  if (objects->size() > k) objects->resize(k);
+}
+
 common::Rect UnitUniverse() { return common::Rect{0.0, 0.0, 1.0, 1.0}; }
 
 std::vector<SpatialObject> MakeUniform(size_t n, const common::Rect& universe,

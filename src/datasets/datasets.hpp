@@ -13,6 +13,7 @@
 ///   sparse uniform background. The experiments depend only on cardinality
 ///   and spatial skew, which this preserves (see DESIGN.md §5).
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -27,6 +28,18 @@ struct SpatialObject {
   uint32_t id = 0;
   common::Point location;
 };
+
+/// The order of every family's kNN answer: ascending squared distance
+/// \p d2 from the query point, ties by ascending object id.
+inline bool NearerFirst(double d2_a, uint32_t id_a, double d2_b,
+                        uint32_t id_b) {
+  return d2_a != d2_b ? d2_a < d2_b : id_a < id_b;
+}
+
+/// Sorts \p objects into NearerFirst order from \p q and keeps the first
+/// \p k.
+void KeepNearest(const common::Point& q, size_t k,
+                 std::vector<SpatialObject>* objects);
 
 /// The square data universe used throughout the evaluation.
 common::Rect UnitUniverse();

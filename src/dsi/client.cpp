@@ -142,7 +142,7 @@ std::vector<datasets::SpatialObject> DsiClient::WindowQuery(
 }
 
 std::vector<datasets::SpatialObject> DsiClient::KnnQuery(
-    const common::Point& q, size_t k, KnnStrategy strategy) {
+    const common::Point& q, size_t k, air::KnnStrategy strategy) {
   if (k == 0) return {};  // degenerate: the empty set, no listening needed
 
   // Seed the radius bounds from what a warm client already knows; from
@@ -167,7 +167,7 @@ std::vector<datasets::SpatialObject> DsiClient::KnnQuery(
   }
   pending_.AssignDisc(&knn_->disc);
 
-  RunSearch(strategy == KnnStrategy::kAggressive ? &q : nullptr);
+  RunSearch(strategy == air::KnnStrategy::kAggressive ? &q : nullptr);
   pending_ = PendingTargets();  // drop the pointer into the state freed next
   knn_.reset();
 
@@ -176,14 +176,7 @@ std::vector<datasets::SpatialObject> DsiClient::KnnQuery(
   out.reserve(retrieved_.count());
   retrieved_.ForEach(
       [&](size_t rank) { out.push_back(index_.sorted_objects()[rank]); });
-  std::sort(out.begin(), out.end(),
-            [&](const datasets::SpatialObject& a,
-                const datasets::SpatialObject& b) {
-              const double da = common::SquaredDistance(q, a.location);
-              const double db = common::SquaredDistance(q, b.location);
-              return da != db ? da < db : a.id < b.id;
-            });
-  if (out.size() > k) out.resize(k);
+  datasets::KeepNearest(q, k, &out);
   return out;
 }
 
@@ -295,7 +288,7 @@ void DsiClient::RunSearch(const common::Point* spatial_goal) {
     const uint32_t next_pos =
         aggressive ? SelectAggressiveHop(table_pos_, pending_, *spatial_goal)
                    : SelectConservativeHop(table_pos_, pending_);
-    ++stats_.hops;
+    ++hops_;
     if (!ReadTableAt(next_pos)) {
       stats_.completed = false;
       return;
@@ -379,7 +372,7 @@ bool DsiClient::ReadNextTable() {
       if (++guard > nb) return false;  // no table in program
     }
     if (session_->ReadBucket(slot)) {
-      ++stats_.tables_read;
+      ++stats_.index_reads;
       table_pos_ = program.bucket(slot).payload;
       Learn(table_pos_);
       return true;
@@ -399,7 +392,7 @@ bool DsiClient::ReadNextTable() {
 
 bool DsiClient::ReadTableAt(uint32_t position) {
   if (session_->ReadBucket(index_.TableSlot(position))) {
-    ++stats_.tables_read;
+    ++stats_.index_reads;
     table_pos_ = position;
     Learn(table_pos_);
     return true;
@@ -421,7 +414,7 @@ void DsiClient::ReadFrameObjects(uint32_t position, uint64_t own_hc) {
     if (!retrieved_.test(rank)) {
       if (session_->ReadBucket(fo.first_slot + i)) {
         MarkRetrieved(rank);
-        ++stats_.objects_read;
+        ++stats_.object_reads;
       } else {
         if (SessionStale()) {
           stats_.stale = true;
@@ -486,7 +479,7 @@ void DsiClient::Learn(uint32_t position) {
 void DsiClient::AddCoverage(const hilbert::HcRange& r) {
   covered_.Add(r);
   pending_.Subtract(r);
-  if (knn_) stats_.bounds_promoted += knn_->bounds.Retire(r, covered_);
+  if (knn_) bounds_promoted_ += knn_->bounds.Retire(r, covered_);
 }
 
 uint64_t DsiClient::SegmentDomainLo(uint32_t seg) const {

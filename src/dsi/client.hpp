@@ -58,6 +58,7 @@
 #include <utility>
 #include <vector>
 
+#include "air/air_index.hpp"
 #include "broadcast/client.hpp"
 #include "common/geometry.hpp"
 #include "common/two_level_bitmap.hpp"
@@ -67,29 +68,6 @@
 #include "hilbert/space_mapper.hpp"
 
 namespace dsi::core {
-
-/// kNN search-space strategies of Section 3.4.
-enum class KnnStrategy {
-  kConservative,  ///< Visit every frame that may hold a candidate.
-  kAggressive,    ///< Hop toward the query point; revisit skipped ranges.
-};
-
-/// Per-query diagnostics (metrics proper come from the ClientSession).
-struct QueryStats {
-  uint64_t tables_read = 0;
-  uint64_t objects_read = 0;
-  uint64_t buckets_lost = 0;
-  uint64_t hops = 0;
-  /// Parked kNN bounds moved into the live radius bounds because the
-  /// radius grew past them (only loss makes the radius grow).
-  uint64_t bounds_promoted = 0;
-  bool completed = true;  ///< False if the query was aborted.
-  /// True if the broadcast was republished mid-query: every learned table,
-  /// SegmentKnowledge entry and coverage interval referred to the dead
-  /// layout, so the client aborted with partial results. Re-issue the query
-  /// with a fresh client bound to the new generation's index.
-  bool stale = false;
-};
 
 /// Flat (offset -> min-HC) knowledge for one broadcast segment. Offsets are
 /// dense in [0, segment length), so knowledge is a direct-indexed value
@@ -286,7 +264,7 @@ class KnnBounds {
 /// advances, the knowledge describes a dead layout — discard the client
 /// and build a fresh one against the new generation's index. Every search
 /// arms the session's watchdog budget (200 on-air cycles per disk).
-class DsiClient {
+class DsiClient final : public air::AirClient {
  public:
   /// \param session A fresh session (InitialProbe not yet called); the
   /// client performs the probe itself.
@@ -296,7 +274,7 @@ class DsiClient {
   /// completed/stale flags (each search re-arms the session's watchdog
   /// budget).
   /// Learned knowledge is kept — it is what makes the warm client cheap.
-  void BeginQuery() {
+  void BeginQuery() override {
     stats_.completed = true;
     stats_.stale = false;
   }
@@ -306,14 +284,23 @@ class DsiClient {
   std::vector<datasets::SpatialObject> PointQuery(const common::Point& p);
 
   /// Window query (Algorithm 1): all objects inside \p window.
-  std::vector<datasets::SpatialObject> WindowQuery(const common::Rect& window);
+  std::vector<datasets::SpatialObject> WindowQuery(
+      const common::Rect& window) override;
 
-  /// kNN query (Algorithm 2 / Section 3.4).
+  /// kNN query (Algorithm 2) with either search-space strategy of
+  /// Section 3.4.
   std::vector<datasets::SpatialObject> KnnQuery(
-      const common::Point& q, size_t k,
-      KnnStrategy strategy = KnnStrategy::kConservative);
+      const common::Point& q, size_t k, air::KnnStrategy strategy) override;
+  using AirClient::KnnQuery;
 
-  const QueryStats& stats() const { return stats_; }
+  /// Index tables read count as index_reads.
+  const air::ClientStats& stats() const override { return stats_; }
+  /// Hops taken over the client's lifetime (every query it served).
+  uint64_t hops() const { return hops_; }
+  /// Parked kNN bounds moved into the live radius bounds because the radius
+  /// grew past them (only loss makes the radius grow), over the client's
+  /// lifetime.
+  uint64_t bounds_promoted() const { return bounds_promoted_; }
 
  private:
   // --- on-air reads -------------------------------------------------------
@@ -427,7 +414,9 @@ class DsiClient {
   /// payloads are never copied: the simulated read is paid through the
   /// session and the data comes from the server-side store.
   common::TwoLevelBitmap retrieved_;
-  QueryStats stats_;
+  air::ClientStats stats_;
+  uint64_t hops_ = 0;
+  uint64_t bounds_promoted_ = 0;
 
   /// State of the running kNN query: its search disc (center q) and the
   /// bounds that set the disc's radius. MarkRetrieved adds an object's

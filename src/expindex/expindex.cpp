@@ -124,7 +124,7 @@ std::optional<uint32_t> ExpClient::ReadNextTable() {
     // memory — no listen, no doze.
     if (reuse_ && table_known_[pos] != 0) return pos;
     if (session_->ReadBucket(slot)) {
-      ++stats_.tables_read;
+      ++stats_.index_reads;
       if (reuse_) table_known_[pos] = 1;
       return pos;
     }
@@ -176,7 +176,7 @@ std::optional<uint32_t> ExpClient::Forward(uint32_t from, uint64_t key) {
       continue;
     }
     if (session_->ReadBucket(index_.TableSlot(next))) {
-      ++stats_.tables_read;
+      ++stats_.index_reads;
       if (reuse_) table_known_[next] = 1;
       pos = next;
     } else {
@@ -242,7 +242,7 @@ std::vector<uint32_t> ExpClient::RangeQuery(uint64_t lo, uint64_t hi) {
         continue;
       }
       if (session_->ReadBucket(items.first_slot + i)) {
-        ++stats_.items_read;
+        ++stats_.object_reads;
         if (reuse_) key_known_[rank] = 1;
         const uint64_t key = index_.sorted_keys()[rank];
         if (key >= lo && key <= hi) out.push_back(rank);
@@ -273,7 +273,7 @@ std::vector<uint32_t> ExpClient::RangeQuery(uint64_t lo, uint64_t hi) {
       continue;
     }
     if (session_->ReadBucket(index_.TableSlot(next))) {
-      ++stats_.tables_read;
+      ++stats_.index_reads;
       if (reuse_) table_known_[next] = 1;
       have_table = true;
     } else {
@@ -296,7 +296,7 @@ std::vector<uint32_t> ExpClient::RangeQuery(uint64_t lo, uint64_t hi) {
     }
     const broadcast::AiringSet::Pick next = missing.Soonest(*session_);
     if (session_->ReadBucket(next.slot)) {
-      ++stats_.items_read;
+      ++stats_.object_reads;
       const uint32_t rank = next.id;
       if (reuse_) key_known_[rank] = 1;
       const uint64_t key = index_.sorted_keys()[rank];

@@ -101,17 +101,6 @@ class ExpIndex {
   broadcast::BroadcastProgram program_;
 };
 
-/// Per-query diagnostics.
-struct ExpQueryStats {
-  uint64_t tables_read = 0;
-  uint64_t items_read = 0;
-  uint64_t buckets_lost = 0;
-  bool completed = true;
-  /// Broadcast republished mid-scan (dynamic broadcasts): chunk positions
-  /// and tables referred to the dead layout; partial results returned.
-  bool stale = false;
-};
-
 /// Client-side search: exponential forwarding toward a key, then
 /// sequential retrieval over a key range. Every range scan arms the
 /// session's watchdog budget (200 on-air cycles) afresh.
@@ -145,7 +134,8 @@ class ExpClient {
   /// Ranks of all items with key in [lo, hi].
   std::vector<uint32_t> RangeQuery(uint64_t lo, uint64_t hi);
 
-  const ExpQueryStats& stats() const { return stats_; }
+  /// Chunk tables read count as index_reads, items as object_reads.
+  const broadcast::QueryStats& stats() const { return stats_; }
 
  private:
   /// Reads the next table at/after the session position (loss-recovering).
@@ -162,7 +152,7 @@ class ExpClient {
   const ExpIndex& index_;
   broadcast::ClientSession* session_;
   uint64_t generation_ = 0;  ///< Generation the chunk tables refer to.
-  ExpQueryStats stats_;
+  broadcast::QueryStats stats_;
   /// Cross-query knowledge (continuous clients only; empty otherwise).
   bool reuse_ = false;
   std::vector<uint8_t> table_known_;  ///< By chunk position.

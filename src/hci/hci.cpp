@@ -188,7 +188,7 @@ std::vector<datasets::SpatialObject> HciClient::WindowQuery(
 }
 
 std::vector<datasets::SpatialObject> HciClient::KnnQuery(
-    const common::Point& q, size_t k) {
+    const common::Point& q, size_t k, air::KnnStrategy /*strategy*/) {
   if (k == 0) return {};  // degenerate: the empty set, no listening needed
   const auto& tree = index_.tree();
   const auto& mapper = index_.mapper();
@@ -264,14 +264,7 @@ std::vector<datasets::SpatialObject> HciClient::KnnQuery(
   std::vector<datasets::SpatialObject> out;
   const auto& objects = index_.sorted_objects();
   reader_.retrieved().ForEach([&](size_t i) { out.push_back(objects[i]); });
-  std::sort(out.begin(), out.end(),
-            [&](const datasets::SpatialObject& a,
-                const datasets::SpatialObject& b) {
-              const double da = common::SquaredDistance(q, a.location);
-              const double db = common::SquaredDistance(q, b.location);
-              return da != db ? da < db : a.id < b.id;
-            });
-  if (out.size() > k) out.resize(k);
+  datasets::KeepNearest(q, k, &out);
   return out;
 }
 

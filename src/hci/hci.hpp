@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "air/air_index.hpp"
 #include "bptree/bptree.hpp"
 #include "broadcast/air_tree.hpp"
 #include "broadcast/client.hpp"
@@ -65,7 +66,7 @@ class HciIndex {
 /// rebuild the client on the new generation's index when
 /// session->generation() advances (the caches refer to a dead layout
 /// then).
-class HciClient {
+class HciClient final : public air::AirClient {
  public:
   HciClient(const HciIndex& index, broadcast::ClientSession* session);
 
@@ -73,13 +74,16 @@ class HciClient {
   /// flags and the previous query's half-resolved data list, and re-arms
   /// the session's watchdog budget from its current instant. The node
   /// cache, leaf anchors and retrieved objects are kept.
-  void BeginQuery() { reader_.BeginQuery(); }
+  void BeginQuery() override { reader_.BeginQuery(); }
 
-  std::vector<datasets::SpatialObject> WindowQuery(const common::Rect& window);
-  std::vector<datasets::SpatialObject> KnnQuery(const common::Point& q,
-                                                size_t k);
+  std::vector<datasets::SpatialObject> WindowQuery(
+      const common::Rect& window) override;
+  /// The tree has no navigation tactics: \p strategy is ignored.
+  std::vector<datasets::SpatialObject> KnnQuery(
+      const common::Point& q, size_t k, air::KnnStrategy strategy) override;
+  using AirClient::KnnQuery;
 
-  const broadcast::TreeQueryStats& stats() const { return reader_.stats(); }
+  const air::ClientStats& stats() const override { return reader_.stats(); }
 
  private:
   /// Reads node \p node_id at its next occurrence, retrying later

@@ -81,7 +81,7 @@ std::vector<datasets::SpatialObject> RtreeClient::WindowQuery(
 }
 
 std::vector<datasets::SpatialObject> RtreeClient::KnnQuery(
-    const common::Point& q, size_t k) {
+    const common::Point& q, size_t k, air::KnnStrategy /*strategy*/) {
   if (k == 0) return {};  // degenerate: the empty set, no listening needed
   const Rtree& tree = index_.tree();
 
@@ -89,8 +89,9 @@ std::vector<datasets::SpatialObject> RtreeClient::KnnQuery(
   struct Candidate {
     double dist2;
     uint32_t data_id;
+    uint32_t id;  // object id: ties go by it, as in every family's answer
   };
-  // The k best so far, ascending by (distance, data id).
+  // The k best so far, in datasets::NearerFirst order.
   std::vector<Candidate> candidates;
   candidates.reserve(k + 1);
   auto tau2 = [&]() -> double {
@@ -98,9 +99,9 @@ std::vector<datasets::SpatialObject> RtreeClient::KnnQuery(
     return candidates[k - 1].dist2;
   };
   auto add_candidate = [&](double d2, uint32_t data_id) {
-    const Candidate c{d2, data_id};
+    const Candidate c{d2, data_id, index_.str_objects()[data_id].id};
     auto before = [](const Candidate& a, const Candidate& b) {
-      return a.dist2 != b.dist2 ? a.dist2 < b.dist2 : a.data_id < b.data_id;
+      return datasets::NearerFirst(a.dist2, a.id, b.dist2, b.id);
     };
     if (candidates.size() == k && !before(c, candidates.back())) return;
     candidates.insert(

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "air/air_index.hpp"
 #include "broadcast/air_tree.hpp"
 #include "broadcast/airing_order.hpp"
 #include "broadcast/client.hpp"
@@ -53,7 +54,7 @@ class RtreeIndex {
 /// retrieved set stay valid within one generation (call BeginQuery()
 /// before each re-evaluation; rebuild the client on the new generation's
 /// index when session->generation() advances).
-class RtreeClient {
+class RtreeClient final : public air::AirClient {
  public:
   RtreeClient(const RtreeIndex& index, broadcast::ClientSession* session);
 
@@ -61,13 +62,16 @@ class RtreeClient {
   /// and the previous query's half-resolved data list, re-arms the
   /// session's watchdog budget. The node cache and retrieved objects are
   /// kept.
-  void BeginQuery() { reader_.BeginQuery(); }
+  void BeginQuery() override { reader_.BeginQuery(); }
 
-  std::vector<datasets::SpatialObject> WindowQuery(const common::Rect& window);
-  std::vector<datasets::SpatialObject> KnnQuery(const common::Point& q,
-                                                size_t k);
+  std::vector<datasets::SpatialObject> WindowQuery(
+      const common::Rect& window) override;
+  /// The tree has no navigation tactics: \p strategy is ignored.
+  std::vector<datasets::SpatialObject> KnnQuery(
+      const common::Point& q, size_t k, air::KnnStrategy strategy) override;
+  using AirClient::KnnQuery;
 
-  const broadcast::TreeQueryStats& stats() const { return reader_.stats(); }
+  const air::ClientStats& stats() const override { return reader_.stats(); }
 
  private:
   /// Drains the pending data that passes by on the way to \p node_id, then

@@ -389,8 +389,6 @@ void CheckWorkload(const GenerationalIndex& gi, const Workload& wl,
   for (size_t i = 0; i < results.size(); ++i) {
     audit.Check(results[i], QueryAt(wl, i), i, "", &tally);
   }
-  // One-shot aborts are what the sweep's abort rule counts.
-  audit.report->incomplete += tally.incomplete;
   // Exact incomplete accounting: the engine's aggregate must agree with the
   // per-query flags at EVERY theta, total loss included — silent
   // undercounting is how aborted queries masquerade as answered. The

@@ -136,14 +136,15 @@ struct Divergence {
 struct ConformanceReport {
   std::vector<Divergence> divergences;
   size_t queries_checked = 0;  ///< Completed queries compared to the oracle.
-  size_t incomplete = 0;       ///< Watchdog-aborted queries (skipped).
   /// Queries that straddled a republication instant and restarted on a new
   /// generation (dynamic cases only) — evidence the schedule actually
   /// exercised cross-generation execution.
   size_t restarted = 0;
-  /// Where each watchdog abort happened (detail carries the result sizes);
-  /// aborts are legitimate only under sustained heavy loss, so harness
-  /// users assert on this list for moderate-theta sweeps.
+  /// Every aborted query — one-shot, and both sides of every trajectory
+  /// step — with where it happened (detail carries the result sizes); its
+  /// size is the abort count. Aborts are legitimate only under sustained
+  /// heavy loss, so harness users assert on this list for moderate-theta
+  /// sweeps.
   std::vector<Divergence> incomplete_queries;
 };
 

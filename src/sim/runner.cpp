@@ -52,7 +52,7 @@ ShardSums RunGenerationalShard(const GenerationalIndex& index,
     broadcast::ClientSession session(
         channel, tune_in, broadcast::ErrorModel{wl.theta, wl.error_mode},
         rng.Fork());
-    const detail::FreshAnswer fresh = detail::RunFreshClient(
+    const detail::ClientAnswer fresh = detail::RunFreshClient(
         index.generations, session, arena,
         [&](air::AirClient& client) {
           return wl.kind == QueryKind::kWindow

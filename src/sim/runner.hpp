@@ -23,6 +23,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -175,35 +176,31 @@ Sums RunSharded(size_t n, size_t workers, RunShardFn&& run_shard) {
   return total;
 }
 
-/// What one fresh client produced for one query.
-struct FreshAnswer {
+/// What the client of one query produced.
+struct ClientAnswer {
   std::vector<datasets::SpatialObject> answer;
   bool completed = true;
   /// Republications the query observed mid-flight.
   size_t restarts = 0;
 };
 
-/// Answers one query with a fresh client on the already-built \p session:
-/// probes first (the probe itself may park past a republication instant,
-/// and the client must be built for the generation actually on air), then
-/// builds the client of the live generation in \p arena and runs
-/// \p query(client). A stale abort (republished mid-query) keeps the
-/// session, so latency keeps accruing, and restarts with a fresh client on
-/// the new generation; generations strictly advance, so this loops at most
-/// generations.size() times. Shared by GenerationalRun's queries and
-/// RunTrajectories' cold baseline.
-template <typename Query>
-FreshAnswer RunFreshClient(
-    const std::vector<const air::AirIndexHandle*>& generations,
-    broadcast::ClientSession& session, air::ClientArena& arena,
-    Query&& query) {
+/// The restart loop of both client paths: probes first (the probe itself
+/// may park past a republication instant, and the client must be the one
+/// of the generation actually on air), then runs \p query on
+/// \p client_for(generation on air). A stale abort (republished
+/// mid-query) keeps the session, so latency keeps accruing, and re-issues
+/// on the new generation's client; generations strictly advance, so this
+/// loops at most once per generation.
+template <typename ClientFor, typename Query>
+ClientAnswer RunOnLiveGeneration(broadcast::ClientSession& session,
+                                ClientFor&& client_for, Query&& query) {
   session.InitialProbe();
-  FreshAnswer out;
+  ClientAnswer out;
   while (true) {
     const uint64_t gen = session.generation();
-    air::AirClient* client = generations[gen]->MakeClientIn(arena, &session);
-    out.answer = query(*client);
-    const air::ClientStats st = client->stats();
+    air::AirClient& client = client_for(gen);
+    out.answer = query(client);
+    const air::ClientStats& st = client.stats();
     if (!st.stale) {
       out.completed = st.completed;
       return out;
@@ -211,6 +208,51 @@ FreshAnswer RunFreshClient(
     assert(session.generation() > gen);
     ++out.restarts;
   }
+}
+
+/// Answers one query on the already-built \p session with a fresh client
+/// per generation, built in \p arena. Shared by GenerationalRun's queries
+/// and RunTrajectories' cold baseline.
+template <typename Query>
+ClientAnswer RunFreshClient(
+    const std::vector<const air::AirIndexHandle*>& generations,
+    broadcast::ClientSession& session, air::ClientArena& arena,
+    Query&& query) {
+  return RunOnLiveGeneration(
+      session,
+      [&](uint64_t gen) -> air::AirClient& {
+        return *generations[gen]->MakeClientIn(arena, &session);
+      },
+      query);
+}
+
+/// A continuous client kept alive across the queries of one session, and
+/// the generation it was built for (null until the first query).
+struct WarmClient {
+  std::unique_ptr<air::AirClient> client;
+  uint64_t generation = 0;
+};
+
+/// Answers one query on \p session with the continuous client \p warm,
+/// built on the first query and rebuilt whenever the generation on air is
+/// not the one it was built for (republished while it dozed, or
+/// mid-query), and armed with BeginQuery before every issue. Shared by
+/// RunTrajectories' warm tours, live_client and the transport parity test.
+template <typename Query>
+ClientAnswer RunWarmClient(
+    const std::vector<const air::AirIndexHandle*>& generations,
+    broadcast::ClientSession& session, WarmClient* warm, Query&& query) {
+  return RunOnLiveGeneration(
+      session,
+      [&](uint64_t gen) -> air::AirClient& {
+        if (warm->client == nullptr || warm->generation != gen) {
+          warm->generation = gen;
+          warm->client = generations[gen]->MakeContinuousClient(&session);
+        }
+        warm->client->BeginQuery();
+        return *warm->client;
+      },
+      query);
 }
 
 /// Captures one answered query into \p out: ids sorted, kNN distance

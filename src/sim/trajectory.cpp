@@ -75,7 +75,7 @@ void RunColdStep(const std::vector<const air::AirIndexHandle*>& gens,
       MixSeed(MixSeed(options.seed ^ kColdSalt, c), s));
   broadcast::ClientSession session =
       warm_session.ForkColdSession(tune_in, cold_rng.Fork());
-  const detail::FreshAnswer fresh = detail::RunFreshClient(
+  const detail::ClientAnswer fresh = detail::RunFreshClient(
       gens, session, arena,
       [&](air::AirClient& client) { return RunStepQuery(client, wl, c, s); });
   const broadcast::Metrics m = session.metrics();
@@ -188,37 +188,13 @@ class Tour {
                air::ClientArena& cold_arena) {
     const size_t s = s_;
     const uint64_t step_start = session_->now_packets();
-    // Probe before picking the client: the probe itself may park past a
-    // republication instant (step 0 only; later steps fall through).
-    session_->InitialProbe();
-    if (warm_ == nullptr || session_->generation() != warm_gen_) {
-      // First step, or the broadcast was republished while the client was
-      // dozing between re-evaluations: all learned state referred to the
-      // dead layout — rebuild against the generation now on air.
-      warm_gen_ = session_->generation();
-      warm_ = gens_[warm_gen_]->MakeContinuousClient(&*session_);
-    }
-    std::vector<datasets::SpatialObject> answer;
-    bool completed = true;
-    size_t restarts = 0;
-    while (true) {
-      warm_->BeginQuery();
-      answer = RunStepQuery(*warm_, wl_, c_, s);
-      const air::ClientStats st = warm_->stats();
-      if (st.stale) {
-        // Republished mid-step: same invalidate-and-restart contract as
-        // sim::GenerationalRun, on the same session (the step keeps paying
-        // latency from its own start). Generations strictly advance, so
-        // this loop is bounded by the schedule length.
-        assert(session_->generation() > warm_gen_);
-        warm_gen_ = session_->generation();
-        warm_ = gens_[warm_gen_]->MakeContinuousClient(&*session_);
-        ++restarts;
-        continue;
-      }
-      completed = st.completed;
-      break;
-    }
+    // Republished while the client dozed between re-evaluations, or
+    // mid-step: the warm client is rebuilt on the generation now on air,
+    // and the step keeps paying latency from its own start.
+    const detail::ClientAnswer warm = detail::RunWarmClient(
+        gens_, *session_, &warm_, [&](air::AirClient& client) {
+          return RunStepQuery(client, wl_, c_, s);
+        });
     const broadcast::Metrics after = session_->metrics();
     const uint64_t step_latency =
         after.access_latency_bytes - before.access_latency_bytes;
@@ -228,8 +204,8 @@ class Tour {
     sums_->tuning_bytes += step_tuning;
     sums_->repaired += step_repaired;
     ++sums_->steps;
-    if (!completed) ++sums_->incomplete;
-    if (restarts > 0) ++sums_->restarted;
+    if (!warm.completed) ++sums_->incomplete;
+    if (warm.restarts > 0) ++sums_->restarted;
     QueryResult* warm_out = nullptr;
     QueryResult* cold_out = nullptr;
     if (steps_out_ != nullptr) {
@@ -238,9 +214,10 @@ class Tour {
       cold_out = &(*steps_out_)[s].cold;
     }
     if (warm_out != nullptr) {
-      detail::CaptureResult(wl_.kind, wl_.clients[c_][s], answer, completed,
-                            session_->generation(), restarts, step_latency,
-                            step_tuning, step_repaired, warm_out);
+      detail::CaptureResult(wl_.kind, wl_.clients[c_][s], warm.answer,
+                            warm.completed, session_->generation(),
+                            warm.restarts, step_latency, step_tuning,
+                            step_repaired, warm_out);
     }
     if (options_.cold_baseline) {
       RunColdStep(gens_, wl_, c_, s, *session_, step_start, options_,
@@ -256,8 +233,7 @@ class Tour {
   std::vector<TrajectoryStep>* const steps_out_;
   const uint64_t depart_;
   std::optional<broadcast::ClientSession> session_;
-  std::unique_ptr<air::AirClient> warm_;
-  uint64_t warm_gen_ = 0;
+  detail::WarmClient warm_;
   size_t s_ = 0;  ///< Next step to run.
 };
 

@@ -64,6 +64,10 @@ class LiveSource {
   const air::AirIndexHandle& handle(size_t g) const {
     return family_.handle(g);
   }
+  /// Every generation's query-side handle, in generation order.
+  const std::vector<const air::AirIndexHandle*>& handles() const {
+    return family_.handles();
+  }
   /// Ground-truth object set of generation \p g.
   const std::vector<datasets::SpatialObject>& objects(size_t g) const {
     return generations_.objects[g];

@@ -255,7 +255,7 @@ void StreamTransport::Listen(uint64_t start, uint64_t packets) {
           " while the session was listening at packet " +
           std::to_string(start));
     }
-    ConsumePending(options_.validate_content);
+    ConsumePending(/*validate=*/true);
   }
 }
 

@@ -9,8 +9,8 @@
 /// the build recipe and this connection's tune-in packet; the client
 /// rebuilds the identical broadcast in-process (LiveSource) and then
 /// VERIFIES the daemon against it — every kProgram announcement must match
-/// the locally derived timetable and, when validate_content is on, every
-/// received bucket's bytes must equal the locally computed encoding. A
+/// the locally derived timetable, and every bucket the session listens to
+/// must carry exactly the locally computed encoding. A
 /// daemon that drifts from its own recipe is a protocol error, not silent
 /// corruption.
 ///
@@ -51,8 +51,6 @@ class StreamTransport final : public Transport {
  public:
   struct Options {
     int timeout_ms = 5000;  ///< Per connect and per receive-buffer refill.
-    /// Check every received bucket's content against the local rebuild.
-    bool validate_content = true;
   };
 
   /// Connects to \p endpoint_spec ("tcp:[HOST:]PORT" or "unix:PATH"),
@@ -102,7 +100,8 @@ class StreamTransport final : public Transport {
   wire::FrameType RecvFrame(std::span<const uint8_t>* payload);
   /// Pulls the next bucket frame into pending_ (unless shutdown arrives).
   void PullFrame();
-  /// Consumes pending_ into coverage, validating position and content.
+  /// Consumes pending_ into coverage, validating its position and — when
+  /// \p validate, i.e. the session listened to it — its content.
   void ConsumePending(bool validate);
 
   SocketFd fd_;

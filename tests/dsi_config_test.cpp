@@ -112,7 +112,7 @@ TEST_P(DsiConfigTest, KnnQueryExactForEveryConfig) {
   const DsiIndex index(objects, mapper, 64, cc.config);
   common::Rng rng(73);
   for (const auto strategy :
-       {KnnStrategy::kConservative, KnnStrategy::kAggressive}) {
+       {air::KnnStrategy::kConservative, air::KnnStrategy::kAggressive}) {
     for (int trial = 0; trial < 3; ++trial) {
       const Point q{rng.Uniform(0, 1), rng.Uniform(0, 1)};
       std::vector<double> oracle;

@@ -114,7 +114,7 @@ TEST(DsiPointQueryTest, EefHopCountIsLogarithmic) {
     auto session = f.MakeSession(trial * 997);
     DsiClient client(f.index, &session);
     (void)client.PointQuery(target.location);
-    max_hops = std::max(max_hops, client.stats().hops);
+    max_hops = std::max(max_hops, client.hops());
   }
   // ~log2(1000) = 10 table hops plus slack for landing offsets.
   EXPECT_LE(max_hops, 24u);
@@ -224,7 +224,7 @@ TEST(DsiWindowQueryTest, ObjectFactorGreaterThanOne) {
 
 struct KnnCase {
   uint32_t segments;
-  KnnStrategy strategy;
+  air::KnnStrategy strategy;
 };
 
 class DsiKnnQueryTest : public ::testing::TestWithParam<KnnCase> {};
@@ -265,10 +265,10 @@ TEST_P(DsiKnnQueryTest, MatchesOracle) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, DsiKnnQueryTest,
-    ::testing::Values(KnnCase{1, KnnStrategy::kConservative},
-                      KnnCase{1, KnnStrategy::kAggressive},
-                      KnnCase{2, KnnStrategy::kConservative},
-                      KnnCase{2, KnnStrategy::kAggressive}));
+    ::testing::Values(KnnCase{1, air::KnnStrategy::kConservative},
+                      KnnCase{1, air::KnnStrategy::kAggressive},
+                      KnnCase{2, air::KnnStrategy::kConservative},
+                      KnnCase{2, air::KnnStrategy::kAggressive}));
 
 TEST(DsiKnnQueryTest, KLargerThanDatasetReturnsAll) {
   Fixture f(20, 1, 42);
@@ -292,13 +292,13 @@ TEST(DsiKnnQueryTest, AggressiveUsesLessTuningThanConservative) {
     {
       auto session = f.MakeSession(tune_in);
       DsiClient client(f.index, &session);
-      (void)client.KnnQuery(q, 10, KnnStrategy::kConservative);
+      (void)client.KnnQuery(q, 10, air::KnnStrategy::kConservative);
       cons_tuning += session.metrics().tuning_bytes;
     }
     {
       auto session = f.MakeSession(tune_in);
       DsiClient client(f.index, &session);
-      (void)client.KnnQuery(q, 10, KnnStrategy::kAggressive);
+      (void)client.KnnQuery(q, 10, air::KnnStrategy::kAggressive);
       aggr_tuning += session.metrics().tuning_bytes;
     }
   }

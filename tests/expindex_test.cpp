@@ -208,7 +208,7 @@ TEST(ExpQueryTest, ForwardingIsLogarithmic) {
         broadcast::ErrorModel{}, common::Rng(trial + 1));
     ExpClient client(index, &s);
     (void)client.Lookup(key);
-    max_tables = std::max(max_tables, client.stats().tables_read);
+    max_tables = std::max(max_tables, client.stats().index_reads);
   }
   EXPECT_LE(max_tables, 30u);  // ~log2(4000) = 12 plus slack
 }

@@ -37,6 +37,7 @@
 #include "common/geometry.hpp"
 #include "common/rng.hpp"
 #include "datasets/datasets.hpp"
+#include "sim/runner.hpp"
 #include "transport/broadcast_daemon.hpp"
 #include "transport/live_source.hpp"
 #include "transport/socket.hpp"
@@ -55,12 +56,7 @@ struct Outcome {
   uint64_t final_generation = 0;
   bool completed = true;
 
-  bool operator==(const Outcome& other) const {
-    return ids == other.ids && latency_bytes == other.latency_bytes &&
-           tuning_bytes == other.tuning_bytes &&
-           final_generation == other.final_generation &&
-           completed == other.completed;
-  }
+  bool operator==(const Outcome&) const = default;
 };
 
 /// One window + one kNN query on a single continuous session over
@@ -84,23 +80,15 @@ Outcome RunPair(const transport::LiveSource& source,
                         qrng.Uniform(u.min_y, u.max_y)};
 
   Outcome out;
-  uint64_t gen = session.generation();
-  std::unique_ptr<air::AirClient> client =
-      source.handle(gen).MakeContinuousClient(&session);
+  sim::detail::WarmClient warm;
   for (int which = 0; which < 2; ++which) {
-    std::vector<datasets::SpatialObject> answer;
-    for (;;) {
-      if (session.generation() != gen) {
-        gen = session.generation();
-        client = source.handle(gen).MakeContinuousClient(&session);
-      }
-      client->BeginQuery();
-      answer =
-          which == 0 ? client->WindowQuery(window) : client->KnnQuery(q, 4);
-      if (!client->stats().stale) break;
-    }
-    for (const auto& obj : answer) out.ids.push_back(obj.id);
-    out.completed = out.completed && client->stats().completed;
+    const sim::detail::ClientAnswer a = sim::detail::RunWarmClient(
+        source.handles(), session, &warm, [&](air::AirClient& client) {
+          return which == 0 ? client.WindowQuery(window)
+                            : client.KnnQuery(q, 4);
+        });
+    for (const auto& obj : a.answer) out.ids.push_back(obj.id);
+    out.completed = out.completed && a.completed;
   }
   std::sort(out.ids.begin(), out.ids.end());
   const broadcast::Metrics m = session.metrics();

@@ -138,7 +138,8 @@ void PrintDivergences(const ConformanceReport& r) {
                 d.detail.c_str());
   }
   std::printf("  checked=%zu incomplete=%zu divergences=%zu\n",
-              r.queries_checked, r.incomplete, r.divergences.size());
+              r.queries_checked, r.incomplete_queries.size(),
+              r.divergences.size());
 }
 
 /// A case fails if any query diverged from the oracle OR — at theta <= 0.7,
@@ -149,7 +150,8 @@ void PrintDivergences(const ConformanceReport& r) {
 /// accounting (checked inside the harness, surfaced as divergences) still
 /// apply.
 bool CaseFails(const ConformanceCase& c, const ConformanceReport& r) {
-  return !r.divergences.empty() || (c.theta <= 0.7 && r.incomplete > 0);
+  return !r.divergences.empty() ||
+         (c.theta <= 0.7 && !r.incomplete_queries.empty());
 }
 
 /// Greedy shrink: apply each simplification while the (family-restricted)
@@ -287,7 +289,7 @@ int main(int argc, char** argv) {
     }
     const ConformanceReport r = RunConformanceCase(c, args.families);
     checked += r.queries_checked;
-    incomplete += r.incomplete;
+    incomplete += r.incomplete_queries.size();
     restarted += r.restarted;
     if (CaseFails(c, r)) {
       std::printf("seed %llu FAILED:\n",

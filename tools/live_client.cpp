@@ -20,7 +20,6 @@
 ///                    [--windows=N] [--knn=N] [--k=K] [--seed=S]
 ///                    [--theta=T] [--timeout-ms=MS] [--verify] [--quiet]
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -32,6 +31,7 @@
 #include "common/geometry.hpp"
 #include "common/rng.hpp"
 #include "datasets/datasets.hpp"
+#include "sim/runner.hpp"
 #include "transport/stream_transport.hpp"
 #include "transport/transport.hpp"
 
@@ -44,13 +44,6 @@ struct QuerySpec {
   common::Rect window;
   common::Point point;
   size_t k = 0;
-};
-
-struct QueryOutcome {
-  std::vector<uint32_t> ids;        // sorted result ids
-  uint64_t latency_bytes = 0;       // session delta
-  uint64_t tuning_bytes = 0;        // session delta
-  bool completed = true;
 };
 
 std::vector<QuerySpec> MakeQueries(size_t windows, size_t knn, size_t k,
@@ -77,50 +70,40 @@ std::vector<QuerySpec> MakeQueries(size_t windows, size_t knn, size_t k,
   return out;
 }
 
-/// Runs the full query stream over ONE session on \p channel: continuous
-/// client per generation, rebuilt on republication (the same invalidation
-/// contract the simulator's generational runner follows).
-std::vector<QueryOutcome> RunStream(const transport::LiveSource& source,
-                                    transport::Transport& channel,
-                                    uint64_t tune_in,
-                                    const std::vector<QuerySpec>& queries,
-                                    double theta, uint64_t session_seed) {
+/// Runs the full query stream over ONE session on \p channel through the
+/// simulator's warm-client loop (sim::detail::RunWarmClient: a continuous
+/// client per generation, rebuilt on republication) and captures every
+/// answer as the simulator does, with the query's own byte metrics.
+std::vector<sim::QueryResult> RunStream(const transport::LiveSource& source,
+                                        transport::Transport& channel,
+                                        uint64_t tune_in,
+                                        const std::vector<QuerySpec>& queries,
+                                        double theta, uint64_t session_seed) {
   broadcast::ClientSession session(
       channel, tune_in,
       broadcast::ErrorModel{theta, broadcast::ErrorMode::kPerReadLoss},
       common::Rng(session_seed));
   session.InitialProbe();
 
-  std::vector<QueryOutcome> outcomes;
-  uint64_t gen = session.generation();
-  std::unique_ptr<air::AirClient> client =
-      source.handle(gen).MakeContinuousClient(&session);
-  for (const QuerySpec& q : queries) {
+  std::vector<sim::QueryResult> results(queries.size());
+  sim::detail::WarmClient warm;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const QuerySpec& q = queries[i];
     const broadcast::Metrics before = session.metrics();
-    std::vector<datasets::SpatialObject> answer;
-    for (;;) {
-      if (session.generation() != gen) {
-        gen = session.generation();
-        client = source.handle(gen).MakeContinuousClient(&session);
-      }
-      client->BeginQuery();
-      answer = q.is_window ? client->WindowQuery(q.window)
-                           : client->KnnQuery(q.point, q.k);
-      if (!client->stats().stale) break;
-      // Republished mid-query: rebuild against the new generation and
-      // re-issue (generations strictly advance, so this terminates).
-    }
+    const sim::detail::ClientAnswer a = sim::detail::RunWarmClient(
+        source.handles(), session, &warm, [&](air::AirClient& client) {
+          return q.is_window ? client.WindowQuery(q.window)
+                             : client.KnnQuery(q.point, q.k);
+        });
     const broadcast::Metrics after = session.metrics();
-    QueryOutcome o;
-    o.ids.reserve(answer.size());
-    for (const auto& obj : answer) o.ids.push_back(obj.id);
-    std::sort(o.ids.begin(), o.ids.end());
-    o.latency_bytes = after.access_latency_bytes - before.access_latency_bytes;
-    o.tuning_bytes = after.tuning_bytes - before.tuning_bytes;
-    o.completed = client->stats().completed;
-    outcomes.push_back(std::move(o));
+    sim::detail::CaptureResult(
+        q.is_window ? sim::QueryKind::kWindow : sim::QueryKind::kKnn, q.point,
+        a.answer, a.completed, session.generation(), a.restarts,
+        after.access_latency_bytes - before.access_latency_bytes,
+        after.tuning_bytes - before.tuning_bytes,
+        after.repaired - before.repaired, &results[i]);
   }
-  return outcomes;
+  return results;
 }
 
 }  // namespace
@@ -190,7 +173,7 @@ int main(int argc, char** argv) {
   const std::vector<QuerySpec> queries = MakeQueries(windows, knn, k, seed);
   const uint64_t session_seed = seed * 0x51ED2701ull + 7;
 
-  std::vector<QueryOutcome> live;
+  std::vector<sim::QueryResult> live;
   const auto t0 = std::chrono::steady_clock::now();
   try {
     live = RunStream(stream->source(), *stream, tune_in, queries, theta,
@@ -229,15 +212,12 @@ int main(int argc, char** argv) {
   if (verify) {
     // Replay the identical stream through the simulator substrate: same
     // schedule (locally rebuilt from the hello), same tune-in, same rng.
-    transport::SimTransport sim(stream->source().schedule());
-    const std::vector<QueryOutcome> simulated = RunStream(
-        stream->source(), sim, tune_in, queries, theta, session_seed);
+    transport::SimTransport replay(stream->source().schedule());
+    const std::vector<sim::QueryResult> simulated = RunStream(
+        stream->source(), replay, tune_in, queries, theta, session_seed);
     size_t divergences = 0;
     for (size_t i = 0; i < live.size(); ++i) {
-      if (live[i].ids != simulated[i].ids ||
-          live[i].latency_bytes != simulated[i].latency_bytes ||
-          live[i].tuning_bytes != simulated[i].tuning_bytes ||
-          live[i].completed != simulated[i].completed) {
+      if (live[i] != simulated[i]) {
         std::fprintf(
             stderr,
             "verify: query %zu diverged (live %zu results / %llu / %llu vs "
