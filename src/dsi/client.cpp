@@ -68,7 +68,7 @@ void PendingTargets::Subtract(const hilbert::HcRange& r) {
 bool PendingTargets::DiscMayIntersect(uint64_t lo, uint64_t hi_excl) const {
   if (lo >= hi_excl) return false;
   const uint64_t hi = hi_excl - 1;
-  const Disc& d = *disc_;
+  Disc& d = *disc_;
   // Walk the gaps of the coverage inside [lo, hi]; each asks the disc.
   const std::vector<hilbert::HcRange>& cov = d.covered->ranges();
   auto it = std::lower_bound(
@@ -78,11 +78,13 @@ bool PendingTargets::DiscMayIntersect(uint64_t lo, uint64_t hi_excl) const {
   for (uint64_t cur = lo; cur <= hi; cur = it++->hi + 1) {
     if (it == cov.end() || it->lo > hi) {
       hit = d.mapper->DiscHitsCurveRange(d.center, d.radius, cur, hi);
+      if (hit) d.last_hit = cur;
       break;
     }
     if (it->lo > cur &&
         d.mapper->DiscHitsCurveRange(d.center, d.radius, cur, it->lo - 1)) {
       hit = true;
+      d.last_hit = cur;
       break;
     }
   }
@@ -91,8 +93,34 @@ bool PendingTargets::DiscMayIntersect(uint64_t lo, uint64_t hi_excl) const {
 }
 
 bool PendingTargets::Empty() const {
-  if (disc_ == nullptr) return ranges_.empty();
-  return !MayIntersect(0, disc_->mapper->curve().num_cells());
+  return disc_ == nullptr ? ranges_.empty() : DiscEmpty();
+}
+
+bool PendingTargets::DiscEmpty() const {
+  const Disc& d = *disc_;
+  const uint64_t cells = d.mapper->curve().num_cells();
+  // The whole coverage gap [glo, ghi] holding the last hit, or the gap
+  // after it if coverage has reached the hit since.
+  const std::vector<hilbert::HcRange>& cov = d.covered->ranges();
+  auto it = std::lower_bound(
+      cov.begin(), cov.end(), d.last_hit,
+      [](const hilbert::HcRange& a, uint64_t v) { return a.hi < v; });
+  uint64_t glo;
+  if (it != cov.end() && it->lo <= d.last_hit) {
+    glo = it->hi + 1;
+    ++it;
+  } else {
+    glo = it == cov.begin() ? 0 : std::prev(it)->hi + 1;
+  }
+  if (glo >= cells) return !MayIntersect(0, cells);
+  const uint64_t ghi = it == cov.end() ? cells - 1 : it->lo - 1;
+  if (d.mapper->DiscHitsCurveRange(d.center, d.radius, glo, ghi)) {
+    assert(d.reference_fresh && !d.reference.empty());
+    return false;
+  }
+  // Gap boundaries are coverage boundaries, so the rest of the domain is
+  // exactly the other gaps.
+  return !MayIntersect(0, glo) && !MayIntersect(ghi + 1, cells);
 }
 
 DsiClient::DsiClient(const DsiIndex& index, broadcast::ClientSession* session)
@@ -105,7 +133,8 @@ DsiClient::DsiClient(const DsiIndex& index, broadcast::ClientSession* session)
       frames_done_(index.num_frames(), false),
       retrieved_(index.sorted_objects().size()) {
   for (uint32_t s = 0; s < layout_.m; ++s) {
-    known_[s].Init(layout_.SegmentLength(s));
+    known_[s].Init(layout_.SegmentLength(s),
+                   index.min_hc_by_position().data() + s, layout_.m);
   }
 }
 
@@ -459,16 +488,15 @@ void DsiClient::Learn(uint32_t position) {
   // A table's content is a pure function of its broadcast position, so
   // re-reading one (the EEF loop revisits tables constantly) teaches
   // nothing new — skip the entry recording wholesale. Entries are read in
-  // place; an offset already known costs one bit test and no HC load.
+  // place; recording an offset sets one bit, and only a kNN query loads
+  // the HC of a newly known one.
   if (learned_tables_[position]) return;
   learned_tables_[position] = true;
   auto record = [&](uint32_t pos) {
     SegmentKnowledge& seg = known_[layout_.SegmentOfPosition(pos)];
-    const uint32_t off = layout_.OffsetOfPosition(pos);
-    if (seg.Known(off)) return;
-    const uint64_t hc = index_.FrameMinHcAtPosition(pos);
-    seg.Record(off, hc);
-    if (knn_) LearnAdvert(hc);
+    if (seg.Record(layout_.OffsetOfPosition(pos)) && knn_) {
+      LearnAdvert(index_.FrameMinHcAtPosition(pos));
+    }
   };
   record(position);
   for (uint32_t i = 0; i < index_.entries_per_table(); ++i) {

@@ -69,59 +69,59 @@
 
 namespace dsi::core {
 
-/// Flat (offset -> min-HC) knowledge for one broadcast segment. Offsets are
-/// dense in [0, segment length), so knowledge is a direct-indexed value
-/// array plus a presence bitmap (common::TwoLevelBitmap): recording is O(1),
-/// and the predecessor/successor queries the navigation rules ask per hop
-/// skip empty stretches in a few word operations.
+/// (offset -> min-HC) knowledge for one broadcast segment: a presence
+/// bitmap (common::TwoLevelBitmap) over the segment's dense offsets. The
+/// value of a known offset is read in place from the index's by-position
+/// array, so clients keep no copy. Recording is one bit, and the
+/// predecessor/successor queries the navigation rules ask per hop skip
+/// empty stretches in a few word operations.
 class SegmentKnowledge {
  public:
-  /// \param length Segment length in frames; offsets are < length. The
-  /// value array is left uninitialized — the bitmap is the source of truth.
-  void Init(uint32_t length) {
-    hc_.reset(new uint64_t[length > 0 ? length : 1]);
+  /// \param length Segment length in frames; offsets are < length.
+  /// \param values The segment's min-HC values in place: offset o's value
+  /// is values[o * stride] (a DSI segment s of m airs offset o at position
+  /// o*m + s, so values is the by-position array plus s and stride is m).
+  void Init(uint32_t length, const uint64_t* values, uint32_t stride) {
+    values_ = values;
+    stride_ = stride;
     known_.Reset(length);
   }
 
-  /// Records \p hc at \p off; true if the offset was not known before.
-  bool Record(uint32_t off, uint64_t hc) {
-    hc_[off] = hc;
-    return known_.set(off);
-  }
-
-  /// Whether \p off is known.
-  bool Known(uint32_t off) const { return known_.test(off); }
+  /// Marks \p off known; true if it was not known before.
+  bool Record(uint32_t off) { return known_.set(off); }
 
   /// Value of the last known offset <= \p off, or nullopt.
   std::optional<uint64_t> FloorValue(uint32_t off) const {
     const size_t at = known_.PrevAtOrBelow(off);
     if (at == common::TwoLevelBitmap::kNone) return std::nullopt;
-    return hc_[at];
+    return Value(at);
   }
 
   /// Value of the first known offset > \p off, or nullopt.
   std::optional<uint64_t> CeilAboveValue(uint32_t off) const {
     const size_t at = known_.NextAtOrAfter(size_t{off} + 1);
     if (at == common::TwoLevelBitmap::kNone) return std::nullopt;
-    return hc_[at];
+    return Value(at);
   }
 
   /// Exact-offset lookup.
   std::optional<uint64_t> Find(uint32_t off) const {
-    if (known_.test(off)) return hc_[off];
+    if (known_.test(off)) return Value(off);
     return std::nullopt;
   }
 
   /// Invokes \p f(offset, hc) for every known entry, ascending by offset.
   template <class F>
   void ForEachKnown(F&& f) const {
-    known_.ForEach([&](size_t off) {
-      f(static_cast<uint32_t>(off), hc_[off]);
-    });
+    known_.ForEach(
+        [&](size_t off) { f(static_cast<uint32_t>(off), Value(off)); });
   }
 
  private:
-  std::unique_ptr<uint64_t[]> hc_;  // by offset; valid where known_ is set
+  uint64_t Value(size_t off) const { return values_[off * stride_]; }
+
+  const uint64_t* values_ = nullptr;  // read only where known_ is set
+  uint32_t stride_ = 1;
   common::TwoLevelBitmap known_;
 };
 
@@ -148,6 +148,12 @@ class PendingTargets {
     const hilbert::IntervalSet* covered = nullptr;  // read live
     common::Point center{};
     double radius = 0.0;
+    /// Where a descent last found a disc cell, inside the gap it asked.
+    /// Empty() asks that gap (or the next one, if coverage has since
+    /// reached it) before the others: it usually still holds the cell.
+    /// Empty() is one boolean over all gaps, so the order never changes an
+    /// answer.
+    uint64_t last_hit = 0;
     /// Debug reference: the decomposed disc minus the coverage, recomputed
     /// the slow way; every MayIntersect answer until the next coverage
     /// growth is asserted against it. Unused under NDEBUG.
@@ -190,6 +196,8 @@ class PendingTargets {
     return it != ranges.end() && it->lo < hi_excl;
   }
   bool DiscMayIntersect(uint64_t lo, uint64_t hi_excl) const;
+  /// Disc shape: is nothing pending, asking the gap of Disc::last_hit first?
+  bool DiscEmpty() const;
 
   std::vector<hilbert::HcRange> ranges_;
   Disc* disc_ = nullptr;  // disc shape iff non-null
@@ -396,7 +404,7 @@ class DsiClient final : public air::AirClient {
   uint64_t generation_ = 0;  // broadcast generation the knowledge refers to
   uint64_t hc_cells_;  // total number of HC values (domain size)
 
-  // Learned knowledge: per segment, sorted (offset, min-HC) entries.
+  // Learned knowledge: per segment, which offsets' min-HC values are known.
   std::vector<SegmentKnowledge> known_;
   // Broadcast positions whose table was already learned (table content is
   // deterministic per position, so re-reads skip the record pass).

@@ -112,6 +112,11 @@ class DsiIndex {
     return min_hc_by_position_[position];
   }
 
+  /// Every frame's min-HC, indexed by broadcast position.
+  const std::vector<uint64_t>& min_hc_by_position() const {
+    return min_hc_by_position_;
+  }
+
   /// Broadcast position that entry \p i of the table at \p position points
   /// to: r^i frames ahead, cyclically. Every reach is below num_frames(), so
   /// the wrap is one compare-subtract. The entry's advertised min-HC is

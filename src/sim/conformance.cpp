@@ -90,6 +90,7 @@ void ForEachCaseFlag(Case& c, Visit&& visit) {
   visit("--churn-rate", c.churn_rate);
   visit("--num-disks", c.num_disks);
   visit("--disk-skew", c.disk_skew);
+  visit("--degenerate", c.degenerate);
 }
 
 broadcast::CodingConfig CaseCoding(const ConformanceCase& c) {
@@ -156,26 +157,31 @@ CaseQueries MakeQueries(const ConformanceCase& c,
     q.windows.push_back(common::MakeClippedWindow(
         center, rng.Uniform(0.02, 0.6) * u.Width(), u));
   }
-  // Degenerate shapes, in fixed order after the random windows:
-  // zero-area window sitting exactly on an object,
+  // Drawn whether or not the degenerate set runs, so the random kNN points
+  // after it are the same either way.
   const common::Point on =
       objects[static_cast<size_t>(rng.UniformInt(
                   0, static_cast<int64_t>(objects.size()) - 1))]
           .location;
-  q.windows.push_back(common::Rect{on.x, on.y, on.x, on.y});
-  // window fully outside the universe,
-  q.windows.push_back(common::Rect{u.max_x + 0.5, u.max_y + 0.5,
-                                   u.max_x + 1.0, u.max_y + 1.0});
-  // window overhanging the lower-left corner,
-  q.windows.push_back(common::Rect{u.min_x - 0.3, u.min_y - 0.3,
-                                   u.min_x + 0.2, u.min_y + 0.2});
-  // window strictly containing the universe.
-  q.windows.push_back(common::Rect{u.min_x - 1.0, u.min_y - 1.0,
-                                   u.max_x + 1.0, u.max_y + 1.0});
+  if (c.degenerate) {
+    // Degenerate shapes, in fixed order after the random windows:
+    // zero-area window sitting exactly on an object,
+    q.windows.push_back(common::Rect{on.x, on.y, on.x, on.y});
+    // window fully outside the universe,
+    q.windows.push_back(common::Rect{u.max_x + 0.5, u.max_y + 0.5,
+                                     u.max_x + 1.0, u.max_y + 1.0});
+    // window overhanging the lower-left corner,
+    q.windows.push_back(common::Rect{u.min_x - 0.3, u.min_y - 0.3,
+                                     u.min_x + 0.2, u.min_y + 0.2});
+    // window strictly containing the universe.
+    q.windows.push_back(common::Rect{u.min_x - 1.0, u.min_y - 1.0,
+                                     u.max_x + 1.0, u.max_y + 1.0});
+  }
 
   for (size_t i = 0; i < c.knn_points; ++i) {
     q.points.push_back(popularity.Sample(rng, u));
   }
+  if (!c.degenerate) return q;
   // Degenerate points: slightly outside the universe, far outside, exactly
   // on a universe corner, and exactly on an object.
   q.points.push_back(

@@ -74,13 +74,20 @@ struct ConformanceCase {
   uint32_t gen_cycles = 2;       ///< Airtime (cycles) per generation.
   /// Random window queries; four degenerate shapes (zero-area window on an
   /// object, window fully outside the universe, window overhanging an edge,
-  /// window strictly containing the universe) are always appended.
+  /// window strictly containing the universe) are appended when
+  /// `degenerate` is set.
   size_t window_queries = 4;
   /// Random kNN points; four degenerate points (just outside the universe,
   /// far outside it, a universe corner, the exact location of an object)
-  /// are always appended.
+  /// are appended when `degenerate` is set.
   size_t knn_points = 2;
-  size_t k = 8;  ///< Small-k value; a k >= n workload always runs too.
+  size_t k = 8;  ///< Small-k value.
+  /// Appends the degenerate windows and kNN points above and runs the k >= n
+  /// workload (one inside point and the far-outside one). On for every
+  /// drawn case; off leaves exactly the random queries, so
+  /// `--windows=0 --knn-points=0 --degenerate=0` runs trajectories alone.
+  /// The random queries are the same either way.
+  bool degenerate = true;
   /// Server-side erasure coding (0/0 = uncoded, today's channel): parity
   /// groups of code_group data buckets followed by code_parity parity
   /// buckets. Coded cases run every workload over the coded channel; lost

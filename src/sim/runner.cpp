@@ -14,9 +14,9 @@ namespace dsi::sim {
 
 namespace {
 
-/// Exact per-shard sums. Latency/tuning are integer byte counts, so shard
-/// merges are associative — no floating-point order sensitivity.
-struct ShardSums {
+/// Exact per-worker sums. Latency/tuning are integer byte counts, so merges
+/// are associative — no floating-point order sensitivity.
+struct WorkerSums {
   uint64_t latency_bytes = 0;
   uint64_t tuning_bytes = 0;
   size_t queries = 0;
@@ -24,7 +24,7 @@ struct ShardSums {
   size_t restarted = 0;
   size_t repaired = 0;
 
-  ShardSums& operator+=(const ShardSums& o) {
+  WorkerSums& operator+=(const WorkerSums& o) {
     latency_bytes += o.latency_bytes;
     tuning_bytes += o.tuning_bytes;
     queries += o.queries;
@@ -35,15 +35,15 @@ struct ShardSums {
   }
 };
 
-ShardSums RunGenerationalShard(const GenerationalIndex& index,
-                               transport::SimTransport& channel,
-                               const Workload& wl, const RunOptions& options,
-                               size_t begin, size_t end) {
-  // One arena per pool thread, kept warm across shards AND runs: every
+/// Runs queries [begin, end) and adds them into \p sums.
+void RunGenerationalQueries(const GenerationalIndex& index,
+                            transport::SimTransport& channel,
+                            const Workload& wl, const RunOptions& options,
+                            size_t begin, size_t end, WorkerSums* sums) {
+  // One arena per pool thread, kept warm across queries AND runs: every
   // query constructs its client into recycled storage. The channel is a
   // stateless view, so every session on every worker shares it.
   thread_local air::ClientArena arena;
-  ShardSums sums;
   const uint64_t horizon = channel.schedule()->TuneInHorizon();
   for (size_t i = begin; i < end; ++i) {
     common::Rng rng(MixSeed(options.seed, i));
@@ -60,12 +60,12 @@ ShardSums RunGenerationalShard(const GenerationalIndex& index,
                      : client.KnnQuery(wl.points[i], wl.k, wl.strategy);
         });
     const broadcast::Metrics m = session.metrics();
-    sums.latency_bytes += m.access_latency_bytes;
-    sums.tuning_bytes += m.tuning_bytes;
-    sums.repaired += m.repaired;
-    ++sums.queries;
-    if (!fresh.completed) ++sums.incomplete;
-    if (fresh.restarts > 0) ++sums.restarted;
+    sums->latency_bytes += m.access_latency_bytes;
+    sums->tuning_bytes += m.tuning_bytes;
+    sums->repaired += m.repaired;
+    ++sums->queries;
+    if (!fresh.completed) ++sums->incomplete;
+    if (fresh.restarts > 0) ++sums->restarted;
     if (options.results != nullptr) {
       // Entry i belongs to query i for any worker count — disjoint, no race.
       detail::CaptureResult(
@@ -76,7 +76,6 @@ ShardSums RunGenerationalShard(const GenerationalIndex& index,
           &(*options.results)[i]);
     }
   }
-  return sums;
 }
 
 }  // namespace
@@ -117,7 +116,7 @@ AvgMetrics GenerationalRun(const GenerationalIndex& index,
   const size_t n = workload.size();
   AvgMetrics avg;
   if (options.results != nullptr) options.results->assign(n, QueryResult{});
-  // Re-layout once per run, not per query; shards share the immutable
+  // Re-layout once per run, not per query; workers share the immutable
   // programs through one stateless channel view (the same Transport seam a
   // live StreamTransport plugs into).
   const air::OnAirSchedule on_air(index.generations, index.cycles,
@@ -127,10 +126,10 @@ AvgMetrics GenerationalRun(const GenerationalIndex& index,
   // to average.
   if (on_air.schedule().num_generations() == 0 || n == 0) return avg;
   transport::SimTransport channel(on_air.schedule());
-  const ShardSums total = detail::RunSharded<ShardSums>(
-      n, options.workers, [&](size_t begin, size_t end, ShardSums* sums) {
-        *sums = RunGenerationalShard(index, channel, workload, options, begin,
-                                     end);
+  const WorkerSums total = detail::RunSharded<WorkerSums>(
+      n, options.workers, [&](size_t begin, size_t end, WorkerSums* sums) {
+        RunGenerationalQueries(index, channel, workload, options, begin, end,
+                               sums);
       });
 
   avg.queries = total.queries;

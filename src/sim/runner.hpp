@@ -8,9 +8,9 @@
 ///
 /// One query = one mobile client tuning in: every query gets a fresh
 /// ClientSession and AirClient (the latter built into a per-worker arena so
-/// back-to-back queries recycle storage). Queries are sharded across a
-/// persistent worker pool (threads parked between calls); randomness is
-/// forked per query INDEX (not per iteration order), and metrics accumulate
+/// back-to-back queries recycle storage). The workers of a persistent pool
+/// (threads parked between calls) claim queries one at a time; randomness
+/// is forked per query INDEX (not per claim order), and metrics accumulate
 /// in exact integer sums, so the averaged results are bit-identical for any
 /// worker count and fully determined by (workload, seed).
 ///
@@ -20,6 +20,7 @@
 /// for byte a single-program session (pinned by the golden suite).
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -151,14 +152,28 @@ AvgMetrics RunWorkload(const air::AirIndexHandle& index,
 
 namespace detail {
 
-/// Runs \p run_shard(begin, end, &sums) over contiguous shards of [0, n)
-/// and returns the shards' sums merged with Sums::operator+=. \p workers = 0
-/// means one per hardware thread; shards run on the persistent WorkerPool.
-/// Boundaries depend only on (n, workers) and every unit's randomness is
-/// forked by its index, so any worker count reproduces the serial run
-/// exactly — provided Sums merges associatively (exact integers).
+/// How RunSharded cuts [0, n) into the units its workers claim.
+enum class Units {
+  /// Every index is a unit: a worker that finishes early takes the next
+  /// query instead of idling while another works through a slow stretch.
+  kOneIndex,
+  /// One contiguous unit per worker, [n*w/workers, n*(w+1)/workers): each
+  /// unit is one population (a trajectory calendar holds n/workers tours).
+  kOnePerWorker,
+};
+
+/// Runs \p run_shard(begin, end, &sums) over the units of [0, n) and
+/// returns every worker's sums merged with Sums::operator+=; run_shard ADDS
+/// its unit into *sums, since a worker's sums collect all the units it
+/// claims. \p workers = 0 means one per hardware thread; workers run on the
+/// persistent WorkerPool and claim units one at a time, in index order, from
+/// one shared counter, so which worker runs a unit depends on timing. Every
+/// unit's randomness is forked by its index and results are index-keyed,
+/// so any worker count and any claim order reproduce the serial run exactly
+/// — provided Sums merges associatively (exact integers).
 template <typename Sums, typename RunShardFn>
-Sums RunSharded(size_t n, size_t workers, RunShardFn&& run_shard) {
+Sums RunSharded(size_t n, size_t workers, RunShardFn&& run_shard,
+                Units units = Units::kOneIndex) {
   if (workers == 0) {
     workers = std::max<size_t>(1, std::thread::hardware_concurrency());
   }
@@ -168,11 +183,17 @@ Sums RunSharded(size_t n, size_t workers, RunShardFn&& run_shard) {
     run_shard(size_t{0}, n, &total);
     return total;
   }
-  std::vector<Sums> shard_sums(workers);
+  const size_t num_units = units == Units::kOneIndex ? n : workers;
+  std::atomic<size_t> next_unit{0};
+  std::vector<Sums> worker_sums(workers);
   WorkerPool::Instance().Run(workers, [&](size_t w) {
-    run_shard(n * w / workers, n * (w + 1) / workers, &shard_sums[w]);
+    for (size_t u = next_unit.fetch_add(1, std::memory_order_relaxed);
+         u < num_units;
+         u = next_unit.fetch_add(1, std::memory_order_relaxed)) {
+      run_shard(n * u / num_units, n * (u + 1) / num_units, &worker_sums[w]);
+    }
   });
-  for (const Sums& s : shard_sums) total += s;
+  for (const Sums& s : worker_sums) total += s;
   return total;
 }
 

@@ -358,7 +358,8 @@ TrajectoryMetrics RunTrajectoriesImpl(
         } else {
           RunLoopShard(gens, schedule, wl, options, begin, end, sums);
         }
-      });
+      },
+      detail::Units::kOnePerWorker);
 
   avg.clients = num_clients;
   avg.steps = total.steps;

@@ -604,6 +604,7 @@ TEST(ConformanceFlags, ReproducerParsesBackToItsCase) {
   off.churn_rate = 1.0 / 3.0;
   off.num_disks = 3;
   off.disk_skew = 1.0 / 7.0;
+  off.degenerate = false;
   cases.push_back(off);
   for (const sim::ConformanceCase& c : cases) {
     const std::string line = sim::FormatReproducer(c);

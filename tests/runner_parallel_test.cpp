@@ -1,13 +1,17 @@
-/// Serial/parallel parity of the experiment engine: RunWorkload shards
-/// queries across workers but forks randomness per query index and merges
-/// exact integer metric sums, so N workers must reproduce 1 worker
-/// bit-identically — for every index family and both query kinds, lossless
-/// and lossy.
+/// Serial/parallel parity of the experiment engine: RunWorkload's workers
+/// claim queries one at a time but randomness is forked per query index and
+/// exact integer metric sums are merged, so N workers must reproduce 1
+/// worker bit-identically — for every index family and both query kinds,
+/// lossless and lossy, and for trajectory tours too. Also checks that a
+/// worker stuck on a slow unit does not hold back the units after it.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "air/dsi_handle.hpp"
@@ -20,6 +24,7 @@
 #include "hilbert/space_mapper.hpp"
 #include "sim/runner.hpp"
 #include "sim/seed_mix.hpp"
+#include "sim/trajectory.hpp"
 #include "sim/workload.hpp"
 #include "transport/transport.hpp"
 
@@ -59,6 +64,8 @@ class ParallelParityFixture : public ::testing::Test {
     EXPECT_EQ(serial.queries, parallel.queries) << family << " " << kind;
     EXPECT_EQ(serial.incomplete, parallel.incomplete)
         << family << " " << kind;
+    EXPECT_EQ(serial.restarted, parallel.restarted) << family << " " << kind;
+    EXPECT_EQ(serial.repaired, parallel.repaired) << family << " " << kind;
   }
 
   hilbert::SpaceMapper mapper_;
@@ -149,6 +156,83 @@ TEST_F(ParallelParityFixture, PersistentPoolIsStableAcrossRepeatedRuns) {
   }
 }
 
+TEST_F(ParallelParityFixture, AnyWorkerCountReproducesEveryTour) {
+  // Tours keep one contiguous population per worker; every worker count
+  // must still reproduce the serial metrics and every step of every tour,
+  // warm and cold, on both simulation cores.
+  datasets::TrajectoryParams params;
+  params.speed = 0.02;
+  for (const auto kind : {sim::QueryKind::kWindow, sim::QueryKind::kKnn}) {
+    sim::TrajectoryWorkload wl = sim::MakeTrajectoryWorkload(
+        kind, 11, 4, params, datasets::UnitUniverse(), 71);
+    wl.k = 4;
+    wl.theta = 0.3;
+    wl.error_mode = broadcast::ErrorMode::kPerBucketLoss;
+    for (const air::AirIndexHandle* handle : Handles()) {
+      for (const auto engine : {sim::TrajectoryEngine::kLoop,
+                                sim::TrajectoryEngine::kScheduler}) {
+        std::vector<std::vector<sim::TrajectoryStep>> baseline;
+        sim::TrajectoryOptions base_opt;
+        base_opt.seed = 229;
+        base_opt.results = &baseline;
+        base_opt.engine = engine;
+        const sim::TrajectoryMetrics serial =
+            sim::RunTrajectories(*handle, wl, base_opt);
+        EXPECT_EQ(serial.steps, 44u) << handle->family();
+        for (const size_t workers : {2u, 3u, 7u}) {
+          std::vector<std::vector<sim::TrajectoryStep>> got;
+          sim::TrajectoryOptions opt = base_opt;
+          opt.workers = workers;
+          opt.results = &got;
+          EXPECT_TRUE(sim::RunTrajectories(*handle, wl, opt) == serial)
+              << handle->family() << " workers " << workers;
+          EXPECT_TRUE(got == baseline)
+              << handle->family() << " workers " << workers;
+        }
+      }
+    }
+  }
+}
+
+TEST(RunShardedTest, IdleWorkerTakesTheNextUnit) {
+  // Unit 0 blocks until every other unit has run. A worker that owned a
+  // fixed half would have to finish unit 0 before units 1..15, so unit 0
+  // would wait in vain; with units claimed one at a time, the other worker
+  // takes all 31 while unit 0 waits. The wait is bounded, so a regression
+  // fails instead of hanging.
+  constexpr size_t kUnits = 32;
+  struct Count {
+    size_t units = 0;
+    Count& operator+=(const Count& o) {
+      units += o.units;
+      return *this;
+    }
+  };
+  std::atomic<size_t> others_done{0};
+  bool unit0_waited_in_vain = false;
+  const Count total = sim::detail::RunSharded<Count>(
+      kUnits, 2, [&](size_t begin, size_t end, Count* sums) {
+        for (size_t i = begin; i < end; ++i) {
+          if (i == 0) {
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(5);
+            while (others_done.load() < kUnits - 1) {
+              if (std::chrono::steady_clock::now() > deadline) {
+                unit0_waited_in_vain = true;
+                break;
+              }
+              std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            }
+          } else {
+            others_done.fetch_add(1);
+          }
+          ++sums->units;
+        }
+      });
+  EXPECT_FALSE(unit0_waited_in_vain);
+  EXPECT_EQ(total.units, kUnits);
+}
+
 TEST_F(ParallelParityFixture, ArenaClientsMatchHeapClients) {
   // MakeClientIn (the engine's per-worker arena path) must behave exactly
   // like MakeClient — same answer ids in the same order, same latency and
@@ -205,10 +289,11 @@ TEST_F(ParallelParityFixture, ArenaClientsMatchHeapClients) {
 
 TEST_F(ParallelParityFixture, ResultCaptureParityAcrossSharding) {
   // RunOptions::results entries are keyed by query index, so any worker
-  // count must fill identical result sets, lossless and lossy.
+  // count must fill identical result sets and averages, lossless and lossy
+  // — whatever order the workers claim the 61 queries in.
   const auto windows =
-      sim::MakeWindowWorkload(9, 0.12, datasets::UnitUniverse(), 51);
-  const auto points = sim::MakeKnnWorkload(9, datasets::UnitUniverse(), 53);
+      sim::MakeWindowWorkload(61, 0.12, datasets::UnitUniverse(), 51);
+  const auto points = sim::MakeKnnWorkload(61, datasets::UnitUniverse(), 53);
   const sim::Workload workloads[] = {
       sim::Workload::Window(windows),
       sim::Workload::Window(windows, 0.4),
@@ -223,24 +308,22 @@ TEST_F(ParallelParityFixture, ResultCaptureParityAcrossSharding) {
       base_opt.seed = 211;
       base_opt.workers = 1;
       base_opt.results = &baseline;
-      (void)sim::RunWorkload(*handle, workload, base_opt);
+      const sim::AvgMetrics serial =
+          sim::RunWorkload(*handle, workload, base_opt);
       ASSERT_EQ(baseline.size(), workload.size());
 
-      for (const size_t workers : {1u, 4u}) {
+      for (const size_t workers : {2u, 3u, 7u}) {
         std::vector<sim::QueryResult> got;
-        sim::RunOptions opt;
-        opt.seed = 211;
+        sim::RunOptions opt = base_opt;
         opt.workers = workers;
         opt.results = &got;
-        (void)sim::RunWorkload(*handle, workload, opt);
+        ExpectIdentical(serial, sim::RunWorkload(*handle, workload, opt),
+                        handle->family(), "capture");
         ASSERT_EQ(got.size(), baseline.size());
         for (size_t i = 0; i < got.size(); ++i) {
-          EXPECT_EQ(got[i].ids, baseline[i].ids)
+          EXPECT_TRUE(got[i] == baseline[i])
               << handle->family() << " query " << i << " workers "
               << workers;
-          EXPECT_EQ(got[i].knn_distances, baseline[i].knn_distances)
-              << handle->family() << " query " << i;
-          EXPECT_EQ(got[i].completed, baseline[i].completed);
         }
       }
     }

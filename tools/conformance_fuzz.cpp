@@ -28,11 +28,11 @@
 /// --clients (an alias of --traj-clients, the moving-client population),
 /// --churn-rate, --num-disks, --disk-skew and --windows give the
 /// coded-channel, burst-weather, churn, skewed-multi-disk and kNN-focused
-/// CI sweeps, and --n, --m, --order, --capacity and the rest pin the same
-/// way. Fields not pinned keep their seed-determined values. Coding and
-/// multi-disk layouts compose: pinning both runs coded multi-disk cycles
-/// on every swept case. Every value must parse whole: --theta=abc is a
-/// usage error.
+/// CI sweeps, and --n, --m, --order, --capacity, --degenerate and the rest
+/// pin the same way. Fields not pinned keep their seed-determined values.
+/// Coding and multi-disk layouts compose: pinning both runs coded
+/// multi-disk cycles on every swept case. Every value must parse whole:
+/// --theta=abc is a usage error.
 ///
 /// A case fails on any oracle divergence (completed queries are checked
 /// against the object set of the generation they answered for) OR — at
