@@ -1,6 +1,6 @@
 /// City-scale capacity bench: one machine simulating up to 10^6+
 /// concurrent moving clients with churn on a single broadcast channel —
-/// the event-driven scheduler engine's headline deliverable.
+/// the event-driven scheduler's headline deliverable.
 ///
 /// The ladder sweeps the population 10^3 -> 10^6 (doubling nothing,
 /// decade steps), every rung a churned window-query population riding the
@@ -20,8 +20,9 @@
 /// (seed, c, workload), never on who else is on the channel — the
 /// broadcast is one-way, clients are passive listeners. The bench proves
 /// it by re-running the first 20 clients of the smallest rung as their
-/// own 20-client population through the LOOP oracle engine and demanding
-/// bit-identical per-step results; any deviation fails the run.
+/// own standalone 20-client population and demanding bit-identical
+/// per-step results (every field of every step); any deviation fails the
+/// run.
 ///
 /// Extra knobs: --max-clients=N (ladder cap, default 10^6) --steps=N
 /// --churn-rate=R. The dataset deliberately defaults small (--objects to
@@ -127,12 +128,11 @@ int main(int argc, char** argv) {
   run_opt.seed = opt.seed;
   run_opt.workers = 0;
   run_opt.cold_baseline = false;  // capacity rungs: warm path only
-  run_opt.engine = sim::TrajectoryEngine::kScheduler;
 
   // Load-independence proof at the smallest rung: the first 20 clients of
-  // the 1000-client run, re-run alone through the loop oracle, must
-  // produce bit-identical steps (tours depend only on (seed, c,
-  // workload); churn spans and trajectories are per-client prefixes).
+  // the 1000-client run, re-run as a standalone 20-client population, must
+  // produce bit-identical steps (tours depend only on (seed, c, workload);
+  // churn spans and trajectories are per-client prefixes).
   {
     const sim::TrajectoryWorkload big = make_workload(1000);
     sim::TrajectoryWorkload small = big;
@@ -143,30 +143,21 @@ int main(int argc, char** argv) {
     sim::TrajectoryOptions big_opt = run_opt;
     big_opt.results = &big_r;
     sim::TrajectoryOptions small_opt = run_opt;
-    small_opt.engine = sim::TrajectoryEngine::kLoop;
     small_opt.results = &small_r;
     sim::RunTrajectories(handle, big, big_opt);
     sim::RunTrajectories(handle, small, small_opt);
     for (size_t c = 0; c < 20; ++c) {
-      for (size_t s = 0; s < steps; ++s) {
-        const sim::TrajectoryStep& a = big_r[c][s];
-        const sim::TrajectoryStep& b = small_r[c][s];
-        if (a.ran != b.ran || a.warm.ids != b.warm.ids ||
-            a.warm.latency_bytes != b.warm.latency_bytes ||
-            a.warm.tuning_bytes != b.warm.tuning_bytes ||
-            a.warm.completed != b.warm.completed) {
-          std::fprintf(stderr,
-                       "LOAD-INDEPENDENCE VIOLATION: client %zu step %zu "
-                       "differs between the 1000-client scheduler run and "
-                       "the 20-client loop run\n",
-                       c, s);
-          return 1;
-        }
+      if (big_r[c] != small_r[c]) {
+        std::fprintf(stderr,
+                     "LOAD-INDEPENDENCE VIOLATION: client %zu's steps differ "
+                     "between the 1000-client run and the standalone "
+                     "20-client run\n",
+                     c);
+        return 1;
       }
     }
     std::cout << "load-independence: first 20 clients of the 1000-client "
-                 "scheduler run == standalone 20-client loop run "
-                 "(bit-identical)\n\n";
+                 "run == standalone 20-client run (bit-identical)\n\n";
   }
 
   std::cout << "City-scale churned population ladder (" << objects.size()

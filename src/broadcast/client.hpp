@@ -215,9 +215,9 @@ class ClientSession {
   /// wake instant, one re-sync header listen iff the wake landed past a
   /// republication instant, park on the next data-bucket boundary. Both
   /// entry points share one body, so a scheduler-driven client is
-  /// byte-identical to a loop-driven one by construction. ResumeAt at the
-  /// current instant is a no-op (mirrors Pace(0)); waking in the past is
-  /// not meaningful (asserted).
+  /// byte-identical to one that paces itself by construction. ResumeAt at
+  /// the current instant is a no-op (mirrors Pace(0)); waking in the past
+  /// is not meaningful (asserted).
   void ResumeAt(uint64_t wake_packet);
 
   /// A fresh session observing the SAME physical channel as this one,

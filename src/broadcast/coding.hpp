@@ -40,12 +40,6 @@ struct CodingConfig {
   uint32_t parity = 0;  ///< Parity buckets appended per group.
 
   bool enabled() const { return group > 0 && parity > 0; }
-  /// Redundancy rate: parity airtime over data airtime (upper bound; parity
-  /// padding to the group maximum can only add to it).
-  double RedundancyRate() const {
-    return group == 0 ? 0.0
-                      : static_cast<double>(parity) / static_cast<double>(group);
-  }
 };
 
 /// Re-emits \p data with parity buckets interleaved after every group of

@@ -61,13 +61,6 @@ struct Rect {
                 std::numeric_limits<double>::lowest()};
   }
 
-  /// Builds the minimal rectangle covering all \p points.
-  static Rect BoundingBox(const std::vector<Point>& points) {
-    Rect r = Empty();
-    for (const Point& p : points) r.ExpandToInclude(p);
-    return r;
-  }
-
   bool IsEmpty() const { return min_x > max_x || min_y > max_y; }
 
   double Width() const { return IsEmpty() ? 0.0 : max_x - min_x; }

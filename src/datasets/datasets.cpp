@@ -65,10 +65,6 @@ std::vector<SpatialObject> MakeUniform(size_t n, const common::Rect& universe,
   return objs;
 }
 
-std::vector<SpatialObject> MakeUniformDefault(uint64_t seed) {
-  return MakeUniform(10000, UnitUniverse(), seed);
-}
-
 std::vector<SpatialObject> MakeClustered(size_t n, size_t num_clusters,
                                          double spread,
                                          double background_fraction,
@@ -243,36 +239,6 @@ common::Point RegionPopularity::HottestCenter(
   return common::Point{
       universe.min_x + (gx + 0.5) * universe.Width() / grid_,
       universe.min_y + (gy + 0.5) * universe.Height() / grid_};
-}
-
-std::vector<common::Point> MakeZipfPoints(size_t n,
-                                          const RegionPopularity& popularity,
-                                          const common::Rect& universe,
-                                          uint64_t seed) {
-  common::Rng rng(seed);
-  std::vector<common::Point> points;
-  points.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    points.push_back(popularity.Sample(rng, universe));
-  }
-  return points;
-}
-
-std::vector<common::Point> MakeHotspotPoints(size_t n,
-                                             const common::Point& center,
-                                             double sigma,
-                                             const common::Rect& universe,
-                                             uint64_t seed) {
-  common::Rng rng(seed);
-  std::vector<common::Point> points;
-  points.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    points.push_back(common::Point{
-        Reflect(rng.Gaussian(center.x, sigma), universe.min_x, universe.max_x),
-        Reflect(rng.Gaussian(center.y, sigma), universe.min_y,
-                universe.max_y)});
-  }
-  return points;
 }
 
 std::vector<common::Point> MakeTrajectory(size_t steps,

@@ -48,9 +48,6 @@ common::Rect UnitUniverse();
 std::vector<SpatialObject> MakeUniform(size_t n, const common::Rect& universe,
                                        uint64_t seed);
 
-/// The paper's UNIFORM dataset: 10,000 uniform points in the unit square.
-std::vector<SpatialObject> MakeUniformDefault(uint64_t seed = 42);
-
 /// Gaussian-cluster mixture: \p num_clusters clusters whose centers are
 /// uniform in \p universe; each point belongs to a random cluster with the
 /// given relative spread (fraction of universe side), clamped to the
@@ -106,22 +103,6 @@ class RegionPopularity {
                                           // seeded hotspot cell (0 = hottest)
   std::vector<double> cdf_;               // cumulative region weights
 };
-
-/// \p n query points from the Zipf region-popularity distribution,
-/// seed-deterministic; skew = 0 degenerates to uniform points.
-std::vector<common::Point> MakeZipfPoints(size_t n,
-                                          const RegionPopularity& popularity,
-                                          const common::Rect& universe,
-                                          uint64_t seed);
-
-/// \p n query points Gaussian-distributed around \p center with per-axis
-/// deviation \p sigma (universe units), reflected at the universe boundary
-/// so every point lies inside. Seed-deterministic.
-std::vector<common::Point> MakeHotspotPoints(size_t n,
-                                             const common::Point& center,
-                                             double sigma,
-                                             const common::Rect& universe,
-                                             uint64_t seed);
 
 // ---------------------------------------------------------------------------
 // Moving clients: trajectories for continuous-query workloads

@@ -405,47 +405,15 @@ void CheckWorkload(const GenerationalIndex& gi, const Workload& wl,
                      {"repaired", metrics.repaired, tally.repaired}});
 }
 
-/// Bit-exact loop-vs-scheduler differential: the two simulation cores ran
-/// the identical workload; any deviation — a metric, a flag, a single byte
-/// of any step result — is a divergence. Exact double comparison is
-/// deliberate: both engines accumulate the same integer sums in the same
-/// shard order, so the averages must be the same doubles.
-void CheckEngineParity(const TrajectoryMetrics& loop,
-                       const TrajectoryMetrics& sched,
-                       const std::vector<std::vector<TrajectoryStep>>& loop_r,
-                       const std::vector<std::vector<TrajectoryStep>>& sched_r,
-                       const ResultAudit& audit) {
-  if (loop != sched) {
-    std::ostringstream os;
-    os << "engine parity: scheduler metrics deviate from the loop oracle:"
-       << " steps " << loop.steps << "/" << sched.steps << ", latency "
-       << loop.latency_bytes << "/" << sched.latency_bytes << ", tuning "
-       << loop.tuning_bytes << "/" << sched.tuning_bytes << ", departed "
-       << loop.departed << "/" << sched.departed << ", skipped "
-       << loop.skipped_steps << "/" << sched.skipped_steps;
-    audit.Diverge(0, os.str());
-  }
-  if (loop_r.size() != sched_r.size()) {
-    audit.Diverge(0, "engine parity: result shapes differ");
-    return;
-  }
-  for (size_t cl = 0; cl < loop_r.size(); ++cl) {
-    if (loop_r[cl] != sched_r[cl]) {
-      audit.Diverge(cl, "engine parity: client " + std::to_string(cl) +
-                            " steps differ between loop and scheduler");
-    }
-  }
-}
-
 /// The continuous moving-client differential axis: persistent warm clients
 /// re-evaluate along seed-determined trajectories; a fresh cold client
 /// re-runs every step at the same instant over the same channel. Both sides
 /// of every step go through the result audit; warm and cold must answer
 /// identically whenever they answered for the same generation and both
 /// completed; and the aggregate accounting must be exact on both paths.
-/// The axis also runs the event-driven scheduler engine against the loop
-/// oracle on every seed (bit-exact parity), and — on churned cases — audits
-/// the exact departed/skipped accounting of clients that left mid-run.
+/// With >= 2 clients, every client's steps must also equal its alone run
+/// (RunEachClientAlone) bit for bit; on churned cases the axis audits the
+/// exact departed/skipped accounting of clients that left mid-run.
 void CheckTrajectories(const GenerationalIndex& gi, QueryKind kind,
                        const ConformanceCase& c, const ResultAudit& audit) {
   if (c.trajectory_clients == 0 || c.trajectory_steps == 0) return;
@@ -485,11 +453,7 @@ void CheckTrajectories(const GenerationalIndex& gi, QueryKind kind,
                                          c.churn_rate, c.seed * 13 + 9);
   }
 
-  // Every seed runs BOTH simulation cores over the identical workload: the
-  // loop oracle and the event-driven scheduler must agree bit for bit on
-  // the aggregate metrics and on every per-step result.
   std::vector<std::vector<TrajectoryStep>> results;
-  std::vector<std::vector<TrajectoryStep>> sched_results;
   TrajectoryOptions opt;
   opt.seed = c.seed;
   opt.workers = c.workers;
@@ -497,14 +461,12 @@ void CheckTrajectories(const GenerationalIndex& gi, QueryKind kind,
   opt.results = &results;
   opt.coding = CaseCoding(c);
   opt.disks = CaseDisks(c);
-  opt.engine = TrajectoryEngine::kLoop;
-  TrajectoryOptions sched_opt = opt;
-  sched_opt.results = &sched_results;
-  sched_opt.engine = TrajectoryEngine::kScheduler;
   const TrajectoryMetrics m = RunTrajectories(gi, wl, opt);
-  const TrajectoryMetrics sched_m = RunTrajectories(gi, wl, sched_opt);
   audit.report->restarted += m.restarted;
-  CheckEngineParity(m, sched_m, results, sched_results, audit);
+  const std::vector<std::vector<TrajectoryStep>> alone =
+      wl.clients.size() >= 2
+          ? RunEachClientAlone(gi, wl, opt)
+          : std::vector<std::vector<TrajectoryStep>>{};
 
   Tally warm;
   Tally cold;
@@ -514,6 +476,13 @@ void CheckTrajectories(const GenerationalIndex& gi, QueryKind kind,
     for (size_t s = 0; s < results[cl].size(); ++s) {
       const TrajectoryStep& step = results[cl][s];
       const size_t index = cl * c.trajectory_steps + s;
+      // A client's steps must not depend on the company it keeps: any
+      // deviation from its alone run, in a flag or a single byte, is a
+      // divergence.
+      if (!alone.empty() && step != alone[cl][s]) {
+        audit.Diverge(index, "alone parity: step differs between the "
+                             "population run and the client's alone run");
+      }
       if (!step.ran) {
         // A step a churned client departed before: it must carry no cost
         // at all — the result audit only applies to steps that touched
@@ -609,6 +578,25 @@ void RunFamily(const std::vector<const air::AirIndexHandle*>& gens,
 }
 
 }  // namespace
+
+std::vector<std::vector<TrajectoryStep>> RunEachClientAlone(
+    const GenerationalIndex& index, const TrajectoryWorkload& workload,
+    TrajectoryOptions options) {
+  std::vector<std::vector<TrajectoryStep>> alone(workload.clients.size());
+  std::vector<std::vector<TrajectoryStep>> steps;
+  options.workers = 1;
+  options.results = &steps;
+  TrajectoryWorkload solo = workload;
+  for (auto& path : solo.clients) path.clear();
+  for (size_t c = 0; c < workload.clients.size(); ++c) {
+    if (workload.clients[c].empty()) continue;
+    solo.clients[c] = workload.clients[c];
+    RunTrajectories(index, solo, options);
+    alone[c] = std::move(steps[c]);
+    solo.clients[c].clear();
+  }
+  return alone;
+}
 
 ConformanceCase MakeConformanceCase(uint64_t seed) {
   ConformanceCase c;

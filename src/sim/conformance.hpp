@@ -42,6 +42,7 @@
 
 #include "broadcast/client.hpp"
 #include "sim/runner.hpp"
+#include "sim/trajectory.hpp"
 
 namespace dsi::sim {
 
@@ -108,10 +109,10 @@ struct ConformanceCase {
   /// spans come from datasets::MakeChurnStream at this rate (arrivals
   /// spread over the generational horizon, a rate-determined share
   /// departing mid-run), and the harness audits the exact
-  /// departed/skipped-step accounting. Independently of the rate, the
-  /// trajectory axis ALWAYS runs both simulation cores — the loop oracle
-  /// and the event-driven scheduler (TrajectoryEngine) — and diffs their
-  /// metrics and every per-step result bit-exactly.
+  /// departed/skipped-step accounting. Independently of the rate, every
+  /// case with >= 2 clients also runs each client alone
+  /// (RunEachClientAlone) and diffs every per-step result bit-exactly
+  /// against the population run.
   double churn_rate = 0.0;
   /// Skewed multi-disk broadcast axis: when num_disks > 1 the on-air cycle
   /// is a Broadcast-Disks multi-frequency layout (buckets popularity-ranked
@@ -166,6 +167,18 @@ ConformanceReport RunConformanceCase(
 /// order, with doubles at round-trip precision.
 std::string FormatReproducer(const ConformanceCase& c,
                              const std::string& family = "");
+
+/// The trajectory scheduler's parity oracle: every client of \p workload
+/// run alone, by the same scheduler over a copy of the workload whose
+/// other clients' paths are emptied. Churn spans stay index-aligned and
+/// client c keeps its seed fork, so only the company changes; a calendar
+/// holding one tour runs it client-major. Entry [c] holds client c's steps
+/// (empty for an empty path). Each alone run uses one worker, and
+/// \p options.results is ignored. Clients are passive listeners, so a
+/// population run must reproduce every entry bit for bit.
+std::vector<std::vector<TrajectoryStep>> RunEachClientAlone(
+    const GenerationalIndex& index, const TrajectoryWorkload& workload,
+    TrajectoryOptions options);
 
 /// Outcome of SetCaseFlag.
 enum class CaseFlag { kSet, kUnknown, kBadValue };

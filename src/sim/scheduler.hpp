@@ -4,13 +4,12 @@
 /// \brief The event-driven simulation core: channel-drives-clients instead
 /// of client-drives-channel.
 ///
-/// The loop-driven engines walk clients one after another, each spinning
-/// the shared broadcast timeline forward in its own call stack. That is
-/// the right oracle at small N, but it cannot demonstrate the paper's
-/// central claim — broadcast latency is load-independent — at production
-/// load: a million concurrent clients need the inverse structure, one
-/// timeline that advances once per on-air packet and wakes exactly the
-/// clients whose next-wake instant is due.
+/// A client that spins the shared broadcast timeline forward in its own
+/// call stack cannot demonstrate the paper's central claim — broadcast
+/// latency is load-independent — at production load: a million concurrent
+/// clients need the inverse structure, one timeline that advances once per
+/// on-air packet and wakes exactly the clients whose next-wake instant is
+/// due.
 ///
 /// Two primitives implement that inversion:
 ///
@@ -33,9 +32,10 @@
 /// does affects what is on air, and channel loss is a pure function of
 /// (channel seed, airtime interval). Per-client evolution is therefore
 /// independent, and executing each client's step at its wake instant in
-/// wake order is observationally identical to the loop engine's
-/// client-major order — the scheduler engines exploit this and the
-/// equivalence tests enforce it bit-exactly.
+/// wake order is observationally identical to client-major order. A
+/// calendar holding one tour runs it client-major, so each client run
+/// alone (sim::RunEachClientAlone) is the parity oracle, and the
+/// population-vs-alone tests enforce the equivalence bit-exactly.
 
 #include <cassert>
 #include <cstddef>

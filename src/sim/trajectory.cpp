@@ -91,14 +91,10 @@ void RunColdStep(const std::vector<const air::AirIndexHandle*>& gens,
   }
 }
 
-/// One client's tour, shared verbatim by both engines: a single session, a
-/// persistent warm client, one re-evaluation per step (plus the optional
-/// cold baseline per step). The loop engine drives a Tour to completion in
-/// one Run() call, paying think time with blocking Pace; the scheduler
-/// engine lets Run() yield at the first positive think time and resumes
-/// the tour with ResumeAndRun() when the calendar reaches the yielded wake
-/// packet — the session then executes the identical ResumeAt, so both
-/// engines produce byte-identical metrics and results by construction.
+/// One client's tour: a single session, a persistent warm client, one
+/// re-evaluation per step (plus the optional cold baseline per step). Run()
+/// yields at the first positive think time; the scheduler resumes the tour
+/// with ResumeAndRun() when its calendar reaches the yielded wake packet.
 class Tour {
  public:
   Tour(const std::vector<const air::AirIndexHandle*>& gens,
@@ -121,8 +117,7 @@ class Tour {
           rng.UniformInt(0, static_cast<int64_t>(horizon) - 1));
     } else {
       // Churned populations tune in when their span says they arrive; the
-      // uniform draw is simply replaced (both engines agree, so the churn
-      // axis stays bit-identical between them).
+      // uniform draw is simply replaced.
       tune_in = wl.churn[c].arrive_packet;
     }
     session_.emplace(schedule, tune_in,
@@ -130,14 +125,11 @@ class Tour {
                      rng.Fork());
   }
 
-  /// Advances the tour from its current step. Blocking mode (loop engine,
-  /// \p yielding = false) runs to the end of the tour or the client's
-  /// departure. Yielding mode (scheduler engine) stops at the first
-  /// positive think time instead of dozing through it: returns true with
-  /// *next_wake set to the packet the client must be woken at. Returns
-  /// false when the tour is over.
-  bool Run(bool yielding, air::ClientArena& cold_arena,
-           uint64_t* next_wake) {
+  /// Advances the tour from its current step, up to the first positive
+  /// think time: returns true with *next_wake set to the packet the client
+  /// must be woken at, or false when the tour is over (finished, or the
+  /// client departed).
+  bool Run(air::ClientArena& cold_arena, uint64_t* next_wake) {
     const size_t steps = wl_.clients[c_].size();
     while (s_ < steps) {
       const uint64_t pace = s_ > 0 ? wl_.pace_packets : 0;
@@ -150,26 +142,19 @@ class Tour {
         sums_->skipped_steps += steps - s_;
         return false;
       }
-      if (pace > 0 && yielding) {
+      if (pace > 0) {
         *next_wake = wake;
         return true;
       }
-      broadcast::Metrics before = session_->metrics();
-      if (pace > 0) {
-        session_->Pace(pace);
-        before.access_latency_bytes +=
-            pace * session_->program().packet_capacity();
-      }
-      RunStep(before, cold_arena);
+      RunStep(session_->metrics(), cold_arena);
       ++s_;
     }
     return false;
   }
 
-  /// Scheduler engine: the calendar reached \p wake (the value Run
-  /// yielded). Resumes the session at exactly that packet — byte-identical
-  /// to the Pace the loop engine would have performed — runs the due step,
-  /// and continues like Run (yielding again at the next think time).
+  /// The calendar reached \p wake (the value Run yielded). Resumes the
+  /// session at exactly that packet, runs the due step, and continues like
+  /// Run (yielding again at the next think time).
   bool ResumeAndRun(uint64_t wake, air::ClientArena& cold_arena,
                     uint64_t* next_wake) {
     broadcast::Metrics before = session_->metrics();
@@ -178,12 +163,12 @@ class Tour {
         wl_.pace_packets * session_->program().packet_capacity();
     RunStep(before, cold_arena);
     ++s_;
-    return Run(/*yielding=*/true, cold_arena, next_wake);
+    return Run(cold_arena, next_wake);
   }
 
  private:
-  /// One re-evaluation: the body both engines share. The session is
-  /// positioned at the step's start (freshly tuned in, or just woken).
+  /// One re-evaluation. The session is positioned at the step's start
+  /// (freshly tuned in, or just woken).
   void RunStep(const broadcast::Metrics& before,
                air::ClientArena& cold_arena) {
     const size_t s = s_;
@@ -237,24 +222,7 @@ class Tour {
   size_t s_ = 0;  ///< Next step to run.
 };
 
-/// The loop engine's shard body: whole clients, one after another.
-void RunLoopShard(const std::vector<const air::AirIndexHandle*>& gens,
-                  const broadcast::GenerationSchedule& schedule,
-                  const TrajectoryWorkload& wl,
-                  const TrajectoryOptions& options, size_t begin, size_t end,
-                  TourSums* sums) {
-  // One arena per pool thread for the cold baselines; the warm client owns
-  // its storage for the whole tour (it must survive every cold build).
-  thread_local air::ClientArena cold_arena;
-  for (size_t c = begin; c < end; ++c) {
-    if (wl.clients[c].empty()) continue;
-    Tour tour(gens, schedule, wl, options, c, sums,
-              options.results != nullptr ? &(*options.results)[c] : nullptr);
-    tour.Run(/*yielding=*/false, cold_arena, nullptr);
-  }
-}
-
-/// The scheduler engine's shard body: channel-drives-clients. One calendar
+/// One worker's shard of clients: channel-drives-clients. One calendar
 /// queue orders every pending wake in this shard by (packet, client); one
 /// slot pool maps the churning population onto dense recycled storage.
 /// Per-client hot state is SoA: the wake itself lives in the calendar, the
@@ -264,6 +232,8 @@ void RunSchedulerShard(const std::vector<const air::AirIndexHandle*>& gens,
                        const TrajectoryWorkload& wl,
                        const TrajectoryOptions& options, size_t begin,
                        size_t end, TourSums* sums) {
+  // One arena per pool thread for the cold baselines; each warm client owns
+  // its storage for its whole tour (it must survive every cold build).
   thread_local air::ClientArena cold_arena;
   constexpr uint32_t kNoSlot = UINT32_MAX;
   // Calendar day width: the typical inter-wake gap is the think time; an
@@ -311,7 +281,7 @@ void RunSchedulerShard(const std::vector<const air::AirIndexHandle*>& gens,
       tours[slot] = std::make_unique<Tour>(
           gens, schedule, wl, options, c, sums,
           options.results != nullptr ? &(*options.results)[c] : nullptr);
-      sleeping = tours[slot]->Run(/*yielding=*/true, cold_arena, &next_wake);
+      sleeping = tours[slot]->Run(cold_arena, &next_wake);
     } else {
       sleeping = tours[slot]->ResumeAndRun(e.wake_packet, cold_arena,
                                            &next_wake);
@@ -353,11 +323,7 @@ TrajectoryMetrics RunTrajectoriesImpl(
   const TourSums total = detail::RunSharded<TourSums>(
       num_clients, options.workers,
       [&](size_t begin, size_t end, TourSums* sums) {
-        if (options.engine == TrajectoryEngine::kScheduler) {
-          RunSchedulerShard(gens, schedule, wl, options, begin, end, sums);
-        } else {
-          RunLoopShard(gens, schedule, wl, options, begin, end, sums);
-        }
+        RunSchedulerShard(gens, schedule, wl, options, begin, end, sums);
       },
       detail::Units::kOnePerWorker);
 

@@ -30,11 +30,12 @@
 /// randomness by (client, step), so every metric and result is
 /// bit-identical for any worker count.
 ///
-/// Two simulation cores share one per-step body (TrajectoryEngine): the
-/// loop oracle above, and an event-driven scheduler (sim/scheduler.hpp)
-/// that advances the broadcast timeline and wakes clients at their due
-/// packet — the city-scale path, bit-identical to the loop by
-/// construction and by test.
+/// One simulation core drives the tours: an event-driven scheduler
+/// (sim/scheduler.hpp) that advances the broadcast timeline and wakes
+/// clients at their due packet, so 10^6+ concurrent clients fit on one
+/// machine. Its parity oracle is the same scheduler run on each client
+/// alone (sim::RunEachClientAlone): clients are passive listeners, so a
+/// population must reproduce every client's solo tour bit for bit.
 
 #include <cstddef>
 #include <cstdint>
@@ -140,7 +141,8 @@ struct TrajectoryMetrics {
   size_t departed = 0;
   size_t skipped_steps = 0;
 
-  /// Field-by-field, doubles compared exactly (engine parity is bit-exact).
+  /// Field-by-field, doubles compared exactly (worker-count parity is
+  /// bit-exact).
   bool operator==(const TrajectoryMetrics&) const = default;
 
   /// Headline reuse metric: share of the cold tuning cost the warm client
@@ -159,22 +161,9 @@ struct TrajectoryMetrics {
   }
 };
 
-/// Which simulation core drives the clients.
-enum class TrajectoryEngine : uint8_t {
-  /// Client-drives-channel: walk whole clients one after another, each
-  /// spinning the shared timeline in its own call stack. The oracle path —
-  /// simple, obviously correct, O(N) live call frames; right at small N.
-  kLoop,
-  /// Channel-drives-clients: one event scheduler per worker shard advances
-  /// the broadcast timeline and wakes only the clients whose next-wake
-  /// packet is due (sim::CalendarQueue), with per-client state in
-  /// slot-pooled SoA storage recycled across churn. Metrics and results
-  /// are bit-identical to kLoop for any worker count (clients are passive
-  /// listeners, so wake-order execution is observationally identical to
-  /// client-major execution — enforced by tests/scheduler_test.cpp); the
-  /// point is capacity: 10^6+ concurrent clients on one machine.
-  kScheduler,
-};
+/// Which simulation core drives the clients: the event scheduler, the only
+/// one.
+enum class TrajectoryEngine : uint8_t { kScheduler };
 
 /// Execution knobs of one trajectory run.
 struct TrajectoryOptions {
@@ -196,8 +185,9 @@ struct TrajectoryOptions {
   /// RunOptions::disks. Warm and cold clients share the multi-disk channel,
   /// so warm/cold parity holds across repetitions too.
   broadcast::DiskConfig disks;
-  /// Simulation core; results are bit-identical either way.
-  TrajectoryEngine engine = TrajectoryEngine::kLoop;
+  /// Read by nothing: kept only because perfbench/src/city.cpp assigns it.
+  /// ROADMAP 6a deletes this field and TrajectoryEngine together.
+  TrajectoryEngine engine = TrajectoryEngine::kScheduler;
 };
 
 /// Runs every client tour of \p workload against a static broadcast.

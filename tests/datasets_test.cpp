@@ -3,9 +3,25 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
+
+#include "common/rng.hpp"
 
 namespace dsi::datasets {
 namespace {
+
+/// \p n points drawn from \p popularity on one stream seeded by \p seed.
+std::vector<common::Point> SamplePoints(size_t n,
+                                        const RegionPopularity& popularity,
+                                        const common::Rect& universe,
+                                        uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<common::Point> points;
+  for (size_t i = 0; i < n; ++i) {
+    points.push_back(popularity.Sample(rng, universe));
+  }
+  return points;
+}
 
 TEST(DatasetsTest, UniformCardinalityAndBounds) {
   const auto objs = MakeUniform(500, UnitUniverse(), 1);
@@ -34,11 +50,6 @@ TEST(DatasetsTest, UniformDeterministicPerSeed) {
     any_diff |= !(a[i].location == c[i].location);
   }
   EXPECT_TRUE(any_diff);
-}
-
-TEST(DatasetsTest, UniformDefaultMatchesPaper) {
-  const auto objs = MakeUniformDefault();
-  EXPECT_EQ(objs.size(), 10000u);
 }
 
 TEST(DatasetsTest, UniformCoversSpace) {
@@ -111,9 +122,9 @@ TEST(DatasetsTest, ClusteredBackgroundOnly) {
 
 TEST(RegionPopularityTest, ZipfPointsSeedDeterministic) {
   const RegionPopularity pop(8, 1.2, 5);
-  const auto a = MakeZipfPoints(200, pop, UnitUniverse(), 11);
-  const auto b = MakeZipfPoints(200, pop, UnitUniverse(), 11);
-  const auto c = MakeZipfPoints(200, pop, UnitUniverse(), 12);
+  const auto a = SamplePoints(200, pop, UnitUniverse(), 11);
+  const auto b = SamplePoints(200, pop, UnitUniverse(), 11);
+  const auto c = SamplePoints(200, pop, UnitUniverse(), 12);
   ASSERT_EQ(a.size(), b.size());
   bool differs = false;
   for (size_t i = 0; i < a.size(); ++i) {
@@ -129,7 +140,7 @@ TEST(RegionPopularityTest, SkewZeroIsUniformBitIdentical) {
   // Rng stream as MakeUniform's per-point coordinates, bit for bit, so a
   // zero-skew workload is THE uniform workload, not a lookalike.
   const RegionPopularity pop(8, 0.0, 5);
-  const auto points = MakeZipfPoints(300, pop, UnitUniverse(), 19);
+  const auto points = SamplePoints(300, pop, UnitUniverse(), 19);
   const auto objs = MakeUniform(300, UnitUniverse(), 19);
   ASSERT_EQ(points.size(), objs.size());
   for (size_t i = 0; i < points.size(); ++i) {
@@ -142,7 +153,7 @@ TEST(RegionPopularityTest, SamplesStayInUniverse) {
   const common::Rect universe{0.25, -1.0, 2.25, 3.0};
   for (const double skew : {0.0, 0.6, 1.8}) {
     const RegionPopularity pop(8, skew, 5);
-    const auto points = MakeZipfPoints(500, pop, universe, 3);
+    const auto points = SamplePoints(500, pop, universe, 3);
     for (const auto& p : points) {
       EXPECT_TRUE(universe.Contains(p)) << "skew=" << skew;
     }
@@ -154,7 +165,7 @@ TEST(RegionPopularityTest, SkewConcentratesMassNearHotspot) {
   // neighborhood of the hottest region's center; under skew 0 they spread.
   const RegionPopularity pop(8, 1.8, 5);
   const common::Point hot = pop.HottestCenter(UnitUniverse());
-  const auto points = MakeZipfPoints(1000, pop, UnitUniverse(), 3);
+  const auto points = SamplePoints(1000, pop, UnitUniverse(), 3);
   size_t near = 0;
   for (const auto& p : points) {
     const double dx = p.x - hot.x, dy = p.y - hot.y;
@@ -162,19 +173,6 @@ TEST(RegionPopularityTest, SkewConcentratesMassNearHotspot) {
   }
   EXPECT_GT(near, 700u);
   EXPECT_GT(pop.Weight(hot, UnitUniverse()), 0.99);
-}
-
-TEST(RegionPopularityTest, HotspotPointsDeterministicAndInUniverse) {
-  const RegionPopularity pop(8, 1.2, 5);
-  const common::Point center = pop.HottestCenter(UnitUniverse());
-  const auto a = MakeHotspotPoints(400, center, 0.05, UnitUniverse(), 21);
-  const auto b = MakeHotspotPoints(400, center, 0.05, UnitUniverse(), 21);
-  ASSERT_EQ(a.size(), 400u);
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].x, b[i].x);
-    EXPECT_EQ(a[i].y, b[i].y);
-    EXPECT_TRUE(UnitUniverse().Contains(a[i]));
-  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-/// Degenerate client populations for the trajectory engines: zero
+/// Degenerate client populations for the trajectory scheduler: zero
 /// clients, zero steps, a single client, and churn streams that empty the
-/// population mid-run or keep clients from ever joining. Every case runs
-/// BOTH engines (loop and scheduler) and demands exact accounting:
+/// population mid-run or keep clients from ever joining. Every case
+/// demands exact accounting:
 /// steps + skipped_steps always equals the workload's num_steps(), departed
 /// counts every cut-short tour, and unrun steps carry no cost.
 
@@ -19,9 +19,6 @@
 
 namespace dsi {
 namespace {
-
-constexpr sim::TrajectoryEngine kEngines[] = {
-    sim::TrajectoryEngine::kLoop, sim::TrajectoryEngine::kScheduler};
 
 class DegeneratePopulation : public ::testing::Test {
  protected:
@@ -52,70 +49,57 @@ class DegeneratePopulation : public ::testing::Test {
   air::RtreeHandle rtree_air_;
 };
 
-TEST_F(DegeneratePopulation, ZeroClientsIsAZeroedRunInBothEngines) {
+TEST_F(DegeneratePopulation, ZeroClientsIsAZeroedRun) {
   const auto wl = MakeWorkload(0, 5, 41);
   ASSERT_TRUE(wl.clients.empty());
-  for (const auto engine : kEngines) {
-    std::vector<std::vector<sim::TrajectoryStep>> results;
-    sim::TrajectoryOptions opt;
-    opt.seed = 7;
-    opt.engine = engine;
-    opt.results = &results;
-    const auto m = sim::RunTrajectories(dsi_air_, wl, opt);
-    EXPECT_EQ(m.clients, 0u);
-    EXPECT_EQ(m.steps, 0u);
-    EXPECT_EQ(m.skipped_steps, 0u);
-    EXPECT_EQ(m.departed, 0u);
-    EXPECT_DOUBLE_EQ(m.latency_bytes, 0.0);
-    EXPECT_DOUBLE_EQ(m.cold_tuning_bytes, 0.0);
-    EXPECT_TRUE(results.empty());
-  }
+  std::vector<std::vector<sim::TrajectoryStep>> results;
+  sim::TrajectoryOptions opt;
+  opt.seed = 7;
+  opt.results = &results;
+  const auto m = sim::RunTrajectories(dsi_air_, wl, opt);
+  EXPECT_EQ(m.clients, 0u);
+  EXPECT_EQ(m.steps, 0u);
+  EXPECT_EQ(m.skipped_steps, 0u);
+  EXPECT_EQ(m.departed, 0u);
+  EXPECT_DOUBLE_EQ(m.latency_bytes, 0.0);
+  EXPECT_DOUBLE_EQ(m.cold_tuning_bytes, 0.0);
+  EXPECT_TRUE(results.empty());
 }
 
 TEST_F(DegeneratePopulation, EmptyTrajectoriesContributeNothing) {
   // A present client with a zero-step path never touches the channel.
   auto wl = MakeWorkload(3, 4, 43);
   wl.clients[1].clear();
-  for (const auto engine : kEngines) {
-    std::vector<std::vector<sim::TrajectoryStep>> results;
-    sim::TrajectoryOptions opt;
-    opt.seed = 11;
-    opt.engine = engine;
-    opt.results = &results;
-    const auto m = sim::RunTrajectories(rtree_air_, wl, opt);
-    EXPECT_EQ(m.steps, 8u);  // two live clients x four steps
-    EXPECT_EQ(m.steps + m.skipped_steps, wl.num_steps());
-    ASSERT_EQ(results.size(), 3u);
-    EXPECT_TRUE(results[1].empty());
-  }
+  std::vector<std::vector<sim::TrajectoryStep>> results;
+  sim::TrajectoryOptions opt;
+  opt.seed = 11;
+  opt.results = &results;
+  const auto m = sim::RunTrajectories(rtree_air_, wl, opt);
+  EXPECT_EQ(m.steps, 8u);  // two live clients x four steps
+  EXPECT_EQ(m.steps + m.skipped_steps, wl.num_steps());
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_TRUE(results[1].empty());
 }
 
-TEST_F(DegeneratePopulation, OneClientRunsIdenticallyInBothEngines) {
+TEST_F(DegeneratePopulation, OneClientRunsEveryStep) {
   const auto wl = MakeWorkload(1, 6, 47);
-  std::vector<sim::TrajectoryMetrics> runs;
-  for (const auto engine : kEngines) {
-    std::vector<std::vector<sim::TrajectoryStep>> results;
-    sim::TrajectoryOptions opt;
-    opt.seed = 13;
-    opt.engine = engine;
-    opt.results = &results;
-    runs.push_back(sim::RunTrajectories(dsi_air_, wl, opt));
-    ASSERT_EQ(results.size(), 1u);
-    for (const auto& step : results[0]) {
-      EXPECT_TRUE(step.ran);
-      EXPECT_LE(step.warm.tuning_bytes, step.warm.latency_bytes);
-    }
+  std::vector<std::vector<sim::TrajectoryStep>> results;
+  sim::TrajectoryOptions opt;
+  opt.seed = 13;
+  opt.results = &results;
+  const auto m = sim::RunTrajectories(dsi_air_, wl, opt);
+  ASSERT_EQ(results.size(), 1u);
+  for (const auto& step : results[0]) {
+    EXPECT_TRUE(step.ran);
+    EXPECT_LE(step.warm.tuning_bytes, step.warm.latency_bytes);
   }
-  EXPECT_DOUBLE_EQ(runs[0].latency_bytes, runs[1].latency_bytes);
-  EXPECT_DOUBLE_EQ(runs[0].tuning_bytes, runs[1].tuning_bytes);
-  EXPECT_EQ(runs[0].steps, 6u);
-  EXPECT_EQ(runs[1].steps, 6u);
+  EXPECT_EQ(m.steps, 6u);
 }
 
 TEST_F(DegeneratePopulation, ChurnCanEmptyThePopulationMidRun) {
   // Every span departs one packet after arrival: each client finishes at
-  // most its first step burst, then powers off. Both engines must agree on
-  // exactly which steps ran and account for every skipped one.
+  // most its first step burst, then powers off, and every skipped step is
+  // accounted for.
   auto wl = MakeWorkload(5, 4, 53);
   wl.pace_packets = dsi_air_.program().cycle_packets();
   wl.churn.resize(wl.clients.size());
@@ -123,58 +107,42 @@ TEST_F(DegeneratePopulation, ChurnCanEmptyThePopulationMidRun) {
     wl.churn[c].arrive_packet = 17 * c;
     wl.churn[c].depart_packet = 17 * c + 1;
   }
-  std::vector<sim::TrajectoryMetrics> runs;
-  std::vector<std::vector<std::vector<sim::TrajectoryStep>>> all_results;
-  for (const auto engine : kEngines) {
-    auto& results = all_results.emplace_back();
-    sim::TrajectoryOptions opt;
-    opt.seed = 17;
-    opt.engine = engine;
-    opt.results = &results;
-    runs.push_back(sim::RunTrajectories(dsi_air_, wl, opt));
-  }
-  for (const auto& m : runs) {
-    EXPECT_EQ(m.departed, wl.clients.size());
-    EXPECT_EQ(m.steps + m.skipped_steps, wl.num_steps());
-    // The first step starts AT the arrival instant (before the depart
-    // packet), so it runs; with a whole-cycle pace every later step wakes
-    // past the depart instant.
-    EXPECT_EQ(m.steps, wl.clients.size());
-  }
-  EXPECT_DOUBLE_EQ(runs[0].latency_bytes, runs[1].latency_bytes);
-  EXPECT_EQ(runs[0].skipped_steps, runs[1].skipped_steps);
+  std::vector<std::vector<sim::TrajectoryStep>> results;
+  sim::TrajectoryOptions opt;
+  opt.seed = 17;
+  opt.results = &results;
+  const auto m = sim::RunTrajectories(dsi_air_, wl, opt);
+  EXPECT_EQ(m.departed, wl.clients.size());
+  EXPECT_EQ(m.steps + m.skipped_steps, wl.num_steps());
+  // The first step starts AT the arrival instant (before the depart
+  // packet), so it runs; with a whole-cycle pace every later step wakes
+  // past the depart instant.
+  EXPECT_EQ(m.steps, wl.clients.size());
   for (size_t c = 0; c < wl.clients.size(); ++c) {
     for (size_t s = 0; s < wl.clients[c].size(); ++s) {
-      EXPECT_EQ(all_results[0][c][s].ran, all_results[1][c][s].ran);
-      EXPECT_EQ(all_results[0][c][s].ran, s == 0);
-      if (!all_results[0][c][s].ran) {
-        // Unrun steps carry no cost in either engine.
-        EXPECT_EQ(all_results[0][c][s].warm.latency_bytes, 0u);
-        EXPECT_EQ(all_results[1][c][s].warm.latency_bytes, 0u);
-      }
+      EXPECT_EQ(results[c][s].ran, s == 0);
+      // Unrun steps carry no cost.
+      if (!results[c][s].ran) EXPECT_EQ(results[c][s].warm.latency_bytes, 0u);
     }
   }
 }
 
 TEST_F(DegeneratePopulation, NeverJoiningClientsSkipTheirWholeTour) {
   // depart <= arrive means the client never joins: zero channel cost, the
-  // whole tour skipped, in both engines.
+  // whole tour skipped.
   auto wl = MakeWorkload(3, 5, 59);
   wl.churn.resize(3);
   wl.churn[0] = {100, 100};  // depart == arrive
   wl.churn[1] = {200, 50};   // depart before arrive
   wl.churn[2] = {0, 0};
-  for (const auto engine : kEngines) {
-    sim::TrajectoryOptions opt;
-    opt.seed = 19;
-    opt.engine = engine;
-    const auto m = sim::RunTrajectories(dsi_air_, wl, opt);
-    EXPECT_EQ(m.steps, 0u);
-    EXPECT_EQ(m.departed, 3u);
-    EXPECT_EQ(m.skipped_steps, wl.num_steps());
-    EXPECT_DOUBLE_EQ(m.latency_bytes, 0.0);
-    EXPECT_DOUBLE_EQ(m.tuning_bytes, 0.0);
-  }
+  sim::TrajectoryOptions opt;
+  opt.seed = 19;
+  const auto m = sim::RunTrajectories(dsi_air_, wl, opt);
+  EXPECT_EQ(m.steps, 0u);
+  EXPECT_EQ(m.departed, 3u);
+  EXPECT_EQ(m.skipped_steps, wl.num_steps());
+  EXPECT_DOUBLE_EQ(m.latency_bytes, 0.0);
+  EXPECT_DOUBLE_EQ(m.tuning_bytes, 0.0);
 }
 
 TEST(ChurnStream, DegeneratesAndDeterminism) {

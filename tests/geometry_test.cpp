@@ -60,12 +60,6 @@ TEST(RectTest, ExpandToInclude) {
   EXPECT_EQ(r, (Rect{-1, 0, 2, 5}));
 }
 
-TEST(RectTest, BoundingBox) {
-  const Rect r = Rect::BoundingBox(
-      {Point{1, 1}, Point{-2, 4}, Point{3, 0}});
-  EXPECT_EQ(r, (Rect{-2, 0, 3, 4}));
-}
-
 TEST(RectTest, MinSquaredDistanceInsideIsZero) {
   const Rect r{0, 0, 2, 2};
   EXPECT_DOUBLE_EQ(r.MinSquaredDistance(Point{1, 1}), 0.0);

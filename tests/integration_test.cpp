@@ -149,7 +149,8 @@ TEST(PaperScaleTest, DsiBeatsBothOnNnTuning) {
   // outweigh the savings, so this test builds the full-size broadcast.
   const hilbert::SpaceMapper mapper(datasets::UnitUniverse(),
                                     hilbert::ChooseOrder(10000));
-  const auto objects = datasets::MakeUniformDefault();
+  const auto objects =
+      datasets::MakeUniform(10000, datasets::UnitUniverse(), 42);
   core::DsiConfig cfg;
   cfg.num_segments = 2;
   const core::DsiIndex dsi(objects, mapper, 64, cfg);

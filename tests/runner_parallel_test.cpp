@@ -159,7 +159,7 @@ TEST_F(ParallelParityFixture, PersistentPoolIsStableAcrossRepeatedRuns) {
 TEST_F(ParallelParityFixture, AnyWorkerCountReproducesEveryTour) {
   // Tours keep one contiguous population per worker; every worker count
   // must still reproduce the serial metrics and every step of every tour,
-  // warm and cold, on both simulation cores.
+  // warm and cold.
   datasets::TrajectoryParams params;
   params.speed = 0.02;
   for (const auto kind : {sim::QueryKind::kWindow, sim::QueryKind::kKnn}) {
@@ -169,26 +169,22 @@ TEST_F(ParallelParityFixture, AnyWorkerCountReproducesEveryTour) {
     wl.theta = 0.3;
     wl.error_mode = broadcast::ErrorMode::kPerBucketLoss;
     for (const air::AirIndexHandle* handle : Handles()) {
-      for (const auto engine : {sim::TrajectoryEngine::kLoop,
-                                sim::TrajectoryEngine::kScheduler}) {
-        std::vector<std::vector<sim::TrajectoryStep>> baseline;
-        sim::TrajectoryOptions base_opt;
-        base_opt.seed = 229;
-        base_opt.results = &baseline;
-        base_opt.engine = engine;
-        const sim::TrajectoryMetrics serial =
-            sim::RunTrajectories(*handle, wl, base_opt);
-        EXPECT_EQ(serial.steps, 44u) << handle->family();
-        for (const size_t workers : {2u, 3u, 7u}) {
-          std::vector<std::vector<sim::TrajectoryStep>> got;
-          sim::TrajectoryOptions opt = base_opt;
-          opt.workers = workers;
-          opt.results = &got;
-          EXPECT_TRUE(sim::RunTrajectories(*handle, wl, opt) == serial)
-              << handle->family() << " workers " << workers;
-          EXPECT_TRUE(got == baseline)
-              << handle->family() << " workers " << workers;
-        }
+      std::vector<std::vector<sim::TrajectoryStep>> baseline;
+      sim::TrajectoryOptions base_opt;
+      base_opt.seed = 229;
+      base_opt.results = &baseline;
+      const sim::TrajectoryMetrics serial =
+          sim::RunTrajectories(*handle, wl, base_opt);
+      EXPECT_EQ(serial.steps, 44u) << handle->family();
+      for (const size_t workers : {2u, 3u, 7u}) {
+        std::vector<std::vector<sim::TrajectoryStep>> got;
+        sim::TrajectoryOptions opt = base_opt;
+        opt.workers = workers;
+        opt.results = &got;
+        EXPECT_TRUE(sim::RunTrajectories(*handle, wl, opt) == serial)
+            << handle->family() << " workers " << workers;
+        EXPECT_TRUE(got == baseline)
+            << handle->family() << " workers " << workers;
       }
     }
   }

@@ -1,8 +1,8 @@
 /// The event-driven core's contract (sim/scheduler.hpp): the calendar
 /// queue wakes clients in deterministic (wake packet, client index) order,
 /// the slot pool recycles per-client storage across churn, and — the
-/// load-bearing invariant — the scheduler engine reproduces the
-/// loop-driven oracle BIT-IDENTICALLY: every metric and every per-step
+/// load-bearing invariant — a population run reproduces every client's
+/// alone run (sim::RunEachClientAlone) BIT-IDENTICALLY: every per-step
 /// result, for every family, lossy + coded + generational + churned, at
 /// any worker count.
 
@@ -18,6 +18,7 @@
 #include "air/rtree_handle.hpp"
 #include "datasets/datasets.hpp"
 #include "hilbert/space_mapper.hpp"
+#include "sim/conformance.hpp"
 #include "sim/runner.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/trajectory.hpp"
@@ -113,12 +114,12 @@ TEST(SlotPool, ReusesReleasedSlotsAndTracksPeak) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine equivalence: scheduler vs. loop, bit for bit
+// Population vs. alone, bit for bit
 // ---------------------------------------------------------------------------
 
-class EngineEquivalence : public ::testing::Test {
+class PopulationParity : public ::testing::Test {
  protected:
-  EngineEquivalence()
+  PopulationParity()
       : universe_(datasets::UnitUniverse()),
         mapper_(universe_, 7),
         objects_(datasets::MakeUniform(220, universe_, 33)),
@@ -150,24 +151,22 @@ class EngineEquivalence : public ::testing::Test {
     return wl;
   }
 
-  static void ExpectSameMetrics(const sim::TrajectoryMetrics& loop,
-                                const sim::TrajectoryMetrics& sched,
+  static void ExpectSameMetrics(const sim::TrajectoryMetrics& a,
+                                const sim::TrajectoryMetrics& b,
                                 const std::string& label) {
-    EXPECT_DOUBLE_EQ(loop.latency_bytes, sched.latency_bytes) << label;
-    EXPECT_DOUBLE_EQ(loop.tuning_bytes, sched.tuning_bytes) << label;
-    EXPECT_DOUBLE_EQ(loop.cold_latency_bytes, sched.cold_latency_bytes)
-        << label;
-    EXPECT_DOUBLE_EQ(loop.cold_tuning_bytes, sched.cold_tuning_bytes)
-        << label;
-    EXPECT_EQ(loop.clients, sched.clients) << label;
-    EXPECT_EQ(loop.steps, sched.steps) << label;
-    EXPECT_EQ(loop.incomplete, sched.incomplete) << label;
-    EXPECT_EQ(loop.restarted, sched.restarted) << label;
-    EXPECT_EQ(loop.cold_incomplete, sched.cold_incomplete) << label;
-    EXPECT_EQ(loop.repaired, sched.repaired) << label;
-    EXPECT_EQ(loop.cold_repaired, sched.cold_repaired) << label;
-    EXPECT_EQ(loop.departed, sched.departed) << label;
-    EXPECT_EQ(loop.skipped_steps, sched.skipped_steps) << label;
+    EXPECT_DOUBLE_EQ(a.latency_bytes, b.latency_bytes) << label;
+    EXPECT_DOUBLE_EQ(a.tuning_bytes, b.tuning_bytes) << label;
+    EXPECT_DOUBLE_EQ(a.cold_latency_bytes, b.cold_latency_bytes) << label;
+    EXPECT_DOUBLE_EQ(a.cold_tuning_bytes, b.cold_tuning_bytes) << label;
+    EXPECT_EQ(a.clients, b.clients) << label;
+    EXPECT_EQ(a.steps, b.steps) << label;
+    EXPECT_EQ(a.incomplete, b.incomplete) << label;
+    EXPECT_EQ(a.restarted, b.restarted) << label;
+    EXPECT_EQ(a.cold_incomplete, b.cold_incomplete) << label;
+    EXPECT_EQ(a.repaired, b.repaired) << label;
+    EXPECT_EQ(a.cold_repaired, b.cold_repaired) << label;
+    EXPECT_EQ(a.departed, b.departed) << label;
+    EXPECT_EQ(a.skipped_steps, b.skipped_steps) << label;
   }
 
   static void ExpectSameResult(const sim::QueryResult& a,
@@ -184,39 +183,54 @@ class EngineEquivalence : public ::testing::Test {
   }
 
   static void ExpectSameSteps(
-      const std::vector<std::vector<sim::TrajectoryStep>>& loop,
-      const std::vector<std::vector<sim::TrajectoryStep>>& sched,
+      const std::vector<std::vector<sim::TrajectoryStep>>& a,
+      const std::vector<std::vector<sim::TrajectoryStep>>& b,
       const std::string& label) {
-    ASSERT_EQ(loop.size(), sched.size()) << label;
-    for (size_t c = 0; c < loop.size(); ++c) {
-      ASSERT_EQ(loop[c].size(), sched[c].size()) << label;
-      for (size_t s = 0; s < loop[c].size(); ++s) {
+    ASSERT_EQ(a.size(), b.size()) << label;
+    for (size_t c = 0; c < a.size(); ++c) {
+      ASSERT_EQ(a[c].size(), b[c].size()) << label;
+      for (size_t s = 0; s < a[c].size(); ++s) {
         const std::string at =
             label + " client " + std::to_string(c) + " step " +
             std::to_string(s);
-        EXPECT_EQ(loop[c][s].ran, sched[c][s].ran) << at;
-        ExpectSameResult(loop[c][s].warm, sched[c][s].warm, at + " warm");
-        ExpectSameResult(loop[c][s].cold, sched[c][s].cold, at + " cold");
+        EXPECT_EQ(a[c][s].ran, b[c][s].ran) << at;
+        ExpectSameResult(a[c][s].warm, b[c][s].warm, at + " warm");
+        ExpectSameResult(a[c][s].cold, b[c][s].cold, at + " cold");
       }
     }
   }
 
-  /// Runs \p wl with both engines under \p base options and asserts
-  /// bit-identity of metrics and every per-step result.
-  void ExpectEnginesAgree(const air::AirIndexHandle& handle,
-                          const sim::TrajectoryWorkload& wl,
-                          sim::TrajectoryOptions base,
-                          const std::string& label) {
-    std::vector<std::vector<sim::TrajectoryStep>> loop_steps;
-    std::vector<std::vector<sim::TrajectoryStep>> sched_steps;
-    base.engine = sim::TrajectoryEngine::kLoop;
-    base.results = &loop_steps;
-    const auto loop = sim::RunTrajectories(handle, wl, base);
-    base.engine = sim::TrajectoryEngine::kScheduler;
-    base.results = &sched_steps;
-    const auto sched = sim::RunTrajectories(handle, wl, base);
-    ExpectSameMetrics(loop, sched, label);
-    ExpectSameSteps(loop_steps, sched_steps, label);
+  /// Runs \p wl as one population at 1 and 3 workers under \p base and
+  /// asserts that every per-step result equals the client's alone run and
+  /// that both worker counts agree on the metrics. Returns those metrics.
+  sim::TrajectoryMetrics ExpectPopulationMatchesAlone(
+      const sim::GenerationalIndex& gi, const sim::TrajectoryWorkload& wl,
+      sim::TrajectoryOptions base, const std::string& label) {
+    const auto alone = sim::RunEachClientAlone(gi, wl, base);
+    sim::TrajectoryMetrics serial;
+    for (const size_t workers : {1u, 3u}) {
+      std::vector<std::vector<sim::TrajectoryStep>> steps;
+      base.workers = workers;
+      base.results = &steps;
+      const auto m = sim::RunTrajectories(gi, wl, base);
+      const std::string at = label + " workers=" + std::to_string(workers);
+      if (workers == 1) {
+        serial = m;
+      } else {
+        ExpectSameMetrics(serial, m, at);
+      }
+      ExpectSameSteps(alone, steps, at);
+    }
+    return serial;
+  }
+
+  /// Static-broadcast form: one generation airing one cycle, exactly what
+  /// the static RunTrajectories runs.
+  sim::TrajectoryMetrics ExpectPopulationMatchesAlone(
+      const air::AirIndexHandle& handle, const sim::TrajectoryWorkload& wl,
+      const sim::TrajectoryOptions& base, const std::string& label) {
+    return ExpectPopulationMatchesAlone(sim::GenerationalIndex{{&handle}, {1}},
+                                        wl, base, label);
   }
 
   common::Rect universe_;
@@ -231,7 +245,7 @@ class EngineEquivalence : public ::testing::Test {
   air::ExpHandle exp_air_;
 };
 
-TEST_F(EngineEquivalence, StaticBroadcastAllFamiliesCleanAndLossy) {
+TEST_F(PopulationParity, StaticBroadcastAllFamiliesCleanAndLossy) {
   auto wl = MakeWorkload(4, 5, 61);
   for (const air::AirIndexHandle* handle : Handles()) {
     wl.pace_packets = handle->program().cycle_packets() / 2;
@@ -240,14 +254,14 @@ TEST_F(EngineEquivalence, StaticBroadcastAllFamiliesCleanAndLossy) {
       wl.error_mode = broadcast::ErrorMode::kPerReadLoss;
       sim::TrajectoryOptions opt;
       opt.seed = 301;
-      ExpectEnginesAgree(*handle, wl, opt,
-                         std::string(handle->family()) + " theta=" +
-                             std::to_string(theta));
+      ExpectPopulationMatchesAlone(*handle, wl, opt,
+                                   std::string(handle->family()) +
+                                       " theta=" + std::to_string(theta));
     }
   }
 }
 
-TEST_F(EngineEquivalence, KnnAndChannelDeterministicLoss) {
+TEST_F(PopulationParity, KnnAndChannelDeterministicLoss) {
   datasets::TrajectoryParams params;
   params.model = datasets::TrajectoryModel::kGaussianStep;
   auto wl = sim::MakeTrajectoryWorkload(sim::QueryKind::kKnn, 3, 4, params,
@@ -261,14 +275,15 @@ TEST_F(EngineEquivalence, KnnAndChannelDeterministicLoss) {
       wl.pace_packets = handle->program().cycle_packets() / 3;
       sim::TrajectoryOptions opt;
       opt.seed = 307;
-      ExpectEnginesAgree(*handle, wl, opt,
-                         std::string(handle->family()) + " knn mode " +
-                             std::to_string(static_cast<int>(mode)));
+      ExpectPopulationMatchesAlone(
+          *handle, wl, opt,
+          std::string(handle->family()) + " knn mode " +
+              std::to_string(static_cast<int>(mode)));
     }
   }
 }
 
-TEST_F(EngineEquivalence, CodedBroadcastParity) {
+TEST_F(PopulationParity, CodedBroadcastParity) {
   auto wl = MakeWorkload(3, 4, 71);
   wl.theta = 0.5;
   wl.error_mode = broadcast::ErrorMode::kPerBucketLoss;
@@ -277,12 +292,12 @@ TEST_F(EngineEquivalence, CodedBroadcastParity) {
     sim::TrajectoryOptions opt;
     opt.seed = 311;
     opt.coding = broadcast::CodingConfig{2, 2};
-    ExpectEnginesAgree(*handle, wl, opt,
-                       std::string(handle->family()) + " coded");
+    ExpectPopulationMatchesAlone(*handle, wl, opt,
+                                 std::string(handle->family()) + " coded");
   }
 }
 
-TEST_F(EngineEquivalence, GenerationalBroadcastWithRepublications) {
+TEST_F(PopulationParity, GenerationalBroadcastWithRepublications) {
   // Three generations via the DSI incremental republication path; pace
   // close to a whole cycle so tours regularly doze across republication
   // instants and restart mid-step.
@@ -302,24 +317,15 @@ TEST_F(EngineEquivalence, GenerationalBroadcastWithRepublications) {
   wl.pace_packets = dsi_air_.program().cycle_packets() - 7;
   for (const double theta : {0.0, 0.3}) {
     wl.theta = theta;
-    std::vector<std::vector<sim::TrajectoryStep>> loop_steps;
-    std::vector<std::vector<sim::TrajectoryStep>> sched_steps;
     sim::TrajectoryOptions opt;
     opt.seed = 313;
-    opt.engine = sim::TrajectoryEngine::kLoop;
-    opt.results = &loop_steps;
-    const auto loop = sim::RunTrajectories(gi, wl, opt);
-    opt.engine = sim::TrajectoryEngine::kScheduler;
-    opt.results = &sched_steps;
-    const auto sched = sim::RunTrajectories(gi, wl, opt);
-    ExpectSameMetrics(loop, sched, "generational");
-    ExpectSameSteps(loop_steps, sched_steps, "generational");
+    const auto m = ExpectPopulationMatchesAlone(gi, wl, opt, "generational");
     // The axis must actually exercise cross-generation execution.
-    if (theta == 0.0) EXPECT_GT(loop.restarted + loop.steps, 0u);
+    if (theta == 0.0) EXPECT_GT(m.restarted + m.steps, 0u);
   }
 }
 
-TEST_F(EngineEquivalence, ChurnedPopulationParityAndExactAccounting) {
+TEST_F(PopulationParity, ChurnedPopulationParityAndExactAccounting) {
   auto wl = MakeWorkload(6, 5, 79);
   for (const air::AirIndexHandle* handle : {Handles()[0], Handles()[1]}) {
     const uint64_t cycle = handle->program().cycle_packets();
@@ -331,14 +337,13 @@ TEST_F(EngineEquivalence, ChurnedPopulationParityAndExactAccounting) {
       opt.seed = 317;
       const std::string label =
           std::string(handle->family()) + " churn " + std::to_string(rate);
-      ExpectEnginesAgree(*handle, wl, opt, label);
+      ExpectPopulationMatchesAlone(*handle, wl, opt, label);
 
-      // Exact churn accounting, independent of engine: every step either
+      // Exact churn accounting: every step either
       // ran or was skipped by a departure, and ran steps form a prefix of
       // each tour (clients leave, they never skip a step and come back).
       std::vector<std::vector<sim::TrajectoryStep>> steps;
       sim::TrajectoryOptions audit = opt;
-      audit.engine = sim::TrajectoryEngine::kScheduler;
       audit.results = &steps;
       const auto m = sim::RunTrajectories(*handle, wl, audit);
       EXPECT_EQ(m.steps + m.skipped_steps, wl.num_steps()) << label;
@@ -360,9 +365,9 @@ TEST_F(EngineEquivalence, ChurnedPopulationParityAndExactAccounting) {
   }
 }
 
-TEST_F(EngineEquivalence, SchedulerWorkerCountBitIdentity) {
+TEST_F(PopulationParity, SchedulerWorkerCountBitIdentity) {
   // Mirrors runner_parallel_test: shard boundaries fall differently for
-  // 2/3/5/10 workers; the scheduler engine must reproduce its own serial
+  // 2/3/5/10 workers; the scheduler must reproduce its own serial
   // run bit-identically (clients are sharded, randomness is index-forked).
   auto wl = MakeWorkload(10, 4, 89);
   wl.pace_packets = dsi_air_.program().cycle_packets() / 2;
@@ -374,7 +379,6 @@ TEST_F(EngineEquivalence, SchedulerWorkerCountBitIdentity) {
   sim::TrajectoryOptions base;
   base.seed = 331;
   base.workers = 1;
-  base.engine = sim::TrajectoryEngine::kScheduler;
   base.results = &base_steps;
   const auto baseline = sim::RunTrajectories(dsi_air_, wl, base);
 

@@ -7,9 +7,9 @@
 /// datasets, degenerate queries, and continuous moving-client tours
 /// (persistent warm clients checked for result parity against fresh cold
 /// clients at every step, plus the per-query tuning <= latency audit;
-/// every seed also runs the tours through BOTH simulation cores — the
-/// loop oracle and the event-driven scheduler — and diffs them
-/// bit-exactly, with churned populations on a quarter of the seeds) —
+/// every seed with two or more clients also runs each client alone and
+/// diffs its steps against the population run bit-exactly, with churned
+/// populations on a quarter of the seeds) —
 /// against brute-force oracles:
 ///
 ///   conformance_fuzz --seeds=200 [--start=0] [--families=dsi,hci]

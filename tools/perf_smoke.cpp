@@ -43,8 +43,8 @@
 /// Besides the per-query series, an optional clients-scaling series
 /// (workload "clients-N", populations 10^3 up to --traj-clients, off by
 /// default) runs churned moving-client populations through the
-/// event-driven scheduler engine (sim::TrajectoryEngine::kScheduler, warm
-/// path only); there qps counts executed re-evaluations per second.
+/// event-driven scheduler (sim::RunTrajectories, warm path only); there
+/// qps counts executed re-evaluations per second.
 
 #include <chrono>
 #include <cstdio>
@@ -253,7 +253,6 @@ int main(int argc, char** argv) {
         topt.seed = 42;
         topt.workers = opt.workers;
         topt.cold_baseline = false;
-        topt.engine = sim::TrajectoryEngine::kScheduler;
         Result r;
         r.family = "dsi";
         r.workload = "clients-" + std::to_string(clients);
