@@ -20,11 +20,12 @@ int main(int argc, char** argv) {
   const auto windows = sim::MakeWindowWorkload(
       opt.queries, 0.1, datasets::UnitUniverse(), opt.seed + 1);
 
-  const core::DsiIndex dsi(objects, mapper, kCapacity,
-                           bench::DsiReorganized());
-  const hci::HciIndex hci(objects, mapper, kCapacity);
-  const air::DsiHandle hd(dsi);
-  const air::HciHandle hh(hci);
+  const auto dsi =
+      bench::Broadcast(air::Family::kDsi, objects, mapper, kCapacity);
+  const auto hci =
+      bench::Broadcast(air::Family::kHci, objects, mapper, kCapacity);
+  const air::AirIndexHandle& hd = dsi.handle(0);
+  const air::AirIndexHandle& hh = hci.handle(0);
 
   std::cout << "Ablation: link-error models, window query latency "
             << "deterioration in % (capacity=64B, " << objects.size()

@@ -4,7 +4,10 @@
 
 #include <iostream>
 
+#include "air/dsi_handle.hpp"
 #include "bench_common.hpp"
+
+// A hand-built DsiIndex: the table prints its table size and entry count.
 
 int main(int argc, char** argv) {
   using namespace dsi;

@@ -5,7 +5,10 @@
 
 #include <iostream>
 
+#include "air/dsi_handle.hpp"
 #include "bench_common.hpp"
+
+// A hand-built DsiIndex: the table prints its frame count.
 
 int main(int argc, char** argv) {
   using namespace dsi;

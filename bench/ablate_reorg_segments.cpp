@@ -26,12 +26,11 @@ int main(int argc, char** argv) {
   const auto win_workload = sim::Workload::Window(windows);
   const auto knn_workload = sim::Workload::Knn(points, 10);
   for (const uint32_t m : {1u, 2u, 4u, 8u}) {
-    core::DsiConfig cfg;
-    cfg.num_segments = m;
-    const core::DsiIndex index(objects, mapper, 64, cfg);
-    const auto mw = sim::RunWorkload(air::DsiHandle(index), win_workload,
+    const auto dsi = bench::Broadcast(air::Family::kDsi, objects, mapper, 64,
+                                      core::DsiConfig{.num_segments = m});
+    const auto mw = sim::RunWorkload(dsi.handle(0), win_workload,
                                      bench::Par(opt.seed + 3));
-    const auto mk = sim::RunWorkload(air::DsiHandle(index), knn_workload,
+    const auto mk = sim::RunWorkload(dsi.handle(0), knn_workload,
                                      bench::Par(opt.seed + 4));
     t.PrintRow(m, mw.latency_bytes / 1e3, mw.tuning_bytes / 1e3,
                mk.latency_bytes / 1e3, mk.tuning_bytes / 1e3);

@@ -6,7 +6,10 @@
 
 #include <iostream>
 
+#include "air/dsi_handle.hpp"
 #include "bench_common.hpp"
+
+// A hand-built DsiIndex: the table prints its table size.
 
 int main(int argc, char** argv) {
   using namespace dsi;

@@ -8,7 +8,11 @@
 
 #include <iostream>
 
+#include "air/hci_handle.hpp"
+#include "air/rtree_handle.hpp"
 #include "bench_common.hpp"
+
+// Hand-built indexes: air::FamilyBroadcast takes no tree-layout parameters.
 
 int main(int argc, char** argv) {
   using namespace dsi;

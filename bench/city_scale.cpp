@@ -31,7 +31,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -80,36 +79,23 @@ struct Rung {
 
 int main(int argc, char** argv) {
   using namespace dsi;
-  bench::Options opt;
-  opt.objects = 1024;  // small channel: this bench scales clients, not data
-  opt = [&] {
-    bench::Options parsed = bench::ParseOptions(argc, argv);
-    bool objects_given = false;
-    for (int i = 1; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--objects=", 10) == 0) objects_given = true;
-    }
-    if (!objects_given) parsed.objects = opt.objects;
-    return parsed;
-  }();
+  // Small channel: this bench scales clients, not data.
+  const bench::Options opt =
+      bench::ParseOptions(argc, argv, bench::Options{.objects = 1024});
   size_t max_clients = 1'000'000;
   size_t steps = 4;
   double churn_rate = 0.3;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--max-clients=", 0) == 0) {
-      max_clients = static_cast<size_t>(std::stoul(arg.substr(14)));
-    } else if (arg.rfind("--steps=", 0) == 0) {
-      steps = static_cast<size_t>(std::stoul(arg.substr(8)));
-    } else if (arg.rfind("--churn-rate=", 0) == 0) {
-      churn_rate = std::stod(arg.substr(13));
-    }
+    bench::ParseFlag(argv[i], "--max-clients", &max_clients);
+    bench::ParseFlag(argv[i], "--steps", &steps);
+    bench::ParseFlag(argv[i], "--churn-rate", &churn_rate);
   }
 
   const auto objects = bench::MakeDataset(opt);
   const auto u = datasets::UnitUniverse();
   const hilbert::SpaceMapper mapper(u, bench::OrderFor(opt));
-  const core::DsiIndex dsi(objects, mapper, 128, bench::DsiReorganized());
-  const air::DsiHandle handle(dsi);
+  const auto dsi = bench::Broadcast(air::Family::kDsi, objects, mapper, 128);
+  const air::AirIndexHandle& handle = dsi.handle(0);
   const uint64_t cycle = handle.program().cycle_packets();
 
   auto make_workload = [&](size_t clients) {

@@ -20,7 +20,6 @@
 #include <iostream>
 #include <string>
 
-#include "air/exp_handle.hpp"
 #include "bench_common.hpp"
 #include "broadcast/coding.hpp"
 #include "sim/table.hpp"
@@ -35,15 +34,6 @@ int main(int argc, char** argv) {
   const auto windows = sim::MakeWindowWorkload(
       opt.queries, 0.1, datasets::UnitUniverse(), opt.seed + 1);
 
-  const core::DsiIndex dsi(objects, mapper, kCapacity,
-                           bench::DsiReorganized());
-  const rtree::RtreeIndex rt(objects, kCapacity);
-  const hci::HciIndex hci(objects, mapper, kCapacity);
-  const air::DsiHandle hd(dsi);
-  const air::RtreeHandle hr(rt);
-  const air::HciHandle hh(hci);
-  const air::ExpHandle he(objects, mapper, kCapacity);
-
   std::cout << "Coded broadcast: redundancy vs. link-error rate ("
             << (opt.real ? "REAL-like" : "UNIFORM") << ", " << objects.size()
             << " objects, capacity=64B, " << opt.queries
@@ -57,24 +47,20 @@ int main(int argc, char** argv) {
   sim::TablePrinter t({"Index/code", "theta", "LatCycles", "TunBytes",
                        "Incomplete", "Repaired"});
   t.PrintHeader();
-  struct Row {
-    const char* name;
-    const air::AirIndexHandle* handle;
-  };
-  for (const Row& row : {Row{"DSI", &hd}, Row{"Rtree", &hr}, Row{"HCI", &hh},
-                         Row{"Exp", &he}}) {
+  for (const air::Family family : air::kFamilies) {
+    const auto b = bench::Broadcast(family, objects, mapper, kCapacity);
+    const air::AirIndexHandle& handle = b.handle(0);
     for (const broadcast::CodingConfig& code : kConfigs) {
-      const auto on_air =
-          broadcast::MakeCodedProgram(row.handle->program(), code);
+      const auto on_air = broadcast::MakeCodedProgram(handle.program(), code);
       const double cycle = static_cast<double>(on_air.cycle_bytes());
       const std::string label =
-          std::string(row.name) + " (" + std::to_string(code.group) + "," +
-          std::to_string(code.parity) + ")";
+          std::string(bench::Label(family)) + " (" +
+          std::to_string(code.group) + "," + std::to_string(code.parity) + ")";
       for (const double theta : {0.0, 0.2, 0.5, 0.7}) {
         win.theta = theta;
         auto ropt = bench::Par(opt.seed + 3);
         ropt.coding = code;
-        const auto m = sim::RunWorkload(*row.handle, win, ropt);
+        const auto m = sim::RunWorkload(handle, win, ropt);
         t.PrintRow(label, theta, m.latency_bytes / cycle, m.tuning_bytes,
                    static_cast<double>(m.incomplete),
                    static_cast<double>(m.repaired));

@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "air/exp_handle.hpp"
 #include "bench_common.hpp"
 #include "sim/trajectory.hpp"
 
@@ -46,14 +45,9 @@ int main(int argc, char** argv) {
   size_t steps = 12;
   double lossy_theta = 0.5;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--clients=", 0) == 0) {
-      clients = static_cast<size_t>(std::stoul(arg.substr(10)));
-    } else if (arg.rfind("--steps=", 0) == 0) {
-      steps = static_cast<size_t>(std::stoul(arg.substr(8)));
-    } else if (arg.rfind("--theta=", 0) == 0) {
-      lossy_theta = std::stod(arg.substr(8));
-    }
+    bench::ParseFlag(argv[i], "--clients", &clients);
+    bench::ParseFlag(argv[i], "--steps", &steps);
+    bench::ParseFlag(argv[i], "--theta", &lossy_theta);
   }
 
   const auto objects = bench::MakeDataset(opt);
@@ -61,16 +55,12 @@ int main(int argc, char** argv) {
   const hilbert::SpaceMapper mapper(u, bench::OrderFor(opt));
   constexpr size_t kCapacity = 128;
 
-  const core::DsiIndex dsi(objects, mapper, kCapacity,
-                           bench::DsiReorganized());
-  const rtree::RtreeIndex rtree(objects, kCapacity);
-  const hci::HciIndex hci(objects, mapper, kCapacity);
-  const air::DsiHandle dsi_h(dsi);
-  const air::RtreeHandle rtree_h(rtree);
-  const air::HciHandle hci_h(hci);
-  const air::ExpHandle exp_h(objects, mapper, kCapacity);
-  const std::vector<const air::AirIndexHandle*> families{&dsi_h, &rtree_h,
-                                                         &hci_h, &exp_h};
+  std::vector<air::FamilyBroadcast> broadcasts;
+  std::vector<const air::AirIndexHandle*> families;
+  for (const air::Family family : air::kFamilies) {
+    broadcasts.push_back(bench::Broadcast(family, objects, mapper, kCapacity));
+    families.push_back(&broadcasts.back().handle(0));
+  }
 
   std::vector<JsonRow> json_rows;
   auto run = [&](const air::AirIndexHandle& h, double speed, size_t nsteps,

@@ -19,6 +19,8 @@
 #include "air/family.hpp"
 #include "bench_common.hpp"
 
+// (a) hand-builds DsiIndex generations: it measures Republish and the diff.
+
 int main(int argc, char** argv) {
   using namespace dsi;
   const bench::Options opt = bench::ParseOptions(argc, argv);

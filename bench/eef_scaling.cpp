@@ -8,7 +8,10 @@
 #include <cmath>
 #include <iostream>
 
+#include "dsi/client.hpp"
 #include "bench_common.hpp"
+
+// A hand-built DsiIndex: the bench drives 1-D DsiClient point lookups.
 
 int main(int argc, char** argv) {
   using namespace dsi;

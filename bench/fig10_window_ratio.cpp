@@ -13,10 +13,7 @@ int main(int argc, char** argv) {
                                     bench::OrderFor(opt));
   constexpr size_t kCapacity = 64;
 
-  const core::DsiIndex dsi(objects, mapper, kCapacity,
-                           bench::DsiReorganized());
-  const rtree::RtreeIndex rt(objects, kCapacity);
-  const hci::HciIndex hci(objects, mapper, kCapacity);
+  const auto broadcasts = bench::ComparedBroadcasts(objects, mapper, kCapacity);
 
   std::cout << "Figure 10: window queries vs. WinSideRatio ("
             << (opt.real ? "REAL-like" : "UNIFORM") << ", " << objects.size()
@@ -29,16 +26,10 @@ int main(int argc, char** argv) {
   for (const double ratio : {0.02, 0.05, 0.1, 0.15, 0.2}) {
     const auto windows = sim::MakeWindowWorkload(
         opt.queries, ratio, datasets::UnitUniverse(), opt.seed + 1);
-    const auto workload = sim::Workload::Window(windows);
-    const auto md = sim::RunWorkload(air::DsiHandle(dsi), workload,
-                                     bench::Par(opt.seed + 2));
-    const auto mr = sim::RunWorkload(air::RtreeHandle(rt), workload,
-                                     bench::Par(opt.seed + 2));
-    const auto mh = sim::RunWorkload(air::HciHandle(hci), workload,
-                                     bench::Par(opt.seed + 2));
-    t.PrintRow(ratio, md.latency_bytes / 1e3, mr.latency_bytes / 1e3,
-               mh.latency_bytes / 1e3, md.tuning_bytes / 1e3,
-               mr.tuning_bytes / 1e3, mh.tuning_bytes / 1e3);
+    bench::PrintCompared(t, ratio,
+                         bench::RunCompared(broadcasts,
+                                            sim::Workload::Window(windows),
+                                            bench::Par(opt.seed + 2)));
   }
   std::cout << "\nExpected shape (paper): all grow with window size; DSI "
                "wins overall, except R-tree may win tuning at the smallest "

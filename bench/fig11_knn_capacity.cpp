@@ -24,21 +24,14 @@ int main(int argc, char** argv) {
     sim::TablePrinter t({"Capacity", "Lat(DSI)", "Lat(Rtree)", "Lat(HCI)",
                          "Tun(DSI)", "Tun(Rtree)", "Tun(HCI)"});
     t.PrintHeader();
+    const auto workload = sim::Workload::Knn(points, k);
     for (const size_t cap : bench::Capacities()) {
-      if (!rtree::Rtree::SupportedCapacity(cap)) continue;  // paper: 64..512
-      const core::DsiIndex dsi(objects, mapper, cap, bench::DsiReorganized());
-      const rtree::RtreeIndex rt(objects, cap);
-      const hci::HciIndex hci(objects, mapper, cap);
-      const auto workload = sim::Workload::Knn(points, k);
-      const auto md = sim::RunWorkload(air::DsiHandle(dsi), workload,
-                                       bench::Par(opt.seed + 2));
-      const auto mr = sim::RunWorkload(air::RtreeHandle(rt), workload,
-                                       bench::Par(opt.seed + 2));
-      const auto mh = sim::RunWorkload(air::HciHandle(hci), workload,
-                                       bench::Par(opt.seed + 2));
-      t.PrintRow(cap, md.latency_bytes / 1e3, mr.latency_bytes / 1e3,
-                 mh.latency_bytes / 1e3, md.tuning_bytes / 1e3,
-                 mr.tuning_bytes / 1e3, mh.tuning_bytes / 1e3);
+      // The paper's range, 64..512: the R-tree does not fit 32-byte packets.
+      if (cap < air::MinPacketCapacity(air::Family::kRtree)) continue;
+      bench::PrintCompared(
+          t, cap,
+          bench::RunCompared(bench::ComparedBroadcasts(objects, mapper, cap),
+                             workload, bench::Par(opt.seed + 2)));
     }
   }
   std::cout << "\nExpected shape (paper): DSI wins by a wide margin (NN: "

@@ -15,10 +15,7 @@ int main(int argc, char** argv) {
   const auto points =
       sim::MakeKnnWorkload(opt.queries, datasets::UnitUniverse(), opt.seed + 1);
 
-  const core::DsiIndex dsi(objects, mapper, kCapacity,
-                           bench::DsiReorganized());
-  const rtree::RtreeIndex rt(objects, kCapacity);
-  const hci::HciIndex hci(objects, mapper, kCapacity);
+  const auto broadcasts = bench::ComparedBroadcasts(objects, mapper, kCapacity);
 
   std::cout << "Figure 12: kNN queries vs. K ("
             << (opt.real ? "REAL-like" : "UNIFORM") << ", " << objects.size()
@@ -29,16 +26,10 @@ int main(int argc, char** argv) {
                        "Tun(Rtree)", "Tun(HCI)"});
   t.PrintHeader();
   for (const size_t k : {1u, 3u, 5u, 10u, 20u, 30u}) {
-    const auto workload = sim::Workload::Knn(points, k);
-    const auto md = sim::RunWorkload(air::DsiHandle(dsi), workload,
-                                     bench::Par(opt.seed + 2));
-    const auto mr = sim::RunWorkload(air::RtreeHandle(rt), workload,
-                                     bench::Par(opt.seed + 2));
-    const auto mh = sim::RunWorkload(air::HciHandle(hci), workload,
-                                     bench::Par(opt.seed + 2));
-    t.PrintRow(k, md.latency_bytes / 1e3, mr.latency_bytes / 1e3,
-               mh.latency_bytes / 1e3, md.tuning_bytes / 1e3,
-               mr.tuning_bytes / 1e3, mh.tuning_bytes / 1e3);
+    bench::PrintCompared(t, k,
+                         bench::RunCompared(broadcasts,
+                                            sim::Workload::Knn(points, k),
+                                            bench::Par(opt.seed + 2)));
   }
   std::cout << "\nExpected shape (paper): DSI best everywhere; latency "
                "roughly flat in k (bounded by the cycle) while DSI tuning "

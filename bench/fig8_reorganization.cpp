@@ -29,12 +29,15 @@ int main(int argc, char** argv) {
                          "Tun(Reorg)"});
   win.PrintHeader();
   const auto win_workload = sim::Workload::Window(windows);
+  const auto dsi = [&](size_t cap, const core::DsiConfig& cfg) {
+    return bench::Broadcast(air::Family::kDsi, objects, mapper, cap, cfg);
+  };
   for (const size_t cap : bench::Capacities()) {
-    const core::DsiIndex original(objects, mapper, cap, bench::DsiOriginal());
-    const core::DsiIndex reorg(objects, mapper, cap, bench::DsiReorganized());
-    const auto mo = sim::RunWorkload(air::DsiHandle(original), win_workload,
+    const auto original = dsi(cap, bench::DsiOriginal());
+    const auto reorg = dsi(cap, bench::DsiReorganized());
+    const auto mo = sim::RunWorkload(original.handle(0), win_workload,
                                      bench::Par(opt.seed + 3));
-    const auto mr = sim::RunWorkload(air::DsiHandle(reorg), win_workload,
+    const auto mr = sim::RunWorkload(reorg.handle(0), win_workload,
                                      bench::Par(opt.seed + 3));
     win.PrintRow(cap, mo.latency_bytes / 1e3, mr.latency_bytes / 1e3,
                  mo.tuning_bytes / 1e3, mr.tuning_bytes / 1e3);
@@ -48,13 +51,13 @@ int main(int argc, char** argv) {
   const auto aggr =
       sim::Workload::Knn(points, 10, air::KnnStrategy::kAggressive);
   for (const size_t cap : bench::Capacities()) {
-    const core::DsiIndex original(objects, mapper, cap, bench::DsiOriginal());
-    const core::DsiIndex reorg(objects, mapper, cap, bench::DsiReorganized());
-    const auto mc = sim::RunWorkload(air::DsiHandle(original), cons,
+    const auto original = dsi(cap, bench::DsiOriginal());
+    const auto reorg = dsi(cap, bench::DsiReorganized());
+    const auto mc = sim::RunWorkload(original.handle(0), cons,
                                      bench::Par(opt.seed + 4));
-    const auto ma = sim::RunWorkload(air::DsiHandle(original), aggr,
+    const auto ma = sim::RunWorkload(original.handle(0), aggr,
                                      bench::Par(opt.seed + 4));
-    const auto mr = sim::RunWorkload(air::DsiHandle(reorg), cons,
+    const auto mr = sim::RunWorkload(reorg.handle(0), cons,
                                      bench::Par(opt.seed + 4));
     knn.PrintRow(cap, mc.latency_bytes / 1e3, ma.latency_bytes / 1e3,
                  mr.latency_bytes / 1e3, mc.tuning_bytes / 1e3,

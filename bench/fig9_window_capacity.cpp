@@ -27,23 +27,10 @@ int main(int argc, char** argv) {
   t.PrintHeader();
   const auto workload = sim::Workload::Window(windows);
   for (const size_t cap : bench::Capacities()) {
-    const core::DsiIndex dsi(objects, mapper, cap, bench::DsiReorganized());
-    const hci::HciIndex hci(objects, mapper, cap);
-    const auto md = sim::RunWorkload(air::DsiHandle(dsi), workload,
-                                     bench::Par(opt.seed + 2));
-    const auto mh = sim::RunWorkload(air::HciHandle(hci), workload,
-                                     bench::Par(opt.seed + 2));
-    if (rtree::Rtree::SupportedCapacity(cap)) {
-      const rtree::RtreeIndex rt(objects, cap);
-      const auto mr = sim::RunWorkload(air::RtreeHandle(rt), workload,
-                                       bench::Par(opt.seed + 2));
-      t.PrintRow(cap, md.latency_bytes / 1e3, mr.latency_bytes / 1e3,
-                 mh.latency_bytes / 1e3, md.tuning_bytes / 1e3,
-                 mr.tuning_bytes / 1e3, mh.tuning_bytes / 1e3);
-    } else {
-      t.PrintRow(cap, md.latency_bytes / 1e3, "n/a", mh.latency_bytes / 1e3,
-                 md.tuning_bytes / 1e3, "n/a", mh.tuning_bytes / 1e3);
-    }
+    bench::PrintCompared(
+        t, cap,
+        bench::RunCompared(bench::ComparedBroadcasts(objects, mapper, cap),
+                           workload, bench::Par(opt.seed + 2)));
   }
   std::cout << "\nExpected shape (paper): DSI stays flat across capacities "
                "and wins both metrics (UNIFORM: ~85% of R-tree latency, "

@@ -17,13 +17,13 @@ int main(int argc, char** argv) {
   const auto objects = bench::MakeDataset(opt);
   const hilbert::SpaceMapper mapper(datasets::UnitUniverse(),
                                     bench::OrderFor(opt));
-  const core::DsiIndex dsi(objects, mapper, 64, bench::DsiReorganized());
+  const auto dsi = bench::Broadcast(air::Family::kDsi, objects, mapper, 64);
 
   // Broadcast side: window queries, load-independent by construction.
   const auto windows = sim::MakeWindowWorkload(
       opt.queries, 0.1, datasets::UnitUniverse(), opt.seed + 1);
   const auto broadcast_m =
-      sim::RunWorkload(air::DsiHandle(dsi), sim::Workload::Window(windows),
+      sim::RunWorkload(dsi.handle(0), sim::Workload::Window(windows),
                        bench::Par(opt.seed + 2));
   double avg_results = 0.0;
   {

@@ -21,49 +21,38 @@ int main(int argc, char** argv) {
   const auto points =
       sim::MakeKnnWorkload(opt.queries, datasets::UnitUniverse(), opt.seed + 2);
 
-  const core::DsiIndex dsi(objects, mapper, kCapacity,
-                           bench::DsiReorganized());
-  const rtree::RtreeIndex rt(objects, kCapacity);
-  const hci::HciIndex hci(objects, mapper, kCapacity);
+  const auto broadcasts = bench::ComparedBroadcasts(objects, mapper, kCapacity);
 
   std::cout << "REAL dataset (substitute, " << objects.size()
             << " clustered points, capacity=64B, " << opt.queries
             << " queries/point)\n\n";
 
-  const auto win = sim::Workload::Window(windows);
-  const auto knn = sim::Workload::Knn(points, 10);
-  const auto wopt = bench::Par(opt.seed + 3);
-  const auto kopt = bench::Par(opt.seed + 4);
-  const auto dw = sim::RunWorkload(air::DsiHandle(dsi), win, wopt);
-  const auto rw = sim::RunWorkload(air::RtreeHandle(rt), win, wopt);
-  const auto hw = sim::RunWorkload(air::HciHandle(hci), win, wopt);
-  const auto dk = sim::RunWorkload(air::DsiHandle(dsi), knn, kopt);
-  const auto rk = sim::RunWorkload(air::RtreeHandle(rt), knn, kopt);
-  const auto hk = sim::RunWorkload(air::HciHandle(hci), knn, kopt);
+  const auto win = bench::RunCompared(
+      broadcasts, sim::Workload::Window(windows), bench::Par(opt.seed + 3));
+  const auto knn = bench::RunCompared(
+      broadcasts, sim::Workload::Knn(points, 10), bench::Par(opt.seed + 4));
 
   std::cout << "Absolute metrics, bytes x10^3:\n";
   sim::TablePrinter t({"Query", "Lat(DSI)", "Lat(Rtree)", "Lat(HCI)",
                        "Tun(DSI)", "Tun(Rtree)", "Tun(HCI)"});
   t.PrintHeader();
-  t.PrintRow("Window", dw.latency_bytes / 1e3, rw.latency_bytes / 1e3,
-             hw.latency_bytes / 1e3, dw.tuning_bytes / 1e3,
-             rw.tuning_bytes / 1e3, hw.tuning_bytes / 1e3);
-  t.PrintRow("10NN", dk.latency_bytes / 1e3, rk.latency_bytes / 1e3,
-             hk.latency_bytes / 1e3, dk.tuning_bytes / 1e3,
-             rk.tuning_bytes / 1e3, hk.tuning_bytes / 1e3);
+  bench::PrintCompared(t, "Window", win);
+  bench::PrintCompared(t, "10NN", knn);
 
   std::cout << "\nDSI as % of baseline (paper, window: 59.7% of R-tree / "
                "50.5% of HCI latency; 75.2% / 41.5% tuning):\n";
   sim::TablePrinter p({"Query", "Lat/Rtree%", "Lat/HCI%", "Tun/Rtree%",
                        "Tun/HCI%"});
   p.PrintHeader();
-  p.PrintRow("Window", dw.latency_bytes / rw.latency_bytes * 100.0,
-             dw.latency_bytes / hw.latency_bytes * 100.0,
-             dw.tuning_bytes / rw.tuning_bytes * 100.0,
-             dw.tuning_bytes / hw.tuning_bytes * 100.0);
-  p.PrintRow("10NN", dk.latency_bytes / rk.latency_bytes * 100.0,
-             dk.latency_bytes / hk.latency_bytes * 100.0,
-             dk.tuning_bytes / rk.tuning_bytes * 100.0,
-             dk.tuning_bytes / hk.tuning_bytes * 100.0);
+  for (const auto& [query, m] :
+       {std::pair{"Window", win}, std::pair{"10NN", knn}}) {
+    const sim::AvgMetrics& d = *m[0];
+    const sim::AvgMetrics& r = *m[1];
+    const sim::AvgMetrics& h = *m[2];
+    p.PrintRow(query, d.latency_bytes / r.latency_bytes * 100.0,
+               d.latency_bytes / h.latency_bytes * 100.0,
+               d.tuning_bytes / r.tuning_bytes * 100.0,
+               d.tuning_bytes / h.tuning_bytes * 100.0);
+  }
   return 0;
 }

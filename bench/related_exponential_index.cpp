@@ -5,9 +5,13 @@
 
 #include <iostream>
 
+#include "air/dsi_handle.hpp"
 #include "air/exp_handle.hpp"
 #include "bench_common.hpp"
+#include "dsi/client.hpp"
 #include "expindex/expindex.hpp"
+
+// Hand-built indexes: the bench drives 1-D DsiClient and ExpClient lookups.
 
 int main(int argc, char** argv) {
   using namespace dsi;

@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "air/exp_handle.hpp"
 #include "bench_common.hpp"
 #include "broadcast/disks.hpp"
 #include "common/geometry.hpp"
@@ -58,8 +57,8 @@ int main(int argc, char** argv) {
   const bench::Options opt = bench::ParseOptions(argc, argv);
   std::string out_path;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--out=", 0) == 0) out_path = arg.substr(6);
+    const std::string_view arg = argv[i];
+    if (arg.starts_with("--out=")) out_path = arg.substr(6);
   }
   const auto objects = bench::MakeDataset(opt);
   const hilbert::SpaceMapper mapper(datasets::UnitUniverse(),
@@ -68,15 +67,6 @@ int main(int argc, char** argv) {
   constexpr uint32_t kGrid = broadcast::DiskConfig{}.grid;
   constexpr uint64_t kPopSeed = 7;
   const common::Rect universe = datasets::UnitUniverse();
-
-  const core::DsiIndex dsi_idx(objects, mapper, kCapacity,
-                               bench::DsiReorganized());
-  const rtree::RtreeIndex rt(objects, kCapacity);
-  const hci::HciIndex hci_idx(objects, mapper, kCapacity);
-  const air::DsiHandle hd(dsi_idx);
-  const air::RtreeHandle hr(rt);
-  const air::HciHandle hh(hci_idx);
-  const air::ExpHandle he(objects, mapper, kCapacity);
 
   std::cout << "Skewed multi-disk broadcast: skew x disks x family ("
             << (opt.real ? "REAL-like" : "UNIFORM") << ", " << objects.size()
@@ -96,12 +86,9 @@ int main(int argc, char** argv) {
   sim::TablePrinter t({"Index/skew", "Disks", "LatBytes", "TunBytes",
                        "Lat/flat", "Incomplete"});
   t.PrintHeader();
-  struct Fam {
-    const char* name;
-    const air::AirIndexHandle* handle;
-  };
-  for (const Fam& fam : {Fam{"DSI", &hd}, Fam{"Rtree", &hr},
-                         Fam{"HCI", &hh}, Fam{"Exp", &he}}) {
+  for (const air::Family family : air::kFamilies) {
+    const auto b = bench::Broadcast(family, objects, mapper, kCapacity);
+    const char* name = bench::Label(family);
     for (const double skew : {0.0, 0.6, 1.2, 1.8}) {
       // One query set per skew, shared by every disk config: the ratio
       // column isolates the layout, not the workload.
@@ -113,15 +100,15 @@ int main(int argc, char** argv) {
       for (const uint32_t disks : {1u, 2u, 3u}) {
         auto ropt = bench::Par(opt.seed + 3);
         ropt.disks = broadcast::DiskConfig{disks, skew, kGrid, kPopSeed};
-        const auto m = sim::RunWorkload(*fam.handle, win, ropt);
+        const auto m = sim::RunWorkload(b.handle(0), win, ropt);
         if (disks == 1) flat_latency = m.latency_bytes;
         const double ratio =
             flat_latency == 0.0 ? 0.0 : m.latency_bytes / flat_latency;
-        const std::string label = std::string(fam.name) + " s=" +
-                                  std::to_string(skew).substr(0, 3);
+        const std::string label =
+            std::string(name) + " s=" + std::to_string(skew).substr(0, 3);
         t.PrintRow(label, static_cast<double>(disks), m.latency_bytes,
                    m.tuning_bytes, ratio, static_cast<double>(m.incomplete));
-        json.push_back({fam.name, skew, disks, m.latency_bytes,
+        json.push_back({name, skew, disks, m.latency_bytes,
                         m.tuning_bytes, ratio});
       }
     }

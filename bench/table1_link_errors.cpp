@@ -20,14 +20,6 @@ int main(int argc, char** argv) {
   const auto points =
       sim::MakeKnnWorkload(opt.queries, datasets::UnitUniverse(), opt.seed + 2);
 
-  const core::DsiIndex dsi(objects, mapper, kCapacity,
-                           bench::DsiReorganized());
-  const rtree::RtreeIndex rt(objects, kCapacity);
-  const hci::HciIndex hci(objects, mapper, kCapacity);
-  const air::DsiHandle hd(dsi);
-  const air::RtreeHandle hr(rt);
-  const air::HciHandle hh(hci);
-
   std::cout << "Table 1: deterioration (%) in error-prone environments ("
             << (opt.real ? "REAL-like" : "UNIFORM") << ", " << objects.size()
             << " objects, capacity=64B, " << opt.queries
@@ -45,20 +37,19 @@ int main(int argc, char** argv) {
                        "10NNTun%"});
   t.PrintHeader();
   using sim::AvgMetrics;
-  struct Row {
-    const char* name;
-    const air::AirIndexHandle* handle;
-  };
-  for (const Row& row : {Row{"HCI", &hh}, Row{"Rtree", &hr}, Row{"DSI", &hd}}) {
+  for (const air::Family family :
+       {air::Family::kHci, air::Family::kRtree, air::Family::kDsi}) {
+    const auto b = bench::Broadcast(family, objects, mapper, kCapacity);
+    const air::AirIndexHandle& handle = b.handle(0);
     // Lossless baselines.
     win.theta = knn.theta = 0.0;
-    const auto w0 = sim::RunWorkload(*row.handle, win, wopt);
-    const auto k0 = sim::RunWorkload(*row.handle, knn, kopt);
+    const auto w0 = sim::RunWorkload(handle, win, wopt);
+    const auto k0 = sim::RunWorkload(handle, knn, kopt);
     for (const double theta : {0.2, 0.5, 0.7}) {
       win.theta = knn.theta = theta;
-      const auto w = sim::RunWorkload(*row.handle, win, wopt);
-      const auto k = sim::RunWorkload(*row.handle, knn, kopt);
-      t.PrintRow(std::string(row.name) + " " +
+      const auto w = sim::RunWorkload(handle, win, wopt);
+      const auto k = sim::RunWorkload(handle, knn, kopt);
+      t.PrintRow(std::string(bench::Label(family)) + " " +
                      std::to_string(theta).substr(0, 3),
                  AvgMetrics::DeteriorationPct(w.latency_bytes, w0.latency_bytes),
                  AvgMetrics::DeteriorationPct(w.tuning_bytes, w0.tuning_bytes),

@@ -1,6 +1,7 @@
 #include "expindex/expindex.hpp"
 
 #include "broadcast/airing_order.hpp"
+#include "common/sizes.hpp"
 
 #include <algorithm>
 #include <cassert>
@@ -53,7 +54,7 @@ ExpIndex::ExpIndex(std::vector<uint64_t> keys, size_t packet_capacity,
     first_item_slot_[pos] = program_.num_buckets();
     for (uint32_t i = chunk_first_[pos]; i < chunk_first_[pos + 1]; ++i) {
       program_.AddBucket(broadcast::BucketKind::kDataObject, i,
-                         config_.item_bytes);
+                         common::kDataObjectBytes);
     }
   }
   program_.Finalize();

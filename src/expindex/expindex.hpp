@@ -26,7 +26,6 @@
 
 #include "broadcast/client.hpp"
 #include "broadcast/program.hpp"
-#include "common/sizes.hpp"
 
 namespace dsi::expindex {
 
@@ -35,7 +34,6 @@ struct ExpConfig {
   uint32_t index_base = 2;   ///< r: entry i covers r^(i-1)..r^i - 1 chunks.
   uint32_t chunk_size = 1;   ///< Data items per chunk (the paper's "chunk").
   uint32_t key_bytes = 8;    ///< Serialized key width in tables.
-  uint32_t item_bytes = common::kDataObjectBytes;  ///< Payload per item.
 };
 
 /// One decoded table entry: the minimum key of the chunk \p chunks_ahead

@@ -217,9 +217,4 @@ void NormalizeRangesInPlace(std::vector<HcRange>* ranges) {
   ranges->resize(w + 1);
 }
 
-std::vector<HcRange> NormalizeRanges(std::vector<HcRange> ranges) {
-  NormalizeRangesInPlace(&ranges);
-  return ranges;
-}
-
 }  // namespace dsi::hilbert

@@ -112,9 +112,6 @@ inline constexpr auto kInverseStep = [] {
 /// in place, without allocating.
 void NormalizeRangesInPlace(std::vector<HcRange>* ranges);
 
-/// Allocating convenience form of NormalizeRangesInPlace.
-std::vector<HcRange> NormalizeRanges(std::vector<HcRange> ranges);
-
 /// A Hilbert curve of a given order k covering a (2^k x 2^k) cell grid.
 ///
 /// CellToIndex/IndexToCell run the automaton a nibble (4 bit-levels) per

@@ -29,12 +29,6 @@ uint64_t SpaceMapper::PointToIndex(const common::Point& p) const {
   return curve_.CellToIndex(cx, cy);
 }
 
-common::Point SpaceMapper::IndexToCenter(uint64_t index) const {
-  const auto [cx, cy] = curve_.IndexToCell(index);
-  return common::Point{universe_.min_x + (cx + 0.5) * cell_w_,
-                       universe_.min_y + (cy + 0.5) * cell_h_};
-}
-
 common::Rect SpaceMapper::IndexToCellRect(uint64_t index) const {
   const auto [cx, cy] = curve_.IndexToCell(index);
   return common::Rect{universe_.min_x + cx * cell_w_,

@@ -37,12 +37,6 @@ class SpaceMapper {
   /// Hilbert curve index of the cell containing \p p.
   uint64_t PointToIndex(const common::Point& p) const;
 
-  /// Center of the grid cell with the given curve index. This is the
-  /// representative location the kNN algorithms use when an index table
-  /// advertises an HC value whose exact object coordinates are not yet
-  /// known ("the object represented by HC'_i" in Algorithm 2).
-  common::Point IndexToCenter(uint64_t index) const;
-
   /// Continuous-space extent of the cell with the given curve index.
   common::Rect IndexToCellRect(uint64_t index) const;
 

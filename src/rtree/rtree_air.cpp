@@ -11,7 +11,7 @@ RtreeIndex::RtreeIndex(std::vector<datasets::SpatialObject> objects,
                        broadcast::TreeLayout layout)
     : tree_(std::move(objects), Rtree::FanoutForCapacity(packet_capacity)),
       air_(AirSpec(), packet_capacity, target_subtrees, layout) {
-  assert(Rtree::SupportedCapacity(packet_capacity));
+  assert(packet_capacity >= common::kRtreeEntryBytes);
 }
 
 broadcast::AirTreeSpec RtreeIndex::AirSpec() const {

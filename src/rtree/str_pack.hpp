@@ -39,12 +39,6 @@ class Rtree {
     return f < 2 ? 2 : f;
   }
 
-  /// True iff the paper's field sizes allow an R-tree at this capacity
-  /// (at least one 34-byte entry must fit: 32-byte packets are excluded).
-  static bool SupportedCapacity(size_t packet_capacity) {
-    return packet_capacity >= common::kRtreeEntryBytes;
-  }
-
   struct Entry {
     common::Rect mbr;     ///< Exact point for leaf entries.
     uint32_t child = 0;   ///< Node id (internal) or data id (leaf).

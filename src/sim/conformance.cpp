@@ -789,4 +789,8 @@ bool ParseFlagValue(std::string_view text, uint32_t* out) {
   return ParseValue(text, out);
 }
 
+bool ParseFlagValue(std::string_view text, double* out) {
+  return ParseValue(text, out);
+}
+
 }  // namespace dsi::sim

@@ -189,11 +189,13 @@ enum class CaseFlag { kSet, kUnknown, kBadValue };
 CaseFlag SetCaseFlag(std::string_view flag, std::string_view value,
                      ConformanceCase* c);
 
-/// The flag table's strict value parser, for a tool's own counts: the
-/// whole of \p text must be a decimal integer in range. Returns false and
-/// leaves \p out as it was otherwise.
+/// The flag table's strict value parser, for a tool's own values: the
+/// whole of \p text must be a decimal integer in range, or a finite
+/// number for a double. Returns false and leaves \p out as it was
+/// otherwise.
 bool ParseFlagValue(std::string_view text, uint64_t* out);
 bool ParseFlagValue(std::string_view text, uint32_t* out);
+bool ParseFlagValue(std::string_view text, double* out);
 
 /// What a conformance sweep sets over each seed's case.
 struct SweepPins {

@@ -14,18 +14,13 @@
 #include <string>
 #include <vector>
 
-#include "air/dsi_handle.hpp"
-#include "air/exp_handle.hpp"
-#include "air/hci_handle.hpp"
-#include "air/rtree_handle.hpp"
 #include "datasets/datasets.hpp"
 #include "dsi/client.hpp"
 #include "dsi/index.hpp"
-#include "hci/hci.hpp"
 #include "hilbert/space_mapper.hpp"
-#include "rtree/rtree_air.hpp"
 #include "sim/runner.hpp"
 #include "sim/workload.hpp"
+#include "test_families.hpp"
 
 namespace dsi {
 namespace {
@@ -99,20 +94,15 @@ TEST(ConformanceRegression, SingleFrameDsiBroadcastUnderLoss) {
 TEST(ConformanceRegression, LossyFullUniverseWindowCompletes) {
   const auto u = datasets::UnitUniverse();
   const auto objects = datasets::MakeUniform(300, u, 19);
-  const hilbert::SpaceMapper mapper(u, 6);
-  const rtree::RtreeIndex rt(objects, 64);
-  const air::RtreeHandle rt_handle(rt);
-  const hci::HciIndex hc(objects, mapper, 64);
-  const air::HciHandle hci_handle(hc);
+  const test::Families fam(objects, /*m=*/1, /*capacity=*/64, /*order=*/6);
 
   // The whole universe as one window, under 60% per-read loss: every
   // object must still be returned, with completed = true.
   const common::Rect everything{u.min_x - 1, u.min_y - 1, u.max_x + 1,
                                 u.max_y + 1};
   sim::Workload wl = sim::Workload::Window({everything}, 0.6);
-  for (const air::AirIndexHandle* handle :
-       {static_cast<const air::AirIndexHandle*>(&rt_handle),
-        static_cast<const air::AirIndexHandle*>(&hci_handle)}) {
+  for (const air::Family family : {air::Family::kRtree, air::Family::kHci}) {
+    const air::AirIndexHandle* handle = &fam.handle(family);
     std::vector<sim::QueryResult> results;
     sim::RunOptions opt;
     opt.seed = 7;
@@ -159,22 +149,11 @@ TEST(ConformanceRegression, ExpAdapterManyRangeScansUnderLoss) {
 TEST(ConformanceRegression, KnnFromFarOutsideWithKGeqN) {
   const auto u = datasets::UnitUniverse();
   const auto objects = datasets::MakeUniform(20, u, 5);
-  const hilbert::SpaceMapper mapper(u, 5);
-  const hci::HciIndex hc(objects, mapper, 128);
-  const air::HciHandle hci_handle(hc);
-  const air::ExpHandle exp_handle(objects, mapper, 128);
-  const core::DsiIndex dsi(objects, mapper, 128, core::DsiConfig{});
-  const air::DsiHandle dsi_handle(dsi);
-  const rtree::RtreeIndex rt(objects, 128);
-  const air::RtreeHandle rt_handle(rt);
+  const test::Families fam(objects, /*m=*/1, /*capacity=*/128, /*order=*/5);
 
   // Far outside the unit universe; k > n: the answer is every object.
   const common::Point q{u.min_x - 3.0, u.max_y + 2.0};
-  for (const air::AirIndexHandle* handle :
-       {static_cast<const air::AirIndexHandle*>(&dsi_handle),
-        static_cast<const air::AirIndexHandle*>(&rt_handle),
-        static_cast<const air::AirIndexHandle*>(&hci_handle),
-        static_cast<const air::AirIndexHandle*>(&exp_handle)}) {
+  for (const air::AirIndexHandle* handle : fam.handles()) {
     broadcast::ClientSession session(handle->program(), 11,
                                      broadcast::ErrorModel{}, common::Rng(3));
     const auto client = handle->MakeClient(&session);
@@ -192,20 +171,9 @@ TEST(ConformanceRegression, KnnFromFarOutsideWithKGeqN) {
 TEST(ConformanceRegression, KnnWithZeroK) {
   const auto u = datasets::UnitUniverse();
   const auto objects = datasets::MakeUniform(50, u, 9);
-  const hilbert::SpaceMapper mapper(u, 5);
-  const core::DsiIndex dsi(objects, mapper, 64, core::DsiConfig{});
-  const air::DsiHandle dsi_handle(dsi);
-  const rtree::RtreeIndex rt(objects, 64);
-  const air::RtreeHandle rt_handle(rt);
-  const hci::HciIndex hc(objects, mapper, 64);
-  const air::HciHandle hci_handle(hc);
-  const air::ExpHandle exp_handle(objects, mapper, 64);
+  const test::Families fam(objects, /*m=*/1, /*capacity=*/64, /*order=*/5);
 
-  for (const air::AirIndexHandle* handle :
-       {static_cast<const air::AirIndexHandle*>(&dsi_handle),
-        static_cast<const air::AirIndexHandle*>(&rt_handle),
-        static_cast<const air::AirIndexHandle*>(&hci_handle),
-        static_cast<const air::AirIndexHandle*>(&exp_handle)}) {
+  for (const air::AirIndexHandle* handle : fam.handles()) {
     broadcast::ClientSession session(handle->program(), 5,
                                      broadcast::ErrorModel{}, common::Rng(1));
     const auto client = handle->MakeClient(&session);
@@ -226,14 +194,7 @@ TEST(ConformanceRegression, KnnWithZeroK) {
 TEST(ConformanceRegression, AbortedQueriesKeepPartialResultsAllFamilies) {
   const auto u = datasets::UnitUniverse();
   const auto objects = datasets::MakeUniform(40, u, 13);
-  const hilbert::SpaceMapper mapper(u, 5);
-  const core::DsiIndex dsi(objects, mapper, 64, core::DsiConfig{});
-  const air::DsiHandle dsi_handle(dsi);
-  const rtree::RtreeIndex rt(objects, 64);
-  const air::RtreeHandle rt_handle(rt);
-  const hci::HciIndex hc(objects, mapper, 64);
-  const air::HciHandle hci_handle(hc);
-  const air::ExpHandle exp_handle(objects, mapper, 64);
+  const test::Families fam(objects, /*m=*/1, /*capacity=*/64, /*order=*/5);
 
   const common::Rect everything{u.min_x - 1, u.min_y - 1, u.max_x + 1,
                                 u.max_y + 1};
@@ -244,11 +205,7 @@ TEST(ConformanceRegression, AbortedQueriesKeepPartialResultsAllFamilies) {
   const sim::Workload wl =
       sim::Workload::Window(std::vector<common::Rect>(4, everything), 0.98,
                             broadcast::ErrorMode::kPerBucketLoss);
-  for (const air::AirIndexHandle* handle :
-       {static_cast<const air::AirIndexHandle*>(&dsi_handle),
-        static_cast<const air::AirIndexHandle*>(&rt_handle),
-        static_cast<const air::AirIndexHandle*>(&hci_handle),
-        static_cast<const air::AirIndexHandle*>(&exp_handle)}) {
+  for (const air::AirIndexHandle* handle : fam.handles()) {
     std::vector<sim::QueryResult> results;
     sim::RunOptions opt;
     opt.seed = 3;
@@ -285,14 +242,7 @@ TEST(ConformanceRegression, AbortedQueriesKeepPartialResultsAllFamilies) {
 TEST(ConformanceRegression, TotalLossSurfacesIncompleteInAggregates) {
   const auto u = datasets::UnitUniverse();
   const auto objects = datasets::MakeUniform(30, u, 13);
-  const hilbert::SpaceMapper mapper(u, 5);
-  const core::DsiIndex dsi(objects, mapper, 64, core::DsiConfig{});
-  const air::DsiHandle dsi_handle(dsi);
-  const rtree::RtreeIndex rt(objects, 64);
-  const air::RtreeHandle rt_handle(rt);
-  const hci::HciIndex hc(objects, mapper, 64);
-  const air::HciHandle hci_handle(hc);
-  const air::ExpHandle exp_handle(objects, mapper, 64);
+  const test::Families fam(objects, /*m=*/1, /*capacity=*/64, /*order=*/5);
 
   const auto windows = sim::MakeWindowWorkload(2, 0.3, u, 17);
   const sim::Workload wl = sim::Workload::Window(windows, 1.0);
@@ -308,8 +258,7 @@ TEST(ConformanceRegression, TotalLossSurfacesIncompleteInAggregates) {
       {{13312576, 13314176}, {17894848, 17906688}},  // hci
       {{6515776, 6516160}, {8691904, 8691840}},      // expindex
   };
-  const air::AirIndexHandle* handles[] = {&dsi_handle, &rt_handle,
-                                          &hci_handle, &exp_handle};
+  const std::vector<const air::AirIndexHandle*> handles = fam.handles();
   for (size_t f = 0; f < 4; ++f) {
     const air::AirIndexHandle* handle = handles[f];
     for (const uint32_t disks : {1u, 2u}) {
@@ -408,23 +357,12 @@ TEST(ConformanceRegression, CodedBurstFullScansDoNotBlockPerLoss) {
 TEST(ConformanceRegression, CodedRedundancyBoundsLapsAtThetaHalf) {
   const auto u = datasets::UnitUniverse();
   const auto objects = datasets::MakeUniform(250, u, 31);
-  const hilbert::SpaceMapper mapper(u, 6);
-  const core::DsiIndex dsi(objects, mapper, 64, core::DsiConfig{});
-  const air::DsiHandle dsi_handle(dsi);
-  const rtree::RtreeIndex rt(objects, 64);
-  const air::RtreeHandle rt_handle(rt);
-  const hci::HciIndex hc(objects, mapper, 64);
-  const air::HciHandle hci_handle(hc);
-  const air::ExpHandle exp_handle(objects, mapper, 64);
+  const test::Families fam(objects, /*m=*/1, /*capacity=*/64, /*order=*/6);
 
   const auto windows = sim::MakeWindowWorkload(12, 0.25, u, 23);
   const sim::Workload wl =
       sim::Workload::Window(windows, 0.5, broadcast::ErrorMode::kPerBucketLoss);
-  for (const air::AirIndexHandle* handle :
-       {static_cast<const air::AirIndexHandle*>(&dsi_handle),
-        static_cast<const air::AirIndexHandle*>(&rt_handle),
-        static_cast<const air::AirIndexHandle*>(&hci_handle),
-        static_cast<const air::AirIndexHandle*>(&exp_handle)}) {
+  for (const air::AirIndexHandle* handle : fam.handles()) {
     sim::RunOptions opt;
     opt.seed = 11;
     const auto uncoded = sim::RunWorkload(*handle, wl, opt);
@@ -515,8 +453,6 @@ TEST(ConformanceRegression, DsiKnnPromotesParkedBoundsUnderLoss) {
 // or retrieval order — comes back out of id order for some of them.
 // ---------------------------------------------------------------------------
 TEST(ConformanceRegression, KnnTiesComeBackInIdOrder) {
-  const auto u = datasets::UnitUniverse();
-  const hilbert::SpaceMapper mapper(u, 6);
   const common::Point sites[] = {{0.25, 0.5}, {0.75, 0.5}, {0.5, 0.25},
                                  {0.5, 0.75}};
   const common::Point q{0.5, 0.5};
@@ -525,18 +461,9 @@ TEST(ConformanceRegression, KnnTiesComeBackInIdOrder) {
     std::vector<datasets::SpatialObject> objects = {
         {4, {0.05, 0.05}}, {5, {0.95, 0.95}}};
     for (size_t i = 0; i < 4; ++i) objects.push_back({perm[i], sites[i]});
-    const core::DsiIndex dsi(objects, mapper, 64, core::DsiConfig{});
-    const air::DsiHandle dsi_handle(dsi);
-    const rtree::RtreeIndex rt(objects, 64);
-    const air::RtreeHandle rtree_handle(rt);
-    const hci::HciIndex hc(objects, mapper, 64);
-    const air::HciHandle hci_handle(hc);
-    const air::ExpHandle exp_handle(objects, mapper, 64);
-    for (const air::AirIndexHandle* handle :
-         {static_cast<const air::AirIndexHandle*>(&dsi_handle),
-          static_cast<const air::AirIndexHandle*>(&rtree_handle),
-          static_cast<const air::AirIndexHandle*>(&hci_handle),
-          static_cast<const air::AirIndexHandle*>(&exp_handle)}) {
+    const test::Families fam(objects, /*m=*/1, /*capacity=*/64,
+                             /*order=*/6);
+    for (const air::AirIndexHandle* handle : fam.handles()) {
       broadcast::ClientSession session(handle->program(), 7,
                                        broadcast::ErrorModel{},
                                        common::Rng(2));

@@ -10,12 +10,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "air/dsi_handle.hpp"
-#include "air/rtree_handle.hpp"
 #include "datasets/datasets.hpp"
-#include "hilbert/space_mapper.hpp"
 #include "sim/trajectory.hpp"
 #include "sim/workload.hpp"
+#include "test_families.hpp"
 
 namespace dsi {
 namespace {
@@ -24,12 +22,8 @@ class DegeneratePopulation : public ::testing::Test {
  protected:
   DegeneratePopulation()
       : universe_(datasets::UnitUniverse()),
-        mapper_(universe_, 7),
-        objects_(datasets::MakeUniform(150, universe_, 29)),
-        dsi_(objects_, mapper_, 64, core::DsiConfig{}),
-        rtree_(objects_, 64),
-        dsi_air_(dsi_),
-        rtree_air_(rtree_) {}
+        fam_(datasets::MakeUniform(150, universe_, 29), /*m=*/1,
+             /*capacity=*/64, /*order=*/7) {}
 
   sim::TrajectoryWorkload MakeWorkload(size_t clients, size_t steps,
                                        uint64_t seed) const {
@@ -41,12 +35,9 @@ class DegeneratePopulation : public ::testing::Test {
   }
 
   common::Rect universe_;
-  hilbert::SpaceMapper mapper_;
-  std::vector<datasets::SpatialObject> objects_;
-  core::DsiIndex dsi_;
-  rtree::RtreeIndex rtree_;
-  air::DsiHandle dsi_air_;
-  air::RtreeHandle rtree_air_;
+  test::Families fam_;
+  const air::AirIndexHandle& dsi_air_ = fam_.handle(air::Family::kDsi);
+  const air::AirIndexHandle& rtree_air_ = fam_.handle(air::Family::kRtree);
 };
 
 TEST_F(DegeneratePopulation, ZeroClientsIsAZeroedRun) {

@@ -100,7 +100,7 @@ TEST(DsiPointQueryTest, EmptyCellReturnsNothing) {
   }
   uint64_t empty_hc = 0;
   while (used.count(empty_hc)) ++empty_hc;
-  const Point p = f.mapper.IndexToCenter(empty_hc);
+  const Point p = f.mapper.IndexToCellRect(empty_hc).Center();
   EXPECT_TRUE(client.PointQuery(p).empty());
   EXPECT_TRUE(client.stats().completed);
 }

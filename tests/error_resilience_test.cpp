@@ -3,13 +3,10 @@
 
 #include <gtest/gtest.h>
 
-#include "air/dsi_handle.hpp"
-#include "air/hci_handle.hpp"
-#include "air/rtree_handle.hpp"
 #include "datasets/datasets.hpp"
-#include "hilbert/space_mapper.hpp"
 #include "sim/runner.hpp"
 #include "sim/workload.hpp"
+#include "test_families.hpp"
 
 namespace dsi {
 namespace {
@@ -17,22 +14,10 @@ namespace {
 class ResilienceFixture : public ::testing::Test {
  protected:
   ResilienceFixture()
-      : mapper_(datasets::UnitUniverse(), 9),
-        objects_(datasets::MakeUniform(1000, datasets::UnitUniverse(), 77)),
-        dsi_(objects_, mapper_, 64, MakeDsiConfig()),
-        rtree_(objects_, 64),
-        hci_(objects_, mapper_, 64),
-        dsi_air_(dsi_),
-        rtree_air_(rtree_),
-        hci_air_(hci_),
+      : fam_(datasets::MakeUniform(1000, datasets::UnitUniverse(), 77),
+             /*m=*/2, /*capacity=*/64, /*order=*/9),
         windows_(sim::MakeWindowWorkload(12, 0.1, datasets::UnitUniverse(),
                                          21)) {}
-
-  static core::DsiConfig MakeDsiConfig() {
-    core::DsiConfig c;
-    c.num_segments = 2;
-    return c;
-  }
 
   sim::AvgMetrics RunWindow(const air::AirIndexHandle& index, double theta,
                             uint64_t seed,
@@ -52,14 +37,10 @@ class ResilienceFixture : public ::testing::Test {
                             sim::RunOptions{37});
   }
 
-  hilbert::SpaceMapper mapper_;
-  std::vector<datasets::SpatialObject> objects_;
-  core::DsiIndex dsi_;
-  rtree::RtreeIndex rtree_;
-  hci::HciIndex hci_;
-  air::DsiHandle dsi_air_;
-  air::RtreeHandle rtree_air_;
-  air::HciHandle hci_air_;
+  test::Families fam_;
+  const air::AirIndexHandle& dsi_air_ = fam_.handle(air::Family::kDsi);
+  const air::AirIndexHandle& rtree_air_ = fam_.handle(air::Family::kRtree);
+  const air::AirIndexHandle& hci_air_ = fam_.handle(air::Family::kHci);
   std::vector<common::Rect> windows_;
 };
 

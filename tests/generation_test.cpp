@@ -13,18 +13,13 @@
 #include <set>
 #include <vector>
 
-#include "air/dsi_handle.hpp"
-#include "air/exp_handle.hpp"
-#include "air/hci_handle.hpp"
-#include "air/rtree_handle.hpp"
+#include "air/family.hpp"
 #include "broadcast/client.hpp"
 #include "broadcast/disks.hpp"
 #include "broadcast/generation.hpp"
 #include "datasets/datasets.hpp"
 #include "dsi/index.hpp"
-#include "hci/hci.hpp"
 #include "hilbert/space_mapper.hpp"
-#include "rtree/rtree_air.hpp"
 #include "sim/conformance.hpp"
 #include "sim/runner.hpp"
 #include "sim/workload.hpp"
@@ -364,14 +359,9 @@ TEST(GenerationalRun, StraddlingQueriesAnswerForTheirGeneration) {
   const auto ops = datasets::MakeUpdateStream(objects, 25, u, 99);
   const auto objects1 = datasets::ApplyUpdates(objects, ops);
 
-  const core::DsiIndex dsi0(objects, mapper, 64, core::DsiConfig{});
-  const core::DsiIndex dsi1 = core::DsiIndex::Republish(dsi0, ops);
-  const air::DsiHandle h0(dsi0);
-  const air::DsiHandle h1(dsi1);
-
-  sim::GenerationalIndex gi;
-  gi.generations = {&h0, &h1};
-  gi.cycles = {2, 2};
+  const air::FamilyBroadcast dsi(air::Family::kDsi,
+                                 {{objects, objects1}, {ops}}, mapper, 64);
+  const sim::GenerationalIndex gi{dsi.handles(), {2, 2}};
 
   const auto windows = sim::MakeWindowWorkload(60, 0.4, u, 5);
   const sim::Workload wl = sim::Workload::Window(windows);
@@ -416,13 +406,10 @@ TEST(GenerationalRun, BitIdenticalForAnyWorkerCount) {
   auto objects = datasets::MakeUniform(40, u, 3);
   const auto ops = datasets::MakeUpdateStream(objects, 12, u, 8);
 
-  const hci::HciIndex hci0(objects, mapper, 64);
-  const hci::HciIndex hci1(datasets::ApplyUpdates(objects, ops), mapper, 64);
-  const air::HciHandle h0(hci0);
-  const air::HciHandle h1(hci1);
-  sim::GenerationalIndex gi;
-  gi.generations = {&h0, &h1};
-  gi.cycles = {2, 2};
+  const air::FamilyBroadcast hci(
+      air::Family::kHci,
+      {{objects, datasets::ApplyUpdates(objects, ops)}, {ops}}, mapper, 64);
+  const sim::GenerationalIndex gi{hci.handles(), {2, 2}};
 
   const auto points = sim::MakeKnnWorkload(24, u, 21);
   const sim::Workload wl = sim::Workload::Knn(
@@ -460,13 +447,10 @@ TEST(GenerationalRun, TotalLossTerminatesAndSurfacesIncomplete) {
   const auto objects = datasets::MakeUniform(15, u, 4);
   const auto ops = datasets::MakeUpdateStream(objects, 4, u, 2);
 
-  const core::DsiIndex dsi0(objects, mapper, 64, core::DsiConfig{});
-  const core::DsiIndex dsi1 = core::DsiIndex::Republish(dsi0, ops);
-  const air::DsiHandle h0(dsi0);
-  const air::DsiHandle h1(dsi1);
-  sim::GenerationalIndex gi;
-  gi.generations = {&h0, &h1};
-  gi.cycles = {1, 1};
+  const air::FamilyBroadcast dsi(
+      air::Family::kDsi,
+      {{objects, datasets::ApplyUpdates(objects, ops)}, {ops}}, mapper, 64);
+  const sim::GenerationalIndex gi{dsi.handles(), {1, 1}};
 
   const auto windows = sim::MakeWindowWorkload(3, 0.3, u, 6);
   const sim::Workload wl = sim::Workload::Window(windows, 1.0);

@@ -24,20 +24,15 @@
 #include <string>
 #include <vector>
 
-#include "air/dsi_handle.hpp"
-#include "air/exp_handle.hpp"
-#include "air/hci_handle.hpp"
-#include "air/rtree_handle.hpp"
+#include "air/family.hpp"
 #include "broadcast/program.hpp"
 #include "common/rng.hpp"
 #include "datasets/datasets.hpp"
-#include "dsi/index.hpp"
-#include "hci/hci.hpp"
 #include "hilbert/hilbert.hpp"
 #include "hilbert/space_mapper.hpp"
-#include "rtree/rtree_air.hpp"
 #include "sim/runner.hpp"
 #include "sim/workload.hpp"
+#include "test_families.hpp"
 
 namespace dsi {
 namespace {
@@ -140,7 +135,7 @@ TEST(HilbertGoldenTest, TemplatedDecompositionMatchesReferenceRecursion) {
       };
       std::vector<hilbert::HcRange> reference;
       ReferenceRangesRecurse(curve, 0, curve.side(), classify, &reference);
-      reference = hilbert::NormalizeRanges(std::move(reference));
+      hilbert::NormalizeRangesInPlace(&reference);
       std::vector<hilbert::HcRange> fast;
       curve.RangesInCellRect(x_lo, y_lo, x_hi, y_hi, &fast);
       ASSERT_EQ(fast, reference)
@@ -362,14 +357,13 @@ TEST_F(GoldenMetricsTest, DsiAcrossOrdersAndReorgLayouts) {
   for (const int order : {6, 8}) {
     const hilbert::SpaceMapper mapper(datasets::UnitUniverse(), order);
     for (const uint32_t m : {1u, 2u, 3u}) {
-      core::DsiConfig cfg;
-      cfg.num_segments = m;
-      const core::DsiIndex dsi(objects_, mapper, kCapacity, cfg);
-      const air::DsiHandle handle(dsi);
+      const air::FamilyBroadcast dsi(air::Family::kDsi, {{objects_}, {}},
+                                     mapper, kCapacity,
+                                     core::DsiConfig{.num_segments = m});
       for (const GoldenRow& row : kGolden) {
         if (std::strcmp(row.family, "dsi") != 0) continue;
         if (row.order != order || row.m != static_cast<int>(m)) continue;
-        Check(handle, row);
+        Check(dsi.handle(0), row);
       }
     }
   }
@@ -377,49 +371,36 @@ TEST_F(GoldenMetricsTest, DsiAcrossOrdersAndReorgLayouts) {
 
 TEST_F(GoldenMetricsTest, HciAndExpAcrossOrders) {
   for (const int order : {6, 8}) {
-    const hilbert::SpaceMapper mapper(datasets::UnitUniverse(), order);
-    const hci::HciIndex hci(objects_, mapper, kCapacity);
-    const air::HciHandle hci_handle(hci);
-    const air::ExpHandle exp_handle(objects_, mapper, kCapacity);
+    const test::Families fam(objects_, /*m=*/1, kCapacity, order);
     for (const GoldenRow& row : kGolden) {
       if (row.order != order) continue;
-      if (std::strcmp(row.family, "hci") == 0) Check(hci_handle, row);
-      if (std::strcmp(row.family, "expindex") == 0) Check(exp_handle, row);
+      if (std::strcmp(row.family, "hci") == 0 ||
+          std::strcmp(row.family, "expindex") == 0) {
+        Check(fam.handle(*air::ParseFamily(row.family)), row);
+      }
     }
   }
 }
 
 TEST_F(GoldenMetricsTest, Rtree) {
-  const rtree::RtreeIndex rt(objects_, kCapacity);
-  const air::RtreeHandle handle(rt);
+  const test::Families fam(objects_, /*m=*/1, kCapacity);
   for (const GoldenRow& row : kGolden) {
-    if (std::strcmp(row.family, "rtree") == 0) Check(handle, row);
+    if (std::strcmp(row.family, "rtree") == 0) {
+      Check(fam.handle(air::Family::kRtree), row);
+    }
   }
 }
 
 TEST_F(GoldenMetricsTest, CodedConfigsAllFamilies) {
-  const hilbert::SpaceMapper mapper(datasets::UnitUniverse(), 6);
-  const core::DsiIndex dsi(objects_, mapper, kCapacity, core::DsiConfig{});
-  const air::DsiHandle dsi_handle(dsi);
-  const hci::HciIndex hci(objects_, mapper, kCapacity);
-  const air::HciHandle hci_handle(hci);
-  const air::ExpHandle exp_handle(objects_, mapper, kCapacity);
-  const rtree::RtreeIndex rt(objects_, kCapacity);
-  const air::RtreeHandle rtree_handle(rt);
-  const auto handle_for =
-      [&](const char* family) -> const air::AirIndexHandle& {
-    if (std::strcmp(family, "dsi") == 0) return dsi_handle;
-    if (std::strcmp(family, "rtree") == 0) return rtree_handle;
-    if (std::strcmp(family, "hci") == 0) return hci_handle;
-    return exp_handle;
-  };
+  const test::Families fam(objects_, /*m=*/1, kCapacity, /*order=*/6);
   for (const CodedGoldenRow& row : kGoldenCoded) {
     sim::RunOptions opt;
     opt.seed = 77;
     opt.workers = 1;
     opt.coding = broadcast::CodingConfig{row.group, row.parity};
     const auto metrics = sim::RunWorkload(
-        handle_for(row.family), sim::Workload::Window(windows_, row.theta),
+        fam.handle(*air::ParseFamily(row.family)),
+        sim::Workload::Window(windows_, row.theta),
         opt);
     const std::string label = std::string(row.family) + " (" +
                               std::to_string(row.group) + "," +
@@ -433,28 +414,15 @@ TEST_F(GoldenMetricsTest, CodedConfigsAllFamilies) {
 }
 
 TEST_F(GoldenMetricsTest, DiskConfigsAllFamilies) {
-  const hilbert::SpaceMapper mapper(datasets::UnitUniverse(), 6);
-  const core::DsiIndex dsi(objects_, mapper, kCapacity, core::DsiConfig{});
-  const air::DsiHandle dsi_handle(dsi);
-  const hci::HciIndex hci(objects_, mapper, kCapacity);
-  const air::HciHandle hci_handle(hci);
-  const air::ExpHandle exp_handle(objects_, mapper, kCapacity);
-  const rtree::RtreeIndex rt(objects_, kCapacity);
-  const air::RtreeHandle rtree_handle(rt);
-  const auto handle_for =
-      [&](const char* family) -> const air::AirIndexHandle& {
-    if (std::strcmp(family, "dsi") == 0) return dsi_handle;
-    if (std::strcmp(family, "rtree") == 0) return rtree_handle;
-    if (std::strcmp(family, "hci") == 0) return hci_handle;
-    return exp_handle;
-  };
+  const test::Families fam(objects_, /*m=*/1, kCapacity, /*order=*/6);
   for (const DiskGoldenRow& row : kGoldenDisks) {
     sim::RunOptions opt;
     opt.seed = 77;
     opt.workers = 1;
     opt.disks = broadcast::DiskConfig{row.disks, row.skew, 8, 5};
     const auto metrics = sim::RunWorkload(
-        handle_for(row.family), sim::Workload::Window(windows_, row.theta),
+        fam.handle(*air::ParseFamily(row.family)),
+        sim::Workload::Window(windows_, row.theta),
         opt);
     const std::string label = std::string(row.family) + " disks=" +
                               std::to_string(row.disks) +
@@ -467,21 +435,7 @@ TEST_F(GoldenMetricsTest, DiskConfigsAllFamilies) {
 }
 
 TEST_F(GoldenMetricsTest, CodedDiskConfigsAllFamilies) {
-  const hilbert::SpaceMapper mapper(datasets::UnitUniverse(), 6);
-  const core::DsiIndex dsi(objects_, mapper, kCapacity, core::DsiConfig{});
-  const air::DsiHandle dsi_handle(dsi);
-  const hci::HciIndex hci(objects_, mapper, kCapacity);
-  const air::HciHandle hci_handle(hci);
-  const air::ExpHandle exp_handle(objects_, mapper, kCapacity);
-  const rtree::RtreeIndex rt(objects_, kCapacity);
-  const air::RtreeHandle rtree_handle(rt);
-  const auto handle_for =
-      [&](const char* family) -> const air::AirIndexHandle& {
-    if (std::strcmp(family, "dsi") == 0) return dsi_handle;
-    if (std::strcmp(family, "rtree") == 0) return rtree_handle;
-    if (std::strcmp(family, "hci") == 0) return hci_handle;
-    return exp_handle;
-  };
+  const test::Families fam(objects_, /*m=*/1, kCapacity, /*order=*/6);
   for (const CodedDiskGoldenRow& row : kGoldenCodedDisks) {
     sim::RunOptions opt;
     opt.seed = 77;
@@ -489,7 +443,8 @@ TEST_F(GoldenMetricsTest, CodedDiskConfigsAllFamilies) {
     opt.disks = broadcast::DiskConfig{row.disks, row.skew, 8, 5};
     opt.coding = broadcast::CodingConfig{row.group, row.parity};
     const auto metrics = sim::RunWorkload(
-        handle_for(row.family), sim::Workload::Window(windows_, row.theta),
+        fam.handle(*air::ParseFamily(row.family)),
+        sim::Workload::Window(windows_, row.theta),
         opt);
     const std::string label =
         std::string(row.family) + " disks=" + std::to_string(row.disks) +

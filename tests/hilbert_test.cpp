@@ -166,20 +166,22 @@ TEST(HilbertRangesTest, RangesAreSortedDisjointNonAdjacent) {
 }
 
 TEST(NormalizeRangesTest, MergesOverlapAndAdjacency) {
-  std::vector<HcRange> in{{4, 9}, {0, 3}, {15, 20}, {8, 12}};
-  const auto out = NormalizeRanges(in);
+  std::vector<HcRange> out{{4, 9}, {0, 3}, {15, 20}, {8, 12}};
+  NormalizeRangesInPlace(&out);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0], (HcRange{0, 12}));
   EXPECT_EQ(out[1], (HcRange{15, 20}));
 }
 
 TEST(NormalizeRangesTest, EmptyInput) {
-  EXPECT_TRUE(NormalizeRanges({}).empty());
+  std::vector<HcRange> out;
+  NormalizeRangesInPlace(&out);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(NormalizeRangesTest, NestedRanges) {
-  std::vector<HcRange> in{{0, 100}, {10, 20}, {30, 40}};
-  const auto out = NormalizeRanges(in);
+  std::vector<HcRange> out{{0, 100}, {10, 20}, {30, 40}};
+  NormalizeRangesInPlace(&out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], (HcRange{0, 100}));
 }

@@ -7,16 +7,13 @@
 #include <algorithm>
 #include <set>
 
-#include "air/dsi_handle.hpp"
-#include "air/hci_handle.hpp"
-#include "air/rtree_handle.hpp"
+#include "air/family.hpp"
+#include "broadcast/client.hpp"
 #include "datasets/datasets.hpp"
-#include "dsi/client.hpp"
-#include "hci/hci.hpp"
 #include "hilbert/space_mapper.hpp"
-#include "rtree/rtree_air.hpp"
 #include "sim/runner.hpp"
 #include "sim/workload.hpp"
+#include "test_families.hpp"
 
 namespace dsi {
 namespace {
@@ -24,6 +21,9 @@ namespace {
 using common::Point;
 using common::Rect;
 using datasets::SpatialObject;
+
+constexpr air::Family kThree[] = {air::Family::kDsi, air::Family::kRtree,
+                                  air::Family::kHci};
 
 std::set<uint32_t> Ids(const std::vector<SpatialObject>& objs) {
   std::set<uint32_t> ids;
@@ -33,24 +33,13 @@ std::set<uint32_t> Ids(const std::vector<SpatialObject>& objs) {
 
 class IntegrationFixture : public ::testing::Test {
  protected:
+  // m = 2: the reorganized broadcast, as in the evaluation.
   IntegrationFixture()
-      : mapper_(datasets::UnitUniverse(), 9),
-        objects_(datasets::MakeUniform(1500, datasets::UnitUniverse(), 42)),
-        dsi_(objects_, mapper_, 64, MakeDsiConfig()),
-        rtree_(objects_, 64),
-        hci_(objects_, mapper_, 64) {}
+      : objects_(datasets::MakeUniform(1500, datasets::UnitUniverse(), 42)),
+        fam_(objects_, /*m=*/2, /*capacity=*/64, /*order=*/9) {}
 
-  static core::DsiConfig MakeDsiConfig() {
-    core::DsiConfig c;
-    c.num_segments = 2;  // reorganized broadcast, as in the evaluation
-    return c;
-  }
-
-  hilbert::SpaceMapper mapper_;
   std::vector<SpatialObject> objects_;
-  core::DsiIndex dsi_;
-  rtree::RtreeIndex rtree_;
-  hci::HciIndex hci_;
+  test::Families fam_;
 };
 
 TEST_F(IntegrationFixture, AllIndexesAgreeOnWindowQueries) {
@@ -61,23 +50,11 @@ TEST_F(IntegrationFixture, AllIndexesAgreeOnWindowQueries) {
     for (const auto& o : objects_) {
       if (w.Contains(o.location)) oracle.insert(o.id);
     }
-    {
-      broadcast::ClientSession s(dsi_.program(), 17, broadcast::ErrorModel{},
+    for (const air::Family family : kThree) {
+      const air::AirIndexHandle& h = fam_.handle(family);
+      broadcast::ClientSession s(h.program(), 17, broadcast::ErrorModel{},
                                  common::Rng(1));
-      core::DsiClient c(dsi_, &s);
-      EXPECT_EQ(Ids(c.WindowQuery(w)), oracle);
-    }
-    {
-      broadcast::ClientSession s(rtree_.program(), 17, broadcast::ErrorModel{},
-                                 common::Rng(1));
-      rtree::RtreeClient c(rtree_, &s);
-      EXPECT_EQ(Ids(c.WindowQuery(w)), oracle);
-    }
-    {
-      broadcast::ClientSession s(hci_.program(), 17, broadcast::ErrorModel{},
-                                 common::Rng(1));
-      hci::HciClient c(hci_, &s);
-      EXPECT_EQ(Ids(c.WindowQuery(w)), oracle);
+      EXPECT_EQ(Ids(h.MakeClient(&s)->WindowQuery(w)), oracle) << h.family();
     }
   }
 }
@@ -91,32 +68,18 @@ TEST_F(IntegrationFixture, AllIndexesAgreeOnKnnDistances) {
     }
     std::sort(oracle.begin(), oracle.end());
     oracle.resize(10);
-    auto check = [&](std::vector<SpatialObject> result, const char* name) {
-      ASSERT_EQ(result.size(), 10u) << name;
+    for (const air::Family family : kThree) {
+      const air::AirIndexHandle& h = fam_.handle(family);
+      broadcast::ClientSession s(h.program(), 23, broadcast::ErrorModel{},
+                                 common::Rng(1));
+      const auto result = h.MakeClient(&s)->KnnQuery(q, 10);
+      ASSERT_EQ(result.size(), 10u) << h.family();
       std::vector<double> got;
       for (const auto& o : result) got.push_back(common::Distance(q, o.location));
       std::sort(got.begin(), got.end());
       for (size_t i = 0; i < 10; ++i) {
-        EXPECT_DOUBLE_EQ(got[i], oracle[i]) << name;
+        EXPECT_DOUBLE_EQ(got[i], oracle[i]) << h.family();
       }
-    };
-    {
-      broadcast::ClientSession s(dsi_.program(), 23, broadcast::ErrorModel{},
-                                 common::Rng(1));
-      core::DsiClient c(dsi_, &s);
-      check(c.KnnQuery(q, 10), "dsi");
-    }
-    {
-      broadcast::ClientSession s(rtree_.program(), 23, broadcast::ErrorModel{},
-                                 common::Rng(1));
-      rtree::RtreeClient c(rtree_, &s);
-      check(c.KnnQuery(q, 10), "rtree");
-    }
-    {
-      broadcast::ClientSession s(hci_.program(), 23, broadcast::ErrorModel{},
-                                 common::Rng(1));
-      hci::HciClient c(hci_, &s);
-      check(c.KnnQuery(q, 10), "hci");
     }
   }
 }
@@ -126,20 +89,20 @@ TEST_F(IntegrationFixture, DsiBeatsHciOnKnnLatency) {
   // latency (Figure 11).
   const auto points = sim::MakeKnnWorkload(15, datasets::UnitUniverse(), 11);
   const auto workload = sim::Workload::Knn(points, 10);
-  const auto dsi =
-      sim::RunWorkload(air::DsiHandle(dsi_), workload, sim::RunOptions{3});
-  const auto hci =
-      sim::RunWorkload(air::HciHandle(hci_), workload, sim::RunOptions{3});
+  const auto dsi = sim::RunWorkload(fam_.handle(air::Family::kDsi), workload,
+                                   sim::RunOptions{3});
+  const auto hci = sim::RunWorkload(fam_.handle(air::Family::kHci), workload,
+                                   sim::RunOptions{3});
   EXPECT_LT(dsi.latency_bytes, hci.latency_bytes);
 }
 
 TEST_F(IntegrationFixture, DsiBeatsRtreeOnKnnLatency) {
   const auto points = sim::MakeKnnWorkload(15, datasets::UnitUniverse(), 13);
   const auto workload = sim::Workload::Knn(points, 10);
-  const auto dsi =
-      sim::RunWorkload(air::DsiHandle(dsi_), workload, sim::RunOptions{5});
-  const auto rt =
-      sim::RunWorkload(air::RtreeHandle(rtree_), workload, sim::RunOptions{5});
+  const auto dsi = sim::RunWorkload(fam_.handle(air::Family::kDsi), workload,
+                                   sim::RunOptions{5});
+  const auto rt = sim::RunWorkload(fam_.handle(air::Family::kRtree), workload,
+                                   sim::RunOptions{5});
   EXPECT_LT(dsi.latency_bytes, rt.latency_bytes);
 }
 
@@ -147,23 +110,17 @@ TEST(PaperScaleTest, DsiBeatsBothOnNnTuning) {
   // The tuning advantage (Figure 11) emerges at the paper's scale of
   // 10,000 objects; at the small fixture scale DSI's per-frame tables
   // outweigh the savings, so this test builds the full-size broadcast.
-  const hilbert::SpaceMapper mapper(datasets::UnitUniverse(),
-                                    hilbert::ChooseOrder(10000));
-  const auto objects =
-      datasets::MakeUniform(10000, datasets::UnitUniverse(), 42);
-  core::DsiConfig cfg;
-  cfg.num_segments = 2;
-  const core::DsiIndex dsi(objects, mapper, 64, cfg);
-  const rtree::RtreeIndex rt(objects, 64);
-  const hci::HciIndex hci(objects, mapper, 64);
+  const test::Families fam(
+      datasets::MakeUniform(10000, datasets::UnitUniverse(), 42), /*m=*/2,
+      /*capacity=*/64, hilbert::ChooseOrder(10000));
   const auto points = sim::MakeKnnWorkload(20, datasets::UnitUniverse(), 29);
   const auto workload = sim::Workload::Knn(points, 1);
-  const auto md =
-      sim::RunWorkload(air::DsiHandle(dsi), workload, sim::RunOptions{7});
-  const auto mr =
-      sim::RunWorkload(air::RtreeHandle(rt), workload, sim::RunOptions{7});
-  const auto mh =
-      sim::RunWorkload(air::HciHandle(hci), workload, sim::RunOptions{7});
+  const auto run = [&](air::Family family) {
+    return sim::RunWorkload(fam.handle(family), workload, sim::RunOptions{7});
+  };
+  const auto md = run(air::Family::kDsi);
+  const auto mr = run(air::Family::kRtree);
+  const auto mh = run(air::Family::kHci);
   // Latency dominance is the paper's headline and reproduces robustly.
   EXPECT_LT(md.latency_bytes, mr.latency_bytes);
   EXPECT_LT(md.latency_bytes, mh.latency_bytes);
@@ -177,17 +134,17 @@ TEST(PaperScaleTest, DsiBeatsBothOnNnTuning) {
 TEST_F(IntegrationFixture, RealLikeDatasetWorksEndToEnd) {
   const auto real = datasets::MakeRealLike();
   const hilbert::SpaceMapper mapper(datasets::UnitUniverse(), 9);
-  const core::DsiIndex dsi(real, mapper, 64, MakeDsiConfig());
+  const air::FamilyBroadcast dsi(air::Family::kDsi, {{real}, {}}, mapper, 64,
+                                 core::DsiConfig{.num_segments = 2});
+  const air::AirIndexHandle& h = dsi.handle(0);
   const auto windows =
       sim::MakeWindowWorkload(4, 0.1, datasets::UnitUniverse(), 15);
-  const auto m = sim::RunWorkload(air::DsiHandle(dsi),
-                                  sim::Workload::Window(windows),
-                                  sim::RunOptions{7});
+  const auto m =
+      sim::RunWorkload(h, sim::Workload::Window(windows), sim::RunOptions{7});
   EXPECT_EQ(m.incomplete, 0u);
-  broadcast::ClientSession s(dsi.program(), 5, broadcast::ErrorModel{},
+  broadcast::ClientSession s(h.program(), 5, broadcast::ErrorModel{},
                              common::Rng(2));
-  core::DsiClient c(dsi, &s);
-  const auto result = c.WindowQuery(windows[0]);
+  const auto result = h.MakeClient(&s)->WindowQuery(windows[0]);
   std::set<uint32_t> oracle;
   for (const auto& o : real) {
     if (windows[0].Contains(o.location)) oracle.insert(o.id);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <set>
 
+#include "air/family.hpp"
 #include "common/rng.hpp"
 #include "datasets/datasets.hpp"
 
@@ -22,8 +23,8 @@ std::set<uint32_t> Ids(const std::vector<SpatialObject>& objs) {
 }
 
 TEST(RtreeTest, FanoutAndSupport) {
-  EXPECT_FALSE(Rtree::SupportedCapacity(32));
-  EXPECT_TRUE(Rtree::SupportedCapacity(64));
+  EXPECT_GT(air::MinPacketCapacity(air::Family::kRtree), 32u);
+  EXPECT_LE(air::MinPacketCapacity(air::Family::kRtree), 64u);
   EXPECT_EQ(Rtree::FanoutForCapacity(64), 2u);   // clamped: floor(64/34)=1
   EXPECT_EQ(Rtree::FanoutForCapacity(128), 3u);
   EXPECT_EQ(Rtree::FanoutForCapacity(256), 7u);

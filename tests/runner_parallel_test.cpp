@@ -14,10 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "air/dsi_handle.hpp"
-#include "air/exp_handle.hpp"
-#include "air/hci_handle.hpp"
-#include "air/rtree_handle.hpp"
 #include "broadcast/client.hpp"
 #include "common/rng.hpp"
 #include "datasets/datasets.hpp"
@@ -26,6 +22,7 @@
 #include "sim/seed_mix.hpp"
 #include "sim/trajectory.hpp"
 #include "sim/workload.hpp"
+#include "test_families.hpp"
 #include "transport/transport.hpp"
 
 namespace dsi {
@@ -34,25 +31,8 @@ namespace {
 class ParallelParityFixture : public ::testing::Test {
  protected:
   ParallelParityFixture()
-      : mapper_(datasets::UnitUniverse(), 8),
-        objects_(datasets::MakeUniform(300, datasets::UnitUniverse(), 19)),
-        dsi_(objects_, mapper_, 64, MakeDsiConfig()),
-        rtree_(objects_, 64),
-        hci_(objects_, mapper_, 64),
-        dsi_air_(dsi_),
-        rtree_air_(rtree_),
-        hci_air_(hci_),
-        exp_air_(objects_, mapper_, 64) {}
-
-  static core::DsiConfig MakeDsiConfig() {
-    core::DsiConfig c;
-    c.num_segments = 2;
-    return c;
-  }
-
-  std::vector<const air::AirIndexHandle*> Handles() const {
-    return {&dsi_air_, &rtree_air_, &hci_air_, &exp_air_};
-  }
+      : objects_(datasets::MakeUniform(300, datasets::UnitUniverse(), 19)),
+        fam_(objects_, /*m=*/2, /*capacity=*/64, /*order=*/8) {}
 
   static void ExpectIdentical(const sim::AvgMetrics& serial,
                               const sim::AvgMetrics& parallel,
@@ -68,22 +48,17 @@ class ParallelParityFixture : public ::testing::Test {
     EXPECT_EQ(serial.repaired, parallel.repaired) << family << " " << kind;
   }
 
-  hilbert::SpaceMapper mapper_;
   std::vector<datasets::SpatialObject> objects_;
-  core::DsiIndex dsi_;
-  rtree::RtreeIndex rtree_;
-  hci::HciIndex hci_;
-  air::DsiHandle dsi_air_;
-  air::RtreeHandle rtree_air_;
-  air::HciHandle hci_air_;
-  air::ExpHandle exp_air_;
+  test::Families fam_;
+  const air::AirIndexHandle& dsi_air_ = fam_.handle(air::Family::kDsi);
+  const air::AirIndexHandle& exp_air_ = fam_.handle(air::Family::kExpIndex);
 };
 
 TEST_F(ParallelParityFixture, WindowParityAcrossFamilies) {
   const auto windows =
       sim::MakeWindowWorkload(9, 0.1, datasets::UnitUniverse(), 23);
   const auto workload = sim::Workload::Window(windows);
-  for (const air::AirIndexHandle* handle : Handles()) {
+  for (const air::AirIndexHandle* handle : fam_.handles()) {
     const auto serial =
         sim::RunWorkload(*handle, workload, sim::RunOptions{101, 1});
     const auto parallel =
@@ -96,7 +71,7 @@ TEST_F(ParallelParityFixture, WindowParityAcrossFamilies) {
 TEST_F(ParallelParityFixture, KnnParityAcrossFamilies) {
   const auto points = sim::MakeKnnWorkload(9, datasets::UnitUniverse(), 27);
   const auto workload = sim::Workload::Knn(points, 4);
-  for (const air::AirIndexHandle* handle : Handles()) {
+  for (const air::AirIndexHandle* handle : fam_.handles()) {
     const auto serial =
         sim::RunWorkload(*handle, workload, sim::RunOptions{103, 1});
     const auto parallel =
@@ -114,7 +89,7 @@ TEST_F(ParallelParityFixture, LossyChannelParity) {
                           broadcast::ErrorMode::kSingleEvent,
                           broadcast::ErrorMode::kPerBucketLoss}) {
     const auto workload = sim::Workload::Window(windows, 0.5, mode);
-    for (const air::AirIndexHandle* handle : Handles()) {
+    for (const air::AirIndexHandle* handle : fam_.handles()) {
       const auto serial =
           sim::RunWorkload(*handle, workload, sim::RunOptions{107, 1});
       const auto parallel =
@@ -168,7 +143,7 @@ TEST_F(ParallelParityFixture, AnyWorkerCountReproducesEveryTour) {
     wl.k = 4;
     wl.theta = 0.3;
     wl.error_mode = broadcast::ErrorMode::kPerBucketLoss;
-    for (const air::AirIndexHandle* handle : Handles()) {
+    for (const air::AirIndexHandle* handle : fam_.handles()) {
       std::vector<std::vector<sim::TrajectoryStep>> baseline;
       sim::TrajectoryOptions base_opt;
       base_opt.seed = 229;
@@ -246,7 +221,7 @@ TEST_F(ParallelParityFixture, ArenaClientsMatchHeapClients) {
   for (const double theta : {0.0, 0.5}) {
     const broadcast::ErrorModel errors{theta,
                                        broadcast::ErrorMode::kPerBucketLoss};
-    for (const air::AirIndexHandle* handle : Handles()) {
+    for (const air::AirIndexHandle* handle : fam_.handles()) {
       // One query on a heap client and on an arena client, each over its
       // own session with identical tune-in and channel seed.
       auto expect_same = [&](uint64_t tune_in, uint64_t rng_seed,
@@ -297,7 +272,7 @@ TEST_F(ParallelParityFixture, ResultCaptureParityAcrossSharding) {
       sim::Workload::Knn(points, 5, air::KnnStrategy::kConservative, 0.4,
                          broadcast::ErrorMode::kPerBucketLoss),
   };
-  for (const air::AirIndexHandle* handle : Handles()) {
+  for (const air::AirIndexHandle* handle : fam_.handles()) {
     for (const sim::Workload& workload : workloads) {
       std::vector<sim::QueryResult> baseline;
       sim::RunOptions base_opt;
@@ -343,7 +318,7 @@ TEST_F(ParallelParityFixture, EngineQueryIsTheDocumentedTuneIn) {
       sim::Workload::Knn(points, 5, air::KnnStrategy::kConservative, 0.3,
                          mode),
   };
-  for (const air::AirIndexHandle* handle : Handles()) {
+  for (const air::AirIndexHandle* handle : fam_.handles()) {
     transport::SimTransport channel(handle->program());
     const auto cycle = static_cast<int64_t>(handle->program().cycle_packets());
     for (const sim::Workload& workload : workloads) {

@@ -12,10 +12,7 @@
 #include <random>
 #include <vector>
 
-#include "air/dsi_handle.hpp"
-#include "air/exp_handle.hpp"
-#include "air/hci_handle.hpp"
-#include "air/rtree_handle.hpp"
+#include "air/family.hpp"
 #include "datasets/datasets.hpp"
 #include "hilbert/space_mapper.hpp"
 #include "sim/conformance.hpp"
@@ -23,6 +20,7 @@
 #include "sim/scheduler.hpp"
 #include "sim/trajectory.hpp"
 #include "sim/workload.hpp"
+#include "test_families.hpp"
 
 namespace dsi {
 namespace {
@@ -121,25 +119,8 @@ class PopulationParity : public ::testing::Test {
  protected:
   PopulationParity()
       : universe_(datasets::UnitUniverse()),
-        mapper_(universe_, 7),
         objects_(datasets::MakeUniform(220, universe_, 33)),
-        dsi_(objects_, mapper_, 64, MakeDsiConfig()),
-        rtree_(objects_, 64),
-        hci_(objects_, mapper_, 64),
-        dsi_air_(dsi_),
-        rtree_air_(rtree_),
-        hci_air_(hci_),
-        exp_air_(objects_, mapper_, 64) {}
-
-  static core::DsiConfig MakeDsiConfig() {
-    core::DsiConfig c;
-    c.num_segments = 2;
-    return c;
-  }
-
-  std::vector<const air::AirIndexHandle*> Handles() const {
-    return {&dsi_air_, &rtree_air_, &hci_air_, &exp_air_};
-  }
+        fam_(objects_, /*m=*/2, /*capacity=*/64, /*order=*/7) {}
 
   sim::TrajectoryWorkload MakeWorkload(size_t clients, size_t steps,
                                        uint64_t seed) const {
@@ -234,20 +215,14 @@ class PopulationParity : public ::testing::Test {
   }
 
   common::Rect universe_;
-  hilbert::SpaceMapper mapper_;
   std::vector<datasets::SpatialObject> objects_;
-  core::DsiIndex dsi_;
-  rtree::RtreeIndex rtree_;
-  hci::HciIndex hci_;
-  air::DsiHandle dsi_air_;
-  air::RtreeHandle rtree_air_;
-  air::HciHandle hci_air_;
-  air::ExpHandle exp_air_;
+  test::Families fam_;
+  const air::AirIndexHandle& dsi_air_ = fam_.handle(air::Family::kDsi);
 };
 
 TEST_F(PopulationParity, StaticBroadcastAllFamiliesCleanAndLossy) {
   auto wl = MakeWorkload(4, 5, 61);
-  for (const air::AirIndexHandle* handle : Handles()) {
+  for (const air::AirIndexHandle* handle : fam_.handles()) {
     wl.pace_packets = handle->program().cycle_packets() / 2;
     for (const double theta : {0.0, 0.4}) {
       wl.theta = theta;
@@ -271,7 +246,7 @@ TEST_F(PopulationParity, KnnAndChannelDeterministicLoss) {
   for (const auto mode : {broadcast::ErrorMode::kPerBucketLoss,
                           broadcast::ErrorMode::kBurstLoss}) {
     wl.error_mode = mode;
-    for (const air::AirIndexHandle* handle : Handles()) {
+    for (const air::AirIndexHandle* handle : fam_.handles()) {
       wl.pace_packets = handle->program().cycle_packets() / 3;
       sim::TrajectoryOptions opt;
       opt.seed = 307;
@@ -287,7 +262,7 @@ TEST_F(PopulationParity, CodedBroadcastParity) {
   auto wl = MakeWorkload(3, 4, 71);
   wl.theta = 0.5;
   wl.error_mode = broadcast::ErrorMode::kPerBucketLoss;
-  for (const air::AirIndexHandle* handle : Handles()) {
+  for (const air::AirIndexHandle* handle : fam_.handles()) {
     wl.pace_packets = handle->program().cycle_packets() / 2;
     sim::TrajectoryOptions opt;
     opt.seed = 311;
@@ -305,16 +280,13 @@ TEST_F(PopulationParity, GenerationalBroadcastWithRepublications) {
   const auto objects1 = datasets::ApplyUpdates(objects_, ops1);
   const auto ops2 = datasets::MakeUpdateStream(objects1, 12, universe_, 402);
   const auto objects2 = datasets::ApplyUpdates(objects1, ops2);
-  const core::DsiIndex gen1(core::DsiIndex::Republish(dsi_, ops1));
-  const core::DsiIndex gen2(core::DsiIndex::Republish(gen1, ops2));
-  const air::DsiHandle h1(gen1);
-  const air::DsiHandle h2(gen2);
-  sim::GenerationalIndex gi;
-  gi.generations = {&dsi_air_, &h1, &h2};
-  gi.cycles = {1, 1, 2};
+  const air::FamilyBroadcast dsi(
+      air::Family::kDsi, {{objects_, objects1, objects2}, {ops1, ops2}},
+      fam_.mapper, 64, core::DsiConfig{.num_segments = 2});
+  const sim::GenerationalIndex gi{dsi.handles(), {1, 1, 2}};
 
   auto wl = MakeWorkload(4, 6, 73);
-  wl.pace_packets = dsi_air_.program().cycle_packets() - 7;
+  wl.pace_packets = dsi.handle(0).program().cycle_packets() - 7;
   for (const double theta : {0.0, 0.3}) {
     wl.theta = theta;
     sim::TrajectoryOptions opt;
@@ -327,7 +299,8 @@ TEST_F(PopulationParity, GenerationalBroadcastWithRepublications) {
 
 TEST_F(PopulationParity, ChurnedPopulationParityAndExactAccounting) {
   auto wl = MakeWorkload(6, 5, 79);
-  for (const air::AirIndexHandle* handle : {Handles()[0], Handles()[1]}) {
+  for (const air::Family family : {air::Family::kDsi, air::Family::kRtree}) {
+    const air::AirIndexHandle* handle = &fam_.handle(family);
     const uint64_t cycle = handle->program().cycle_packets();
     wl.pace_packets = cycle / 2;
     for (const double rate : {0.5, 1.0}) {

@@ -3,14 +3,21 @@
 
 #include <gtest/gtest.h>
 
-#include "air/dsi_handle.hpp"
-#include "air/hci_handle.hpp"
-#include "air/rtree_handle.hpp"
+#include "air/family.hpp"
 #include "datasets/datasets.hpp"
 #include "hilbert/space_mapper.hpp"
+#include "test_families.hpp"
 
 namespace dsi::sim {
 namespace {
+
+/// DSI (m = 1) at 64-byte packets over \p n uniform objects.
+air::FamilyBroadcast Dsi(size_t n, const hilbert::SpaceMapper& mapper) {
+  return air::FamilyBroadcast(
+      air::Family::kDsi,
+      {{datasets::MakeUniform(n, datasets::UnitUniverse(), 5)}, {}}, mapper,
+      64);
+}
 
 TEST(WorkloadTest, WindowWorkloadShapeAndClipping) {
   const auto windows =
@@ -42,43 +49,34 @@ TEST(WorkloadTest, DescriptorSizeTracksKind) {
 
 TEST(RunnerTest, DsiWindowAveragesAreSane) {
   const hilbert::SpaceMapper mapper(datasets::UnitUniverse(), 8);
-  const core::DsiIndex index(
-      datasets::MakeUniform(500, datasets::UnitUniverse(), 5), mapper, 64,
-      core::DsiConfig{});
+  const air::FamilyBroadcast dsi = Dsi(500, mapper);
   const auto windows =
       MakeWindowWorkload(20, 0.1, datasets::UnitUniverse(), 9);
-  const AvgMetrics m = RunWorkload(air::DsiHandle(index),
-                                   Workload::Window(windows), RunOptions{11});
+  const AvgMetrics m = RunWorkload(dsi.handle(0), Workload::Window(windows),
+                                   RunOptions{11});
   EXPECT_EQ(m.queries, 20u);
   EXPECT_EQ(m.incomplete, 0u);
   EXPECT_GT(m.latency_bytes, 0.0);
   EXPECT_GT(m.tuning_bytes, 0.0);
   EXPECT_LE(m.tuning_bytes, m.latency_bytes);
-  EXPECT_LE(m.latency_bytes, 2.0 * index.program().cycle_bytes());
+  EXPECT_LE(m.latency_bytes, 2.0 * dsi.handle(0).program().cycle_bytes());
 }
 
 TEST(RunnerTest, DeterministicForSeed) {
   const hilbert::SpaceMapper mapper(datasets::UnitUniverse(), 8);
-  const core::DsiIndex index(
-      datasets::MakeUniform(300, datasets::UnitUniverse(), 5), mapper, 64,
-      core::DsiConfig{});
+  const air::FamilyBroadcast dsi = Dsi(300, mapper);
   const auto points = MakeKnnWorkload(10, datasets::UnitUniverse(), 13);
   const auto workload = Workload::Knn(points, 5);
-  const AvgMetrics a =
-      RunWorkload(air::DsiHandle(index), workload, RunOptions{17});
-  const AvgMetrics b =
-      RunWorkload(air::DsiHandle(index), workload, RunOptions{17});
+  const AvgMetrics a = RunWorkload(dsi.handle(0), workload, RunOptions{17});
+  const AvgMetrics b = RunWorkload(dsi.handle(0), workload, RunOptions{17});
   EXPECT_DOUBLE_EQ(a.latency_bytes, b.latency_bytes);
   EXPECT_DOUBLE_EQ(a.tuning_bytes, b.tuning_bytes);
 }
 
 TEST(RunnerTest, EmptyWorkloadIsZeroed) {
   const hilbert::SpaceMapper mapper(datasets::UnitUniverse(), 8);
-  const core::DsiIndex index(
-      datasets::MakeUniform(100, datasets::UnitUniverse(), 5), mapper, 64,
-      core::DsiConfig{});
-  const AvgMetrics m =
-      RunWorkload(air::DsiHandle(index), Workload::Window({}), RunOptions{1});
+  const AvgMetrics m = RunWorkload(Dsi(100, mapper).handle(0),
+                                   Workload::Window({}), RunOptions{1});
   EXPECT_EQ(m.queries, 0u);
   EXPECT_EQ(m.incomplete, 0u);
   EXPECT_DOUBLE_EQ(m.latency_bytes, 0.0);
@@ -92,21 +90,17 @@ TEST(RunnerTest, DeteriorationPct) {
 }
 
 TEST(RunnerTest, AllFamiliesRunBothQueryKinds) {
-  const hilbert::SpaceMapper mapper(datasets::UnitUniverse(), 8);
-  auto objects = datasets::MakeUniform(200, datasets::UnitUniverse(), 5);
-  const core::DsiIndex dsi(objects, mapper, 64, core::DsiConfig{});
-  const rtree::RtreeIndex rt(objects, 64);
-  const hci::HciIndex hci(objects, mapper, 64);
-  const air::DsiHandle hd(dsi);
-  const air::RtreeHandle hr(rt);
-  const air::HciHandle hh(hci);
+  const test::Families fam(
+      datasets::MakeUniform(200, datasets::UnitUniverse(), 5), /*m=*/1,
+      /*capacity=*/64, /*order=*/8);
   const auto windows = MakeWindowWorkload(5, 0.1, datasets::UnitUniverse(), 1);
   const auto points = MakeKnnWorkload(5, datasets::UnitUniverse(), 2);
   const Workload workloads[] = {
       Workload::Window(windows),
       Workload::Knn(points, 3, air::KnnStrategy::kAggressive)};
-  const air::AirIndexHandle* handles[] = {&hd, &hr, &hh};
-  for (const air::AirIndexHandle* handle : handles) {
+  for (const air::Family family :
+       {air::Family::kDsi, air::Family::kRtree, air::Family::kHci}) {
+    const air::AirIndexHandle* handle = &fam.handle(family);
     for (const Workload& w : workloads) {
       const AvgMetrics m = RunWorkload(*handle, w, RunOptions{3});
       EXPECT_EQ(m.queries, 5u) << handle->family();

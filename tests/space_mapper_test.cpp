@@ -29,17 +29,12 @@ TEST(SpaceMapperTest, OutOfUniverseClamps) {
   EXPECT_EQ(m.PointToCell(Point{-5.0, 2.0}), (std::pair<uint32_t, uint32_t>{0, 7}));
 }
 
-TEST(SpaceMapperTest, IndexToCenterRoundTrips) {
-  const SpaceMapper m(Rect{0, 0, 1, 1}, 6);
-  for (uint64_t d = 0; d < m.curve().num_cells(); d += 37) {
-    EXPECT_EQ(m.PointToIndex(m.IndexToCenter(d)), d);
-  }
-}
-
-TEST(SpaceMapperTest, CellRectContainsCenter) {
-  const SpaceMapper m(Rect{-2, -2, 2, 2}, 5);
-  for (uint64_t d = 0; d < m.curve().num_cells(); d += 13) {
-    EXPECT_TRUE(m.IndexToCellRect(d).Contains(m.IndexToCenter(d)));
+TEST(SpaceMapperTest, CellRectCenterRoundTrips) {
+  for (const SpaceMapper& m :
+       {SpaceMapper(Rect{0, 0, 1, 1}, 6), SpaceMapper(Rect{-2, -2, 2, 2}, 5)}) {
+    for (uint64_t d = 0; d < m.curve().num_cells(); d += 13) {
+      EXPECT_EQ(m.PointToIndex(m.IndexToCellRect(d).Center()), d);
+    }
   }
 }
 

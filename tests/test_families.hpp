@@ -3,8 +3,8 @@
 /// \file test_families.hpp
 /// \brief Shared test fixture: all four index families built over one
 /// object set behind their AirIndexHandle fronts, so cross-family tests
-/// (trajectory parity, metamorphic battery) iterate one handle list
-/// instead of repeating the construction boilerplate.
+/// iterate one handle list, or pick a family's handle, instead of
+/// repeating the construction boilerplate.
 
 #include <vector>
 
@@ -27,6 +27,11 @@ struct Families {
       broadcasts.emplace_back(family, gens, mapper, capacity,
                               core::DsiConfig{.num_segments = m});
     }
+  }
+
+  /// \p family's handle.
+  const air::AirIndexHandle& handle(air::Family family) const {
+    return broadcasts[static_cast<size_t>(family)].handle(0);
   }
 
   /// One handle per family, in air::kFamilies order.

@@ -9,12 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
-#include "air/dsi_handle.hpp"
+#include "air/family.hpp"
 #include "datasets/datasets.hpp"
-#include "dsi/index.hpp"
 #include "hilbert/space_mapper.hpp"
 #include "test_families.hpp"
 
@@ -233,33 +231,23 @@ TEST(TrajectoryDeterminism, WorkerCountDoesNotChangeAnything) {
 
 TEST(TrajectoryGenerations, MidTourRepublicationInvalidatesAndRecovers) {
   const common::Rect u = datasets::UnitUniverse();
-  auto gen0 = datasets::MakeUniform(150, u, 61);
   const hilbert::SpaceMapper mapper(u, 6);
 
   // Three generations with real update streams between them.
-  std::vector<std::vector<datasets::SpatialObject>> gen_objects{gen0};
+  air::Generations gens{{datasets::MakeUniform(150, u, 61)}, {}};
   for (int g = 1; g < 3; ++g) {
-    const auto ops = datasets::MakeUpdateStream(
-        gen_objects.back(), 20, u, 100 + static_cast<uint64_t>(g));
-    gen_objects.push_back(datasets::ApplyUpdates(gen_objects.back(), ops));
+    gens.ops.push_back(datasets::MakeUpdateStream(
+        gens.objects.back(), 20, u, 100 + static_cast<uint64_t>(g)));
+    gens.objects.push_back(
+        datasets::ApplyUpdates(gens.objects.back(), gens.ops.back()));
   }
-  std::vector<std::unique_ptr<core::DsiIndex>> indexes;
-  std::vector<air::DsiHandle> handles;
-  indexes.reserve(gen_objects.size());
-  for (const auto& objs : gen_objects) {
-    indexes.push_back(std::make_unique<core::DsiIndex>(
-        objs, mapper, kCapacity, core::DsiConfig{}));
-  }
-  handles.reserve(indexes.size());
-  for (const auto& index : indexes) handles.emplace_back(*index);
-  sim::GenerationalIndex gi;
-  for (const auto& h : handles) gi.generations.push_back(&h);
-  gi.cycles.assign(handles.size(), 2);
+  const air::FamilyBroadcast dsi(air::Family::kDsi, gens, mapper, kCapacity);
+  const sim::GenerationalIndex gi{dsi.handles(), {2, 2, 2}};
 
   // Long tours with pacing comparable to a generation's airtime: most
   // clients cross at least one republication mid-tour.
   sim::TrajectoryWorkload wl = MakeWorkload(sim::QueryKind::kWindow, 4, 8, 9);
-  wl.pace_packets = handles[0].program().cycle_packets();
+  wl.pace_packets = dsi.handle(0).program().cycle_packets();
 
   std::vector<std::vector<sim::TrajectoryStep>> results;
   sim::TrajectoryOptions opt;
@@ -275,12 +263,12 @@ TEST(TrajectoryGenerations, MidTourRepublicationInvalidatesAndRecovers) {
   for (size_t c = 0; c < results.size(); ++c) {
     for (size_t s = 0; s < results[c].size(); ++s) {
       const sim::TrajectoryStep& step = results[c][s];
-      ASSERT_LT(step.warm.generation, gen_objects.size());
+      ASSERT_LT(step.warm.generation, gens.objects.size());
       saw_later_generation =
           saw_later_generation || step.warm.generation > 0;
       std::vector<uint32_t> oracle;
       const common::Rect w = wl.WindowAt(c, s);
-      for (const auto& o : gen_objects[step.warm.generation]) {
+      for (const auto& o : gens.objects[step.warm.generation]) {
         if (w.Contains(o.location)) oracle.push_back(o.id);
       }
       std::sort(oracle.begin(), oracle.end());

@@ -10,7 +10,9 @@
 /// worker counts, which is what makes the queries/sec numbers comparable.
 ///
 ///   perf_smoke [--queries=N] [--max-objects=N] [--workers=N] [--repeats=N]
-///              [--traj-clients=N] [--out=PATH] [--append]
+///              [--out=PATH] [--append]
+///
+/// A count that is not wholly a decimal integer exits 2.
 ///
 /// JSON schema (BENCH_perf.json):
 ///   {
@@ -39,26 +41,23 @@
 /// windows, no broadcast simulation). It isolates the query-planning hot
 /// path from the air-simulation loop; byte metrics are 0 by construction
 /// and qps counts decompositions per second at that rung's curve order.
-///
-/// Besides the per-query series, an optional clients-scaling series
-/// (workload "clients-N", populations 10^3 up to --traj-clients, off by
-/// default) runs churned moving-client populations through the
-/// event-driven scheduler (sim::RunTrajectories, warm path only); there
-/// qps counts executed re-evaluations per second.
+/// bench/city_scale owns the moving-client population ladder.
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "air/family.hpp"
 #include "datasets/datasets.hpp"
 #include "hilbert/space_mapper.hpp"
+#include "sim/conformance.hpp"
 #include "sim/runner.hpp"
-#include "sim/trajectory.hpp"
 #include "sim/workload.hpp"
 
 namespace {
@@ -76,31 +75,30 @@ struct Options {
   size_t max_objects = 10000000;  // ladder cap (10^4 x10 per rung)
   size_t workers = 0;             // 0 = one per hardware thread
   size_t repeats = 3;
-  size_t traj_clients = 0;  // clients-scaling series ladder cap (0 = off)
   std::string out = "BENCH_perf.json";
   bool append = false;
 };
 
 Options ParseOptions(int argc, char** argv) {
   Options opt;
+  const std::pair<const char*, size_t*> counts[] = {
+      {"--queries", &opt.queries},
+      {"--max-objects", &opt.max_objects},
+      {"--workers", &opt.workers},
+      {"--repeats", &opt.repeats}};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--queries=", 0) == 0) {
-      opt.queries = std::stoul(arg.substr(10));
-    } else if (arg.rfind("--max-objects=", 0) == 0) {
-      opt.max_objects = std::stoul(arg.substr(14));
-    } else if (arg.rfind("--objects=", 0) == 0) {  // legacy alias
-      opt.max_objects = std::stoul(arg.substr(10));
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      opt.workers = std::stoul(arg.substr(10));
-    } else if (arg.rfind("--repeats=", 0) == 0) {
-      opt.repeats = std::stoul(arg.substr(10));
-    } else if (arg.rfind("--traj-clients=", 0) == 0) {
-      opt.traj_clients = std::stoul(arg.substr(15));
-    } else if (arg.rfind("--out=", 0) == 0) {
-      opt.out = arg.substr(6);
-    } else if (arg == "--append") {
-      opt.append = true;
+    const size_t eq = arg.find('=');
+    const std::string key = arg.substr(0, eq);
+    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
+    if (arg.rfind("--out=", 0) == 0) opt.out = value;
+    if (arg == "--append") opt.append = true;
+    for (const auto& [name, field] : counts) {
+      if (key == name && !sim::ParseFlagValue(value, field)) {
+        std::fprintf(stderr, "invalid value for %s: '%s'\n", name,
+                     value.c_str());
+        std::exit(2);
+      }
     }
   }
   return opt;
@@ -220,7 +218,6 @@ int main(int argc, char** argv) {
     for (const air::Family family : air::kFamilies) {
       broadcasts.emplace_back(family, gens, mapper, kCapacity, cfg);
     }
-    const air::AirIndexHandle& dsi_air = broadcasts.front().handle(0);
 
     // fig9-style window workload (WinSideRatio = 0.1) and fig11-style kNN.
     const auto window_wl = sim::Workload::Window(
@@ -234,49 +231,6 @@ int main(int argc, char** argv) {
       results.push_back(Measure(h, knn_wl, "knn", objects, opt));
     }
     results.push_back(MeasureDecomp(mapper, objects, opt));
-
-    // Clients-scaling series: churned moving-client populations through
-    // the event-driven scheduler engine, DSI family, smallest rung only.
-    // qps = executed re-evaluations per second.
-    if (rung == 0) {
-      const uint64_t cycle = dsi_air.program().cycle_packets();
-      for (size_t clients = 1000; clients <= opt.traj_clients;
-           clients *= 10) {
-        datasets::TrajectoryParams params;
-        sim::TrajectoryWorkload twl = sim::MakeTrajectoryWorkload(
-            sim::QueryKind::kWindow, clients, 3, params,
-            datasets::UnitUniverse(), 45);
-        twl.window_side = 0.05;
-        twl.pace_packets = cycle / 2;
-        twl.churn = datasets::MakeChurnStream(clients, 4 * cycle, 0.3, 46);
-        sim::TrajectoryOptions topt;
-        topt.seed = 42;
-        topt.workers = opt.workers;
-        topt.cold_baseline = false;
-        Result r;
-        r.family = "dsi";
-        r.workload = "clients-" + std::to_string(clients);
-        r.objects = objects;
-        for (size_t rep = 0; rep < opt.repeats; ++rep) {
-          const auto t0 = std::chrono::steady_clock::now();
-          const sim::TrajectoryMetrics m =
-              sim::RunTrajectories(dsi_air, twl, topt);
-          const double secs = std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - t0)
-                                  .count();
-          const double sps =
-              secs > 0.0 ? static_cast<double>(m.steps) / secs : 0.0;
-          if (sps > r.qps) {
-            r.qps = sps;
-            r.seconds = secs;
-          }
-          r.queries = m.steps;
-          r.avg_latency_bytes = m.latency_bytes;
-          r.avg_tuning_bytes = m.tuning_bytes;
-        }
-        results.push_back(r);
-      }
-    }
   }
 
   if (opt.append) {
