@@ -9,17 +9,22 @@
 ///   --objects=N   dataset cardinality (default 10000, the paper's UNIFORM)
 ///   --seed=S      dataset and workload seed (default 42)
 ///   --real        use the REAL-substitute dataset (5848 clustered points)
-/// A value must parse whole: --queries=abc exits 2.
+/// and the bench's own flags (bench::Flag). A value must parse whole
+/// (--queries=abc exits 2), and any other argument exits 2.
 /// Metrics are printed in the paper's units: bytes (scaled per column).
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <iomanip>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "air/family.hpp"
@@ -39,27 +44,52 @@ struct Options {
   uint64_t seed = 42;
 };
 
-/// If \p arg is `NAME=VALUE` for \p name, parses VALUE into \p out with the
-/// strict flag parser (sim::ParseFlagValue); a bad value exits 2.
-template <class T>
-void ParseFlag(std::string_view arg, const char* name, T* out) {
-  const std::string prefix = std::string(name) + "=";
-  if (!arg.starts_with(prefix)) return;
-  const std::string value(arg.substr(prefix.size()));
-  if (sim::ParseFlagValue(value, out)) return;
-  std::fprintf(stderr, "invalid value for %s: '%s'\n", name, value.c_str());
-  std::exit(2);
-}
+/// A bench's own flag: `NAME=VALUE` parsed into *target, strictly
+/// (sim::ParseFlagValue) unless the target is a string.
+struct Flag {
+  const char* name;
+  std::variant<uint64_t*, double*, std::string*> target;
+};
 
-/// The common flags over \p opt's defaults; other arguments are left to the
-/// bench's own ParseFlag calls.
-inline Options ParseOptions(int argc, char** argv, Options opt = {}) {
+/// The common flags over \p opt's defaults, plus the bench's own \p extra
+/// flags. Any other argument, or a value that does not parse whole, exits 2.
+inline Options ParseOptions(int argc, char** argv, Options opt = {},
+                            std::initializer_list<Flag> extra = {}) {
+  std::vector<Flag> flags = {{"--queries", &opt.queries},
+                             {"--objects", &opt.objects},
+                             {"--seed", &opt.seed}};
+  flags.insert(flags.end(), extra);
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg == "--real") opt.real = true;
-    ParseFlag(arg, "--queries", &opt.queries);
-    ParseFlag(arg, "--objects", &opt.objects);
-    ParseFlag(arg, "--seed", &opt.seed);
+    if (arg == "--real") {
+      opt.real = true;
+      continue;
+    }
+    const size_t eq = arg.find('=');
+    const std::string_view key = arg.substr(0, eq);
+    const std::string value(eq == arg.npos ? "" : arg.substr(eq + 1));
+    const auto flag = std::find_if(flags.begin(), flags.end(), [&](const Flag& f) {
+      return key == f.name;
+    });
+    if (flag == flags.end()) {
+      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
+      std::exit(2);
+    }
+    const bool ok = std::visit(
+        [&](auto* out) {
+          if constexpr (std::is_same_v<decltype(out), std::string*>) {
+            *out = value;
+            return true;
+          } else {
+            return sim::ParseFlagValue(value, out);
+          }
+        },
+        flag->target);
+    if (!ok) {
+      std::fprintf(stderr, "invalid value for %s: '%s'\n", flag->name,
+                   value.c_str());
+      std::exit(2);
+    }
   }
   return opt;
 }

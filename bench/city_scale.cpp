@@ -80,16 +80,14 @@ struct Rung {
 int main(int argc, char** argv) {
   using namespace dsi;
   // Small channel: this bench scales clients, not data.
-  const bench::Options opt =
-      bench::ParseOptions(argc, argv, bench::Options{.objects = 1024});
   size_t max_clients = 1'000'000;
   size_t steps = 4;
   double churn_rate = 0.3;
-  for (int i = 1; i < argc; ++i) {
-    bench::ParseFlag(argv[i], "--max-clients", &max_clients);
-    bench::ParseFlag(argv[i], "--steps", &steps);
-    bench::ParseFlag(argv[i], "--churn-rate", &churn_rate);
-  }
+  const bench::Options opt = bench::ParseOptions(
+      argc, argv, bench::Options{.objects = 1024},
+      {{"--max-clients", &max_clients},
+       {"--steps", &steps},
+       {"--churn-rate", &churn_rate}});
 
   const auto objects = bench::MakeDataset(opt);
   const auto u = datasets::UnitUniverse();

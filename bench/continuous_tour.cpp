@@ -40,15 +40,12 @@ struct JsonRow {
 
 int main(int argc, char** argv) {
   using namespace dsi;
-  const bench::Options opt = bench::ParseOptions(argc, argv);
   size_t clients = 20;
   size_t steps = 12;
   double lossy_theta = 0.5;
-  for (int i = 1; i < argc; ++i) {
-    bench::ParseFlag(argv[i], "--clients", &clients);
-    bench::ParseFlag(argv[i], "--steps", &steps);
-    bench::ParseFlag(argv[i], "--theta", &lossy_theta);
-  }
+  const bench::Options opt = bench::ParseOptions(
+      argc, argv, {},
+      {{"--clients", &clients}, {"--steps", &steps}, {"--theta", &lossy_theta}});
 
   const auto objects = bench::MakeDataset(opt);
   const auto u = datasets::UnitUniverse();

@@ -54,12 +54,9 @@ std::vector<dsi::common::Rect> MakeSkewedWindows(
 
 int main(int argc, char** argv) {
   using namespace dsi;
-  const bench::Options opt = bench::ParseOptions(argc, argv);
   std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.starts_with("--out=")) out_path = arg.substr(6);
-  }
+  const bench::Options opt =
+      bench::ParseOptions(argc, argv, {}, {{"--out", &out_path}});
   const auto objects = bench::MakeDataset(opt);
   const hilbert::SpaceMapper mapper(datasets::UnitUniverse(),
                                     bench::OrderFor(opt));

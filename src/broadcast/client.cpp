@@ -484,16 +484,6 @@ bool ClientSession::TryRepair(size_t phys, uint64_t occ) {
   return recovered;
 }
 
-void ClientSession::SkipBucket() {
-  // On a coded cycle the session may rest ahead of the current data
-  // bucket's boundary (parity in flight): doze up to it first. Uncoded
-  // sessions are already parked there, so the doze is zero packets.
-  const size_t phys = NextPhysOf(current_slot_);
-  AdvanceTo(now_ + PhysWait(phys));
-  AdvanceTo(now_ + program_->bucket(phys).packets);
-  current_slot_ = NextDataSlot(current_slot_);
-}
-
 Metrics ClientSession::metrics() const {
   Metrics m;
   m.access_latency_bytes = (now_ - tune_in_) * program_->packet_capacity();

@@ -172,8 +172,8 @@ class ClientSession {
 
   /// The session's current DATA slot (valid after InitialProbe). After a
   /// probe, park or repair it is the data bucket airing next: it starts
-  /// now, or only parity symbols sit between now and it. After a read or
-  /// skip it is the LOGICAL successor of that slot, (slot + 1) mod
+  /// now, or only parity symbols sit between now and it. After a read it
+  /// is the LOGICAL successor of that slot, (slot + 1) mod
   /// num_data_buckets() — the next bucket on air on plain and coded cycles,
   /// but on a multi-disk cycle possibly tiers away; ReadBucket of it then
   /// dozes to its nearest airing.
@@ -188,9 +188,6 @@ class ClientSession {
   /// tuning time and latency are still spent and the client is parked on
   /// the next (data) bucket boundary.
   bool ReadBucket(size_t slot);
-
-  /// Dozes past the bucket starting right now without listening.
-  void SkipBucket();
 
   /// Continuous listening: the client turns the radio off for \p packets
   /// (think time between re-evaluations of a moving client), then parks on

@@ -789,6 +789,10 @@ bool ParseFlagValue(std::string_view text, uint32_t* out) {
   return ParseValue(text, out);
 }
 
+bool ParseFlagValue(std::string_view text, int* out) {
+  return ParseValue(text, out);
+}
+
 bool ParseFlagValue(std::string_view text, double* out) {
   return ParseValue(text, out);
 }

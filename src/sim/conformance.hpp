@@ -195,6 +195,7 @@ CaseFlag SetCaseFlag(std::string_view flag, std::string_view value,
 /// otherwise.
 bool ParseFlagValue(std::string_view text, uint64_t* out);
 bool ParseFlagValue(std::string_view text, uint32_t* out);
+bool ParseFlagValue(std::string_view text, int* out);
 bool ParseFlagValue(std::string_view text, double* out);
 
 /// What a conformance sweep sets over each seed's case.

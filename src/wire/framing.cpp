@@ -125,7 +125,7 @@ std::string RecipeError(const HelloPayload& hello) {
   if ((hello.coding_group == 0) != (hello.coding_parity == 0)) {
     return "coding group and parity must both be 0 or both be >= 1";
   }
-  if (hello.coding_group + hello.coding_parity > 64) {
+  if (uint64_t{hello.coding_group} + hello.coding_parity > 64) {
     return "coding group + parity must be <= 64";
   }
   return "";

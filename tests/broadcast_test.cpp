@@ -115,15 +115,6 @@ TEST(ClientSessionTest, PacketsUntilZeroAtBoundary) {
   EXPECT_EQ(s.PacketsUntil(0), 49u);  // wrap
 }
 
-TEST(ClientSessionTest, SkipBucketAdvancesWithoutTuning) {
-  const BroadcastProgram p = MakeSimpleProgram();
-  ClientSession s(p, 0, ErrorModel{}, common::Rng(1));
-  s.InitialProbe();
-  s.SkipBucket();
-  EXPECT_EQ(s.current_slot(), 2u);
-  EXPECT_EQ(s.metrics().tuning_bytes, 64u);  // probe only
-}
-
 TEST(ClientSessionTest, TuneInMidCycle) {
   const BroadcastProgram p = MakeSimpleProgram();
   // Tune in inside slot 1 (packet 5); next boundary is slot 2 at packet 17.

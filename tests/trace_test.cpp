@@ -1,3 +1,5 @@
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "broadcast/client.hpp"
@@ -28,12 +30,14 @@ TEST(TraceTest, EventsAreContiguousAndTyped) {
   s.set_trace(&trace);
   s.InitialProbe();
   s.ReadBucket(2);
-  s.SkipBucket();
-  s.ReadBucket(0);
+  s.ReadBucket(0);  // dozes past slot 3 first
 
   ASSERT_FALSE(trace.empty());
   EXPECT_EQ(trace.front().kind, TraceEvent::Kind::kProbe);
   EXPECT_EQ(trace.front().start_packet, 5u);
+  EXPECT_TRUE(std::any_of(trace.begin(), trace.end(), [](const TraceEvent& e) {
+    return e.kind == TraceEvent::Kind::kDoze;
+  }));
   for (size_t i = 1; i < trace.size(); ++i) {
     // No gaps, no overlaps: the trace tiles the session's time axis.
     EXPECT_EQ(trace[i].start_packet, trace[i - 1].end_packet);

@@ -200,6 +200,10 @@ TEST(WireFuzz, HelloRejectsUnbuildableRecipes) {
     h.coding_group = 60;
     h.coding_parity = 5;  // group + parity over the 64 cap
   });
+  reject([](wire::HelloPayload& h) {
+    h.coding_group = UINT32_MAX;
+    h.coding_parity = 1;  // a sum over the cap that wraps to 0 in 32 bits
+  });
 }
 
 TEST(WireFuzz, HelloRejectsRtreeBelowOneEntryPerPacket) {

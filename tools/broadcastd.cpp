@@ -19,7 +19,8 @@
 /// Prints the bound endpoint ("listening on tcp:PORT") once serving, so
 /// scripts can wait for readiness on stdout. A recipe its clients would
 /// reject (wire::RecipeError) is refused with exit 1 before anything is
-/// built.
+/// built. So is a value that does not parse whole (sim::ParseFlagValue):
+/// --n=abc, --n=12abc and --n=-1 exit 1 with "invalid value for --n: ...".
 
 #include <unistd.h>
 
@@ -30,6 +31,7 @@
 #include <string>
 
 #include "air/family.hpp"
+#include "sim/conformance.hpp"
 #include "transport/broadcast_daemon.hpp"
 #include "wire/framing.hpp"
 
@@ -50,39 +52,49 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--listen=", 0) == 0) {
-      listen = arg.substr(9);
-    } else if (arg.rfind("--family=", 0) == 0) {
-      const std::optional<air::Family> family = air::ParseFamily(arg.substr(9));
+    const size_t eq = arg.find('=');
+    const std::string key = arg.substr(0, eq);
+    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
+    using sim::ParseFlagValue;
+    bool ok = true;
+    if (key == "--listen") {
+      listen = value;
+    } else if (key == "--family") {
+      const std::optional<air::Family> family = air::ParseFamily(value);
       if (!family) {
         std::fprintf(stderr, "unknown family: %s\n", arg.c_str());
         return 1;
       }
       recipe.family = *family;
-    } else if (arg.rfind("--n=", 0) == 0) {
-      recipe.num_objects = static_cast<uint32_t>(std::stoul(arg.substr(4)));
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      recipe.seed = std::stoull(arg.substr(7));
-    } else if (arg.rfind("--capacity=", 0) == 0) {
-      recipe.packet_capacity = static_cast<uint32_t>(std::stoul(arg.substr(11)));
-    } else if (arg.rfind("--order=", 0) == 0) {
-      recipe.hilbert_order = static_cast<uint32_t>(std::stoul(arg.substr(8)));
-    } else if (arg.rfind("--m=", 0) == 0) {
-      recipe.num_segments = static_cast<uint32_t>(std::stoul(arg.substr(4)));
-    } else if (arg.rfind("--generations=", 0) == 0) {
-      recipe.num_generations = static_cast<uint32_t>(std::stoul(arg.substr(14)));
-    } else if (arg.rfind("--updates=", 0) == 0) {
-      recipe.updates_per_gen = static_cast<uint32_t>(std::stoul(arg.substr(10)));
-    } else if (arg.rfind("--gen-cycles=", 0) == 0) {
-      recipe.gen_cycles = std::stoull(arg.substr(13));
-    } else if (arg.rfind("--code-group=", 0) == 0) {
-      recipe.coding_group = static_cast<uint32_t>(std::stoul(arg.substr(13)));
-    } else if (arg.rfind("--code-parity=", 0) == 0) {
-      recipe.coding_parity = static_cast<uint32_t>(std::stoul(arg.substr(14)));
-    } else if (arg.rfind("--pps=", 0) == 0) {
-      pps = std::stod(arg.substr(6));
+    } else if (key == "--n") {
+      ok = ParseFlagValue(value, &recipe.num_objects);
+    } else if (key == "--seed") {
+      ok = ParseFlagValue(value, &recipe.seed);
+    } else if (key == "--capacity") {
+      ok = ParseFlagValue(value, &recipe.packet_capacity);
+    } else if (key == "--order") {
+      ok = ParseFlagValue(value, &recipe.hilbert_order);
+    } else if (key == "--m") {
+      ok = ParseFlagValue(value, &recipe.num_segments);
+    } else if (key == "--generations") {
+      ok = ParseFlagValue(value, &recipe.num_generations);
+    } else if (key == "--updates") {
+      ok = ParseFlagValue(value, &recipe.updates_per_gen);
+    } else if (key == "--gen-cycles") {
+      ok = ParseFlagValue(value, &recipe.gen_cycles);
+    } else if (key == "--code-group") {
+      ok = ParseFlagValue(value, &recipe.coding_group);
+    } else if (key == "--code-parity") {
+      ok = ParseFlagValue(value, &recipe.coding_parity);
+    } else if (key == "--pps") {
+      ok = ParseFlagValue(value, &pps);
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+      return 1;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "invalid value for %s: '%s'\n", key.c_str(),
+                   value.c_str());
       return 1;
     }
   }

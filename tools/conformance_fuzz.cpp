@@ -34,6 +34,11 @@
 /// multi-disk cycles on every swept case. Every value must parse whole:
 /// --theta=abc is a usage error.
 ///
+/// The sweeps CI runs are the rows of tests/fuzz_bands.cmake, each with
+/// its flags and the CONFORMANT: line it prints pinned; ctest runs them
+/// (ctest -C fuzz -L fuzz_sanitized, -L fuzz_release). A change that moves
+/// a row's counts edits that row's pin.
+///
 /// A case fails on any oracle divergence (completed queries are checked
 /// against the object set of the generation they answered for) OR — at
 /// theta <= 0.7, where every family must finish — any watchdog-aborted
@@ -221,7 +226,7 @@ bool ValidCase(const ConformanceCase& c,
   if (c.n == 0 || c.order < 1 || c.order > 16 || c.capacity < 32 ||
       c.theta < 0.0 || c.theta > 1.0 || c.workers == 0 ||
       c.generations == 0 || c.gen_cycles == 0 ||
-      c.code_group + c.code_parity > 64 || c.churn_rate < 0.0 ||
+      uint64_t{c.code_group} + c.code_parity > 64 || c.churn_rate < 0.0 ||
       c.churn_rate > 1.0 || c.num_disks < 1 || c.num_disks > 3 ||
       c.disk_skew < 0.0) {
     std::fprintf(stderr,

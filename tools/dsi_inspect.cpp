@@ -8,6 +8,9 @@
 ///
 /// Usage: dsi_inspect [--objects=N] [--capacity=B] [--segments=M]
 ///                    [--object-factor=NO] [--base=R] [--real]
+///
+/// Every value must parse whole (sim::ParseFlagValue): --objects=abc exits
+/// 1 with "invalid value for --objects: 'abc'".
 
 #include <cstdio>
 #include <cstring>
@@ -17,6 +20,7 @@
 #include "dsi/index.hpp"
 #include "dsi/layout.hpp"
 #include "hilbert/space_mapper.hpp"
+#include "sim/conformance.hpp"
 #include "wire/codecs.hpp"
 
 int main(int argc, char** argv) {
@@ -28,20 +32,30 @@ int main(int argc, char** argv) {
   bool real = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--objects=", 0) == 0) {
-      objects_n = std::stoul(arg.substr(10));
-    } else if (arg.rfind("--capacity=", 0) == 0) {
-      capacity = std::stoul(arg.substr(11));
-    } else if (arg.rfind("--segments=", 0) == 0) {
-      config.num_segments = static_cast<uint32_t>(std::stoul(arg.substr(11)));
-    } else if (arg.rfind("--object-factor=", 0) == 0) {
-      config.object_factor = static_cast<uint32_t>(std::stoul(arg.substr(16)));
-    } else if (arg.rfind("--base=", 0) == 0) {
-      config.index_base = static_cast<uint32_t>(std::stoul(arg.substr(7)));
+    const size_t eq = arg.find('=');
+    const std::string key = arg.substr(0, eq);
+    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
+    using sim::ParseFlagValue;
+    bool ok = true;
+    if (key == "--objects") {
+      ok = ParseFlagValue(value, &objects_n);
+    } else if (key == "--capacity") {
+      ok = ParseFlagValue(value, &capacity);
+    } else if (key == "--segments") {
+      ok = ParseFlagValue(value, &config.num_segments);
+    } else if (key == "--object-factor") {
+      ok = ParseFlagValue(value, &config.object_factor);
+    } else if (key == "--base") {
+      ok = ParseFlagValue(value, &config.index_base);
     } else if (arg == "--real") {
       real = true;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+      return 1;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "invalid value for %s: '%s'\n", key.c_str(),
+                   value.c_str());
       return 1;
     }
   }

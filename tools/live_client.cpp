@@ -19,6 +19,9 @@
 /// Usage: live_client --connect=tcp:PORT|unix:PATH
 ///                    [--windows=N] [--knn=N] [--k=K] [--seed=S]
 ///                    [--theta=T] [--timeout-ms=MS] [--verify] [--quiet]
+///
+/// Every value must parse whole (sim::ParseFlagValue): --windows=abc exits
+/// 1 with "invalid value for --windows: 'abc'".
 
 #include <chrono>
 #include <cstdio>
@@ -31,6 +34,7 @@
 #include "common/geometry.hpp"
 #include "common/rng.hpp"
 #include "datasets/datasets.hpp"
+#include "sim/conformance.hpp"
 #include "sim/runner.hpp"
 #include "transport/stream_transport.hpp"
 #include "transport/transport.hpp"
@@ -121,26 +125,36 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--connect=", 0) == 0) {
-      connect = arg.substr(10);
-    } else if (arg.rfind("--windows=", 0) == 0) {
-      windows = std::stoul(arg.substr(10));
-    } else if (arg.rfind("--knn=", 0) == 0) {
-      knn = std::stoul(arg.substr(6));
-    } else if (arg.rfind("--k=", 0) == 0) {
-      k = std::stoul(arg.substr(4));
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::stoull(arg.substr(7));
-    } else if (arg.rfind("--theta=", 0) == 0) {
-      theta = std::stod(arg.substr(8));
-    } else if (arg.rfind("--timeout-ms=", 0) == 0) {
-      options.timeout_ms = std::stoi(arg.substr(13));
+    const size_t eq = arg.find('=');
+    const std::string key = arg.substr(0, eq);
+    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
+    using sim::ParseFlagValue;
+    bool ok = true;
+    if (key == "--connect") {
+      connect = value;
+    } else if (key == "--windows") {
+      ok = ParseFlagValue(value, &windows);
+    } else if (key == "--knn") {
+      ok = ParseFlagValue(value, &knn);
+    } else if (key == "--k") {
+      ok = ParseFlagValue(value, &k);
+    } else if (key == "--seed") {
+      ok = ParseFlagValue(value, &seed);
+    } else if (key == "--theta") {
+      ok = ParseFlagValue(value, &theta);
+    } else if (key == "--timeout-ms") {
+      ok = ParseFlagValue(value, &options.timeout_ms);
     } else if (arg == "--verify") {
       verify = true;
     } else if (arg == "--quiet") {
       quiet = true;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+      return 1;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "invalid value for %s: '%s'\n", key.c_str(),
+                   value.c_str());
       return 1;
     }
   }

@@ -12,7 +12,8 @@
 ///   perf_smoke [--queries=N] [--max-objects=N] [--workers=N] [--repeats=N]
 ///              [--out=PATH] [--append]
 ///
-/// A count that is not wholly a decimal integer exits 2.
+/// A count that is not wholly a decimal integer, or any other argument,
+/// exits 2.
 ///
 /// JSON schema (BENCH_perf.json):
 ///   {
@@ -43,6 +44,7 @@
 /// and qps counts decompositions per second at that rung's curve order.
 /// bench/city_scale owns the moving-client population ladder.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -91,14 +93,25 @@ Options ParseOptions(int argc, char** argv) {
     const size_t eq = arg.find('=');
     const std::string key = arg.substr(0, eq);
     const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
-    if (arg.rfind("--out=", 0) == 0) opt.out = value;
-    if (arg == "--append") opt.append = true;
-    for (const auto& [name, field] : counts) {
-      if (key == name && !sim::ParseFlagValue(value, field)) {
-        std::fprintf(stderr, "invalid value for %s: '%s'\n", name,
-                     value.c_str());
-        std::exit(2);
-      }
+    if (arg.rfind("--out=", 0) == 0) {
+      opt.out = value;
+      continue;
+    }
+    if (arg == "--append") {
+      opt.append = true;
+      continue;
+    }
+    const auto count =
+        std::find_if(std::begin(counts), std::end(counts),
+                     [&](const auto& c) { return key == c.first; });
+    if (count == std::end(counts)) {
+      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+      std::exit(2);
+    }
+    if (!sim::ParseFlagValue(value, count->second)) {
+      std::fprintf(stderr, "invalid value for %s: '%s'\n", count->first,
+                   value.c_str());
+      std::exit(2);
     }
   }
   return opt;
